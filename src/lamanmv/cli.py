@@ -3,7 +3,8 @@
 Subcommands: check, henneberg, orient, system, mv, certify, oracle,
 embed, report. Graphs come from the line-oriented file format handled
 by reporting.parse_graph_file. Exit codes: 0 success, 1 input error,
-2 capability or retry exhaustion.
+2 capability or retry exhaustion, 3 internal error (a failed self-check,
+which means a bug).
 """
 
 import argparse
@@ -11,12 +12,13 @@ import sys
 import time
 
 from . import embeddings, mixedvol, polysys, reporting
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, InternalError
 from .graphs import (
     HENNEBERG_I,
     StepI,
     check_laman,
     classify,
+    default_base,
     edge_key,
     henneberg_decompose,
     orient_two_in,
@@ -25,6 +27,7 @@ from .graphs import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CAPABILITY = 2
+EXIT_INTERNAL = 3
 
 
 def _parser():
@@ -73,6 +76,11 @@ def _load(path):
         raise InputError(f"cannot read {path}: {exc}")
 
 
+def _require_laman(g):
+    if not check_laman(g)["laman"]:
+        raise InputError("graph is not Laman")
+
+
 def _deadline(args):
     return None if args.timeout is None else time.monotonic() + args.timeout
 
@@ -114,6 +122,9 @@ def run(argv):
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _dispatch(args):
@@ -131,8 +142,7 @@ def _dispatch(args):
         return EXIT_OK
 
     if args.command == "henneberg":
-        if not check_laman(g)["laman"]:
-            raise InputError("graph is not Laman")
+        _require_laman(g)
         dec = henneberg_decompose(g)
         steps = []
         for i, s in enumerate(dec.sequence.steps):
@@ -170,7 +180,7 @@ def _dispatch(args):
                 raise InputError("--base expects i,j")
             base = edge_key(i, j)
         else:
-            base = edge_key(1, 2) if edge_key(1, 2) in g.edges else sorted(g.edges)[0]
+            base = default_base(g)
         orientation = orient_two_in(g, base)
         payload = {
             "base": list(orientation.base),
@@ -222,6 +232,7 @@ def _dispatch(args):
         return EXIT_OK
 
     if args.command == "mv":
+        _require_laman(g)
         res = mixedvol.mv_for_graph(
             fw, args.form, seed=args.seed, deadline=_deadline(args), threads=args.threads
         )
@@ -235,8 +246,7 @@ def _dispatch(args):
         return EXIT_OK
 
     if args.command == "certify":
-        if not check_laman(g)["laman"]:
-            raise InputError("graph is not Laman")
+        _require_laman(g)
         res = mixedvol.certify_general_bound(g, deadline=_deadline(args))
         payload = reporting.mv_result_dict(res)
         payload["cells"] = reporting.cells_dict(res)
@@ -258,8 +268,7 @@ def _dispatch(args):
         return EXIT_OK
 
     if args.command == "embed":
-        if not check_laman(g)["laman"]:
-            raise InputError("graph is not Laman")
+        _require_laman(g)
         if classify(g) != HENNEBERG_I:
             raise InputError("embedding enumeration needs a degree-2-constructible graph")
         dec = henneberg_decompose(g, only_step1=True)

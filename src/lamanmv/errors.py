@@ -2,7 +2,8 @@
 
 Three coarse classes matter to callers (and map to CLI exit codes):
 input errors (bad data, exit 1), capability errors (requests beyond the
-implemented scale or retry budgets, exit 2), and internal errors (bugs).
+implemented scale or retry budgets, exit 2), and internal errors (bugs,
+exit 3).
 """
 
 

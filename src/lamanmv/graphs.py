@@ -411,6 +411,14 @@ def classify(g):
 # Orientation with two incoming edges per non-pinned vertex
 
 
+def default_base(g):
+    """The edge pinned when none is chosen: (1, 2) if present, else the smallest."""
+    if not g.edges:
+        raise InputError("graph has no edges")
+    base = edge_key(1, 2)
+    return base if base in g.edges else min(g.edges)
+
+
 def relabel_with_base(g, base):
     """Relabel so the base edge becomes (1, 2); returns (graph, old->new)."""
     base = edge_key(*base)

@@ -1,10 +1,15 @@
 """Exact rational linear programming.
 
-Dense two-phase simplex over Fraction arithmetic with Bland's pivoting
-rule, so every run terminates and identical inputs pivot identically.
-Optima come with exact dual vectors (reduced costs <= 0 at the returned
-basis), infeasible systems come with an exactly verifiable Farkas
-combination. There are no tolerances anywhere.
+Dense two-phase simplex with Bland's pivoting rule, so every run
+terminates and identical inputs pivot identically. The tableau is kept
+fraction-free: rows are scaled to integers and every pivot is the
+integer-preserving update of Bareiss (Math. Comp. 22, 1968) over one
+common denominator, so no rational number is formed until the answer is
+read off. Optima come with exact dual vectors read from the cost row's
+artificial columns (reduced costs <= 0 at the returned basis),
+infeasible systems come with a Farkas combination read the same way.
+Both are re-verified in exact rational arithmetic before they are
+returned. There are no tolerances anywhere.
 
 Variables are free by default. Bounds of (0, None) become plain
 nonnegative columns; any other bound is folded into constraint rows
@@ -13,11 +18,11 @@ during normalization. Certificates refer to the normalized row list
 order).
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ._linalg import mat_solve
 from .errors import InputError, InternalError
 
 LE, EQ, GE = "<=", "=", ">="
@@ -98,58 +103,70 @@ class LPOutcome:
 
 
 class _Tableau:
-    """Simplex tableau with an incrementally maintained cost row."""
+    """Fraction-free simplex tableau (integer-preserving pivots).
 
-    def __init__(self, arows, brhs):
-        self.m = len(arows)
-        nstruct = len(arows[0]) if self.m else 0
-        self.ncols = nstruct
-        self.width = nstruct + self.m + 1  # + artificials + rhs
-        self.rows = []
-        for i in range(self.m):
-            row = list(arows[i])
-            row.extend(_ONE if t == i else _ZERO for t in range(self.m))
-            row.append(brhs[i])
-            self.rows.append(row)
-        self.basis = [nstruct + i for i in range(self.m)]
+    The rows start as the integer standard-form rows with an identity
+    block for the artificials and the rhs appended. All entries are ints
+    over one common denominator d > 0, so the true tableau is rows / d.
+    The cost row z holds d * zscale times the true reduced costs (and
+    minus the objective value in the rhs column), where zscale clears
+    the denominators of the installed cost vector. Every entry is then,
+    up to sign, a minor of the initial matrix, so the Bareiss update
+    divides exactly.
+    """
+
+    def __init__(self, int_rows, ncols):
+        m = len(int_rows)
+        self.ncols = ncols
+        self.width = ncols + m + 1  # + artificials + rhs
+        self.rows = [
+            row[:ncols] + [int(t == i) for t in range(m)] + [row[ncols]]
+            for i, row in enumerate(int_rows)
+        ]
+        self.basis = [ncols + i for i in range(m)]
+        self.d = 1
         self.z = None
+        self.zscale = 1
 
     def set_cost(self, cost):
-        z = list(cost) + [_ZERO]
-        for i in range(self.m):
-            f = z[self.basis[i]]
-            if f != 0:
-                row = self.rows[i]
-                for c in range(self.width):
-                    if row[c] != 0:
-                        z[c] -= f * row[c]
+        """Install a rational cost vector, one entry per non-rhs column."""
+        zscale = math.lcm(*(c.denominator for c in cost))
+        cint = [c.numerator * (zscale // c.denominator) for c in cost]
+        z = [self.d * c for c in cint] + [0]
+        for row, b in zip(self.rows, self.basis):
+            f = cint[b]
+            if f:
+                z = [zc - f * rc for zc, rc in zip(z, row)]
         self.z = z
+        self.zscale = zscale
 
     def pivot(self, leave, enter):
-        row = self.rows[leave]
-        inv = row[enter]
-        if inv != 1:
-            for c in range(self.width):
-                if row[c] != 0:
-                    row[c] /= inv
-        for target in self.rows:
-            if target is not row:
-                f = target[enter]
-                if f != 0:
-                    for c in range(self.width):
-                        if row[c] != 0:
-                            target[c] -= f * row[c]
-        f = self.z[enter]
-        if f != 0:
-            for c in range(self.width):
-                if row[c] != 0:
-                    self.z[c] -= f * row[c]
+        prow = self.rows[leave]
+        p = prow[enter]
+        d = self.d
+
+        def update(row):
+            f = row[enter]
+            if f:
+                return [(p * a - f * b) // d for a, b in zip(row, prow)]
+            if p == d:
+                return row
+            return [p * a // d for a in row]
+
+        self.rows = [prow if i == leave else update(row) for i, row in enumerate(self.rows)]
+        self.z = update(self.z)
+        if p < 0:  # keep d > 0 so that signs of entries are true signs
+            self.rows = [[-a for a in row] for row in self.rows]
+            self.z = [-a for a in self.z]
+            p = -p
+        self.d = p
         self.basis[leave] = enter
 
     def run(self, allow_artificials):
         """Bland's rule until optimal or unbounded."""
         pivots = 0
-        basis_set = set(self.basis)
+        basis = self.basis
+        basis_set = set(basis)
         limit = self.ncols if not allow_artificials else self.width - 1
         while True:
             pivots += 1
@@ -163,26 +180,25 @@ class _Tableau:
                     break
             if enter is None:
                 return "optimal"
+            # Ratios rhs/a share the denominator d: compare cross products.
             leave = None
-            best = None
-            rhs_col = self.width - 1
-            for i in range(self.m):
-                a = self.rows[i][enter]
+            for i, row in enumerate(self.rows):
+                a = row[enter]
                 if a > 0:
-                    ratio = self.rows[i][rhs_col] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
+                    if leave is None:
+                        leave, lrhs, la = i, row[-1], a
+                        continue
+                    lhs, rhs = row[-1] * la, lrhs * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave, lrhs, la = i, row[-1], a
             if leave is None:
                 return ("unbounded", enter)
-            basis_set.discard(self.basis[leave])
+            basis_set.discard(basis[leave])
             basis_set.add(enter)
             self.pivot(leave, enter)
 
-    def rhs(self, i):
-        return self.rows[i][self.width - 1]
+    def entry(self, i, col):
+        return Fraction(self.rows[i][col], self.d)
 
 
 def solve(lp):
@@ -200,25 +216,8 @@ def solve(lp):
     m = len(rows)
 
     # Standard form: free x_j = p_j - q_j, nonneg x_j single column,
-    # slack per inequality, rhs made nonnegative by row flips.
-    flips = []
-    arows = []
-    brhs = []
-    rels = []
-    for coeffs, rel, rhs in rows:
-        sigma = 1
-        coeffs = list(coeffs)
-        rhs = _frac(rhs)
-        if rhs < 0:
-            sigma = -1
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        flips.append(sigma)
-        arows.append(coeffs)
-        brhs.append(rhs)
-        rels.append(rel)
-
+    # slack per inequality, rhs made nonnegative by row flips, and each
+    # row scaled to integers by the lcm s_i of its denominators.
     var_cols = []
     col = 0
     for j in range(nvars):
@@ -228,34 +227,54 @@ def solve(lp):
         else:
             var_cols.append((col, col + 1))
             col += 2
-    nslack = sum(1 for r in rels if r != EQ)
+    nslack = sum(1 for _, rel, _ in rows if rel != EQ)
     ncols = col + nslack
-    std_rows = []
+    flips = []
+    scales = []
+    int_rows = []
     slack_col = col
-    for i in range(m):
-        row = [_ZERO] * ncols
-        for j in range(nvars):
-            a = arows[i][j]
+    for coeffs, rel, rhs in rows:
+        sigma = -1 if rhs < 0 else 1
+        s = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
+        row = [0] * (ncols + 1)
+        for j, a in enumerate(coeffs):
             if a != 0:
+                a = sigma * a.numerator * (s // a.denominator)
                 cols = var_cols[j]
                 row[cols[0]] = a
                 if len(cols) == 2:
                     row[cols[1]] = -a
-        if rels[i] != EQ:
-            row[slack_col] = _ONE if rels[i] == LE else -_ONE
+        if rel != EQ:
+            row[slack_col] = sigma * s if rel == LE else -sigma * s
             slack_col += 1
-        std_rows.append(row)
+        row[ncols] = sigma * rhs.numerator * (s // rhs.denominator)
+        flips.append(sigma)
+        scales.append(s)
+        int_rows.append(row)
 
-    tab = _Tableau(std_rows, brhs)
-    cost1 = [_ZERO] * ncols + [-_ONE] * m
-    tab.set_cost(cost1)
+    # Phase 1 minimizes the sum of the unscaled artificials; artificial i
+    # of the scaled rows stands for s_i of them, hence cost -1/s_i. This
+    # keeps every reduced cost's sign and every ratio order, so the pivots
+    # are those of the plain rational tableau.
+    tab = _Tableau(int_rows, ncols)
+    tab.set_cost([_ZERO] * ncols + [Fraction(-1, s) for s in scales])
     res = tab.run(allow_artificials=True)
     if res != "optimal":
         raise InternalError("phase 1 cannot be unbounded")
-    art_mass = sum(tab.rhs(i) for i in range(m) if tab.basis[i] >= ncols)
-    if art_mass > 0:
-        y = _basis_duals(std_rows, tab.basis, cost1, m, ncols)
-        cert = tuple(flips[i] * y[i] for i in range(m))
+
+    def certificate(art_cost):
+        # Row duals y_i = c_art - s_i * (reduced cost of artificial i):
+        # artificial i of the scaled rows is 1/s_i times the unit column
+        # of the unscaled standard form, so its reduced cost on the cost
+        # row is (c_art - y_i) / s_i. Flipped rows flip their dual.
+        den = tab.d * tab.zscale
+        return tuple(
+            sigma * (art_cost - Fraction(s * tab.z[ncols + i], den))
+            for i, (sigma, s) in enumerate(zip(flips, scales))
+        )
+
+    if any(tab.rows[i][-1] > 0 for i in range(m) if tab.basis[i] >= ncols):
+        cert = certificate(-1)
         if not verify_farkas(lp, cert):
             raise InternalError("invalid Farkas certificate produced")
         return LPOutcome(status=INFEASIBLE, certificate=cert)
@@ -264,8 +283,9 @@ def solve(lp):
     # stay artificial are identically zero and therefore inert.
     for i in range(m):
         if tab.basis[i] >= ncols:
+            row = tab.rows[i]
             for j in range(ncols):
-                if tab.rows[i][j] != 0:
+                if row[j] != 0:
                     tab.pivot(i, j)
                     break
 
@@ -278,16 +298,18 @@ def solve(lp):
     tab.set_cost(cost2)
     res = tab.run(allow_artificials=False)
 
+    def from_columns(xs):
+        return tuple(
+            xs[cols[0]] - xs[cols[1]] if len(cols) == 2 else xs[cols[0]]
+            for cols in var_cols
+        )
+
     def current_point():
         xs = [_ZERO] * ncols
         for i in range(m):
             if tab.basis[i] < ncols:
-                xs[tab.basis[i]] = tab.rhs(i)
-        out = []
-        for j in range(nvars):
-            cols = var_cols[j]
-            out.append(xs[cols[0]] - xs[cols[1]] if len(cols) == 2 else xs[cols[0]])
-        return tuple(out)
+                xs[tab.basis[i]] = tab.entry(i, -1)
+        return from_columns(xs)
 
     if res != "optimal":
         _, enter = res
@@ -295,18 +317,12 @@ def solve(lp):
         ray[enter] = _ONE
         for i in range(m):
             if tab.basis[i] < ncols:
-                ray[tab.basis[i]] = -tab.rows[i][enter]
-        ray_pt = []
-        for j in range(nvars):
-            cols = var_cols[j]
-            ray_pt.append(ray[cols[0]] - ray[cols[1]] if len(cols) == 2 else ray[cols[0]])
-        return LPOutcome(status=UNBOUNDED, point=current_point(), certificate=tuple(ray_pt))
+                ray[tab.basis[i]] = -tab.entry(i, enter)
+        return LPOutcome(status=UNBOUNDED, point=current_point(), certificate=from_columns(ray))
 
     point = current_point()
     value = sum((obj[j] * point[j] for j in range(nvars)), _ZERO)
-    y = _basis_duals(std_rows, tab.basis, cost2, m, ncols)
-    cert = tuple(flips[i] * y[i] for i in range(m))
-    out = LPOutcome(status=OPTIMAL, point=point, value=value, certificate=cert)
+    out = LPOutcome(status=OPTIMAL, point=point, value=value, certificate=certificate(0))
     _self_check_optimal(rows, kinds, obj, out)
     return out
 
@@ -315,22 +331,6 @@ def feasible(constraints, nvars, bounds=None):
     """Phase-one wrapper: zero objective over the given constraints."""
     lp = LinearProgram.make([0] * nvars, constraints, bounds)
     return solve(lp)
-
-
-def _basis_duals(std_rows, basis, cost, m, ncols):
-    """Solve y^T B = c_B^T against the original standard-form columns."""
-
-    def col_entry(i, j):
-        if j < ncols:
-            return std_rows[i][j]
-        return _ONE if i == j - ncols else _ZERO
-
-    system = [[col_entry(i, basis[r]) for i in range(m)] for r in range(m)]
-    cb = [cost[basis[r]] for r in range(m)]
-    y = mat_solve(system, cb)
-    if y is None:
-        raise InternalError("singular basis while extracting duals")
-    return y
 
 
 def _residual_and_value(rows, y, n):

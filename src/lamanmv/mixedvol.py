@@ -34,7 +34,7 @@ try:  # float prefilter only; all prunes are certified exactly
 except Exception:  # pragma: no cover
     _scipy_linprog = None
 from .errors import CapabilityError, InputError, InternalError, NonGenericLiftingError
-from .graphs import Framework, check_laman, edge_key, relabel_with_base
+from .graphs import Framework, check_laman, default_base, edge_key, relabel_with_base
 from .polysys import FORM_SOE, FORM_SUBSOE, bezout, build_soe, build_subsoe, newton_polytopes
 
 MAX_LIFTING_RETRIES = 32
@@ -552,9 +552,9 @@ def mv_inclusion_exclusion(polys):
 
 def _base_framework(framework):
     """Relabel so the pinned edge is (1,2); identity when already there."""
-    if edge_key(1, 2) in framework.graph.edges:
+    base = default_base(framework.graph)
+    if base == edge_key(1, 2):
         return framework
-    base = sorted(framework.graph.edges)[0]
     _, mapping = relabel_with_base(framework.graph, base)
     return framework.relabel(mapping)
 

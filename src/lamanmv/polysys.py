@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import polytopes
 from .errors import InputError
-from .graphs import edge_key, orient_two_in, relabel_with_base
+from .graphs import default_base, edge_key, orient_two_in, relabel_with_base
 
 FORM_SOE = "soe"
 FORM_SUBSOE = "subsoe"
@@ -341,8 +341,9 @@ def witness_check(framework, consts=None):
     strict upper bound on the embedding count.
     """
     fw = framework
-    if edge_key(1, 2) not in fw.graph.edges:
-        _, mapping = relabel_with_base(fw.graph, sorted(fw.graph.edges)[0])
+    base = default_base(fw.graph)
+    if base != edge_key(1, 2):
+        _, mapping = relabel_with_base(fw.graph, base)
         fw = fw.relabel(mapping)
     if consts is None:
         consts = Constants.generic_for(fw.lengths[edge_key(1, 2)])

@@ -128,9 +128,12 @@ def _is_extreme(p, pts):
         return True
     dim = len(p)
     # p is a vertex iff it is not a convex combination of the others.
+    # A coordinate on which every other point equals p needs no row: the
+    # sum row already implies it.
     rows = []
     for c in range(dim):
-        rows.append(([q[c] for q in others], linprog.EQ, p[c]))
+        if any(q[c] != p[c] for q in others):
+            rows.append(([q[c] for q in others], linprog.EQ, p[c]))
     rows.append(([Fraction(1)] * len(others), linprog.EQ, Fraction(1)))
     out = linprog.feasible(rows, len(others), bounds=[(0, None)] * len(others))
     return out.status == linprog.INFEASIBLE

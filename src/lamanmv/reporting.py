@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import embeddings, mixedvol, polysys
-from .errors import InputError
+from .errors import InputError, InternalError
 from .graphs import (
     HENNEBERG_I,
     Framework,
@@ -120,10 +120,10 @@ class Report:
     def validate(self):
         if self.mv_soe is not None and self.bezout_soe is not None:
             if self.mv_soe["value"] > self.bezout_soe:
-                raise InputError("mv exceeds degree product for the distance system")
+                raise InternalError("mv exceeds degree product for the distance system")
         if self.mv_subsoe is not None and self.bezout_subsoe is not None:
             if self.mv_subsoe["value"] > self.bezout_subsoe:
-                raise InputError("mv exceeds degree product for the substituted system")
+                raise InternalError("mv exceeds degree product for the substituted system")
 
     def to_dict(self, include_timings=True):
         out = {

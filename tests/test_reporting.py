@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from lamanmv import cli
-from lamanmv.errors import InputError
+from lamanmv import cli, mixedvol, polysys
+from lamanmv.errors import InputError, InternalError
 from lamanmv.graphs import k33_graph
 from lamanmv.reporting import (
     borcea_streinu_bound,
@@ -21,6 +21,8 @@ e 2 3 3
 """
 
 K33 = "n 6\n" + "\n".join(f"e {a} {b}" for a in (1, 3, 5) for b in (2, 4, 6))
+
+K4 = "n 4\n" + "\n".join(f"e {a} {b}" for a in range(1, 5) for b in range(a + 1, 5))
 
 
 def test_parse_triangle():
@@ -227,3 +229,30 @@ def test_cli_henneberg_and_orient(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     heads = [d["head"] for d in payload["directed"]]
     assert len(heads) == 8
+
+
+@pytest.mark.parametrize("command", ["mv", "system", "orient"])
+def test_cli_edgeless_graph_is_input_error(tmp_path, capsys, command):
+    assert run_cli(tmp_path, "n 3\n", command) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_mv_rejects_non_laman(tmp_path, capsys):
+    assert run_cli(tmp_path, K4, "mv") == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: graph is not Laman\n"
+
+
+def test_cli_internal_error_exit(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InternalError("self-check failed")
+
+    monkeypatch.setattr(mixedvol, "mv_for_graph", broken)
+    assert run_cli(tmp_path, TRIANGLE, "mv") == cli.EXIT_INTERNAL == 3
+    assert capsys.readouterr().err == "internal error: self-check failed\n"
+
+
+def test_cli_report_degree_product_violation_is_internal(tmp_path, capsys, monkeypatch):
+    # Only a bug can push a mixed volume above the degree product.
+    monkeypatch.setattr(polysys, "bezout", lambda system: 0)
+    assert run_cli(tmp_path, TRIANGLE, "report") == cli.EXIT_INTERNAL
+    assert "exceeds degree product" in capsys.readouterr().err
