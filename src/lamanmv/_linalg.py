@@ -1,7 +1,9 @@
 """Small exact linear algebra helpers over Fraction matrices.
 
 Matrices are lists of row lists of Fractions. Everything here is plain
-Gaussian elimination; the dimensions in this package stay below ~40.
+Gaussian elimination (determinant, solve, rank); the dimensions in this
+package stay below ~40. The mixed-cell search keeps its own integer,
+fraction-free row elimination in mixedvol.
 """
 
 from fractions import Fraction
@@ -86,77 +88,3 @@ def mat_rank(rows):
             break
     return rank
 
-
-class AffineEliminator:
-    """Incrementally row-reduced system of equalities <d, x> = b.
-
-    Supports snapshot/rollback so a depth-first search can push and pop
-    constraints cheaply. add() reports whether the constraint increased
-    the rank; an inconsistent dependent constraint reports "conflict".
-    """
-
-    def __init__(self, dim):
-        self.dim = dim
-        self.pivots = []  # list of (pivot_col, coeff_row, rhs)
-
-    def reduce(self, d, b):
-        d = list(d)
-        b = Fraction(b)
-        for col, row, rhs in self.pivots:
-            f = d[col]
-            if f != 0:
-                for c in range(self.dim):
-                    d[c] -= f * row[c]
-                b -= f * rhs
-        return d, b
-
-    def add(self, d, b):
-        """Add <d, x> = b. Returns 'new', 'dependent', or 'conflict'."""
-        d, b = self.reduce(d, b)
-        piv = None
-        for c in range(self.dim):
-            if d[c] != 0:
-                piv = c
-                break
-        if piv is None:
-            return "dependent" if b == 0 else "conflict"
-        inv = d[piv]
-        d = [v / inv for v in d]
-        b = b / inv
-        for i, (col, row, rhs) in enumerate(self.pivots):
-            f = row[piv]
-            if f != 0:
-                self.pivots[i] = (
-                    col,
-                    [row[c] - f * d[c] for c in range(self.dim)],
-                    rhs - f * b,
-                )
-        self.pivots.append((piv, d, b))
-        return "new"
-
-    def snapshot(self):
-        return len(self.pivots), [tuple(p[1]) for p in self.pivots], [p[2] for p in self.pivots], [p[0] for p in self.pivots]
-
-    def rollback(self, snap):
-        n, rows, rhss, cols = snap
-        self.pivots = [(cols[i], list(rows[i]), rhss[i]) for i in range(n)]
-
-    def parameterization(self):
-        """Return (x0, basis) with solutions x = x0 + span(basis).
-
-        x0 sets all free coordinates to zero; basis has one vector per
-        free coordinate.
-        """
-        pivot_cols = {col for col, _, _ in self.pivots}
-        free_cols = [c for c in range(self.dim) if c not in pivot_cols]
-        x0 = [Fraction(0)] * self.dim
-        for col, row, rhs in self.pivots:
-            x0[col] = rhs
-        basis = []
-        for fc in free_cols:
-            v = [Fraction(0)] * self.dim
-            v[fc] = Fraction(1)
-            for col, row, rhs in self.pivots:
-                v[col] = -row[fc]
-            basis.append(v)
-        return x0, basis

@@ -6,10 +6,14 @@ belongs to the subdivision iff some linear functional touches the lifted
 sum exactly along those edges. Enumeration is a depth-first search over
 edge choices, pruned by (a) linear independence of the chosen edge
 directions and (b) exact LP feasibility of the touching functional.
+All constraint rows are integer rows, eliminated fraction-free against
+the chosen edge equalities and carried down the search, so each node
+reduces only what it adds; an exact LP runs only where the particular
+solution violates a row.
 Complete cells are accepted only when every non-edge vertex clears the
-functional with a strictly positive margin (the optimum of the shared
-margin LP); a zero margin means the lifting is non-generic and the
-caller re-seeds.
+functional with a strictly positive margin; a zero margin, found at the
+leaf or carried down from the node that fixed it, means the lifting is
+non-generic and the caller re-seeds.
 
 The mixed volume is the sum of |det| of the edge matrices over all
 mixed cells. Repeated polytopes are handled by replication with
@@ -19,6 +23,7 @@ what makes the substituted vertex systems tractable.
 """
 
 import itertools
+import math
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -27,15 +32,15 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linprog, polytopes
-from ._linalg import AffineEliminator, mat_solve
-
-try:  # float prefilter only; all prunes are certified exactly
-    from scipy.optimize import linprog as _scipy_linprog
-except Exception:  # pragma: no cover
-    _scipy_linprog = None
+from ._linalg import mat_solve
 from .errors import CapabilityError, InputError, InternalError, NonGenericLiftingError
 from .graphs import Framework, check_laman, default_base, edge_key, relabel_with_base
 from .polysys import FORM_SOE, FORM_SUBSOE, bezout, build_soe, build_subsoe, newton_polytopes
+
+# The search runs no float LP. The benchmark tracer (perfbench/tracing.py)
+# still looks this name up for its "mixedvol.highs" span and skips it
+# while it is None.
+_scipy_linprog = None
 
 MAX_LIFTING_RETRIES = 32
 
@@ -141,8 +146,42 @@ def _dot(a, b):
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
+def _int_row(coeffs, rhs):
+    """(coeffs..., rhs) scaled by the positive lcm of its denominators."""
+    entries = (*coeffs, rhs)
+    scale = math.lcm(*(x.denominator for x in entries))
+    return tuple(int(x * scale) for x in entries)
+
+
+def _eliminate(row, col, pivot):
+    """Clear row[col] with a pivot row whose pivot entry is positive.
+
+    The fraction-free step p*row - row[col]*pivot multiplies the row by
+    p > 0 and adds a multiple of an equality, so an inequality row keeps
+    its meaning; the gcd of the result is divided out.
+    """
+    f = row[col]
+    if not f:
+        return row
+    p = pivot[col]
+    out = [p * x - f * y for x, y in zip(row, pivot)]
+    g = math.gcd(*out)
+    if g > 1:
+        out = [x // g for x in out]
+    return out
+
+
 class _Enumerator:
-    """Branch-and-prune search for all mixed cells under one lifting."""
+    """Branch-and-prune search for all mixed cells under one lifting.
+
+    Every row is an integer tuple (coeffs..., rhs). A node's state is
+    passed down the recursion: the chosen edge equalities as pivot rows
+    in integer echelon form, the off-edge rows `<coeff, alpha> >= rhs` of
+    the chosen edges reduced against those pivots (so each row is zero on
+    the pivot columns and stands for a constraint on the free columns),
+    and a tie flag. A child reduces the carried rows by its one new pivot
+    and only the new polytope's rows against all pivots.
+    """
 
     def __init__(self, polys, lifting, deadline=None):
         self.polys = list(polys)
@@ -154,21 +193,26 @@ class _Enumerator:
             raise InputError("inconsistent ambient dimensions")
         self.deadline = deadline
         self.order = self._search_order()
-        self.edge_lists = {i: polys[i].edges() for i in range(self.k)}
-        # Constraint rows per polytope: vertex u off an edge (a, b) needs
-        # <alpha, a - u> >= <mu, a - u>.
-        self.rows = {}
-        for i in range(self.k):
-            per_edge = []
+        self.edge_lists = [p.edges() for p in self.polys]
+        # Per polytope and edge (a, b): the direction equality
+        # <alpha, a - b> = <mu, a - b>, and for each vertex u off the edge
+        # the row <alpha, a - u> >= <mu, a - u>.
+        self.directions = []
+        self.rows = []
+        for i, poly in enumerate(self.polys):
+            dirs, per_edge = [], []
             for a, b in self.edge_lists[i]:
+                d = tuple(x - y for x, y in zip(a, b))
+                dirs.append(_int_row(d, lifting.value(i, d)))
                 cons = []
-                for u in self.polys[i].vertices:
+                for u in poly.vertices:
                     if u == a or u == b:
                         continue
                     coeff = tuple(x - y for x, y in zip(a, u))
-                    cons.append((coeff, self.lifting.value(i, coeff)))
+                    cons.append(_int_row(coeff, lifting.value(i, coeff)))
                 per_edge.append(cons)
-            self.rows[i] = per_edge
+            self.directions.append(dirs)
+            self.rows.append(per_edge)
 
     def _search_order(self):
         """Static polytope order: few edges first, staying connected.
@@ -193,24 +237,23 @@ class _Enumerator:
         return order
 
     def run(self, threads=1):
-        cells = []
-        ties = []
-        elim = AffineEliminator(self.k)
         first = self.order[0]
-        branches = list(range(len(self.edge_lists[first])))
+        branches = [((first, idx),) for idx in range(len(self.edge_lists[first]))]
+
+        def branch(chosen):
+            cells, ties = [], []
+            self._descend(chosen, (), (), False, cells, ties)
+            return cells, ties
+
         if threads and threads > 1:
-            def worker(idx):
-                local = AffineEliminator(self.k)
-                out, tie = [], []
-                self._descend(0, [(first, idx)], local, out, tie)
-                return out, tie
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                for out, tie in pool.map(worker, branches):
-                    cells.extend(out)
-                    ties.extend(tie)
+                results = list(pool.map(branch, branches))
         else:
-            for idx in branches:
-                self._descend(0, [(first, idx)], elim, cells, ties)
+            results = map(branch, branches)
+        cells, ties = [], []
+        for out, tie in results:
+            cells.extend(out)
+            ties.extend(tie)
         if ties:
             raise NonGenericLiftingError(
                 "lifting produced tie cells; re-seed", cells=tuple(ties)
@@ -218,101 +261,59 @@ class _Enumerator:
         cells.sort(key=lambda r: r.cell.edges)
         return tuple(cells)
 
-    def _descend(self, depth, pending, elim, cells, ties):
+    def _descend(self, chosen, pivots, active, tie, cells, ties):
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise CapabilityError("mixed-cell enumeration timed out")
-        poly_idx, edge_idx = pending[-1]
-        a, b = self.edge_lists[poly_idx][edge_idx]
-        direction = tuple(x - y for x, y in zip(a, b))
-        rhs = self.lifting.value(poly_idx, direction)
-        snap = elim.snapshot()
-        status = elim.add(direction, rhs)
-        if status != "new":
+        k = self.k
+        poly_idx, edge_idx = chosen[-1]
+        v = self.directions[poly_idx][edge_idx]
+        for c, p in pivots:
+            v = _eliminate(v, c, p)
+        col = next((c for c in range(k) if v[c]), None)
+        if col is None:
             # Either no touching functional or a forced singular matrix.
-            elim.rollback(snap)
             return
-        if depth + 1 == self.k:
-            self._finish(pending, elim, cells, ties)
-            elim.rollback(snap)
-            return
-        if self._prunable(pending, elim):
-            elim.rollback(snap)
-            return
-        nxt = self.order[depth + 1]
-        for idx in range(len(self.edge_lists[nxt])):
-            pending.append((nxt, idx))
-            self._descend(depth + 1, pending, elim, cells, ties)
-            pending.pop()
-        elim.rollback(snap)
-
-    def _active_rows(self, pending):
+        if v[col] < 0:
+            v = [-x for x in v]
+        pivots = pivots + ((col, v),)
+        fresh = self.rows[poly_idx][edge_idx]
+        for c, p in pivots:
+            fresh = [_eliminate(r, c, p) for r in fresh]
         rows = []
-        for poly_idx, edge_idx in pending:
-            rows.extend(self.rows[poly_idx][edge_idx])
-        return rows
+        violated = False
+        for r in itertools.chain((_eliminate(r, col, v) for r in active), fresh):
+            if any(r[:k]):
+                rows.append(r)
+                violated = violated or r[k] > 0
+            elif r[k] > 0:
+                return  # fully determined and violated
+            elif r[k] == 0:
+                tie = True  # fully determined with zero margin
+        if len(chosen) == k:
+            # Every row is now fully determined; none is violated.
+            self._finish(chosen, tie, cells, ties)
+            return
+        if violated and self._prunable(pivots, rows):
+            return
+        nxt = self.order[len(chosen)]
+        for idx in range(len(self.edge_lists[nxt])):
+            self._descend(chosen + ((nxt, idx),), pivots, rows, tie, cells, ties)
 
-    def _prunable(self, pending, elim):
+    def _prunable(self, pivots, rows):
         """True when no touching functional satisfies the chosen edges.
 
-        Exactness contract: a subtree is pruned only on an exact LP
-        infeasibility; the float prefilter merely decides when to pay
-        for the exact solve.
+        Only called when some row is violated at the particular solution
+        (all free columns zero). Exactness contract: a subtree is pruned
+        only on an exact LP infeasibility over the free columns.
         """
-        rows = self._active_rows(pending)
-        if not rows:
-            return False
-        alpha0, basis = elim.parameterization()
-        nb = len(basis)
-        reduced = []
-        violated = False
-        for coeff, rhs in rows:
-            shifted = rhs - _dot(coeff, alpha0)
-            if nb == 0:
-                if shifted > 0:
-                    return True
-                continue
-            proj = tuple(_dot(coeff, bvec) for bvec in basis)
-            if all(p == 0 for p in proj):
-                if shifted > 0:
-                    return True  # row is fully determined and violated
-                continue
-            if shifted > 0:
-                violated = True
-            reduced.append((proj, shifted))
-        if not violated:
-            return False  # the particular solution already works
-        if _scipy_linprog is not None and not self._float_says_infeasible(reduced, nb):
-            return False
-        cons = [(list(proj), linprog.GE, shifted) for proj, shifted in reduced]
-        out = linprog.feasible(cons, nb)
-        return out.status == linprog.INFEASIBLE
+        bound = {c for c, _ in pivots}
+        free = [c for c in range(self.k) if c not in bound]
+        cons = [([r[c] for c in free], linprog.GE, r[self.k]) for r in rows]
+        return linprog.feasible(cons, len(free)).status == linprog.INFEASIBLE
 
-    @staticmethod
-    def _float_says_infeasible(reduced, nb):
-        a_ub = [[-float(p) for p in proj] for proj, _ in reduced]
-        b_ub = [-float(shifted) for _, shifted in reduced]
-        res = _scipy_linprog(
-            c=[0.0] * nb,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            bounds=[(None, None)] * nb,
-            method="highs",
-        )
-        return res.status == 2
-
-    def _finish(self, pending, elim, cells, ties):
-        alpha0, basis = elim.parameterization()
-        if basis:
-            raise InternalError("leaf should determine the functional uniquely")
-        margin = None
-        for coeff, rhs in self._active_rows(pending):
-            slack = _dot(coeff, alpha0) - rhs
-            if margin is None or slack < margin:
-                margin = slack
-            if margin < 0:
-                return
+    def _finish(self, chosen, tie, cells, ties):
         # Reassemble the cell in original polytope order.
-        by_poly = dict(pending)
+        by_poly = dict(chosen)
         edges = tuple(
             self.edge_lists[i][by_poly[i]] for i in range(self.k)
         )
@@ -320,7 +321,7 @@ class _Enumerator:
         det = polytopes.edge_matrix_det(cell)
         if det == 0:
             raise InternalError("leaf cell has singular edge matrix")
-        if margin is not None and margin == 0:
+        if tie:
             ties.append(MixedCellRecord(cell=cell, det=det, strict=False))
             return
         record = MixedCellRecord(cell=cell, det=det, strict=True)

@@ -65,16 +65,21 @@ class RationalPolytope:
         return mat_rank(rows)
 
     def edges(self):
-        """All vertex pairs forming edges, certified once and memoized."""
+        """All vertex pairs forming edges, computed once and memoized.
+
+        Every vertex pair of a simplex is an edge; otherwise each pair is
+        certified by one exact LP.
+        """
         with self._lock:
             cached = self._edge_cache.get("edges")
             if cached is not None:
                 return cached
-        result = []
-        for a, b in itertools.combinations(range(self.nvertices), 2):
-            if is_edge(self, self.vertices[a], self.vertices[b]):
-                result.append((self.vertices[a], self.vertices[b]))
-        result = tuple(result)
+        pairs = itertools.combinations(self.vertices, 2)
+        if self.dim() == self.nvertices - 1:
+            # Affinely independent vertices: every pair spans an edge.
+            result = tuple(pairs)
+        else:
+            result = tuple((a, b) for a, b in pairs if is_edge(self, a, b))
         with self._lock:
             self._edge_cache["edges"] = result
         return result

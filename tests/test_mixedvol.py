@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import framework_for, random_fullmixed_instance
+from reference_enumerator import reference_enumerate_mixed_cells
 from lamanmv.errors import CapabilityError, InputError, NonGenericLiftingError
 from lamanmv.graphs import (
     desargues_graph,
@@ -273,6 +274,63 @@ def test_mv_for_graph_oracle_small():
 def test_mv_for_graph_oracle_capability():
     with pytest.raises(CapabilityError):
         mv_for_graph(framework_for(k33_graph()), FORM_SUBSOE, oracle=True)
+
+
+def _search_outcome(enumerate_fn, polys, lifting):
+    try:
+        return "cells", enumerate_fn(polys, lifting)
+    except NonGenericLiftingError as exc:
+        return "ties", exc.cells
+
+
+def _random_search_instance(rng):
+    """Rational vertices and liftings, repeats, and ties from small liftings."""
+    dim = rng.randint(2, 5)
+    polys, vectors = [], []
+    for _ in range(dim):
+        if polys and rng.random() < 0.25:
+            j = rng.randrange(len(polys))
+            polys.append(polys[j])
+            if rng.random() < 0.5:
+                vectors.append(vectors[j])
+            else:
+                vectors.append(tuple(F(rng.randint(0, 3)) for _ in range(dim)))
+            continue
+        pts = set()
+        while len(pts) < rng.randint(2, 4 if dim > 3 else 5):
+            pts.add(tuple(F(rng.randint(0, 3), rng.choice((1, 1, 2, 3))) for _ in range(dim)))
+        polys.append(RP(sorted(pts)))
+        hi = rng.choice((0, 2, 50, 10**4))
+        vectors.append(tuple(F(rng.randint(0, hi), rng.choice((1, 2, 7))) for _ in range(dim)))
+    return polys, Lifting(tuple(vectors))
+
+
+def test_search_matches_reference_enumerator():
+    rng = random.Random(20)
+    kinds = {"cells": 0, "ties": 0}
+    for _ in range(300):
+        polys, lifting = _random_search_instance(rng)
+        got = _search_outcome(enumerate_mixed_cells, polys, lifting)
+        assert got == _search_outcome(reference_enumerate_mixed_cells, polys, lifting)
+        kinds[got[0]] += bool(got[1])
+    assert kinds["cells"] >= 100 and kinds["ties"] >= 30
+
+
+def test_tie_fixed_above_the_leaf_rejects_the_cell():
+    # The triangles share the zero lifting, so two of their edges fix
+    # alpha_x = alpha_y = 0 at depth 1 of 3 with the third triangle vertex
+    # at zero margin. That row is then fully determined and leaves the
+    # search; the segment to (0, 0, 1) fixes alpha_z at the leaf, where
+    # only the carried tie flag still knows the cell is not generic.
+    tri = RP([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    simplex = RP([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    zero = (F(0), F(0), F(0))
+    polys = [tri, tri, simplex]
+    lifting = Lifting((zero, zero, (F(3), F(7), F(11))))
+    kind, ties = _search_outcome(enumerate_mixed_cells, polys, lifting)
+    assert kind == "ties" and ties
+    assert all(rec.cell.edges[2] == ((0, 0, 0), (0, 0, 1)) for rec in ties)
+    assert (kind, ties) == _search_outcome(reference_enumerate_mixed_cells, polys, lifting)
 
 
 def test_threads_give_identical_result():
