@@ -258,7 +258,9 @@ def _dispatch(args):
         return EXIT_OK
 
     if args.command == "oracle":
-        res = mixedvol.mv_for_graph(fw, args.form, seed=args.seed, oracle=True)
+        res = mixedvol.mv_for_graph(
+            fw, args.form, seed=args.seed, oracle=True, deadline=_deadline(args)
+        )
         payload = reporting.mv_result_dict(res)
 
         def text(p):

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linprog, polytopes
-from ._linalg import mat_solve
+from ._linalg import eliminate, mat_solve
 from .errors import CapabilityError, InputError, InternalError, NonGenericLiftingError
 from .graphs import Framework, check_laman, default_base, edge_key, relabel_with_base
 from .polysys import FORM_SOE, FORM_SUBSOE, bezout, build_soe, build_subsoe, newton_polytopes
@@ -153,24 +153,6 @@ def _int_row(coeffs, rhs):
     return tuple(int(x * scale) for x in entries)
 
 
-def _eliminate(row, col, pivot):
-    """Clear row[col] with a pivot row whose pivot entry is positive.
-
-    The fraction-free step p*row - row[col]*pivot multiplies the row by
-    p > 0 and adds a multiple of an equality, so an inequality row keeps
-    its meaning; the gcd of the result is divided out.
-    """
-    f = row[col]
-    if not f:
-        return row
-    p = pivot[col]
-    out = [p * x - f * y for x, y in zip(row, pivot)]
-    g = math.gcd(*out)
-    if g > 1:
-        out = [x // g for x in out]
-    return out
-
-
 class _Enumerator:
     """Branch-and-prune search for all mixed cells under one lifting.
 
@@ -268,7 +250,7 @@ class _Enumerator:
         poly_idx, edge_idx = chosen[-1]
         v = self.directions[poly_idx][edge_idx]
         for c, p in pivots:
-            v = _eliminate(v, c, p)
+            v = eliminate(v, c, p)
         col = next((c for c in range(k) if v[c]), None)
         if col is None:
             # Either no touching functional or a forced singular matrix.
@@ -278,10 +260,10 @@ class _Enumerator:
         pivots = pivots + ((col, v),)
         fresh = self.rows[poly_idx][edge_idx]
         for c, p in pivots:
-            fresh = [_eliminate(r, c, p) for r in fresh]
+            fresh = [eliminate(r, c, p) for r in fresh]
         rows = []
         violated = False
-        for r in itertools.chain((_eliminate(r, col, v) for r in active), fresh):
+        for r in itertools.chain((eliminate(r, col, v) for r in active), fresh):
             if any(r[:k]):
                 rows.append(r)
                 violated = violated or r[k] > 0
@@ -528,8 +510,12 @@ def _topo_sinks_first(dag):
 # Independent oracle
 
 
-def mv_inclusion_exclusion(polys):
-    """Alternating volume sum over nonempty subsets (dimension <= 6)."""
+def mv_inclusion_exclusion(polys, deadline=None):
+    """Alternating volume sum over nonempty subsets (dimension <= 6).
+
+    Raises CapabilityError once `deadline` (a time.monotonic() value)
+    has passed, checked per subset and inside each hull.
+    """
     polys = list(polys)
     k = polys[0].ambient_dim
     if len(polys) != k:
@@ -542,8 +528,10 @@ def mv_inclusion_exclusion(polys):
     for size in range(1, k + 1):
         sign = (-1) ** (k - size)
         for subset in itertools.combinations(range(k), size):
-            s = polytopes.minkowski_sum_many([polys[i] for i in subset])
-            total += sign * polytopes.volume_exact(s)
+            if deadline is not None and time.monotonic() > deadline:
+                raise CapabilityError("inclusion-exclusion oracle timed out")
+            s = polytopes.minkowski_sum_many([polys[i] for i in subset], deadline)
+            total += sign * polytopes.volume_exact(s, deadline)
     return total
 
 
@@ -581,7 +569,7 @@ def mv_for_graph(framework, form=FORM_SUBSOE, seed=0, oracle=False, deadline=Non
     all_cells = []
     for blk in blocks:
         if oracle:
-            blk_value = mv_inclusion_exclusion(blk.projected)
+            blk_value = mv_inclusion_exclusion(blk.projected, deadline)
             out_blocks.append(
                 BlockResult(blk.polytope_indices, blk.coordinates, blk_value, (), None)
             )

@@ -1,23 +1,39 @@
 """Exact rational polytope primitives.
 
 Polytopes are stored purely as vertex lists in Q^k. Vertex reduction and
-edge tests are LP-certified, so the geometry layer inherits the solver's
-exactness. Volumes (needed only by the low-dimensional oracle paths) go
-through exact facet enumeration and recursive pyramid triangulation,
-capped at dimension 6.
+volumes share one certified hull on Python ints: the points are scaled
+by the lcm of their denominators and projected onto integer coordinates
+of their affine hull. Affinely independent points are all vertices and
+collinear points reduce to their endpoints; otherwise qhull proposes
+facets in floats and each is certified exactly (an integer normal with
+every point on one side, the exact set of points on it, and ridge
+closure: every facet of a facet lies in exactly two facets). Only the
+complete facet list passes the closure check, so the vertices (the
+vertices of the facets) and the volume (a pyramid triangulation with
+integer determinants, divided by D^k * k! at the end) are exact. Each
+face is certified once per hull, however many facets it lies in, and
+`from_points` keeps the certified face lattice on its vertices for
+`volume_exact`. When qhull is missing or fails, or its proposal does not
+certify, vertex reduction falls back to one exact LP per point and
+volumes to an exhaustive facet search. Edge tests are LP-certified.
+Volumes are capped at dimension 6.
 """
 
 import itertools
 import threading
+import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import mul
 
 from . import linprog
-from ._linalg import mat_det, mat_rank, mat_solve
+from ._linalg import echelon, int_det, mat_det
 from .errors import CapabilityError, InputError
 
-try:  # proposes facet candidates only; every candidate is re-certified
+try:  # proposes facets only; every proposal is certified exactly
+    import numpy as np
     from scipy.spatial import ConvexHull as _ConvexHull
 except Exception:  # pragma: no cover
     _ConvexHull = None
@@ -36,12 +52,18 @@ class RationalPolytope:
     ambient_dim: int
     vertices: tuple
 
-    _edge_cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    # "edges": the memoized edge list; "hull": the certified face lattice
+    # on the vertices, set by from_points when full-dimensional.
+    _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, compare=False, repr=False, hash=False)
 
     @staticmethod
-    def from_points(points):
-        """Reduce an arbitrary point list to its extreme points."""
+    def from_points(points, deadline=None):
+        """Reduce an arbitrary point list to its extreme points, sorted.
+
+        Raises CapabilityError once `deadline` (a time.monotonic() value)
+        has passed, checked before each facet computation.
+        """
         pts = [_frac_point(p) for p in points]
         if not pts:
             raise InputError("empty point list")
@@ -49,8 +71,17 @@ class RationalPolytope:
         if any(len(p) != dim for p in pts):
             raise InputError("inconsistent point dimensions")
         pts = sorted(set(pts))
-        verts = tuple(p for p in pts if _is_extreme(p, pts))
-        return RationalPolytope(ambient_dim=dim, vertices=verts)
+        coords = _affine(_scaled(pts)[0])
+        root = _Face(tuple(range(len(pts))), coords, _Hull(deadline))
+        try:
+            keep = sorted(root.vertices())
+        except _HullFailure:
+            root = None
+            keep = [i for i, p in enumerate(pts) if _is_extreme(p, pts)]
+        poly = RationalPolytope(ambient_dim=dim, vertices=tuple(pts[i] for i in keep))
+        if root is not None and root.d == dim:  # only a full-dimensional one has volume
+            poly._cache["hull"] = root.restrict({i: n for n, i in enumerate(keep)}, {})
+        return poly
 
     @property
     def nvertices(self):
@@ -60,9 +91,7 @@ class RationalPolytope:
         """Affine dimension of the vertex set."""
         if self.nvertices <= 1:
             return 0
-        v0 = self.vertices[0]
-        rows = [[v[c] - v0[c] for c in range(self.ambient_dim)] for v in self.vertices[1:]]
-        return mat_rank(rows)
+        return len(_affine(_scaled(self.vertices)[0])[0])
 
     def edges(self):
         """All vertex pairs forming edges, computed once and memoized.
@@ -71,7 +100,7 @@ class RationalPolytope:
         certified by one exact LP.
         """
         with self._lock:
-            cached = self._edge_cache.get("edges")
+            cached = self._cache.get("edges")
             if cached is not None:
                 return cached
         pairs = itertools.combinations(self.vertices, 2)
@@ -81,7 +110,7 @@ class RationalPolytope:
         else:
             result = tuple((a, b) for a, b in pairs if is_edge(self, a, b))
         with self._lock:
-            self._edge_cache["edges"] = result
+            self._cache["edges"] = result
         return result
 
     def translate(self, shift):
@@ -128,11 +157,11 @@ def hull_vertices(points):
 
 
 def _is_extreme(p, pts):
+    """LP fallback of vertex reduction: p is no convex combination of the others."""
     others = [q for q in pts if q != p]
     if not others:
         return True
     dim = len(p)
-    # p is a vertex iff it is not a convex combination of the others.
     # A coordinate on which every other point equals p needs no row: the
     # sum row already implies it.
     rows = []
@@ -169,8 +198,11 @@ def is_edge(p, a, b):
     return out.status == linprog.OPTIMAL and out.value > 0
 
 
-def minkowski_sum(p, q):
-    """Vertex form of P + Q via reduction of pairwise vertex sums."""
+def minkowski_sum(p, q, deadline=None):
+    """Vertex form of P + Q via reduction of pairwise vertex sums.
+
+    `deadline` is passed to `RationalPolytope.from_points`.
+    """
     if p.ambient_dim != q.ambient_dim:
         raise InputError("Minkowski sum needs equal ambient dimensions")
     sums = [
@@ -178,13 +210,13 @@ def minkowski_sum(p, q):
         for a in p.vertices
         for b in q.vertices
     ]
-    return RationalPolytope.from_points(sums)
+    return RationalPolytope.from_points(sums, deadline)
 
 
-def minkowski_sum_many(polytopes):
+def minkowski_sum_many(polytopes, deadline=None):
     acc = polytopes[0]
     for q in polytopes[1:]:
-        acc = minkowski_sum(acc, q)
+        acc = minkowski_sum(acc, q, deadline)
     return acc
 
 
@@ -198,402 +230,225 @@ def edge_matrix_det(cell):
     return mat_det(cols)
 
 
-def volume_exact(p):
+def volume_exact(p, deadline=None):
     """Exact k-dimensional volume; 0 when not full-dimensional.
 
-    Facets are enumerated exactly (a float hull proposes candidates,
-    every candidate is certified against the exact point set, and a
-    gift-wrapping repair pass closes any ridge left with one facet);
-    the polytope is then triangulated by pyramids and the simplex
-    determinants summed. The returned value is an exact rational.
+    The vertices are scaled to integers by the lcm D of their
+    denominators, the certified hull (the one `from_points` kept, else a
+    new one) is triangulated by pyramids, and the integer simplex
+    determinants are summed and divided by D^k * k!. Raises
+    CapabilityError once `deadline` (a time.monotonic() value) has
+    passed, checked on entry and before each facet computation.
     """
     k = p.ambient_dim
     if k > VOLUME_DIM_CAP:
         raise CapabilityError(f"volume capped at dimension {VOLUME_DIM_CAP}")
     if k == 0:
         return Fraction(0)
-    verts = list(p.vertices)
-    if len(verts) <= k:
-        return Fraction(0)
-    if k == 1:
-        xs = [v[0] for v in verts]
-        return max(xs) - min(xs)
-    if p.dim() < k:
-        return Fraction(0)
-    total = Fraction(0)
-    for simplex in _triangulate(tuple(verts), k):
-        v0 = verts[simplex[0]]
-        rows = [[verts[i][c] - v0[c] for c in range(k)] for i in simplex[1:]]
-        total += abs(mat_det(rows))
-    return total / factorial(k)
+    _check_deadline(deadline)
+    pts, den = _scaled(sorted(set(p.vertices)))
+    # from_points's vertices are sorted and distinct, so its lattice's
+    # ids index pts.
+    root = p._cache.get("hull")
+    if root is None:
+        if len(pts) <= k or len(_affine(pts)[0]) < k:
+            return Fraction(0)
+        root = _Face(tuple(range(len(pts))), pts, _Hull(deadline, exhaustive=True))
+    total = 0
+    for simplex in root.simplices():
+        a = pts[simplex[0]]
+        total += abs(int_det([[x - y for x, y in zip(pts[i], a)] for i in simplex[1:]]))
+    return Fraction(total, den ** k * factorial(k))
 
 
-def _triangulate(verts, k):
-    """Index triangulation of a full-dimensional polytope.
+def _scaled(points):
+    """Integer points D*p for the lcm D of all denominators, and D."""
+    den = lcm(*(x.denominator for p in points for x in p))
+    return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
 
-    Pyramids from the first vertex over every facet avoiding it; facets
-    are triangulated recursively in exact affine coordinates.
+
+def _affine(pts):
+    """Integer points projected onto coordinates of their affine hull.
+
+    Keeping the pivot columns of the difference rows' echelon form maps
+    the affine hull bijectively and linearly onto Z^d, d its dimension,
+    so vertices and facets carry over by index.
     """
-    n = len(verts)
-    if n == k + 1:
-        return [tuple(range(n))]
-    simplices = []
-    for onset in _facet_enumeration(verts, k):
-        if 0 in onset:
-            continue
-        facet_pts = tuple(verts[i] for i in onset)
-        if k - 1 == 1:
-            sub = [_segment_indices(facet_pts)]
-        else:
-            coords = tuple(map(tuple, _affine_coordinates(facet_pts, k - 1)))
-            sub = _triangulate(coords, k - 1)
-        for simplex in sub:
-            simplices.append((0,) + tuple(onset[i] for i in simplex))
-    return simplices
-
-
-def _segment_indices(pts):
-    """Indices of the two extreme points of collinear points."""
-    lo = min(range(len(pts)), key=lambda i: pts[i])
-    hi = max(range(len(pts)), key=lambda i: pts[i])
-    return (lo, hi)
-
-
-_QHULL_MIN_POINTS = 10
-
-
-def _facet_enumeration(verts, k):
-    """All facets of a full-dimensional polytope as vertex index tuples.
-
-    Exact regardless of how candidates are proposed: each facet is a
-    supporting-hyperplane onset computed rationally, and the ridge
-    pairing condition (every ridge in exactly two facets) is enforced
-    by wrapping around deficient ridges.
-    """
-    verts = tuple(verts)
-    n = len(verts)
-    if k == 1:
-        lo, hi = _segment_indices(verts)
-        return [(lo,), (hi,)]
-    if k == 2 or n < _QHULL_MIN_POINTS or _ConvexHull is None:
-        return _facets_exhaustive(verts, k)
-    candidates = _qhull_candidates(verts, k)
-    if not candidates:
-        return _facets_exhaustive(verts, k)
-    try:
-        return _repair_closed(verts, k, candidates)
-    except _WrapFailure:
-        return _facets_exhaustive(verts, k)
-
-
-class _WrapFailure(Exception):
-    pass
-
-
-def _qhull_candidates(verts, k):
-    try:
-        import numpy as np
-
-        arr = np.array([[float(x) for x in v] for v in verts], dtype=float)
-        hull = _ConvexHull(arr)
-    except Exception:
-        return []
-    seen = {}
-    for s in hull.simplices:
-        pts = [verts[int(i)] for i in s]
-        hyp = _hyperplane(pts, k)
-        if hyp is None:
-            continue
-        onset = _supporting_onset(verts, k, hyp)
-        if onset is not None:
-            seen[frozenset(onset)] = onset
-    return list(seen.values())
-
-
-def _supporting_onset(verts, k, hyp):
-    """Exact onset of a supporting hyperplane, or None if it cuts."""
-    normal, offset = hyp
-    pos = neg = False
-    onset = []
-    for idx, v in enumerate(verts):
-        val = sum((normal[c] * v[c] for c in range(k)), Fraction(0)) - offset
-        if val > 0:
-            pos = True
-        elif val < 0:
-            neg = True
-        else:
-            onset.append(idx)
-        if pos and neg:
-            return None
-    if not pos and not neg:
-        return None
-    return tuple(onset)
-
-
-def _repair_closed(verts, k, candidates):
-    """Close the facet list under ridge pairing by exact wrapping."""
-    facets = {frozenset(o): tuple(o) for o in candidates}
-    pending = list(facets.values())
-    ridge_map = {}
-    while True:
-        while pending:
-            onset = pending.pop()
-            for ridge in _ridges_of_facet(verts, onset, k):
-                ridge_map.setdefault(frozenset(ridge), []).append(onset)
-        deficient = [r for r, fs in ridge_map.items() if len(fs) == 1]
-        over = [r for r, fs in ridge_map.items() if len(fs) > 2]
-        if over:
-            raise _WrapFailure("ridge shared by more than two facets")
-        if not deficient:
-            return sorted(facets.values())
-        ridge_key = deficient[0]
-        known = ridge_map[ridge_key][0]
-        onset = _wrap_neighbor(verts, k, tuple(sorted(ridge_key)), known)
-        key = frozenset(onset)
-        if key in facets:
-            raise _WrapFailure("wrap rediscovered a known facet")
-        facets[key] = onset
-        pending.append(onset)
-
-
-def _ridges_of_facet(verts, onset, k):
-    """Ridges of a facet as index tuples into verts."""
-    facet_pts = tuple(verts[i] for i in onset)
-    if k - 1 == 1:
-        lo, hi = _segment_indices(facet_pts)
-        return [(onset[lo],), (onset[hi],)]
-    coords = tuple(map(tuple, _affine_coordinates(facet_pts, k - 1)))
-    out = []
-    for sub in _facet_enumeration(coords, k - 1):
-        out.append(tuple(sorted(onset[i] for i in sub)))
-    return out
-
-
-def _wrap_neighbor(verts, k, ridge, known_onset):
-    """The second facet through a ridge, by exact rotation.
-
-    Projects everything onto the 2-dimensional quotient along the
-    ridge's affine hull; the two facets become the extreme rays of the
-    projected cone, and the unknown one is the angular extreme measured
-    from the known facet's ray.
-    """
-    a0 = verts[ridge[0]]
-    basis = []
-    for i in ridge[1:]:
-        d = [verts[i][c] - a0[c] for c in range(k)]
-        if mat_rank(basis + [d]) > len(basis):
-            basis.append(d)
-        if len(basis) == k - 2:
-            break
-    if len(basis) != k - 2:
-        raise _WrapFailure("ridge does not span k-2 dimensions")
-    for c in range(k):
-        unit = [Fraction(int(j == c)) for j in range(k)]
-        if mat_rank(basis + [unit]) > len(basis):
-            basis.append(unit)
-        if len(basis) == k:
-            break
-    if len(basis) != k:
-        raise _WrapFailure("could not complete the quotient basis")
-    system = [[basis[j][c] for j in range(k)] for c in range(k)]
-
-    def quotient(idx):
-        sol = mat_solve(system, [verts[idx][c] - a0[c] for c in range(k)])
-        return (sol[k - 2], sol[k - 1])
-
-    ridge_set = set(ridge)
-    rf = None
-    for i in known_onset:
-        if i not in ridge_set:
-            q = quotient(i)
-            if q != (0, 0):
-                rf = q
-                break
-    if rf is None:
-        raise _WrapFailure("known facet has no point off the ridge")
-
-    def cross(a, b):
-        return a[0] * b[1] - a[1] * b[0]
-
-    sigma = 0
-    quotients = {}
-    for idx in range(len(verts)):
-        if idx in ridge_set:
-            continue
-        q = quotient(idx)
-        if q == (0, 0):
-            continue
-        quotients[idx] = q
-        c = cross(rf, q)
-        if c != 0 and sigma == 0:
-            sigma = 1 if c > 0 else -1
-    if sigma == 0:
-        raise _WrapFailure("all points project onto the known ray")
-    best = None
-    for idx, q in quotients.items():
-        side = sigma * cross(rf, q)
-        if side < 0:
-            raise _WrapFailure("known facet fails to support the cone")
-        if side == 0:
-            continue
-        if best is None or sigma * cross(quotients[best], q) > 0:
-            best = idx
-    if best is None:
-        raise _WrapFailure("no candidate beyond the known facet")
-    chosen = [verts[ridge[0]]]
-    for i in ridge[1:]:
-        d = [verts[i][c] - verts[ridge[0]][c] for c in range(k)]
-        rows = [[p[c] - chosen[0][c] for c in range(k)] for p in chosen[1:]]
-        if mat_rank(rows + [d]) > mat_rank(rows):
-            chosen.append(verts[i])
-        if len(chosen) == k - 1:
-            break
-    hyp = _hyperplane(chosen + [verts[best]], k)
-    if hyp is None:
-        raise _WrapFailure("degenerate neighbor hyperplane")
-    onset = _supporting_onset(verts, k, hyp)
-    if onset is None:
-        raise _WrapFailure("neighbor hyperplane is not supporting")
-    return onset
-
-
-def _facets_exhaustive(verts, k):
-    """All facets by exhaustive supporting-hyperplane search.
-
-    Iterates over k-subsets, skipping subsets inside facets already
-    found; sound for any dimension but only meant for small inputs.
-    """
-    n = len(verts)
-    found = {}
-    facet_index_sets = []
-    for subset in itertools.combinations(range(n), k):
-        sub = frozenset(subset)
-        if any(sub <= f for f in facet_index_sets):
-            continue
-        pts = [verts[i] for i in subset]
-        hyp = _hyperplane(pts, k)
-        if hyp is None:
-            continue
-        onset = _supporting_onset(verts, k, hyp)
-        if onset is None:
-            continue
-        key = frozenset(onset)
-        if key not in found:
-            found[key] = onset
-            facet_index_sets.append(key)
-    return sorted(found.values())
-
-
-def _hyperplane(pts, k):
-    """Normal/offset through k points, or None if affinely dependent."""
     p0 = pts[0]
-    rows = [[p[c] - p0[c] for c in range(k)] for p in pts[1:]]
-    if mat_rank(rows) != k - 1:
+    cols = sorted(c for c, _ in echelon([[a - b for a, b in zip(p, p0)] for p in pts[1:]]))
+    return [tuple(p[c] for c in cols) for p in pts]
+
+
+def _check_deadline(deadline):
+    if deadline is not None and time.monotonic() > deadline:
+        raise CapabilityError("hull computation timed out")
+
+
+class _HullFailure(Exception):
+    """qhull is missing or failed, or its proposed facets did not certify."""
+
+
+class _Hull:
+    """What the faces of one hull share.
+
+    `faces` maps the id set of every face built so far to its `_Face`,
+    so a face lying in several facets is built and certified once. With
+    `exhaustive`, a proposal that fails to certify is replaced by the
+    exhaustive facet search instead of raising `_HullFailure`; `deadline`
+    is checked before each facet computation.
+    """
+
+    def __init__(self, deadline, exhaustive=False):
+        self.deadline = deadline
+        self.exhaustive = exhaustive
+        self.faces = {}
+
+    def face(self, ids, pts):
+        key = frozenset(ids)
+        found = self.faces.get(key)
+        if found is None:
+            found = self.faces[key] = _Face(ids, pts, self)
+        return found
+
+
+class _Face:
+    """Distinct integer points spanning Z^d, with their facets certified on demand.
+
+    `ids` names each point for the caller, in increasing order. A facet
+    is a `_Face` of the points on it, in the coordinates left after
+    dropping one coordinate on which its normal is nonzero (a bijection
+    of its hyperplane); which parent builds it does not matter.
+    """
+
+    def __init__(self, ids, pts, hull, d=None):
+        self.ids = ids
+        self.pts = pts
+        self.hull = hull
+        self.d = len(pts[0]) if d is None else d
+        self._facets = None
+        self._vertices = None
+
+    def is_simplex(self):
+        return len(self.ids) == self.d + 1
+
+    def facets(self):
+        if self._facets is None:
+            _check_deadline(self.hull.deadline)
+            if self.d == 1:
+                ends = (min(range(len(self.pts)), key=self.pts.__getitem__),
+                        max(range(len(self.pts)), key=self.pts.__getitem__))
+                self._facets = [self.hull.face((self.ids[i],), [()]) for i in ends]
+            else:
+                try:
+                    self._facets = _certified_facets(self)
+                except _HullFailure:
+                    if not self.hull.exhaustive:
+                        raise
+                    subsets = itertools.combinations(range(len(self.pts)), self.d)
+                    self._facets = _facets_through(self, subsets)
+        return self._facets
+
+    def restrict(self, index, memo):
+        """This face on the points named in `index` only, renamed by it.
+
+        With `index` on the vertices (old id -> new id, increasing), a
+        face of a certified hull keeps its facets, so the lattice carries
+        over without new checks; the coordinates are dropped, as only
+        `simplices` reads the copy. `memo` shares faces between parents.
+        """
+        ids = tuple(index[i] for i in self.ids if i in index)
+        out = memo.get(ids)
+        if out is None:
+            out = memo[ids] = _Face(ids, None, None, self.d)
+            if not out.is_simplex():
+                out._facets = [f.restrict(index, memo) for f in self.facets()]
+        return out
+
+    def facet_ids(self):
+        """The point ids of each facet (each ridge, seen from the parent)."""
+        if self.is_simplex():
+            return [frozenset(s) for s in itertools.combinations(self.ids, self.d)]
+        return [frozenset(f.ids) for f in self.facets()]
+
+    def vertices(self):
+        """Ids of the extreme points: the vertices of the facets."""
+        if self._vertices is None:
+            if self.is_simplex():
+                self._vertices = frozenset(self.ids)
+            else:
+                self._vertices = frozenset().union(*(f.vertices() for f in self.facets()))
+        return self._vertices
+
+    def simplices(self):
+        """Pyramids from the first point over the facets avoiding it, recursively."""
+        if self.is_simplex():
+            return [self.ids]
+        apex = self.ids[0]
+        return [
+            (apex,) + s
+            for f in self.facets()
+            if apex not in f.ids
+            for s in f.simplices()
+        ]
+
+
+def _certified_facets(face):
+    """The facets of a face of dimension >= 2, proposed by qhull.
+
+    Each facet is certified by `_facets_through`; the list is complete
+    when every ridge lies in exactly two of them (the facet graph of a
+    polytope is connected, and each ridge joins exactly two facets).
+    """
+    if _ConvexHull is None:
+        raise _HullFailure("qhull is not available")
+    try:
+        proposals = _ConvexHull(np.array(face.pts, dtype=float)).simplices.tolist()
+    except Exception as exc:  # qhull's failure only selects the fallback
+        raise _HullFailure(f"qhull failed: {exc}") from exc
+    facets = _facets_through(face, proposals)
+    ridges = Counter(r for f in facets for r in f.facet_ids())
+    if not facets or any(n != 2 for n in ridges.values()):
+        raise _HullFailure("proposed facets are not closed under ridges")
+    return facets
+
+
+def _facets_through(face, subsets):
+    """Distinct facets on hyperplanes through given d-point subsets.
+
+    A subset yields a facet when its points are affinely independent and
+    every point lies on one side of their hyperplane (integer normal);
+    the facet holds every point on it. Subsets inside a facet already
+    found are skipped.
+    """
+    pts = face.pts
+    found = []
+    onsets = []
+    for subset in subsets:
+        if any(onset.issuperset(subset) for onset in onsets):
+            continue
+        p0 = pts[subset[0]]
+        normal = _normal([[a - b for a, b in zip(pts[i], p0)] for i in subset[1:]])
+        if normal is None:
+            continue
+        vals = [sum(map(mul, normal, p)) for p in pts]
+        b = vals[subset[0]]
+        if b != max(vals) and b != min(vals):
+            continue
+        onset = [i for i, v in enumerate(vals) if v == b]
+        drop = next(c for c, x in enumerate(normal) if x)
+        onsets.append(frozenset(onset))
+        found.append(face.hull.face(
+            tuple(face.ids[i] for i in onset),
+            [pts[i][:drop] + pts[i][drop + 1:] for i in onset],
+        ))
+    return found
+
+
+def _normal(rows):
+    """Primitive integer normal to d-1 vectors in Z^d; None if dependent."""
+    d = len(rows[0])
+    normal = [(-1) ** j * int_det([r[:j] + r[j + 1:] for r in rows]) for j in range(d)]
+    g = gcd(*normal)
+    if not g:
         return None
-    # Find a nonzero solution of rows . n = 0 by fixing one coordinate.
-    for fixed in range(k):
-        system = []
-        rhs = []
-        for r in rows:
-            system.append([r[c] for c in range(k) if c != fixed])
-            rhs.append(-r[fixed])
-        sol = _solve_underdetermined(system, rhs, k - 1)
-        if sol is not None:
-            normal = []
-            it = iter(sol)
-            for c in range(k):
-                normal.append(Fraction(1) if c == fixed else next(it))
-            offset = sum((normal[c] * p0[c] for c in range(k)), Fraction(0))
-            return tuple(normal), offset
-    return None
-
-
-def _solve_underdetermined(system, rhs, nvars):
-    """One solution of a consistent system, or None."""
-    if not system:
-        return [Fraction(0)] * nvars
-    square = len(system) == nvars and mat_rank(system) == nvars
-    if square:
-        return mat_solve(system, rhs)
-    # Row-reduce and back-substitute with free variables at zero.
-    aug = [list(map(Fraction, system[i])) + [Fraction(rhs[i])] for i in range(len(system))]
-    pivots = []
-    row = 0
-    for col in range(nvars):
-        piv = None
-        for r in range(row, len(aug)):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = aug[row][col]
-        aug[row] = [v / inv for v in aug[row]]
-        for r in range(len(aug)):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                for c in range(col, nvars + 1):
-                    aug[r][c] -= f * aug[row][c]
-        pivots.append((row, col))
-        row += 1
-    for r in range(row, len(aug)):
-        if aug[r][nvars] != 0:
-            return None
-    sol = [Fraction(0)] * nvars
-    for r, c in pivots:
-        sol[c] = aug[r][nvars]
-    return sol
-
-
-def _affine_coordinates(verts, target_dim):
-    """Rational affine coordinates of coplanar points in dimension target_dim."""
-    v0 = verts[0]
-    k = len(v0)
-    diffs = [[v[c] - v0[c] for c in range(k)] for v in verts]
-    # Greedily pick a basis among the difference vectors.
-    basis = []
-    for d in diffs:
-        if len(basis) == target_dim:
-            break
-        if mat_rank(basis + [d]) > len(basis):
-            basis.append(d)
-    if len(basis) != target_dim:
-        raise InputError("points do not span the expected dimension")
-    # Coordinates solve basis^T . x = diff in the least-structure sense:
-    # project using k x target_dim system (consistent by construction).
-    out = []
-    bt = [[basis[j][c] for j in range(target_dim)] for c in range(k)]
-    for d in diffs:
-        sol = _solve_overdetermined(bt, d, target_dim)
-        out.append(tuple(sol))
-    return out
-
-
-def _solve_overdetermined(rows, rhs, nvars):
-    """Solve a consistent overdetermined system exactly."""
-    aug = [list(rows[i]) + [Fraction(rhs[i])] for i in range(len(rows))]
-    pivots = []
-    row = 0
-    for col in range(nvars):
-        piv = None
-        for r in range(row, len(aug)):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = aug[row][col]
-        aug[row] = [v / inv for v in aug[row]]
-        for r in range(len(aug)):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                for c in range(col, nvars + 1):
-                    aug[r][c] -= f * aug[row][c]
-        pivots.append((row, col))
-        row += 1
-    sol = [Fraction(0)] * nvars
-    for r, c in pivots:
-        sol[c] = aug[r][nvars]
-    return sol
+    return [x // g for x in normal]

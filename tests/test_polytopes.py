@@ -1,8 +1,12 @@
+import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from reference_hull import reference_vertices, reference_volume
 
+from lamanmv import polytopes
 from lamanmv.errors import CapabilityError, InputError
 from lamanmv.polytopes import (
     EdgeCell,
@@ -173,3 +177,133 @@ def test_edge_matrix_det_parallel_zero():
         (((F(1), F(0)), (F(0), F(0))), ((F(2), F(0)), (F(0), F(0))))
     )
     assert edge_matrix_det(cell) == 0
+
+
+def _random_hull_input(rng, k, max_affine=None):
+    """Seeded point set in Q^k mixing the cases the hull must handle.
+
+    The base is a lattice box sample (many points inside facets), rational
+    points, a simplex, or a lower-dimensional set; duplicates, midpoints
+    (collinear triples) and convex combinations of three points (coplanar
+    or interior points) are added on top.
+    """
+    kind = rng.choice(("box", "rational", "simplex", "flat"))
+    if max_affine is not None:
+        kind = "flat"
+    if kind == "box":
+        pts = [tuple(F(rng.randint(0, 2)) for _ in range(k)) for _ in range(rng.randint(2, k + 5))]
+    elif kind == "rational":
+        pts = [
+            tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3, 5))) for _ in range(k))
+            for _ in range(rng.randint(1, 9))
+        ]
+    elif kind == "simplex":
+        pts = [tuple(F(rng.randint(-4, 4)) for _ in range(k)) for _ in range(rng.randint(1, k + 1))]
+    else:
+        m = rng.randint(1, min(k, max_affine or 3))
+        base = tuple(F(rng.randint(-3, 3)) for _ in range(k))
+        dirs = [tuple(F(rng.randint(-2, 2)) for _ in range(k)) for _ in range(m)]
+        pts = []
+        for _ in range(rng.randint(2, 8)):
+            ys = [rng.randint(-2, 2) for _ in range(m)]
+            pts.append(tuple(base[c] + sum(y * d[c] for y, d in zip(ys, dirs)) for c in range(k)))
+    for _ in range(rng.randint(0, 3)):
+        extra = rng.choice(("dup", "mid", "comb"))
+        if extra == "dup":
+            pts.append(rng.choice(pts))
+        elif extra == "mid":
+            a, b = rng.choice(pts), rng.choice(pts)
+            pts.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+        else:
+            a, b, c = (rng.choice(pts) for _ in range(3))
+            pts.append(tuple((x + y + z) / 3 for x, y, z in zip(a, b, c)))
+    rng.shuffle(pts)
+    return pts
+
+
+def test_hull_matches_reference():
+    rng = random.Random(2024)
+    for trial in range(540):
+        k = 1 + trial % 6
+        pts = _random_hull_input(rng, k)
+        p = RP(pts)
+        assert p.vertices == reference_vertices(pts), pts
+        assert volume_exact(p) == reference_volume(p), pts
+
+
+def test_low_dimensional_hull_matches_reference_up_to_dimension_30():
+    # Newton supports of the substituted systems: few points, low affine
+    # dimension, ambient dimension up to 30.
+    rng = random.Random(7)
+    for trial in range(120):
+        k = rng.randint(7, 30)
+        pts = _random_hull_input(rng, k, max_affine=4)
+        assert RP(pts).vertices == reference_vertices(pts), pts
+
+
+class _FailingHull:
+    def __init__(self, *args, **kwargs):
+        raise RuntimeError("qhull unavailable")
+
+
+def _partial_hull(points):
+    # A proposal that misses facets, so the ridge closure check fails.
+    hull = pytest.importorskip("scipy.spatial").ConvexHull(points)
+    hull.simplices = hull.simplices[: max(1, len(hull.simplices) // 2)]
+    return hull
+
+
+@pytest.mark.parametrize("proposer", [None, _FailingHull, _partial_hull])
+def test_fallbacks_match_default_path(monkeypatch, proposer):
+    rng = random.Random(11)
+    cases = [_random_hull_input(rng, 2 + trial % 3) for trial in range(60)]
+    expected = [(RP(pts).vertices, volume_exact(RP(pts))) for pts in cases]
+    monkeypatch.setattr(polytopes, "_ConvexHull", proposer)
+    lps = []
+    is_extreme = polytopes._is_extreme
+    monkeypatch.setattr(polytopes, "_is_extreme", lambda p, pts: lps.append(p) or is_extreme(p, pts))
+    for pts, (verts, vol) in zip(cases, expected):
+        p = RP(pts)
+        assert p.vertices == verts, pts
+        assert volume_exact(p) == vol, pts
+    assert lps  # the LP fallback really ran
+
+
+def test_hull_is_independent_of_point_order_and_repeats():
+    rng = random.Random(5)
+    for trial in range(60):
+        pts = _random_hull_input(rng, 2 + trial % 3)
+        p = RP(pts)
+        vol = volume_exact(p)
+        for _ in range(3):
+            other = pts + rng.sample(pts, rng.randint(0, len(pts)))
+            rng.shuffle(other)
+            q = RP(other)
+            assert q.vertices == p.vertices
+            assert volume_exact(q) == vol
+            assert volume_exact(RationalPolytope(p.ambient_dim, tuple(reversed(other)))) == vol
+
+
+def test_volume_and_reduction_honour_deadline():
+    cube = [(x, y, z) for x in (0, 1, 2) for y in (0, 1, 2) for z in (0, 1, 2)]
+    with pytest.raises(CapabilityError):
+        RationalPolytope.from_points(cube, deadline=time.monotonic() - 1)
+    with pytest.raises(CapabilityError):
+        volume_exact(RP(cube), deadline=time.monotonic() - 1)
+
+
+def test_each_face_is_certified_once(monkeypatch):
+    # Every lattice point of the box [0, 2]^6. The 6-cube has 3^6 faces,
+    # 473 of them of dimension >= 2, which need one qhull proposal each;
+    # a face reached through several facets is certified once, and the
+    # volume reads the lattice that from_points kept.
+    hull = polytopes._ConvexHull
+    if hull is None:
+        pytest.skip("qhull is not available")
+    calls = []
+    monkeypatch.setattr(polytopes, "_ConvexHull", lambda pts: calls.append(len(pts)) or hull(pts))
+    p = RationalPolytope.from_points(itertools.product(range(3), repeat=6))
+    assert p.vertices == tuple(itertools.product((F(0), F(2)), repeat=6))
+    assert len(calls) == 473
+    assert volume_exact(p) == 64
+    assert len(calls) == 473

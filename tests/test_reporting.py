@@ -5,7 +5,7 @@ import pytest
 
 from lamanmv import cli, mixedvol, polysys
 from lamanmv.errors import InputError, InternalError
-from lamanmv.graphs import k33_graph
+from lamanmv.graphs import henneberg_apply, k33_graph, random_henneberg_sequence
 from lamanmv.reporting import (
     borcea_streinu_bound,
     build_report,
@@ -159,6 +159,16 @@ def test_cli_oracle_triangle(tmp_path, capsys):
 def test_cli_oracle_capability_exit(tmp_path, capsys):
     code = run_cli(tmp_path, K33, "oracle", "--form", "subsoe")
     assert code == 2
+
+
+def test_cli_oracle_timeout_exit(tmp_path, capsys):
+    # Blocks of dimension 3, so the oracle runs (about 0.1 s without a deadline).
+    g = henneberg_apply(random_henneberg_sequence(8, seed=1))
+    text = f"n {g.n}\n" + "\n".join(f"e {a} {b}" for a, b in sorted(g.edges))
+    code = run_cli(tmp_path, text, "oracle", "--form", "subsoe", "--timeout", "0.001")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "timed out" in err and "Traceback" not in err
 
 
 def test_cli_input_error_exit(tmp_path, capsys):
