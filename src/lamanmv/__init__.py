@@ -15,6 +15,7 @@ from .errors import (
     InternalError,
     LamanMVError,
     NonGenericLiftingError,
+    NoSequenceError,
     SequenceError,
 )
 from .graphs import (
@@ -31,6 +32,7 @@ from .graphs import (
     check_laman,
     classify,
     desargues_graph,
+    h1_decomposition,
     henneberg_apply,
     henneberg_decompose,
     is_isomorphic,

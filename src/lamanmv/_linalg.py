@@ -1,64 +1,14 @@
-"""Small exact linear algebra helpers.
+"""Small exact linear algebra helpers on Python-int rows.
 
-`mat_det` and `mat_solve` are plain Gaussian elimination over Fraction
-matrices (lists of row lists). The integer helpers are fraction-free
-(Bareiss, "Sylvester's identity and multistep integer-preserving
-Gaussian elimination", Math. Comp. 1968): the mixed-cell search and the
-polytope hulls keep Python-int rows and never build a Fraction. The
-dimensions in this package stay below ~40.
+All elimination is fraction-free (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 1968):
+the mixed-cell search, the leaf check, the edge-matrix determinants and
+the polytope hulls scale rational rows to integers once and never build
+a Fraction inside an elimination. The dimensions in this package stay
+below ~40.
 """
 
 import math
-from fractions import Fraction
-
-
-def mat_det(rows):
-    """Determinant by fraction-free-ish Gaussian elimination."""
-    n = len(rows)
-    a = [list(map(Fraction, r)) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / inv
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
-
-
-def mat_solve(rows, rhs):
-    """Solve A x = b exactly; returns None if A is singular."""
-    n = len(rows)
-    a = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [v / inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                for c in range(col, n + 1):
-                    a[r][c] -= f * a[col][c]
-    return [a[i][n] for i in range(n)]
 
 
 def eliminate(row, col, pivot):

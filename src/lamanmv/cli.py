@@ -2,24 +2,27 @@
 
 Subcommands: check, henneberg, orient, system, mv, certify, oracle,
 embed, report. Graphs come from the line-oriented file format handled
-by reporting.parse_graph_file. Exit codes: 0 success, 1 input error,
-2 capability or retry exhaustion, 3 internal error (a failed self-check,
-which means a bug).
+by reporting.parse_graph_file. Each subcommand has one handler that
+returns its JSON payload and a text renderer (payload -> str); `run`
+prints one of the two and maps errors to exit codes: 0 success, 1 input
+error, 2 capability or retry exhaustion, 3 internal error (a failed
+self-check, which means a bug).
 """
 
 import argparse
 import sys
 import time
 
-from . import embeddings, mixedvol, polysys, reporting
+from . import mixedvol, polysys, reporting
 from .errors import CapabilityError, InputError, InternalError
 from .graphs import (
-    HENNEBERG_I,
     StepI,
+    _base_framework,
     check_laman,
     classify,
     default_base,
     edge_key,
+    h1_decomposition,
     henneberg_decompose,
     orient_two_in,
 )
@@ -41,7 +44,6 @@ def _parser():
         sp.add_argument("file", help="graph file")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--timeout", type=float, default=None, help="seconds")
         if form:
             sp.add_argument(
@@ -76,20 +78,8 @@ def _load(path):
         raise InputError(f"cannot read {path}: {exc}")
 
 
-def _require_laman(g):
-    if not check_laman(g)["laman"]:
-        raise InputError("graph is not Laman")
-
-
 def _deadline(args):
     return None if args.timeout is None else time.monotonic() + args.timeout
-
-
-def _emit(payload, fmt, text_renderer):
-    if fmt == "json":
-        print(reporting.to_json(payload))
-    else:
-        text_renderer(payload)
 
 
 def _poly_text(poly, variables):
@@ -108,6 +98,169 @@ def _poly_text(poly, variables):
     return out or "0"
 
 
+def _with_cells(res):
+    payload = reporting.mv_result_dict(res)
+    payload["cells"] = reporting.cells_dict(res)
+    return payload
+
+
+def _check(args, fw):
+    lam = check_laman(fw.graph)
+    payload = {"n": fw.graph.n, "laman": lam["laman"], "witness": lam["witness"]}
+    return payload, lambda p: "laman" if p["laman"] else f"not laman (witness {p['witness']})"
+
+
+def _henneberg(args, fw):
+    dec = henneberg_decompose(fw.graph)
+    steps = []
+    for i, s in enumerate(dec.sequence.steps):
+        if isinstance(s, StepI):
+            steps.append({"kind": "I", "vertex": i + 4, "anchors": [s.a, s.b]})
+        else:
+            steps.append({"kind": "II", "vertex": i + 4, "anchors": [s.a, s.b, s.c],
+                          "removed": list(s.removed)})
+    payload = {
+        "class": classify(fw.graph),
+        "steps": steps,
+        "relabeling": {str(k): v for k, v in sorted(dec.relabeling.items())},
+    }
+
+    def text(p):
+        return "\n".join(
+            [f"class: {p['class']}"]
+            + [f"  step {s['kind']} -> vertex {s['vertex']} anchors {s['anchors']}"
+               + (f" removed {s['removed']}" if s["kind"] == "II" else "")
+               for s in p["steps"]]
+        )
+
+    return payload, text
+
+
+def _orient(args, fw):
+    if args.base:
+        try:
+            i, j = (int(x) for x in args.base.split(","))
+        except ValueError:
+            raise InputError("--base expects i,j")
+        base = edge_key(i, j)
+    else:
+        base = default_base(fw.graph)
+    orientation = orient_two_in(fw.graph, base)
+    payload = {
+        "base": list(orientation.base),
+        "directed": [
+            {"edge": list(e), "head": h} for e, h in sorted(orientation.heads.items())
+        ],
+    }
+
+    def text(p):
+        lines = [f"base: {tuple(p['base'])}"]
+        for d in p["directed"]:
+            e = d["edge"]
+            tail = e[0] if e[1] == d["head"] else e[1]
+            lines.append(f"  {tail} -> {d['head']}")
+        return "\n".join(lines)
+
+    return payload, text
+
+
+def _system(args, fw):
+    build = polysys.build_soe if args.form == polysys.FORM_SOE else polysys.build_subsoe
+    system = build(_base_framework(fw))
+    payload = {
+        "form": system.form,
+        "variables": list(system.variables),
+        "polynomials": [
+            {"terms": [{"exponents": list(e), "coefficient": str(c)} for e, c in p.terms]}
+            for p in system.polys
+        ],
+        "bezout": polysys.bezout(system),
+    }
+
+    def text(p):
+        return "\n".join(
+            [f"variables: {' '.join(p['variables'])}"]
+            + ["  " + _poly_text(poly, system.variables) + " = 0" for poly in system.polys]
+            + [f"degree product: {p['bezout']}"]
+        )
+
+    return payload, text
+
+
+def _mv(args, fw):
+    if not check_laman(fw.graph)["laman"]:
+        raise InputError("graph is not Laman")
+    res = mixedvol.mv_for_graph(fw, args.form, seed=args.seed, deadline=_deadline(args))
+    return _with_cells(res), lambda p: (
+        f"mixed volume: {p['value']} ({p['method']}, seed {p['seed']})"
+    )
+
+
+def _certify(args, fw):
+    res = mixedvol.certify_general_bound(fw.graph, deadline=_deadline(args))
+    return _with_cells(res), lambda p: f"mixed volume: {p['value']} (certificate)"
+
+
+def _oracle(args, fw):
+    res = mixedvol.mv_for_graph(
+        fw, args.form, seed=args.seed, oracle=True, deadline=_deadline(args)
+    )
+    payload = reporting.mv_result_dict(res)
+    return payload, lambda p: f"mixed volume (inclusion-exclusion): {p['value']}"
+
+
+def _embed(args, fw):
+    dec = h1_decomposition(fw.graph)
+    if dec is None:
+        raise InputError("embedding enumeration needs a degree-2-constructible graph")
+    embs = reporting.h1_embeddings(fw, dec, args.tight)
+    payload = {
+        "embedding_count": len(embs),
+        "max_residual": max((e.residual for e in embs), default=0.0),
+        "relabeling": {str(k): v for k, v in sorted(dec.relabeling.items())},
+        "embeddings": [
+            {
+                "choices": list(e.choices),
+                "tangent": e.tangent,
+                "points": {str(v): [x, y] for v, (x, y) in sorted(e.points.items())},
+            }
+            for e in embs
+        ],
+    }
+    return payload, lambda p: (
+        f"embeddings: {p['embedding_count']} (max residual {p['max_residual']:.2e})"
+    )
+
+
+def _report(args, fw):
+    rep = reporting.build_report(fw, seed=args.seed, tight=args.tight, deadline=_deadline(args))
+    payload = rep.to_dict(include_timings=not args.no_timings)
+
+    def text(p):
+        keys = ("laman", "class", "bezout_soe", "bezout_subsoe",
+                "borcea_streinu_bound", "embedding_count", "witness_degenerate")
+        lines = [f"{key}: {p[key]}" for key in keys]
+        for key in ("mv_soe", "mv_subsoe"):
+            if p[key]:
+                lines.append(f"{key}: {p[key]['value']} ({p[key]['method']})")
+        return "\n".join(lines)
+
+    return payload, text
+
+
+_HANDLERS = {
+    "check": _check,
+    "henneberg": _henneberg,
+    "orient": _orient,
+    "system": _system,
+    "mv": _mv,
+    "certify": _certify,
+    "oracle": _oracle,
+    "embed": _embed,
+    "report": _report,
+}
+
+
 def run(argv):
     """Entry point used by tests; returns the exit code."""
     try:
@@ -115,7 +268,8 @@ def run(argv):
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return _dispatch(args)
+        payload, text = _HANDLERS[args.command](args, _load(args.file))
+        print(reporting.to_json(payload) if args.format == "json" else text(payload))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -125,206 +279,7 @@ def run(argv):
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-
-
-def _dispatch(args):
-    fw = _load(args.file)
-    g = fw.graph
-
-    if args.command == "check":
-        lam = check_laman(g)
-        payload = {"n": g.n, "laman": lam["laman"], "witness": lam["witness"]}
-
-        def text(p):
-            print("laman" if p["laman"] else f"not laman (witness {p['witness']})")
-
-        _emit(payload, args.format, text)
-        return EXIT_OK
-
-    if args.command == "henneberg":
-        _require_laman(g)
-        dec = henneberg_decompose(g)
-        steps = []
-        for i, s in enumerate(dec.sequence.steps):
-            if isinstance(s, StepI):
-                steps.append({"kind": "I", "vertex": i + 4, "anchors": [s.a, s.b]})
-            else:
-                steps.append(
-                    {
-                        "kind": "II",
-                        "vertex": i + 4,
-                        "anchors": [s.a, s.b, s.c],
-                        "removed": list(s.removed),
-                    }
-                )
-        payload = {
-            "class": classify(g),
-            "steps": steps,
-            "relabeling": {str(k): v for k, v in sorted(dec.relabeling.items())},
-        }
-
-        def text(p):
-            print(f"class: {p['class']}")
-            for s in p["steps"]:
-                print(f"  step {s['kind']} -> vertex {s['vertex']} anchors {s['anchors']}"
-                      + (f" removed {s['removed']}" if s["kind"] == "II" else ""))
-
-        _emit(payload, args.format, text)
-        return EXIT_OK
-
-    if args.command == "orient":
-        if args.base:
-            try:
-                i, j = (int(x) for x in args.base.split(","))
-            except ValueError:
-                raise InputError("--base expects i,j")
-            base = edge_key(i, j)
-        else:
-            base = default_base(g)
-        orientation = orient_two_in(g, base)
-        payload = {
-            "base": list(orientation.base),
-            "directed": [
-                {"edge": list(e), "head": h}
-                for e, h in sorted(orientation.heads.items())
-            ],
-        }
-
-        def text(p):
-            print(f"base: {tuple(p['base'])}")
-            for d in p["directed"]:
-                e = d["edge"]
-                tail = e[0] if e[1] == d["head"] else e[1]
-                print(f"  {tail} -> {d['head']}")
-
-        _emit(payload, args.format, text)
-        return EXIT_OK
-
-    if args.command == "system":
-        fwb = mixedvol._base_framework(fw)
-        system = (
-            polysys.build_soe(fwb)
-            if args.form == polysys.FORM_SOE
-            else polysys.build_subsoe(fwb)
-        )
-        payload = {
-            "form": system.form,
-            "variables": list(system.variables),
-            "polynomials": [
-                {
-                    "terms": [
-                        {"exponents": list(e), "coefficient": str(c)}
-                        for e, c in p.terms
-                    ]
-                }
-                for p in system.polys
-            ],
-            "bezout": polysys.bezout(system),
-        }
-
-        def text(p):
-            print(f"variables: {' '.join(p['variables'])}")
-            for poly, raw in zip(system.polys, p["polynomials"]):
-                print("  " + _poly_text(poly, system.variables) + " = 0")
-            print(f"degree product: {p['bezout']}")
-
-        _emit(payload, args.format, text)
-        return EXIT_OK
-
-    if args.command == "mv":
-        _require_laman(g)
-        res = mixedvol.mv_for_graph(
-            fw, args.form, seed=args.seed, deadline=_deadline(args), threads=args.threads
-        )
-        payload = reporting.mv_result_dict(res)
-        payload["cells"] = reporting.cells_dict(res)
-
-        def text(p):
-            print(f"mixed volume: {p['value']} ({p['method']}, seed {p['seed']})")
-
-        _emit(payload, args.format, text)
-        return EXIT_OK
-
-    if args.command == "certify":
-        _require_laman(g)
-        res = mixedvol.certify_general_bound(g, deadline=_deadline(args))
-        payload = reporting.mv_result_dict(res)
-        payload["cells"] = reporting.cells_dict(res)
-
-        def text(p):
-            print(f"mixed volume: {p['value']} (certificate)")
-
-        _emit(payload, args.format, text)
-        return EXIT_OK
-
-    if args.command == "oracle":
-        res = mixedvol.mv_for_graph(
-            fw, args.form, seed=args.seed, oracle=True, deadline=_deadline(args)
-        )
-        payload = reporting.mv_result_dict(res)
-
-        def text(p):
-            print(f"mixed volume (inclusion-exclusion): {p['value']}")
-
-        _emit(payload, args.format, text)
-        return EXIT_OK
-
-    if args.command == "embed":
-        _require_laman(g)
-        if classify(g) != HENNEBERG_I:
-            raise InputError("embedding enumeration needs a degree-2-constructible graph")
-        dec = henneberg_decompose(g, only_step1=True)
-        if args.tight:
-            fw_embed = embeddings.tight_lengths(dec.sequence)
-        else:
-            relabel = {orig: rep for rep, orig in dec.relabeling.items()}
-            fw_embed = fw.relabel(relabel)
-        embs = embeddings.enumerate_h1(fw_embed, dec.sequence)
-        payload = {
-            "embedding_count": len(embs),
-            "max_residual": max((e.residual for e in embs), default=0.0),
-            "relabeling": {str(k): v for k, v in sorted(dec.relabeling.items())},
-            "embeddings": [
-                {
-                    "choices": list(e.choices),
-                    "tangent": e.tangent,
-                    "points": {str(v): [x, y] for v, (x, y) in sorted(e.points.items())},
-                }
-                for e in embs
-            ],
-        }
-
-        def text(p):
-            print(f"embeddings: {p['embedding_count']} (max residual {p['max_residual']:.2e})")
-
-        _emit(payload, args.format, text)
-        return EXIT_OK
-
-    if args.command == "report":
-        rep = reporting.build_report(
-            fw,
-            seed=args.seed,
-            tight=args.tight,
-            deadline=_deadline(args),
-            threads=args.threads,
-        )
-        payload = rep.to_dict(include_timings=not args.no_timings)
-
-        def text(p):
-            for key in (
-                "laman", "class", "bezout_soe", "bezout_subsoe",
-                "borcea_streinu_bound", "embedding_count", "witness_degenerate",
-            ):
-                print(f"{key}: {p[key]}")
-            if p["mv_soe"]:
-                print(f"mv_soe: {p['mv_soe']['value']} ({p['mv_soe']['method']})")
-            if p["mv_subsoe"]:
-                print(f"mv_subsoe: {p['mv_subsoe']['value']} ({p['mv_subsoe']['method']})")
-
-        _emit(payload, args.format, text)
-        return EXIT_OK
-
-    raise InputError(f"unknown command {args.command!r}")
+    return EXIT_OK
 
 
 def main():

@@ -19,6 +19,10 @@ class SequenceError(InputError):
     """A construction step references a missing vertex or edge."""
 
 
+class NoSequenceError(InputError):
+    """A Laman graph has no construction sequence of the requested kind."""
+
+
 class DegenerateInputError(InputError):
     """Geometrically degenerate input (e.g. coincident circles)."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CapabilityError, InputError, InternalError, SequenceError
+from .errors import CapabilityError, InputError, InternalError, NoSequenceError, SequenceError
 
 ORACLE_VERTEX_CAP = 12
 ISO_VERTEX_CAP = 8
@@ -314,7 +314,8 @@ def _peel_search(edges, vertices, keep, only_step1, _failed=None):
     if len(vertices) == 3:
         return []
     deg = _degree_map(edges, vertices)
-    candidates = sorted(v for v in vertices if v not in keep and deg[v] in (2, 3))
+    degrees = (2,) if only_step1 else (2, 3)
+    candidates = [v for v in vertices if v not in keep and deg[v] in degrees]
     for v in sorted(candidates, key=lambda v: (deg[v], v)):
         nbrs = sorted(a if b == v else b for a, b in edges if v in (a, b))
         stripped = {e for e in edges if v not in e}
@@ -324,7 +325,7 @@ def _peel_search(edges, vertices, keep, only_step1, _failed=None):
             sub = _peel_search(stripped, rest, keep, only_step1, _failed)
             if sub is not None:
                 return [("I", v, tuple(nbrs), None)] + sub
-        elif deg[v] == 3 and not only_step1:
+        else:
             for x, y in itertools.combinations(nbrs, 2):
                 ins = edge_key(x, y)
                 if ins in stripped:
@@ -344,14 +345,15 @@ def henneberg_decompose(g, keep=frozenset(), only_step1=False):
 
     Replaying the returned sequence gives a graph isomorphic to g; the
     relabeling maps replay labels to the original ones. Vertices in keep
-    are never peeled and end up in the base triangle.
+    are never peeled and end up in the base triangle. Raises
+    NoSequenceError when no peel order reaches a triangle.
     """
     if not check_laman(g)["laman"]:
         raise InputError("graph is not Laman")
     vertices = set(range(1, g.n + 1))
     peels = _peel_search(set(g.edges), vertices, frozenset(keep), only_step1)
     if peels is None:
-        raise InputError(
+        raise NoSequenceError(
             "no construction sequence found"
             + (" with only degree-2 additions" if only_step1 else "")
         )
@@ -380,31 +382,20 @@ HENNEBERG_I = "HennebergI"
 HENNEBERG_II = "HennebergII"
 
 
+def h1_decomposition(g):
+    """henneberg_decompose(g, only_step1=True), or None when g has none.
+
+    Raises InputError when g is not Laman.
+    """
+    try:
+        return henneberg_decompose(g, only_step1=True)
+    except NoSequenceError:
+        return None
+
+
 def classify(g):
     """HennebergI iff some all-degree-2 peel order reaches the triangle."""
-    if not check_laman(g)["laman"]:
-        raise InputError("graph is not Laman")
-
-    failed = set()
-
-    def peelable(edges, vertices):
-        if len(vertices) == 3:
-            return True
-        key = frozenset(edges)
-        if key in failed:
-            return False
-        deg = _degree_map(edges, vertices)
-        for v in sorted(vertices):
-            if deg[v] == 2:
-                stripped = frozenset(e for e in edges if v not in e)
-                if peelable(stripped, vertices - {v}):
-                    return True
-        failed.add(key)
-        return False
-
-    if peelable(frozenset(g.edges), set(range(1, g.n + 1))):
-        return HENNEBERG_I
-    return HENNEBERG_II
+    return HENNEBERG_I if h1_decomposition(g) else HENNEBERG_II
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +408,15 @@ def default_base(g):
         raise InputError("graph has no edges")
     base = edge_key(1, 2)
     return base if base in g.edges else min(g.edges)
+
+
+def _base_framework(framework):
+    """Relabel so the pinned edge is (1,2); identity when already there."""
+    base = default_base(framework.graph)
+    if base == edge_key(1, 2):
+        return framework
+    _, mapping = relabel_with_base(framework.graph, base)
+    return framework.relabel(mapping)
 
 
 def relabel_with_base(g, base):
@@ -446,6 +446,8 @@ def orient_two_in(g, base):
         raise InputError(f"base {base} is not an edge")
     if not check_laman(g)["laman"]:
         raise InputError("graph is not Laman")
+    if g.n == 2:
+        return Orientation(base=base, heads={})  # the lone base edge
     work, old_to_new = relabel_with_base(g, base)
     dec = henneberg_decompose(work, keep=frozenset({1, 2}))
     heads = {edge_key(1, 3): 3, edge_key(2, 3): 3}

@@ -13,7 +13,11 @@ solution violates a row.
 Complete cells are accepted only when every non-edge vertex clears the
 functional with a strictly positive margin; a zero margin, found at the
 leaf or carried down from the node that fixed it, means the lifting is
-non-generic and the caller re-seeds.
+non-generic and the caller re-seeds. Each accepted cell is checked again
+by `is_mixed_cell`, which solves its edge equalities by Cramer's rule on
+integer determinants and shares no elimination with the search. The
+search runs in one thread: its exact Python arithmetic holds the GIL,
+so threads cannot speed it up.
 
 The mixed volume is the sum of |det| of the edge matrices over all
 mixed cells. Repeated polytopes are handled by replication with
@@ -26,15 +30,14 @@ import itertools
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import linprog, polytopes
-from ._linalg import eliminate, mat_solve
+from ._linalg import eliminate, int_det
 from .errors import CapabilityError, InputError, InternalError, NonGenericLiftingError
-from .graphs import Framework, check_laman, default_base, edge_key, relabel_with_base
+from .graphs import Framework, _base_framework, check_laman
 from .polysys import FORM_SOE, FORM_SUBSOE, bezout, build_soe, build_subsoe, newton_polytopes
 
 # The search runs no float LP. The benchmark tracer (perfbench/tracing.py)
@@ -62,7 +65,7 @@ class Lifting:
 
     def value(self, j, point):
         mu = self.vectors[j]
-        return sum((m * x for m, x in zip(mu, point)), Fraction(0))
+        return sum((m * x for m, x in zip(mu, point) if x), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -115,18 +118,20 @@ def random_lifting(polys, seed):
 def is_mixed_cell(cell, polys, lifting):
     """Direct edge-matrix test of the mixed-cell criterion.
 
-    Solves for the unique touching functional from the edge equalities
-    (singular edge matrix fails immediately) and checks every non-edge
-    vertex of every polytope against it, exactly.
+    Solves the edge equalities <alpha, a - b> = <mu, a - b> for the
+    unique touching functional by Cramer's rule on integer rows (a
+    singular edge matrix fails immediately), so the check shares no
+    elimination with the search, and tests every non-edge vertex of
+    every polytope against it, exactly.
     """
     k = polys[0].ambient_dim
     if len(polys) != k or len(cell.edges) != k:
         raise InputError("cell/polytope count must equal the ambient dimension")
-    dirs = cell.directions()
-    rhs = [lifting.value(j, cell.edges[j][0]) - lifting.value(j, cell.edges[j][1]) for j in range(k)]
-    alpha = mat_solve(dirs, rhs)
-    if alpha is None:
+    rows = [_int_row(d, lifting.value(j, d)) for j, d in enumerate(cell.directions())]
+    det = int_det([r[:k] for r in rows])
+    if not det:
         return NO
+    alpha = [Fraction(int_det([r[:i] + r[k:] + r[i + 1:k] for r in rows]), det) for i in range(k)]
     strict = True
     for j, poly in enumerate(polys):
         a, b = cell.edges[j]
@@ -143,7 +148,7 @@ def is_mixed_cell(cell, polys, lifting):
 
 
 def _dot(a, b):
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    return sum((x * y for x, y in zip(a, b) if y), Fraction(0))
 
 
 def _int_row(coeffs, rhs):
@@ -218,24 +223,11 @@ class _Enumerator:
             remaining.discard(pick)
         return order
 
-    def run(self, threads=1):
+    def run(self):
         first = self.order[0]
-        branches = [((first, idx),) for idx in range(len(self.edge_lists[first]))]
-
-        def branch(chosen):
-            cells, ties = [], []
-            self._descend(chosen, (), (), False, cells, ties)
-            return cells, ties
-
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(branch, branches))
-        else:
-            results = map(branch, branches)
         cells, ties = [], []
-        for out, tie in results:
-            cells.extend(out)
-            ties.extend(tie)
+        for idx in range(len(self.edge_lists[first])):
+            self._descend(((first, idx),), (), (), False, cells, ties)
         if ties:
             raise NonGenericLiftingError(
                 "lifting produced tie cells; re-seed", cells=tuple(ties)
@@ -313,16 +305,16 @@ class _Enumerator:
         cells.append(record)
 
 
-def enumerate_mixed_cells(polys, lifting, deadline=None, threads=1):
+def enumerate_mixed_cells(polys, lifting, deadline=None):
     """All mixed cells of the induced subdivision, canonically sorted.
 
     Raises NonGenericLiftingError when some complete cell only touches
     the lifted sum with a zero margin.
     """
-    return _Enumerator(polys, lifting, deadline=deadline).run(threads=threads)
+    return _Enumerator(polys, lifting, deadline=deadline).run()
 
 
-def mixed_volume(polys, multiplicities=None, seed=0, deadline=None, threads=1):
+def mixed_volume(polys, multiplicities=None, seed=0, deadline=None):
     """Mixed volume by enumeration, with automatic lifting re-seeding."""
     polys = list(polys)
     if multiplicities is None:
@@ -342,9 +334,7 @@ def mixed_volume(polys, multiplicities=None, seed=0, deadline=None, threads=1):
         use_seed = seed + attempt
         lifting = random_lifting(replicated, use_seed)
         try:
-            cells = enumerate_mixed_cells(
-                replicated, lifting, deadline=deadline, threads=threads
-            )
+            cells = enumerate_mixed_cells(replicated, lifting, deadline=deadline)
         except NonGenericLiftingError as exc:
             last = exc
             continue
@@ -539,16 +529,7 @@ def mv_inclusion_exclusion(polys, deadline=None):
 # Graph pipelines
 
 
-def _base_framework(framework):
-    """Relabel so the pinned edge is (1,2); identity when already there."""
-    base = default_base(framework.graph)
-    if base == edge_key(1, 2):
-        return framework
-    _, mapping = relabel_with_base(framework.graph, base)
-    return framework.relabel(mapping)
-
-
-def mv_for_graph(framework, form=FORM_SUBSOE, seed=0, oracle=False, deadline=None, threads=1):
+def mv_for_graph(framework, form=FORM_SUBSOE, seed=0, oracle=False, deadline=None):
     """Mixed volume of a framework's polynomial system.
 
     Pipeline: build the system, take Newton polytopes, split into
@@ -574,9 +555,7 @@ def mv_for_graph(framework, form=FORM_SUBSOE, seed=0, oracle=False, deadline=Non
                 BlockResult(blk.polytope_indices, blk.coordinates, blk_value, (), None)
             )
         else:
-            sub = mixed_volume(
-                blk.projected, seed=seed, deadline=deadline, threads=threads
-            )
+            sub = mixed_volume(blk.projected, seed=seed, deadline=deadline)
             blk_value = sub.value
             out_blocks.append(
                 BlockResult(

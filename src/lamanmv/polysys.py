@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import polytopes
 from .errors import InputError
-from .graphs import default_base, edge_key, orient_two_in, relabel_with_base
+from .graphs import _base_framework, edge_key, orient_two_in
 
 FORM_SOE = "soe"
 FORM_SUBSOE = "subsoe"
@@ -338,17 +338,16 @@ def witness_check(framework, consts=None):
     Builds the face system along (0,0,0,0,-1,..,-1) and evaluates it at
     the explicit point with nonzero complex entries; returns True iff
     every equation vanishes exactly, which makes the mixed volume a
-    strict upper bound on the embedding count.
+    strict upper bound on the embedding count. A two-vertex framework
+    has no free vertex and gives False.
     """
-    fw = framework
-    base = default_base(fw.graph)
-    if base != edge_key(1, 2):
-        _, mapping = relabel_with_base(fw.graph, base)
-        fw = fw.relabel(mapping)
+    fw = _base_framework(framework)
+    n = fw.graph.n
+    if n == 2:
+        return False  # no free vertex, so no face direction to test
     if consts is None:
         consts = Constants.generic_for(fw.lengths[edge_key(1, 2)])
     system = build_soe(fw, consts)
-    n = fw.graph.n
     w = degeneracy_direction(n)
     faces = face_system(system, w)
     point = degeneracy_witness_point(n, consts, fw.lengths[edge_key(1, 2)])

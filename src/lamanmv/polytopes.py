@@ -20,7 +20,6 @@ Volumes are capped at dimension 6.
 """
 
 import itertools
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from . import linprog
-from ._linalg import echelon, int_det, mat_det
+from ._linalg import echelon, int_det
 from .errors import CapabilityError, InputError
 
 try:  # proposes facets only; every proposal is certified exactly
@@ -55,7 +54,6 @@ class RationalPolytope:
     # "edges": the memoized edge list; "hull": the certified face lattice
     # on the vertices, set by from_points when full-dimensional.
     _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, compare=False, repr=False, hash=False)
 
     @staticmethod
     def from_points(points, deadline=None):
@@ -99,19 +97,16 @@ class RationalPolytope:
         Every vertex pair of a simplex is an edge; otherwise each pair is
         certified by one exact LP.
         """
-        with self._lock:
-            cached = self._cache.get("edges")
-            if cached is not None:
-                return cached
-        pairs = itertools.combinations(self.vertices, 2)
-        if self.dim() == self.nvertices - 1:
-            # Affinely independent vertices: every pair spans an edge.
-            result = tuple(pairs)
-        else:
-            result = tuple((a, b) for a, b in pairs if is_edge(self, a, b))
-        with self._lock:
-            self._cache["edges"] = result
-        return result
+        cached = self._cache.get("edges")
+        if cached is None:
+            pairs = itertools.combinations(self.vertices, 2)
+            if self.dim() == self.nvertices - 1:
+                # Affinely independent vertices: every pair spans an edge.
+                cached = tuple(pairs)
+            else:
+                cached = tuple((a, b) for a, b in pairs if is_edge(self, a, b))
+            self._cache["edges"] = cached
+        return cached
 
     def translate(self, shift):
         shift = _frac_point(shift)
@@ -221,13 +216,18 @@ def minkowski_sum_many(polytopes, deadline=None):
 
 
 def edge_matrix_det(cell):
-    """Determinant of the matrix with one edge direction per column."""
+    """Determinant of the matrix with one edge direction per column.
+
+    The directions, scaled to integers by the lcm D of their
+    denominators, are the rows of the transposed matrix; its integer
+    determinant is divided by D^k once.
+    """
     dirs = cell.directions()
     k = len(dirs[0]) if dirs else 0
     if len(dirs) != k:
         raise InputError("edge count must equal the ambient dimension")
-    cols = [[dirs[j][i] for j in range(k)] for i in range(k)]
-    return mat_det(cols)
+    rows, den = _scaled(dirs)
+    return Fraction(int_det(rows), den ** k)
 
 
 def volume_exact(p, deadline=None):

@@ -19,12 +19,13 @@ from . import embeddings, mixedvol, polysys
 from .errors import InputError, InternalError
 from .graphs import (
     HENNEBERG_I,
+    HENNEBERG_II,
     Framework,
     Graph,
+    _base_framework,
     check_laman,
-    classify,
     edge_key,
-    henneberg_decompose,
+    h1_decomposition,
 )
 
 
@@ -85,14 +86,27 @@ def parse_graph_file(text):
 
 def default_lengths(graph):
     """Deterministic lengths: tight recipe when possible, else 1,2,3,..."""
-    if check_laman(graph)["laman"] and classify(graph) == HENNEBERG_I:
-        dec = henneberg_decompose(graph, only_step1=True)
+    dec = h1_decomposition(graph) if check_laman(graph)["laman"] else None
+    if dec is not None:
         tight = embeddings.tight_lengths(dec.sequence)
         return {
             edge_key(dec.to_original(a), dec.to_original(b)): l
             for (a, b), l in tight.lengths.items()
         }
     return {e: Fraction(i + 1) for i, e in enumerate(sorted(graph.edges))}
+
+
+def h1_embeddings(framework, dec, tight=False):
+    """All embeddings along a degree-2-only decomposition of the graph.
+
+    With `tight`, the lengths are the tight recipe instead of the
+    framework's own.
+    """
+    if tight:
+        fw = embeddings.tight_lengths(dec.sequence)
+    else:
+        fw = framework.relabel({orig: rep for rep, orig in dec.relabeling.items()})
+    return embeddings.enumerate_h1(fw, dec.sequence)
 
 
 def borcea_streinu_bound(n):
@@ -180,7 +194,7 @@ def cells_dict(res):
     ]
 
 
-def build_report(framework, seed=0, tight=False, deadline=None, threads=1):
+def build_report(framework, seed=0, tight=False, deadline=None):
     """Assemble the full report for a framework."""
     g = framework.graph
     timings = {}
@@ -205,10 +219,11 @@ def build_report(framework, seed=0, tight=False, deadline=None, threads=1):
     if not lam["laman"]:
         return report
     t0 = time.monotonic()
-    report.henneberg_class = classify(g)
+    dec = h1_decomposition(g)
+    report.henneberg_class = HENNEBERG_I if dec else HENNEBERG_II
     timings["classify"] = time.monotonic() - t0
 
-    fw = mixedvol._base_framework(framework)
+    fw = _base_framework(framework)
     soe = polysys.build_soe(fw)
     subsoe = polysys.build_subsoe(fw)
     report.bezout_soe = polysys.bezout(soe)
@@ -220,9 +235,7 @@ def build_report(framework, seed=0, tight=False, deadline=None, threads=1):
     timings["mv_soe_certificate"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    sub = mixedvol.mv_for_graph(
-        framework, polysys.FORM_SUBSOE, seed=seed, deadline=deadline, threads=threads
-    )
+    sub = mixedvol.mv_for_graph(framework, polysys.FORM_SUBSOE, seed=seed, deadline=deadline)
     report.mv_subsoe = mv_result_dict(sub)
     timings["mv_subsoe"] = time.monotonic() - t0
 
@@ -230,16 +243,9 @@ def build_report(framework, seed=0, tight=False, deadline=None, threads=1):
     report.witness_degenerate = polysys.witness_check(framework)
     timings["witness_check"] = time.monotonic() - t0
 
-    if report.henneberg_class == HENNEBERG_I:
+    if dec is not None:
         t0 = time.monotonic()
-        dec = henneberg_decompose(g, only_step1=True)
-        if tight:
-            fw_embed = embeddings.tight_lengths(dec.sequence)
-        else:
-            relabel = {orig: rep for rep, orig in dec.relabeling.items()}
-            fw_embed = framework.relabel(relabel)
-        embs = embeddings.enumerate_h1(fw_embed, dec.sequence)
-        report.embedding_count = len(embs)
+        report.embedding_count = len(h1_embeddings(framework, dec, tight))
         if tight and report.embedding_count != 2 ** (g.n - 2):
             raise InputError("tight lengths failed to realize the full count")
         timings["embeddings"] = time.monotonic() - t0

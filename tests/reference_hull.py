@@ -14,8 +14,8 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
+from reference_linalg import mat_det, mat_solve
 from lamanmv import linprog
-from lamanmv._linalg import mat_det, mat_solve
 from lamanmv.errors import CapabilityError, InputError
 from lamanmv.polytopes import VOLUME_DIM_CAP
 

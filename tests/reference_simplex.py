@@ -9,7 +9,7 @@ differential test in test_linprog.py compares the two.
 
 from fractions import Fraction
 
-from lamanmv._linalg import mat_solve
+from reference_linalg import mat_solve
 from lamanmv.errors import InputError, InternalError
 from lamanmv.linprog import (
     EQ,

@@ -13,6 +13,7 @@ from conftest import framework_for, random_fullmixed_instance
 from lamanmv.embeddings import enumerate_h1, tight_lengths
 from lamanmv.graphs import (
     Graph,
+    _base_framework,
     all_laman_graphs,
     check_laman,
     desargues_graph,
@@ -24,7 +25,6 @@ from lamanmv.graphs import (
 )
 from lamanmv.mixedvol import (
     METHOD_CERTIFICATE,
-    _base_framework,
     certify_general_bound,
     full_subdivision_2d,
     mixed_volume,

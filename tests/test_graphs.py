@@ -11,6 +11,7 @@ from lamanmv.graphs import (
     HennebergSequence,
     StepI,
     StepII,
+    _peel_search,
     all_laman_graphs,
     check_laman,
     classify,
@@ -152,10 +153,40 @@ def test_decompose_rejects_non_laman():
         henneberg_decompose(k4())
 
 
+def _greedy_degree2_peel(g):
+    """True iff peeling any degree-2 vertex, again and again, leaves three.
+
+    Removing any degree-2 vertex of a degree-2-constructible graph leaves
+    a degree-2-constructible graph, so this needs no backtracking.
+    """
+    edges, vertices = set(g.edges), set(range(1, g.n + 1))
+    while len(vertices) > 3:
+        v = next((v for v in sorted(vertices) if sum(v in e for e in edges) == 2), None)
+        if v is None:
+            return False
+        edges = {e for e in edges if v not in e}
+        vertices.remove(v)
+    return True
+
+
 def test_classify():
     assert classify(triangle()) == HENNEBERG_I
     assert classify(desargues_graph()) == HENNEBERG_II
     assert classify(k33_graph()) == HENNEBERG_II
+    graphs = [g for n in range(3, 7) for g in all_laman_graphs(n)]
+    graphs += [
+        henneberg_apply(random_henneberg_sequence(4 + seed % 6, seed, step2_probability=0.5))
+        for seed in range(300)
+    ]
+    assert len(graphs) == 318
+    classes = []
+    for g in graphs:
+        peels = _peel_search(set(g.edges), set(range(1, g.n + 1)), frozenset(), only_step1=True)
+        cls = classify(g)
+        assert cls == (HENNEBERG_I if peels is not None else HENNEBERG_II)
+        assert (cls == HENNEBERG_I) == _greedy_degree2_peel(g)
+        classes.append(cls)
+    assert min(classes.count(HENNEBERG_I), classes.count(HENNEBERG_II)) >= 30
 
 
 def test_first_henneberg2_graphs_arise_on_six_vertices():

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import framework_for, random_fullmixed_instance
 from reference_enumerator import reference_enumerate_mixed_cells
+from reference_linalg import mat_det, mat_solve
 from lamanmv.errors import CapabilityError, InputError, NonGenericLiftingError
 from lamanmv.graphs import (
     desargues_graph,
@@ -17,7 +18,9 @@ from lamanmv.mixedvol import (
     METHOD_CERTIFICATE,
     METHOD_ENUMERATION,
     METHOD_SEPARATION,
+    NO,
     YES_STRICT,
+    YES_TIE,
     Lifting,
     certify_general_bound,
     enumerate_mixed_cells,
@@ -163,7 +166,7 @@ def test_separation_soundness_small():
         g = henneberg_apply(random_henneberg_sequence(n, seed=n + 10))
         fw = framework_for(g)
         split_res = mv_for_graph(fw, FORM_SUBSOE, seed=0)
-        from lamanmv.mixedvol import _base_framework
+        from lamanmv.graphs import _base_framework
 
         polys = newton_polytopes(build_subsoe(_base_framework(fw)))
         direct = mixed_volume(polys, seed=0)
@@ -333,12 +336,65 @@ def test_tie_fixed_above_the_leaf_rejects_the_cell():
     assert (kind, ties) == _search_outcome(reference_enumerate_mixed_cells, polys, lifting)
 
 
-def test_threads_give_identical_result():
-    P, Q = example_pair()
-    one = mixed_volume([P, Q], seed=0, threads=1)
-    two = mixed_volume([P, Q], seed=0, threads=4)
-    assert one.value == two.value
-    assert [r.cell.edges for r in one.cells] == [r.cell.edges for r in two.cells]
+def _fraction_leaf_check(cell, polys, lifting):
+    """The leaf criterion with alpha from Fraction Gaussian elimination."""
+    rhs = [lifting.value(j, a) - lifting.value(j, b) for j, (a, b) in enumerate(cell.edges)]
+    alpha = mat_solve(cell.directions(), rhs)
+    if alpha is None:
+        return NO
+    verdict = YES_STRICT
+    for j, poly in enumerate(polys):
+        a, b = cell.edges[j]
+        for u in poly.vertices:
+            if u not in (a, b):
+                slack = lifting.value(j, u) - lifting.value(j, a) - sum(
+                    x * (p - q) for x, p, q in zip(alpha, u, a)
+                )
+                if slack < 0:
+                    return NO
+                if slack == 0:
+                    verdict = YES_TIE
+    return verdict
+
+
+def test_integer_det_and_leaf_check_match_fraction_reference():
+    rng = random.Random(5)
+
+    def rational():
+        return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+    dets = []
+    for trial in range(300):
+        k = rng.randint(1, 5)
+        dirs = [[rational() for _ in range(k)] for _ in range(k)]
+        if trial % 3 == 0 and k > 1:  # a combination of the other rows: singular
+            coeffs = [rational() for _ in dirs[:-1]]
+            dirs[-1] = [sum(f * r[c] for f, r in zip(coeffs, dirs)) for c in range(k)]
+        zero = (F(0),) * k
+        cell = EdgeCell(tuple((tuple(d), zero) for d in dirs))
+        det = edge_matrix_det(cell)
+        assert det == mat_det([list(col) for col in zip(*dirs)])
+        dets.append(det)
+    assert dets.count(0) >= 60 and len(set(dets)) > 100
+
+    verdicts = []
+    for trial in range(400):
+        k = rng.randint(2, 4)
+        polys = [
+            RP({tuple(F(rng.randint(0, 3), rng.randint(1, 2)) for _ in range(k))
+                for _ in range(rng.randint(2, 5))})
+            for _ in range(k)
+        ]
+        polys = [p if p.nvertices > 1 else RP([(F(0),) * k, (F(1),) * k]) for p in polys]
+        edges = [rng.choice(p.edges()) for p in polys]
+        if trial % 4 == 0:  # one edge twice: a singular edge matrix
+            polys[1], edges[1] = polys[0], edges[0]
+        lifting = Lifting(tuple(tuple(F(rng.randint(0, 2)) for _ in range(k)) for _ in polys))
+        cell = EdgeCell(tuple(edges))
+        verdict = is_mixed_cell(cell, polys, lifting)
+        assert verdict == _fraction_leaf_check(cell, polys, lifting)
+        verdicts.append(verdict)
+    assert min(verdicts.count(v) for v in (NO, YES_TIE, YES_STRICT)) >= 10
 
 
 def test_deadline_enforced():

@@ -118,7 +118,7 @@ def test_subsoe_circle_polynomial_no_constant():
 
 def test_zero_in_every_newton_polytope_except_circles():
     fw = framework_for(k33_graph())
-    from lamanmv.mixedvol import _base_framework
+    from lamanmv.graphs import _base_framework
 
     fwb = _base_framework(fw)
     n = fwb.graph.n

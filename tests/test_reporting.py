@@ -247,6 +247,21 @@ def test_cli_edgeless_graph_is_input_error(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_single_edge_graph(tmp_path, capsys):
+    # Laman with no free vertex: the pinning alone fixes it, so 4^0 = 1.
+    def payload(*argv):
+        assert run_cli(tmp_path, "n 2\ne 1 2\n", *argv) == cli.EXIT_OK
+        return json.loads(capsys.readouterr().out)
+
+    assert payload("orient") == {"base": [1, 2], "directed": []}
+    assert payload("system", "--form", "soe")["bezout"] == 1
+    assert payload("mv", "--form", "soe")["value"] == 1
+    assert payload("certify")["value"] == 1
+    report = payload("report", "--no-timings")
+    assert report["mv_soe"]["value"] == report["mv_subsoe"]["value"] == 1
+    assert report["witness_degenerate"] is False
+
+
 def test_cli_mv_rejects_non_laman(tmp_path, capsys):
     assert run_cli(tmp_path, K4, "mv") == cli.EXIT_INPUT
     assert capsys.readouterr().err == "error: graph is not Laman\n"
