@@ -3,7 +3,7 @@
 The mixed area of two polygons is what the area of a Minkowski sum
 gains over the summands. A random lifting subdivides the sum into
 cells; the mixed cells (edge plus edge) carry exactly that gain, and
-each one is certified by an exact LP margin.
+each one is certified by an exact strict margin.
 """
 
 from fractions import Fraction

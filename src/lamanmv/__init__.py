@@ -2,7 +2,7 @@
 
 The library decides the Laman property, builds the distance and
 substituted polynomial systems of a framework, computes mixed volumes of
-their Newton polytopes with exact rational arithmetic and LP-certified
+their Newton polytopes with exact rational arithmetic and certified
 mixed cells, and enumerates real embeddings of degree-2-constructible
 frameworks to show when the bounds are attained.
 """
@@ -43,7 +43,7 @@ from .graphs import (
     relabel_with_base,
     triangle,
 )
-from .linprog import LinearProgram, LPOutcome, feasible, solve
+from .linprog import LPOutcome, feasible
 from .mixedvol import (
     Lifting,
     MixedCellRecord,

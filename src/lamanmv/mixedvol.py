@@ -9,7 +9,9 @@ directions and (b) exact LP feasibility of the touching functional.
 All constraint rows are integer rows, eliminated fraction-free against
 the chosen edge equalities and carried down the search, so each node
 reduces only what it adds; an exact LP runs only where the particular
-solution violates a row.
+solution violates a row. That pruning test (`linprog.feasible`) is the
+only LP in the engine: the edges come from the certified face lattices
+of `polytopes`, and the cell checks here solve by Cramer's rule.
 Complete cells are accepted only when every non-edge vertex clears the
 functional with a strictly positive margin; a zero margin, found at the
 leaf or carried down from the node that fixed it, means the lifting is
@@ -128,10 +130,9 @@ def is_mixed_cell(cell, polys, lifting):
     if len(polys) != k or len(cell.edges) != k:
         raise InputError("cell/polytope count must equal the ambient dimension")
     rows = [_int_row(d, lifting.value(j, d)) for j, d in enumerate(cell.directions())]
-    det = int_det([r[:k] for r in rows])
-    if not det:
+    alpha = _cramer(rows, k)
+    if alpha is None:
         return NO
-    alpha = [Fraction(int_det([r[:i] + r[k:] + r[i + 1:k] for r in rows]), det) for i in range(k)]
     strict = True
     for j, poly in enumerate(polys):
         a, b = cell.edges[j]
@@ -145,6 +146,14 @@ def is_mixed_cell(cell, polys, lifting):
             if slack == 0:
                 strict = False
     return YES_STRICT if strict else YES_TIE
+
+
+def _cramer(rows, k):
+    """The solution of k integer rows (coeffs..., rhs), or None if singular."""
+    det = int_det([r[:k] for r in rows])
+    if not det:
+        return None
+    return [Fraction(int_det([r[:i] + r[k:] + r[i + 1:k] for r in rows]), det) for i in range(k)]
 
 
 def _dot(a, b):
@@ -282,7 +291,7 @@ class _Enumerator:
         """
         bound = {c for c, _ in pivots}
         free = [c for c in range(self.k) if c not in bound]
-        cons = [([r[c] for c in free], linprog.GE, r[self.k]) for r in rows]
+        cons = [[r[c] for c in free] + [r[self.k]] for r in rows]
         return linprog.feasible(cons, len(free)).status == linprog.INFEASIBLE
 
     def _finish(self, chosen, tie, cells, ties):
@@ -515,12 +524,17 @@ def mv_inclusion_exclusion(polys, deadline=None):
             f"inclusion-exclusion oracle capped at dimension {polytopes.VOLUME_DIM_CAP}"
         )
     total = Fraction(0)
+    sums = {(): None}
     for size in range(1, k + 1):
         sign = (-1) ** (k - size)
+        prev, sums = sums, {}
         for subset in itertools.combinations(range(k), size):
             if deadline is not None and time.monotonic() > deadline:
                 raise CapabilityError("inclusion-exclusion oracle timed out")
-            s = polytopes.minkowski_sum_many([polys[i] for i in subset], deadline)
+            # The sum for subset[:-1] plus one more polytope.
+            head, last = prev[subset[:-1]], polys[subset[-1]]
+            s = last if head is None else polytopes.minkowski_sum(head, last, deadline)
+            sums[subset] = s
             total += sign * polytopes.volume_exact(s, deadline)
     return total
 
@@ -684,25 +698,33 @@ def full_subdivision_2d(polys, lifting):
 
 
 def _touching_margin(polys, lifting, faces):
-    """Margin of the functional pinned to the given faces, or None."""
-    k = 2
-    nvars = k + 1  # alpha components plus the shared margin
-    rows = []
+    """Margin of the functional pinned to the given faces, or None.
+
+    The face equalities <alpha, f0 - v> = <mu, f0 - v> fix alpha by
+    Cramer's rule on the first two independent ones; without two, the
+    faces span no area and the answer is None. The others hold as well:
+    two independent ones come from a single polygon face or from two
+    edges, and a polygon face's equalities all hold at alpha = mu, as the
+    lifting is linear. The margin is the smallest slack
+    <alpha - mu, f0 - u> over the vertices u off the faces, capped at 1;
+    a negative margin gives None.
+    """
+    eqs, offs = [], []
     for j, face in enumerate(faces):
         f0 = face[0]
         for v in face[1:]:
-            coeff = [f0[c] - v[c] for c in range(k)] + [Fraction(0)]
-            rows.append((coeff, linprog.EQ, lifting.value(j, tuple(coeff[:k]))))
+            d = (f0[0] - v[0], f0[1] - v[1])
+            eqs.append(_int_row(d, lifting.value(j, d)))
         for u in polys[j].vertices:
-            if u in face:
-                continue
-            coeff = [f0[c] - u[c] for c in range(k)] + [Fraction(-1)]
-            rows.append((coeff, linprog.GE, lifting.value(j, tuple(coeff[:k]))))
-    rows.append(([Fraction(0)] * k + [Fraction(1)], linprog.LE, 1))
-    obj = [Fraction(0)] * k + [Fraction(1)]
-    out = linprog.solve(linprog.LinearProgram.make(obj, rows))
-    if out.status != linprog.OPTIMAL:
+            if u not in face:
+                d = (f0[0] - u[0], f0[1] - u[1])
+                offs.append((d, lifting.value(j, d)))
+    alpha = None
+    for pair in itertools.combinations(eqs, 2):
+        alpha = _cramer(pair, 2)
+        if alpha is not None:
+            break
+    if alpha is None:
         return None
-    if out.value < 0:
-        return None
-    return out.value
+    margin = min([_dot(alpha, d) - m for d, m in offs] + [Fraction(1)])
+    return None if margin < 0 else margin

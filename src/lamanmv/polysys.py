@@ -342,16 +342,20 @@ def witness_check(framework, consts=None):
     has no free vertex and gives False.
     """
     fw = _base_framework(framework)
+    return _witness_holds(fw, build_soe(fw, consts), consts)
+
+
+def _witness_holds(fw, soe, consts=None):
+    """`witness_check` on `soe`, the distance system of the base framework
+    `fw` built with `consts` (None for the default constants)."""
     n = fw.graph.n
     if n == 2:
         return False  # no free vertex, so no face direction to test
+    l12 = fw.lengths[edge_key(1, 2)]
     if consts is None:
-        consts = Constants.generic_for(fw.lengths[edge_key(1, 2)])
-    system = build_soe(fw, consts)
-    w = degeneracy_direction(n)
-    faces = face_system(system, w)
-    point = degeneracy_witness_point(n, consts, fw.lengths[edge_key(1, 2)])
-    values = evaluate(faces, point)
+        consts = Constants.generic_for(l12)
+    point = degeneracy_witness_point(n, consts, l12)
     if any(x.is_zero() for x in point):
         return False
-    return all(v.is_zero() for v in values)
+    faces = face_system(soe, degeneracy_direction(n))
+    return all(v.is_zero() for v in evaluate(faces, point))

@@ -1,22 +1,23 @@
 """Exact rational polytope primitives.
 
-Polytopes are stored purely as vertex lists in Q^k. Vertex reduction and
-volumes share one certified hull on Python ints: the points are scaled
-by the lcm of their denominators and projected onto integer coordinates
-of their affine hull. Affinely independent points are all vertices and
-collinear points reduce to their endpoints; otherwise qhull proposes
-facets in floats and each is certified exactly (an integer normal with
-every point on one side, the exact set of points on it, and ridge
-closure: every facet of a facet lies in exactly two facets). Only the
-complete facet list passes the closure check, so the vertices (the
-vertices of the facets) and the volume (a pyramid triangulation with
-integer determinants, divided by D^k * k! at the end) are exact. Each
-face is certified once per hull, however many facets it lies in, and
-`from_points` keeps the certified face lattice on its vertices for
-`volume_exact`. When qhull is missing or fails, or its proposal does not
-certify, vertex reduction falls back to one exact LP per point and
-volumes to an exhaustive facet search. Edge tests are LP-certified.
-Volumes are capped at dimension 6.
+Polytopes are stored purely as vertex lists in Q^k. Vertex reduction,
+edges and volumes share one certified face lattice on Python ints: the
+points are scaled by the lcm of their denominators and projected onto
+integer coordinates of their affine hull. Affinely independent points
+are all vertices and collinear points reduce to their endpoints;
+otherwise qhull proposes facets in floats and each is certified exactly
+(an integer normal with every point on one side, the exact set of points
+on it, and ridge closure: every facet of a facet lies in exactly two
+facets). Only the complete facet list passes the closure check. When
+qhull is missing or fails, or its proposal does not certify, the facets
+come from an exhaustive search over point subsets with the same integer
+checks. So the vertices (the vertices of the facets), the edges (every
+vertex pair of a simplex face) and the volume (a pyramid triangulation
+with integer determinants, divided by D^k * k! at the end) are exact,
+and no LP runs. Each face is certified once per hull, however many
+facets it lies in; `from_points` keeps the lattice on its vertices, and
+a polytope built otherwise builds it on first use. Volumes are capped at
+dimension 6.
 """
 
 import itertools
@@ -27,7 +28,6 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import mul
 
-from . import linprog
 from ._linalg import echelon, int_det
 from .errors import CapabilityError, InputError
 
@@ -51,16 +51,18 @@ class RationalPolytope:
     ambient_dim: int
     vertices: tuple
 
-    # "edges": the memoized edge list; "hull": the certified face lattice
-    # on the vertices, set by from_points when full-dimensional.
+    # "hull": (sorted distinct vertices, certified face lattice on them),
+    # set by from_points or built on first use; "edges": the edge list.
     _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     @staticmethod
     def from_points(points, deadline=None):
         """Reduce an arbitrary point list to its extreme points, sorted.
 
-        Raises CapabilityError once `deadline` (a time.monotonic() value)
-        has passed, checked before each facet computation.
+        The certified face lattice on the vertices is kept with the
+        result for `edges` and `volume_exact`. Raises CapabilityError once
+        `deadline` (a time.monotonic() value) has passed, checked before
+        each facet computation.
         """
         pts = [_frac_point(p) for p in points]
         if not pts:
@@ -69,17 +71,19 @@ class RationalPolytope:
         if any(len(p) != dim for p in pts):
             raise InputError("inconsistent point dimensions")
         pts = sorted(set(pts))
-        coords = _affine(_scaled(pts)[0])
-        root = _Face(tuple(range(len(pts))), coords, _Hull(deadline))
-        try:
-            keep = sorted(root.vertices())
-        except _HullFailure:
-            root = None
-            keep = [i for i, p in enumerate(pts) if _is_extreme(p, pts)]
+        root = _Face(tuple(range(len(pts))), _affine(_scaled(pts)[0]), _Hull(deadline))
+        keep = sorted(root.vertices())
         poly = RationalPolytope(ambient_dim=dim, vertices=tuple(pts[i] for i in keep))
-        if root is not None and root.d == dim:  # only a full-dimensional one has volume
-            poly._cache["hull"] = root.restrict({i: n for n, i in enumerate(keep)}, {})
+        poly._cache["hull"] = (poly.vertices, root.restrict({i: n for n, i in enumerate(keep)}, {}))
         return poly
+
+    def _lattice(self, deadline=None):
+        """(vertices, certified face lattice on them); the lattice's ids index the vertices."""
+        hull = self._cache.get("hull")
+        if hull is None:
+            hull = RationalPolytope.from_points(self.vertices, deadline)._cache["hull"]
+            self._cache["hull"] = hull
+        return hull
 
     @property
     def nvertices(self):
@@ -87,24 +91,29 @@ class RationalPolytope:
 
     def dim(self):
         """Affine dimension of the vertex set."""
-        if self.nvertices <= 1:
-            return 0
-        return len(_affine(_scaled(self.vertices)[0])[0])
+        return self._lattice()[1].d
 
     def edges(self):
-        """All vertex pairs forming edges, computed once and memoized.
+        """All vertex pairs forming edges, in pair order, computed once and memoized.
 
-        Every vertex pair of a simplex is an edge; otherwise each pair is
-        certified by one exact LP.
+        The edges are the 1-faces of the face lattice: every vertex pair
+        of a simplex face.
         """
         cached = self._cache.get("edges")
         if cached is None:
-            pairs = itertools.combinations(self.vertices, 2)
-            if self.dim() == self.nvertices - 1:
-                # Affinely independent vertices: every pair spans an edge.
-                cached = tuple(pairs)
+            verts, root = self._lattice()
+            ids = root.edge_ids()
+            # The lattice id of each listed vertex (-1 for a non-vertex);
+            # ids compare cheaply where Fraction coordinates hash slowly.
+            if verts == self.vertices:
+                key = range(len(verts))
             else:
-                cached = tuple((a, b) for a, b in pairs if is_edge(self, a, b))
+                key = [verts.index(v) if v in verts else -1 for v in self.vertices]
+            cached = tuple(
+                (a, b)
+                for (i, a), (j, b) in itertools.combinations(zip(key, self.vertices), 2)
+                if (min(i, j), max(i, j)) in ids
+            )
             self._cache["edges"] = cached
         return cached
 
@@ -151,46 +160,16 @@ def hull_vertices(points):
     return RationalPolytope.from_points(points)
 
 
-def _is_extreme(p, pts):
-    """LP fallback of vertex reduction: p is no convex combination of the others."""
-    others = [q for q in pts if q != p]
-    if not others:
-        return True
-    dim = len(p)
-    # A coordinate on which every other point equals p needs no row: the
-    # sum row already implies it.
-    rows = []
-    for c in range(dim):
-        if any(q[c] != p[c] for q in others):
-            rows.append(([q[c] for q in others], linprog.EQ, p[c]))
-    rows.append(([Fraction(1)] * len(others), linprog.EQ, Fraction(1)))
-    out = linprog.feasible(rows, len(others), bounds=[(0, None)] * len(others))
-    return out.status == linprog.INFEASIBLE
-
-
 def is_edge(p, a, b):
-    """LP test: some functional is minimal exactly on conv{a, b}.
-
-    Feasibility with a strict margin: maximize t <= 1 subject to
-    <w, a> = <w, b> and <w, v> >= <w, a> + t for every other vertex v.
-    """
+    """True when conv{a, b} is an edge of p: a lookup in `p.edges()`."""
     a = _frac_point(a)
     b = _frac_point(b)
     if a == b:
         raise InputError("edge endpoints must be distinct")
     if a not in p.vertices or b not in p.vertices:
         raise InputError("edge endpoints must be vertices of the polytope")
-    k = p.ambient_dim
-    nvars = k + 1  # w plus margin t
-    rows = [([a[c] - b[c] for c in range(k)] + [Fraction(0)], linprog.EQ, 0)]
-    for v in p.vertices:
-        if v == a or v == b:
-            continue
-        rows.append(([v[c] - a[c] for c in range(k)] + [Fraction(-1)], linprog.GE, 0))
-    rows.append(([Fraction(0)] * k + [Fraction(1)], linprog.LE, 1))
-    obj = [Fraction(0)] * k + [Fraction(1)]
-    out = linprog.solve(linprog.LinearProgram.make(obj, rows))
-    return out.status == linprog.OPTIMAL and out.value > 0
+    edges = p.edges()
+    return (a, b) in edges or (b, a) in edges
 
 
 def minkowski_sum(p, q, deadline=None):
@@ -234,11 +213,11 @@ def volume_exact(p, deadline=None):
     """Exact k-dimensional volume; 0 when not full-dimensional.
 
     The vertices are scaled to integers by the lcm D of their
-    denominators, the certified hull (the one `from_points` kept, else a
-    new one) is triangulated by pyramids, and the integer simplex
-    determinants are summed and divided by D^k * k!. Raises
-    CapabilityError once `deadline` (a time.monotonic() value) has
-    passed, checked on entry and before each facet computation.
+    denominators, the certified face lattice is triangulated by pyramids,
+    and the integer simplex determinants are summed and divided by
+    D^k * k!. Raises CapabilityError once `deadline` (a time.monotonic()
+    value) has passed, checked on entry and before each facet
+    computation.
     """
     k = p.ambient_dim
     if k > VOLUME_DIM_CAP:
@@ -246,14 +225,10 @@ def volume_exact(p, deadline=None):
     if k == 0:
         return Fraction(0)
     _check_deadline(deadline)
-    pts, den = _scaled(sorted(set(p.vertices)))
-    # from_points's vertices are sorted and distinct, so its lattice's
-    # ids index pts.
-    root = p._cache.get("hull")
-    if root is None:
-        if len(pts) <= k or len(_affine(pts)[0]) < k:
-            return Fraction(0)
-        root = _Face(tuple(range(len(pts))), pts, _Hull(deadline, exhaustive=True))
+    verts, root = p._lattice(deadline)
+    if root.d < k:
+        return Fraction(0)
+    pts, den = _scaled(verts)
     total = 0
     for simplex in root.simplices():
         a = pts[simplex[0]]
@@ -284,23 +259,16 @@ def _check_deadline(deadline):
         raise CapabilityError("hull computation timed out")
 
 
-class _HullFailure(Exception):
-    """qhull is missing or failed, or its proposed facets did not certify."""
-
-
 class _Hull:
     """What the faces of one hull share.
 
     `faces` maps the id set of every face built so far to its `_Face`,
-    so a face lying in several facets is built and certified once. With
-    `exhaustive`, a proposal that fails to certify is replaced by the
-    exhaustive facet search instead of raising `_HullFailure`; `deadline`
-    is checked before each facet computation.
+    so a face lying in several facets is built and certified once;
+    `deadline` is checked before each facet computation.
     """
 
-    def __init__(self, deadline, exhaustive=False):
+    def __init__(self, deadline):
         self.deadline = deadline
-        self.exhaustive = exhaustive
         self.faces = {}
 
     def face(self, ids, pts):
@@ -339,13 +307,9 @@ class _Face:
                         max(range(len(self.pts)), key=self.pts.__getitem__))
                 self._facets = [self.hull.face((self.ids[i],), [()]) for i in ends]
             else:
-                try:
-                    self._facets = _certified_facets(self)
-                except _HullFailure:
-                    if not self.hull.exhaustive:
-                        raise
-                    subsets = itertools.combinations(range(len(self.pts)), self.d)
-                    self._facets = _facets_through(self, subsets)
+                self._facets = _certified_facets(self) or _facets_through(
+                    self, itertools.combinations(range(len(self.pts)), self.d)
+                )
         return self._facets
 
     def restrict(self, index, memo):
@@ -354,7 +318,8 @@ class _Face:
         With `index` on the vertices (old id -> new id, increasing), a
         face of a certified hull keeps its facets, so the lattice carries
         over without new checks; the coordinates are dropped, as only
-        `simplices` reads the copy. `memo` shares faces between parents.
+        `simplices` and `edge_ids` read the copy. `memo` shares faces
+        between parents.
         """
         ids = tuple(index[i] for i in self.ids if i in index)
         out = memo.get(ids)
@@ -391,24 +356,39 @@ class _Face:
             for s in f.simplices()
         ]
 
+    def edge_ids(self):
+        """Id pairs of the 1-faces: every pair of each simplex face."""
+        pairs, seen, stack = set(), set(), [self]
+        while stack:
+            face = stack.pop()
+            if face.ids in seen:
+                continue
+            seen.add(face.ids)
+            if face.is_simplex():
+                pairs.update(itertools.combinations(face.ids, 2))
+            else:
+                stack.extend(face.facets())
+        return pairs
+
 
 def _certified_facets(face):
-    """The facets of a face of dimension >= 2, proposed by qhull.
+    """The facets of a face of dimension >= 2 as proposed by qhull, or None.
 
     Each facet is certified by `_facets_through`; the list is complete
     when every ridge lies in exactly two of them (the facet graph of a
     polytope is connected, and each ridge joins exactly two facets).
+    None when qhull is missing or fails, or the list is not complete.
     """
     if _ConvexHull is None:
-        raise _HullFailure("qhull is not available")
+        return None
     try:
         proposals = _ConvexHull(np.array(face.pts, dtype=float)).simplices.tolist()
-    except Exception as exc:  # qhull's failure only selects the fallback
-        raise _HullFailure(f"qhull failed: {exc}") from exc
+    except Exception:  # qhull's failure only selects the exhaustive search
+        return None
     facets = _facets_through(face, proposals)
     ridges = Counter(r for f in facets for r in f.facet_ids())
     if not facets or any(n != 2 for n in ridges.values()):
-        raise _HullFailure("proposed facets are not closed under ridges")
+        return None
     return facets
 
 

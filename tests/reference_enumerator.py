@@ -3,7 +3,8 @@
 The straightforward branch-and-prune search: an incrementally
 row-reduced `AffineEliminator` holds the chosen edge equalities with
 snapshot/rollback, and every node projects every active constraint row
-onto the eliminator's null-space basis before the exact pruning LP.
+onto the eliminator's null-space basis before the exact pruning LP
+(solved by `reference_simplex`).
 `lamanmv.mixedvol.enumerate_mixed_cells` must return the same cells, or
 raise `NonGenericLiftingError` with the same tie cells, so the
 differential test in test_mixedvol.py compares the two.
@@ -11,7 +12,8 @@ differential test in test_mixedvol.py compares the two.
 
 from fractions import Fraction
 
-from lamanmv import linprog, polytopes
+import reference_simplex as simplex
+from lamanmv import polytopes
 from lamanmv.errors import InputError, InternalError, NonGenericLiftingError
 from lamanmv.mixedvol import YES_STRICT, MixedCellRecord, is_mixed_cell
 
@@ -201,9 +203,9 @@ class ReferenceEnumerator:
             reduced.append((proj, shifted))
         if not violated:
             return False  # the particular solution already works
-        cons = [(list(proj), linprog.GE, shifted) for proj, shifted in reduced]
-        out = linprog.feasible(cons, nb)
-        return out.status == linprog.INFEASIBLE
+        cons = [(list(proj), simplex.GE, shifted) for proj, shifted in reduced]
+        out = simplex.feasible(cons, nb)
+        return out.status == simplex.INFEASIBLE
 
     def _finish(self, pending, elim, cells, ties):
         alpha0, basis = elim.parameterization()

@@ -1,12 +1,15 @@
 """Reference vertex reduction and exact volume over Fraction arithmetic.
 
 The straightforward route: a point is a vertex iff one exact LP finds it
-is no convex combination of the other points, and a volume comes from a
+is no convex combination of the other points, a vertex pair is an edge
+iff one exact LP finds no convex combination of the other vertices on
+its line, and a volume comes from a
 pyramid triangulation over facets enumerated in `Fraction` arithmetic
 (a float hull proposes candidate facets, each is re-derived rationally,
 and a gift-wrapping pass closes any ridge left with one facet; small
-inputs use an exhaustive search). `lamanmv.polytopes` must return the
-same sorted vertex tuple and exactly the same volume, so the
+inputs use an exhaustive search). The LPs are solved by
+`reference_simplex`. `lamanmv.polytopes` must return the same sorted
+vertex tuple, the same edges and exactly the same volume, so the
 differential tests in test_polytopes.py compare the two.
 """
 
@@ -14,8 +17,8 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
+import reference_simplex as simplex
 from reference_linalg import mat_det, mat_solve
-from lamanmv import linprog
 from lamanmv.errors import CapabilityError, InputError
 from lamanmv.polytopes import VOLUME_DIM_CAP
 
@@ -70,10 +73,35 @@ def _is_extreme(p, pts):
     rows = []
     for c in range(dim):
         if any(q[c] != p[c] for q in others):
-            rows.append(([q[c] for q in others], linprog.EQ, p[c]))
-    rows.append(([Fraction(1)] * len(others), linprog.EQ, Fraction(1)))
-    out = linprog.feasible(rows, len(others), bounds=[(0, None)] * len(others))
-    return out.status == linprog.INFEASIBLE
+            rows.append(([q[c] for q in others], simplex.EQ, p[c]))
+    rows.append(([Fraction(1)] * len(others), simplex.EQ, Fraction(1)))
+    out = simplex.feasible(rows, len(others), bounds=[(0, None)] * len(others))
+    return out.status == simplex.INFEASIBLE
+
+
+def reference_edges(p):
+    """The vertex pairs of a polytope that span edges, one exact LP per pair.
+
+    (a, b) spans an edge iff some functional is minimal exactly on
+    conv{a, b}: <w, a> = <w, b> and <w, v> >= <w, a> + 1 for every other
+    vertex v. By Farkas' lemma that fails iff a convex combination of
+    the other vertices lies on the line through a and b, which is the
+    smaller LP solved here: y >= 0 with sum y_v = 1 and
+    sum y_v (v - a) = s (b - a) for a free s.
+    """
+    return tuple(e for e in itertools.combinations(p.vertices, 2) if _is_edge(p, *e))
+
+
+def _is_edge(p, a, b):
+    others = [v for v in p.vertices if v != a and v != b]
+    rows = []
+    for c in range(p.ambient_dim):
+        coeffs = [v[c] - a[c] for v in others] + [a[c] - b[c]]
+        if any(coeffs):
+            rows.append((coeffs, simplex.EQ, 0))
+    rows.append(([Fraction(1)] * len(others) + [Fraction(0)], simplex.EQ, Fraction(1)))
+    bounds = [(0, None)] * len(others) + [(None, None)]
+    return simplex.feasible(rows, len(others) + 1, bounds).status == simplex.INFEASIBLE
 
 
 def reference_volume(p):

@@ -1,33 +1,97 @@
 """Reference exact simplex over Fraction arithmetic.
 
-The straightforward dense two-phase Bland simplex: every tableau entry
-is a Fraction, and the duals come from solving y^T B = c_B against the
-original standard-form columns. `lamanmv.linprog.solve` must agree with
-it on status, point, value and certificate for every LP, so the
-differential test in test_linprog.py compares the two.
+The straightforward dense two-phase Bland simplex on LinearPrograms with
+`<=`, `=` and `>=` rows, free, nonnegative or bounded variables and an
+objective: every tableau entry is a Fraction, and the duals come from
+solving y^T B = c_B against the original standard-form columns. Optima
+are checked for feasibility and zero duality gap, Farkas certificates
+for validity. `lamanmv.linprog.feasible` must agree with its phase 1 on
+free `>=` rows (verdict, point and Farkas vector), and the reference
+hull, edge and enumerator code solves its LPs here.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from reference_linalg import mat_solve
 from lamanmv.errors import InputError, InternalError
-from lamanmv.linprog import (
-    EQ,
-    GE,
-    INFEASIBLE,
-    LE,
-    NONNEG,
-    OPTIMAL,
-    UNBOUNDED,
-    LinearProgram,
-    LPOutcome,
-    _self_check_optimal,
-    verify_farkas,
-)
+
+LE, EQ, GE = "<=", "=", ">="
+
+OPTIMAL = "Optimal"
+INFEASIBLE = "Infeasible"
+UNBOUNDED = "Unbounded"
+
+FREE = "free"
+NONNEG = "nonneg"
 
 _MAX_PIVOTS = 200_000
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _frac(x):
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+@dataclass(frozen=True)
+class LinearProgram:
+    """maximize objective . x subject to rows (coeffs, rel, rhs).
+
+    bounds, when given, holds one (lower, upper) pair per variable with
+    None meaning unbounded on that side. Variables default to free.
+    """
+
+    objective: tuple
+    constraints: tuple
+    bounds: Optional[tuple] = None
+
+    @staticmethod
+    def make(objective, constraints, bounds=None):
+        obj = tuple(_frac(c) for c in objective)
+        rows = []
+        for coeffs, rel, rhs in constraints:
+            if rel not in (LE, EQ, GE):
+                raise InputError(f"unknown relation {rel!r}")
+            coeffs = tuple(_frac(c) for c in coeffs)
+            if len(coeffs) != len(obj):
+                raise InputError("constraint row length mismatch")
+            rows.append((coeffs, rel, _frac(rhs)))
+        bnds = None
+        if bounds is not None:
+            if len(bounds) != len(obj):
+                raise InputError("bounds length mismatch")
+            bnds = tuple(
+                (None if lo is None else _frac(lo), None if hi is None else _frac(hi))
+                for lo, hi in bounds
+            )
+        return LinearProgram(obj, tuple(rows), bnds)
+
+    def normalized(self):
+        """(rows, kinds): bound rows folded in, variable sign kinds."""
+        rows = list(self.constraints)
+        n = len(self.objective)
+        kinds = [FREE] * n
+        if self.bounds is not None:
+            for j, (lo, hi) in enumerate(self.bounds):
+                if lo == 0 and hi is None:
+                    kinds[j] = NONNEG
+                    continue
+                unit = tuple(Fraction(int(i == j)) for i in range(n))
+                if lo is not None:
+                    rows.append((unit, GE, lo))
+                if hi is not None:
+                    rows.append((unit, LE, hi))
+        return rows, kinds
+
+
+@dataclass(frozen=True)
+class LPOutcome:
+    status: str
+    point: Optional[tuple] = None
+    value: Optional[Fraction] = None
+    certificate: Optional[tuple] = None
 
 
 class _Tableau:
@@ -59,23 +123,17 @@ class _Tableau:
 
     def pivot(self, leave, enter):
         row = self.rows[leave]
+        nonzero = [c for c in range(self.width) if row[c] != 0]
         inv = row[enter]
         if inv != 1:
-            for c in range(self.width):
-                if row[c] != 0:
-                    row[c] /= inv
-        for target in self.rows:
+            for c in nonzero:
+                row[c] /= inv
+        for target in self.rows + [self.z]:
             if target is not row:
                 f = target[enter]
                 if f != 0:
-                    for c in range(self.width):
-                        if row[c] != 0:
-                            target[c] -= f * row[c]
-        f = self.z[enter]
-        if f != 0:
-            for c in range(self.width):
-                if row[c] != 0:
-                    self.z[c] -= f * row[c]
+                    for c in nonzero:
+                        target[c] -= f * row[c]
         self.basis[leave] = enter
 
     def run(self, allow_artificials):
@@ -248,3 +306,70 @@ def _basis_duals(std_rows, basis, cost, m, ncols):
     if y is None:
         raise InternalError("singular basis while extracting duals")
     return y
+
+def feasible(constraints, nvars, bounds=None):
+    """Phase-one wrapper: zero objective over the given constraints."""
+    return solve(LinearProgram.make([0] * nvars, constraints, bounds))
+
+
+def _residual_and_value(rows, y, n):
+    resid = [_ZERO] * n
+    val = _ZERO
+    for (coeffs, rel, rhs), yi in zip(rows, y):
+        if yi != 0:
+            for j in range(n):
+                if coeffs[j] != 0:
+                    resid[j] += yi * coeffs[j]
+            val += yi * rhs
+    return resid, val
+
+
+def _signs_ok(rows, y):
+    for (coeffs, rel, rhs), yi in zip(rows, y):
+        if rel == LE and yi < 0:
+            return False
+        if rel == GE and yi > 0:
+            return False
+    return True
+
+
+def _self_check_optimal(rows, kinds, obj, out):
+    """Exact feasibility and duality checks on a claimed optimum."""
+    x = out.point
+    for j, kind in enumerate(kinds):
+        if kind == NONNEG and x[j] < 0:
+            raise InternalError("optimal point violates a sign condition")
+    for coeffs, rel, rhs in rows:
+        lhs = sum((c * v for c, v in zip(coeffs, x)), _ZERO)
+        ok = lhs <= rhs if rel == LE else lhs >= rhs if rel == GE else lhs == rhs
+        if not ok:
+            raise InternalError("optimal point violates a constraint")
+    y = out.certificate
+    if not _signs_ok(rows, y):
+        raise InternalError("dual sign violated")
+    resid, dual_val = _residual_and_value(rows, y, len(obj))
+    for j, kind in enumerate(kinds):
+        if kind == FREE and resid[j] != obj[j]:
+            raise InternalError("dual equality y^T A = c violated")
+        if kind == NONNEG and resid[j] < obj[j]:
+            raise InternalError("dual inequality y^T A >= c violated")
+    if dual_val != out.value:
+        raise InternalError("duality gap is nonzero")
+
+
+def verify_farkas(lp, certificate):
+    """Exact check that a Farkas vector certifies infeasibility."""
+    rows, kinds = lp.normalized()
+    n = len(lp.objective)
+    y = certificate
+    if len(y) != len(rows):
+        return False
+    if not _signs_ok(rows, y):
+        return False
+    resid, val = _residual_and_value(rows, y, n)
+    for j, kind in enumerate(kinds):
+        if kind == FREE and resid[j] != 0:
+            return False
+        if kind == NONNEG and resid[j] < 0:
+            return False
+    return val < 0

@@ -3,116 +3,86 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from reference_simplex import GE, LinearProgram
+from reference_simplex import INFEASIBLE as REF_INFEASIBLE
 from reference_simplex import solve as reference_solve
 
 from lamanmv import linprog
-from lamanmv.linprog import (
-    INFEASIBLE,
-    OPTIMAL,
-    UNBOUNDED,
-    LinearProgram,
-    feasible,
-    solve,
-    verify_farkas,
-)
+from lamanmv.errors import InputError, InternalError
+from lamanmv.linprog import FEASIBLE, INFEASIBLE, feasible, verify_farkas
+
+
+def _satisfies(rows, x):
+    return all(sum(a * v for a, v in zip(r, x)) >= r[-1] for r in rows)
 
 
 def test_margin_at_zero():
-    out = solve(LinearProgram.make([1], [([1], "<=", 0), ([1], ">=", 0)]))
-    assert out.status == OPTIMAL
-    assert out.value == 0
-    assert out.point == (F(0),)
-
-
-def test_simple_max():
-    out = solve(LinearProgram.make([1], [([1], "<=", 5)]))
-    assert out.status == OPTIMAL and out.value == 5
+    assert feasible([[1, 0], [-1, 0]], 1).status == FEASIBLE  # x >= 0 and x <= 0
+    assert feasible([[1, 0], [-1, F(1, 7)]], 1).status == INFEASIBLE
 
 
 def test_infeasible_with_farkas():
-    lp = LinearProgram.make([0], [([1], "<=", 0), ([1], ">=", 1)])
-    out = solve(lp)
+    rows = [[-1, 0], [1, 1]]  # x <= 0 and x >= 1
+    out = feasible(rows, 1)
     assert out.status == INFEASIBLE
-    assert verify_farkas(lp, out.certificate)
+    assert verify_farkas(rows, 1, out.certificate)
 
 
 def test_feasible_wrapper_empty():
-    out = feasible([], 2)
-    assert out.status == OPTIMAL
-    assert out.point == (F(0), F(0))
+    assert feasible([], 2) == linprog.LPOutcome(status=FEASIBLE)
 
 
 def test_feasible_wrapper_simplex_face():
-    out = feasible([([1, 1], "=", 1), ([1, 0], ">=", 0), ([0, 1], ">=", 0)], 2)
-    assert out.status == OPTIMAL
-    x, y = out.point
-    assert x + y == 1 and x >= 0 and y >= 0
-
-
-def test_unbounded_gives_ray():
-    out = solve(LinearProgram.make([1], [([1], ">=", 3)]))
-    assert out.status == UNBOUNDED
-    ray = out.certificate
-    assert ray[0] > 0  # improving direction
+    rows = [[1, 1, 1], [-1, -1, -1], [1, 0, 0], [0, 1, 0]]  # x + y = 1, x, y >= 0
+    assert feasible(rows, 2).status == FEASIBLE
+    out = feasible(rows + [[-1, 0, F(1, 2)], [0, -1, F(1, 2)]], 2)  # and x, y <= -1/2
+    assert out.status == INFEASIBLE
 
 
 def test_exact_rational_optimum():
-    # max x + y s.t. 3x + y <= 7/2, x + 4y <= 9/5
-    lp = LinearProgram.make(
-        [1, 1],
-        [([3, 1], "<=", F(7, 2)), ([1, 4], "<=", F(9, 5))],
-        bounds=[(0, None), (0, None)],
-    )
-    out = solve(lp)
-    assert out.status == OPTIMAL
-    x, y = out.point
-    assert 3 * x + y <= F(7, 2) and x + 4 * y <= F(9, 5)
-    # optimum is at the intersection of both rows
-    assert 3 * x + y == F(7, 2) and x + 4 * y == F(9, 5)
-
-
-def test_duality_exact():
-    lp = LinearProgram.make(
-        [3, 2], [([1, 1], "<=", 4), ([1, 3], "<=", 6)], bounds=[(0, None), (0, None)]
-    )
-    out = solve(lp)
-    assert out.status == OPTIMAL and out.value == 12
-    # dual feasibility and zero gap are asserted inside solve; spot check
-    y = out.certificate
-    assert all(yi >= 0 for yi in y[:2])
+    # 3x + y <= 7/2, x + 4y <= 9/5, x, y >= 0 and x + y >= 141/110, the
+    # maximum of x + y, reached only at the rational vertex (61/55,
+    # 19/110) where both rows are tight; any larger bound is infeasible.
+    rows = [[-3, -1, F(-7, 2)], [-1, -4, F(-9, 5)], [1, 0, 0], [0, 1, 0], [1, 1, F(141, 110)]]
+    assert feasible(rows, 2).status == FEASIBLE
+    rows[-1][-1] += F(1, 10**9)
+    out = feasible(rows, 2)
+    assert out.status == INFEASIBLE and verify_farkas(rows, 2, out.certificate)
 
 
 def test_determinism():
-    lp = LinearProgram.make(
-        [1, 2, 3],
-        [([1, 1, 1], "<=", 10), ([1, -1, 0], ">=", -4), ([0, 1, 1], "=", 6)],
-    )
-    outs = [solve(lp) for _ in range(3)]
-    assert all(o.point == outs[0].point for o in outs)
-    assert all(o.certificate == outs[0].certificate for o in outs)
+    systems = [
+        [[-1, -1, -1, -10], [1, -1, 0, -4], [0, 1, 1, 6], [0, -1, -1, -6]],
+        [[1, 2, 0, 3], [-1, -2, 0, -2], [0, 0, 1, 0]],
+    ]
+    for rows in systems:
+        outs = [feasible(rows, 3) for _ in range(3)]
+        assert all(o == outs[0] for o in outs)
+    assert [feasible(rows, 3).status for rows in systems] == [FEASIBLE, INFEASIBLE]
 
 
 def test_degenerate_cycling_guard():
-    # Classic degenerate LP; Bland's rule must terminate.
-    lp = LinearProgram.make(
-        [F(3, 4), -150, F(1, 50), -6],
-        [
-            ([F(1, 4), -60, F(-1, 25), 9], "<=", 0),
-            ([F(1, 2), -90, F(-1, 50), 3], "<=", 0),
-            ([0, 0, 1, 0], "<=", 1),
-        ],
-        bounds=[(0, None)] * 4,
-    )
-    out = solve(lp)
-    assert out.status == OPTIMAL
-    assert out.value == F(1, 20)
+    # Beale's degenerate LP (max 3/4 x1 - 150 x2 + 1/50 x3 - 6 x4, optimum
+    # 1/20) cycles under the textbook pivoting rule; as a feasibility
+    # system with the objective pinned at its optimum, Bland's rule must
+    # terminate on both sides of it.
+    rows = [
+        [F(-1, 4), 60, F(1, 25), -9, 0],
+        [F(-1, 2), 90, F(1, 50), -3, 0],
+        [0, 0, -1, 0, -1],
+    ] + [[int(i == j) for j in range(4)] + [0] for i in range(4)]
+    objective = [F(3, 4), -150, F(1, 50), -6]
+    out = feasible(rows + [objective + [F(1, 20)]], 4)
+    assert out.status == FEASIBLE
+    out = feasible(rows + [objective + [F(1, 20) + F(1, 10**6)]], 4)
+    assert out.status == INFEASIBLE
 
 
-def test_bad_relation_rejected():
-    from lamanmv.errors import InputError
-
+def test_bad_row_rejected():
     with pytest.raises(InputError):
-        LinearProgram.make([1], [([1], "<", 0)])
+        feasible([[1]], 1)
+    with pytest.raises(InputError):
+        feasible([[1, 2, 3]], 1)
 
 
 def _random_value(rng):
@@ -161,31 +131,67 @@ def _random_lp(rng):
     return LinearProgram.make([_random_value(rng) for _ in range(n)], rows, bounds)
 
 
+def _free_ge_rows(lp):
+    """The constraints of an LP as rows (coeffs..., rhs) of <a, x> >= b."""
+    n = len(lp.objective)
+    rows = []
+    for coeffs, rel, rhs in lp.constraints:
+        if rel != "<=":
+            rows.append([*coeffs, rhs])
+        if rel != ">=":
+            rows.append([*(-c for c in coeffs), -rhs])
+    for j, (lo, hi) in enumerate(lp.bounds or ()):
+        unit = [F(int(i == j)) for i in range(n)]
+        if lo is not None:
+            rows.append(unit + [lo])
+        if hi is not None:
+            rows.append([-u for u in unit] + [-hi])
+    return rows
+
+
 def test_matches_reference_simplex():
+    # Each random LP's constraints, bounds included, become free >= rows;
+    # the reference's phase 1 on them must give the same verdict and the
+    # same Farkas vector (with the opposite sign convention), and each
+    # verdict's certificate must check out on its own: the Farkas vector,
+    # or the reference's feasible point.
     rng = random.Random(2008)
     statuses = Counter()
     for _ in range(3000):
         lp = _random_lp(rng)
-        out = solve(lp)
-        assert out == reference_solve(lp), lp
+        n = len(lp.objective)
+        rows = _free_ge_rows(lp)
+        out = feasible(rows, n)
+        ref = reference_solve(LinearProgram.make([0] * n, [(r[:-1], GE, r[-1]) for r in rows]))
+        assert (out.status == INFEASIBLE) == (ref.status == REF_INFEASIBLE), rows
+        if out.status == INFEASIBLE:
+            assert out.certificate == tuple(-y for y in ref.certificate), rows
+            assert verify_farkas(rows, n, out.certificate)
+        else:
+            assert _satisfies(rows, ref.point), rows
         statuses[out.status] += 1
-    assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) > 500
+    assert min(statuses[s] for s in (FEASIBLE, INFEASIBLE)) > 500
 
 
-def test_redundant_equality_drives_out_with_negative_pivot(monkeypatch):
-    # -x = 0 and x = 0 leave an artificial basic at level zero whose row
-    # has a negative entry, so the drive-out pivot flips the common
-    # denominator's sign.
-    lp = LinearProgram.make([-2], [([-1], "=", 0), ([1], "=", 0)])
-    entries = []
-    pivot = linprog._Tableau.pivot
-
-    def recording_pivot(self, leave, enter):
-        entries.append(self.rows[leave][enter])
-        pivot(self, leave, enter)
-
-    monkeypatch.setattr(linprog._Tableau, "pivot", recording_pivot)
-    out = solve(lp)
-    assert any(p < 0 for p in entries)
-    assert out == reference_solve(lp)
-    assert out.status == OPTIMAL and out.value == 0 and out.certificate == (2, 0)
+def test_forged_farkas_vector_is_rejected(monkeypatch):
+    rows = [[1, 0, 1], [0, 1, 1], [-1, -1, -1]]  # x >= 1, y >= 1, x + y <= 1
+    out = feasible(rows, 2)
+    assert out.status == INFEASIBLE
+    y = out.certificate
+    assert verify_farkas(rows, 2, y)
+    forged = [
+        tuple(-v for v in y),  # wrong sign
+        y[:-1],  # wrong length
+        (y[0] + 1,) + y[1:],  # combination not zero on x
+        (0,) * len(y),  # no contradiction
+        tuple(2 * v for v in y),  # rescaled: still valid
+    ]
+    assert [verify_farkas(rows, 2, f) for f in forged] == [False, False, False, False, True]
+    # A kernel that hands back a forged vector is caught before the verdict
+    # leaves feasible().
+    monkeypatch.setattr(
+        linprog, "solve",
+        lambda rows, nvars: linprog.LPOutcome(status=INFEASIBLE, certificate=forged[2]),
+    )
+    with pytest.raises(InternalError):
+        feasible(rows, 2)

@@ -1,7 +1,10 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+import reference_simplex as simplex
 
 from conftest import framework_for, random_fullmixed_instance
 from reference_enumerator import reference_enumerate_mixed_cells
@@ -22,6 +25,7 @@ from lamanmv.mixedvol import (
     YES_STRICT,
     YES_TIE,
     Lifting,
+    _touching_margin,
     certify_general_bound,
     enumerate_mixed_cells,
     full_subdivision_2d,
@@ -33,7 +37,13 @@ from lamanmv.mixedvol import (
     separation_split,
 )
 from lamanmv.polysys import FORM_SOE, FORM_SUBSOE, build_subsoe, newton_polytopes
-from lamanmv.polytopes import EdgeCell, RationalPolytope, edge_matrix_det
+from lamanmv.polytopes import (
+    EdgeCell,
+    RationalPolytope,
+    edge_matrix_det,
+    minkowski_sum_many,
+    volume_exact,
+)
 
 RP = RationalPolytope.from_points
 
@@ -253,6 +263,64 @@ def test_full_subdivision_example_covers_sum():
         a for faces, a in cells if all(len(f) == 2 for f in faces)
     )
     assert mixed_area == 15
+
+
+def _touching_margin_lp(polys, lifting, faces):
+    """The margin as an LP: maximize t <= 1 over alpha and t subject to
+    the face equalities and <alpha, f0 - u> - t >= <mu, f0 - u> for the
+    vertices u off the faces; None when infeasible or negative."""
+    rows = []
+    for j, face in enumerate(faces):
+        f0 = face[0]
+        for v in face[1:]:
+            coeff = [f0[0] - v[0], f0[1] - v[1], F(0)]
+            rows.append((coeff, simplex.EQ, lifting.value(j, tuple(coeff[:2]))))
+        for u in polys[j].vertices:
+            if u not in face:
+                coeff = [f0[0] - u[0], f0[1] - u[1], F(-1)]
+                rows.append((coeff, simplex.GE, lifting.value(j, tuple(coeff[:2]))))
+    rows.append(([F(0), F(0), F(1)], simplex.LE, 1))
+    out = simplex.solve(simplex.LinearProgram.make([0, 0, 1], rows))
+    if out.status != simplex.OPTIMAL or out.value < 0:
+        return None
+    return out.value
+
+
+def test_touching_margin_matches_lp_reference():
+    # Random polygons, segments and points with small integer liftings, so
+    # zero margins, negative margins and parallel edges all occur; every
+    # face combination of full_subdivision_2d is compared. Where the
+    # equalities leave alpha free the faces span no area, and the Cramer
+    # solve answers None without an LP.
+    rng = random.Random(95)
+    seen = Counter()
+    for _ in range(60):
+        polys = [
+            RP([(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(rng.randint(1, 5))])
+            for _ in range(rng.randint(2, 3))
+        ]
+        lifting = Lifting(tuple(
+            (F(rng.randint(0, 3)), F(rng.randint(0, 3), rng.choice((1, 2)))) for _ in polys
+        ))
+        face_sets = [
+            [(0, (v,)) for v in p.vertices] + [(1, e) for e in p.edges()]
+            + ([(2, p.vertices)] if p.dim() == 2 else [])
+            for p in polys
+        ]
+        for combo in itertools.product(*face_sets):
+            if sum(d for d, _ in combo) != 2:
+                continue
+            faces = [f for _, f in combo]
+            got = _touching_margin(polys, lifting, faces)
+            expected = _touching_margin_lp(polys, lifting, faces)
+            if got is None and expected is not None:
+                piece = minkowski_sum_many([RP(f) for f in faces])
+                assert volume_exact(piece) == 0, (faces, lifting)
+                seen["no area"] += 1
+            else:
+                assert got == expected, (faces, lifting)
+                seen["none" if got is None else "zero" if got == 0 else "positive"] += 1
+    assert min(seen[k] for k in ("no area", "none", "zero", "positive")) >= 10, seen
 
 
 def test_mv_for_graph_k33_and_desargues_subsoe():

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from reference_hull import reference_vertices, reference_volume
+from reference_hull import reference_edges, reference_vertices, reference_volume
 
 from lamanmv import polytopes
 from lamanmv.errors import CapabilityError, InputError
@@ -229,6 +229,7 @@ def test_hull_matches_reference():
         p = RP(pts)
         assert p.vertices == reference_vertices(pts), pts
         assert volume_exact(p) == reference_volume(p), pts
+        _assert_edges_match_reference(p)
 
 
 def test_low_dimensional_hull_matches_reference_up_to_dimension_30():
@@ -238,7 +239,20 @@ def test_low_dimensional_hull_matches_reference_up_to_dimension_30():
     for trial in range(120):
         k = rng.randint(7, 30)
         pts = _random_hull_input(rng, k, max_affine=4)
-        assert RP(pts).vertices == reference_vertices(pts), pts
+        p = RP(pts)
+        assert p.vertices == reference_vertices(pts), pts
+        _assert_edges_match_reference(p)
+
+
+def _assert_edges_match_reference(p):
+    # edges() in vertex-pair order, is_edge on every pair, and the lattice
+    # built on demand for a polytope not made by from_points.
+    expected = reference_edges(p)
+    assert p.edges() == expected, p.vertices
+    pairs = list(itertools.combinations(p.vertices, 2))
+    assert [is_edge(p, a, b) for a, b in pairs] == [e in expected for e in pairs]
+    q = RationalPolytope(p.ambient_dim, tuple(reversed(p.vertices)))
+    assert {frozenset(e) for e in q.edges()} == {frozenset(e) for e in expected}
 
 
 class _FailingHull:
@@ -257,16 +271,19 @@ def _partial_hull(points):
 def test_fallbacks_match_default_path(monkeypatch, proposer):
     rng = random.Random(11)
     cases = [_random_hull_input(rng, 2 + trial % 3) for trial in range(60)]
-    expected = [(RP(pts).vertices, volume_exact(RP(pts))) for pts in cases]
+    expected = [(RP(pts).vertices, RP(pts).edges(), volume_exact(RP(pts))) for pts in cases]
     monkeypatch.setattr(polytopes, "_ConvexHull", proposer)
-    lps = []
-    is_extreme = polytopes._is_extreme
-    monkeypatch.setattr(polytopes, "_is_extreme", lambda p, pts: lps.append(p) or is_extreme(p, pts))
-    for pts, (verts, vol) in zip(cases, expected):
+    failed = []
+    certified = polytopes._certified_facets
+    monkeypatch.setattr(
+        polytopes, "_certified_facets", lambda face: certified(face) or failed.append(face)
+    )
+    for pts, (verts, edges, vol) in zip(cases, expected):
         p = RP(pts)
         assert p.vertices == verts, pts
+        assert p.edges() == edges, pts
         assert volume_exact(p) == vol, pts
-    assert lps  # the LP fallback really ran
+    assert failed  # the exhaustive facet search really ran
 
 
 def test_hull_is_independent_of_point_order_and_repeats():
