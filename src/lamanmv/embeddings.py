@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateInputError, InputError
+from .errors import DegenerateInputError, InputError, check_deadline
 from .graphs import Framework, edge_key, henneberg_apply
 
 TANGENCY_TOLERANCE = 1e-12
@@ -84,12 +84,14 @@ def _circle_intersections(c1, r1, c2, r2):
     return [(base + h * normal, +1), (base - h * normal, -1)], False
 
 
-def enumerate_h1(framework, seq):
+def enumerate_h1(framework, seq, deadline=None):
     """All embeddings of a degree-2-step framework, depth first.
 
     The first two vertices are pinned at (0,0) and (l12, 0); the apex and
     every added vertex contribute at most two intersection points each.
     Output is canonically ordered by the sign vector of the choices.
+    Raises CapabilityError once `deadline` (a time.monotonic() value) has
+    passed, checked once per placed vertex.
     """
     if not seq.is_step1_only():
         raise InputError("enumeration needs a degree-2-only sequence")
@@ -103,6 +105,7 @@ def enumerate_h1(framework, seq):
     results = []
 
     def place(pos, idx, choices, tangent_seen):
+        check_deadline(deadline, "embedding enumeration")
         if idx == len(anchors):
             results.append((dict(pos), tuple(choices), tangent_seen))
             return

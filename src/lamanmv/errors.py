@@ -6,6 +6,8 @@ implemented scale or retry budgets, exit 2), and internal errors (bugs,
 exit 3).
 """
 
+import time
+
 
 class LamanMVError(Exception):
     """Base class for all package-specific errors."""
@@ -44,3 +46,9 @@ class NonGenericLiftingError(CapabilityError):
 
 class InternalError(LamanMVError):
     """Invariant violation that indicates a bug, not bad input."""
+
+
+def check_deadline(deadline, what):
+    """Raise CapabilityError once `deadline` (a time.monotonic() value) has passed."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise CapabilityError(f"{what} timed out")

@@ -350,6 +350,8 @@ def henneberg_decompose(g, keep=frozenset(), only_step1=False):
     """
     if not check_laman(g)["laman"]:
         raise InputError("graph is not Laman")
+    if g.n < 3:
+        raise NoSequenceError("no construction sequence: sequences start at the triangle")
     vertices = set(range(1, g.n + 1))
     peels = _peel_search(set(g.edges), vertices, frozenset(keep), only_step1)
     if peels is None:
@@ -394,8 +396,18 @@ def h1_decomposition(g):
 
 
 def classify(g):
-    """HennebergI iff some all-degree-2 peel order reaches the triangle."""
-    return HENNEBERG_I if h1_decomposition(g) else HENNEBERG_II
+    """HennebergI iff some all-degree-2 peel order reaches the triangle.
+
+    None for the single edge: every construction starts at the triangle.
+    """
+    return henneberg_class(g, h1_decomposition(g))
+
+
+def henneberg_class(g, dec):
+    """classify(g), given g's h1_decomposition `dec`."""
+    if dec is not None:
+        return HENNEBERG_I
+    return HENNEBERG_II if g.n >= 3 else None
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ directions and (b) exact LP feasibility of the touching functional.
 All constraint rows are integer rows, eliminated fraction-free against
 the chosen edge equalities and carried down the search, so each node
 reduces only what it adds; an exact LP runs only where the particular
-solution violates a row. That pruning test (`linprog.feasible`) is the
-only LP in the engine: the edges come from the certified face lattices
-of `polytopes`, and the cell checks here solve by Cramer's rule.
+solution violates a row. That pruning test (`linprog.feasible`, phase 1
+on the Farkas system of the rows, with one tableau row per free column
+plus one) is the only LP in the engine: the edges come from the
+certified face lattices of `polytopes`, and the cell checks here solve
+by Cramer's rule.
 Complete cells are accepted only when every non-edge vertex clears the
 functional with a strictly positive margin; a zero margin, found at the
 leaf or carried down from the node that fixed it, means the lifting is
@@ -31,14 +33,19 @@ what makes the substituted vertex systems tractable.
 import itertools
 import math
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import linprog, polytopes
 from ._linalg import eliminate, int_det
-from .errors import CapabilityError, InputError, InternalError, NonGenericLiftingError
+from .errors import (
+    CapabilityError,
+    InputError,
+    InternalError,
+    NonGenericLiftingError,
+    check_deadline,
+)
 from .graphs import Framework, _base_framework, check_laman
 from .polysys import FORM_SOE, FORM_SUBSOE, bezout, build_soe, build_subsoe, newton_polytopes
 
@@ -245,8 +252,7 @@ class _Enumerator:
         return tuple(cells)
 
     def _descend(self, chosen, pivots, active, tie, cells, ties):
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise CapabilityError("mixed-cell enumeration timed out")
+        check_deadline(self.deadline, "mixed-cell enumeration")
         k = self.k
         poly_idx, edge_idx = chosen[-1]
         v = self.directions[poly_idx][edge_idx]
@@ -287,7 +293,8 @@ class _Enumerator:
 
         Only called when some row is violated at the particular solution
         (all free columns zero). Exactness contract: a subtree is pruned
-        only on an exact LP infeasibility over the free columns.
+        only on an int Farkas vector over the free columns, which
+        `linprog.feasible` verifies exactly before it answers.
         """
         bound = {c for c, _ in pivots}
         free = [c for c in range(self.k) if c not in bound]
@@ -529,8 +536,7 @@ def mv_inclusion_exclusion(polys, deadline=None):
         sign = (-1) ** (k - size)
         prev, sums = sums, {}
         for subset in itertools.combinations(range(k), size):
-            if deadline is not None and time.monotonic() > deadline:
-                raise CapabilityError("inclusion-exclusion oracle timed out")
+            check_deadline(deadline, "inclusion-exclusion oracle")
             # The sum for subset[:-1] plus one more polytope.
             head, last = prev[subset[:-1]], polys[subset[-1]]
             s = last if head is None else polytopes.minkowski_sum(head, last, deadline)
@@ -608,12 +614,15 @@ def certify_general_bound(g, deadline=None):
     lifting whose j-th vector dips only in coordinate j certifies the
     diagonal cell [xi_1,0]+..+[xi_4,0]+[2 xi_5,0]+..+[2 xi_2n,0] as
     mixed, so both bounds meet at 4^(n-2). No enumeration is needed.
+    Raises CapabilityError once `deadline` (a time.monotonic() value) has
+    passed, checked before the hulls and before the cell check.
     """
     if not check_laman(g)["laman"]:
         raise InputError("graph is not Laman")
     fw = Framework.make(g, {e: 1 for e in g.edges})
     fw = _base_framework(fw)
     system = build_soe(fw)
+    check_deadline(deadline, "general-bound certificate")
     polys = newton_polytopes(system)
     n = g.n
     k = 2 * n
@@ -635,6 +644,7 @@ def certify_general_bound(g, deadline=None):
             raise InternalError("expected cell edge is not an edge")
         edges.append((vertex, zero))
     cell = polytopes.EdgeCell(edges=tuple(edges))
+    check_deadline(deadline, "general-bound certificate")
     status = is_mixed_cell(cell, polys, lifting)
     if status != YES_STRICT:
         raise InternalError(f"certificate cell rejected: {status}")

@@ -21,7 +21,6 @@ dimension 6.
 """
 
 import itertools
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +28,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from ._linalg import echelon, int_det
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, check_deadline
 
 try:  # proposes facets only; every proposal is certified exactly
     import numpy as np
@@ -224,7 +223,7 @@ def volume_exact(p, deadline=None):
         raise CapabilityError(f"volume capped at dimension {VOLUME_DIM_CAP}")
     if k == 0:
         return Fraction(0)
-    _check_deadline(deadline)
+    check_deadline(deadline, "hull computation")
     verts, root = p._lattice(deadline)
     if root.d < k:
         return Fraction(0)
@@ -252,11 +251,6 @@ def _affine(pts):
     p0 = pts[0]
     cols = sorted(c for c, _ in echelon([[a - b for a, b in zip(p, p0)] for p in pts[1:]]))
     return [tuple(p[c] for c in cols) for p in pts]
-
-
-def _check_deadline(deadline):
-    if deadline is not None and time.monotonic() > deadline:
-        raise CapabilityError("hull computation timed out")
 
 
 class _Hull:
@@ -301,7 +295,7 @@ class _Face:
 
     def facets(self):
         if self._facets is None:
-            _check_deadline(self.hull.deadline)
+            check_deadline(self.hull.deadline, "hull computation")
             if self.d == 1:
                 ends = (min(range(len(self.pts)), key=self.pts.__getitem__),
                         max(range(len(self.pts)), key=self.pts.__getitem__))

@@ -16,16 +16,15 @@ from fractions import Fraction
 from typing import Optional
 
 from . import embeddings, mixedvol, polysys
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, check_deadline
 from .graphs import (
-    HENNEBERG_I,
-    HENNEBERG_II,
     Framework,
     Graph,
     _base_framework,
     check_laman,
     edge_key,
     h1_decomposition,
+    henneberg_class,
 )
 
 
@@ -96,17 +95,17 @@ def default_lengths(graph):
     return {e: Fraction(i + 1) for i, e in enumerate(sorted(graph.edges))}
 
 
-def h1_embeddings(framework, dec, tight=False):
+def h1_embeddings(framework, dec, tight=False, deadline=None):
     """All embeddings along a degree-2-only decomposition of the graph.
 
     With `tight`, the lengths are the tight recipe instead of the
-    framework's own.
+    framework's own. `deadline` is passed to `embeddings.enumerate_h1`.
     """
     if tight:
         fw = embeddings.tight_lengths(dec.sequence)
     else:
         fw = framework.relabel({orig: rep for rep, orig in dec.relabeling.items()})
-    return embeddings.enumerate_h1(fw, dec.sequence)
+    return embeddings.enumerate_h1(fw, dec.sequence, deadline)
 
 
 def borcea_streinu_bound(n):
@@ -218,9 +217,10 @@ def build_report(framework, seed=0, tight=False, deadline=None):
     )
     if not lam["laman"]:
         return report
+    check_deadline(deadline, "report")
     t0 = time.monotonic()
     dec = h1_decomposition(g)
-    report.henneberg_class = HENNEBERG_I if dec else HENNEBERG_II
+    report.henneberg_class = henneberg_class(g, dec)
     timings["classify"] = time.monotonic() - t0
 
     fw = _base_framework(framework)
@@ -230,7 +230,7 @@ def build_report(framework, seed=0, tight=False, deadline=None):
     report.bezout_subsoe = polysys.bezout(subsoe)
 
     t0 = time.monotonic()
-    cert = mixedvol.certify_general_bound(g)
+    cert = mixedvol.certify_general_bound(g, deadline)
     report.mv_soe = mv_result_dict(cert)
     timings["mv_soe_certificate"] = time.monotonic() - t0
 
@@ -239,13 +239,14 @@ def build_report(framework, seed=0, tight=False, deadline=None):
     report.mv_subsoe = mv_result_dict(sub)
     timings["mv_subsoe"] = time.monotonic() - t0
 
+    check_deadline(deadline, "report")
     t0 = time.monotonic()
     report.witness_degenerate = polysys._witness_holds(fw, soe)
     timings["witness_check"] = time.monotonic() - t0
 
     if dec is not None:
         t0 = time.monotonic()
-        report.embedding_count = len(h1_embeddings(framework, dec, tight))
+        report.embedding_count = len(h1_embeddings(framework, dec, tight, deadline))
         if tight and report.embedding_count != 2 ** (g.n - 2):
             raise InputError("tight lengths failed to realize the full count")
         timings["embeddings"] = time.monotonic() - t0

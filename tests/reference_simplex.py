@@ -6,8 +6,8 @@ objective: every tableau entry is a Fraction, and the duals come from
 solving y^T B = c_B against the original standard-form columns. Optima
 are checked for feasibility and zero duality gap, Farkas certificates
 for validity. `lamanmv.linprog.feasible` must agree with its phase 1 on
-free `>=` rows (verdict, point and Farkas vector), and the reference
-hull, edge and enumerator code solves its LPs here.
+free `>=` rows (same verdict, and both Farkas vectors verify), and the
+reference hull, edge and enumerator code solves its LPs here.
 """
 
 from dataclasses import dataclass

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,7 @@ from lamanmv.embeddings import (
     tight_lengths,
     verify_embedding,
 )
-from lamanmv.errors import DegenerateInputError, InputError
+from lamanmv.errors import CapabilityError, DegenerateInputError, InputError
 from lamanmv.graphs import (
     Framework,
     HennebergSequence,
@@ -52,6 +53,12 @@ def test_tight_counts_up_to_eight():
         embs = enumerate_h1(tight_lengths(seq), seq)
         assert len(embs) == 2 ** (n - 2)
         assert all(e.residual < 1e-9 for e in embs)
+
+
+def test_deadline_in_the_past_stops_enumeration():
+    seq = random_henneberg_sequence(5, seed=0)
+    with pytest.raises(CapabilityError):
+        enumerate_h1(tight_lengths(seq), seq, deadline=time.monotonic() - 1)
 
 
 def test_unreachable_length_gives_zero():

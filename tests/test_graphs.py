@@ -173,6 +173,7 @@ def test_classify():
     assert classify(triangle()) == HENNEBERG_I
     assert classify(desargues_graph()) == HENNEBERG_II
     assert classify(k33_graph()) == HENNEBERG_II
+    assert classify(Graph.make(2, [(1, 2)])) is None  # below the triangle
     graphs = [g for n in range(3, 7) for g in all_laman_graphs(n)]
     graphs += [
         henneberg_apply(random_henneberg_sequence(4 + seed % 6, seed, step2_probability=0.5))

@@ -3,13 +3,17 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from conftest import framework_for
 from reference_simplex import GE, LinearProgram
 from reference_simplex import INFEASIBLE as REF_INFEASIBLE
 from reference_simplex import solve as reference_solve
 
 from lamanmv import linprog
 from lamanmv.errors import InputError, InternalError
+from lamanmv.graphs import _base_framework, desargues_graph
 from lamanmv.linprog import FEASIBLE, INFEASIBLE, feasible, verify_farkas
+from lamanmv.mixedvol import mixed_volume, separation_split
+from lamanmv.polysys import build_subsoe, newton_polytopes
 
 
 def _satisfies(rows, x):
@@ -151,10 +155,10 @@ def _free_ge_rows(lp):
 
 def test_matches_reference_simplex():
     # Each random LP's constraints, bounds included, become free >= rows;
-    # the reference's phase 1 on them must give the same verdict and the
-    # same Farkas vector (with the opposite sign convention), and each
-    # verdict's certificate must check out on its own: the Farkas vector,
-    # or the reference's feasible point.
+    # the reference's phase 1 on them must give the same verdict, and each
+    # verdict's certificate must check out on its own: the int Farkas
+    # vector and the reference's (with the opposite sign convention; the
+    # two may differ), or the reference's feasible point.
     rng = random.Random(2008)
     statuses = Counter()
     for _ in range(3000):
@@ -165,12 +169,40 @@ def test_matches_reference_simplex():
         ref = reference_solve(LinearProgram.make([0] * n, [(r[:-1], GE, r[-1]) for r in rows]))
         assert (out.status == INFEASIBLE) == (ref.status == REF_INFEASIBLE), rows
         if out.status == INFEASIBLE:
-            assert out.certificate == tuple(-y for y in ref.certificate), rows
-            assert verify_farkas(rows, n, out.certificate)
+            assert all(type(v) is int for v in out.certificate), rows
+            assert verify_farkas(rows, n, out.certificate), rows
+            assert verify_farkas(rows, n, tuple(-y for y in ref.certificate)), rows
         else:
             assert _satisfies(rows, ref.point), rows
         statuses[out.status] += 1
     assert min(statuses[s] for s in (FEASIBLE, INFEASIBLE)) > 500
+
+
+def test_matches_reference_on_search_lps(monkeypatch):
+    # The first 200 pruning LPs of the mixed-cell search on the prism's
+    # 9-dim substituted block, as the search builds them: integer rows
+    # over the columns its chosen edge equalities leave free.
+    fw = _base_framework(framework_for(desargues_graph()))
+    block = next(b for b in separation_split(newton_polytopes(build_subsoe(fw)))
+                 if len(b.coordinates) == 9)
+    recorded = []
+
+    def record(rows, nvars):
+        recorded.append((rows, nvars))
+        return feasible(rows, nvars)
+
+    monkeypatch.setattr(linprog, "feasible", record)
+    mixed_volume(block.projected, seed=0)
+    monkeypatch.undo()
+    statuses = Counter()
+    for rows, nvars in recorded[:200]:
+        out = feasible(rows, nvars)
+        ref = reference_solve(
+            LinearProgram.make([0] * nvars, [(r[:-1], GE, r[-1]) for r in rows])
+        )
+        assert (out.status == INFEASIBLE) == (ref.status == REF_INFEASIBLE), rows
+        statuses[out.status] += 1
+    assert sum(statuses.values()) == 200 and min(statuses[s] for s in (FEASIBLE, INFEASIBLE)) > 50
 
 
 def test_forged_farkas_vector_is_rejected(monkeypatch):

@@ -9,6 +9,7 @@ import reference_simplex as simplex
 from conftest import framework_for, random_fullmixed_instance
 from reference_enumerator import reference_enumerate_mixed_cells
 from reference_linalg import mat_det, mat_solve
+from lamanmv import mixedvol
 from lamanmv.errors import CapabilityError, InputError, NonGenericLiftingError
 from lamanmv.graphs import (
     desargues_graph,
@@ -465,12 +466,27 @@ def test_integer_det_and_leaf_check_match_fraction_reference():
     assert min(verdicts.count(v) for v in (NO, YES_TIE, YES_STRICT)) >= 10
 
 
-def test_deadline_enforced():
+def test_deadline_enforced(monkeypatch):
     import time
 
     fw = framework_for(k33_graph())
     with pytest.raises(CapabilityError):
         mv_for_graph(fw, FORM_SUBSOE, seed=0, deadline=time.monotonic() - 1)
+    g = henneberg_apply(random_henneberg_sequence(4, seed=4))
+    with pytest.raises(CapabilityError):  # checked before the hulls
+        certify_general_bound(g, deadline=time.monotonic() - 1)
+    # ... and again before the cell check, for hulls that outlast it.
+    hulls = mixedvol.newton_polytopes
+
+    def slow_hulls(system):
+        out = hulls(system)
+        time.sleep(0.2)
+        return out
+
+    monkeypatch.setattr(mixedvol, "newton_polytopes", slow_hulls)
+    with pytest.raises(CapabilityError):
+        certify_general_bound(g, deadline=time.monotonic() + 0.1)
+    assert certify_general_bound(g, deadline=time.monotonic() + 60).value == 16
 
 
 def test_mismatched_multiplicities_rejected():

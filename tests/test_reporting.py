@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -223,6 +224,19 @@ def test_cli_timeout_exit(tmp_path, capsys):
     assert cli.run(["mv", "--form", "subsoe", "--timeout", "0.0", str(path)]) == 2
 
 
+def test_cli_report_timeout_reaches_every_stage(tmp_path, capsys):
+    # 2^18 embeddings take about 25 s to enumerate; the deadline must stop
+    # the report there as well as in the mixed-cell search.
+    g = henneberg_apply(random_henneberg_sequence(20, seed=1))
+    text = f"n {g.n}\n" + "\n".join(f"e {a} {b}" for a, b in sorted(g.edges))
+    start = time.monotonic()
+    code = run_cli(tmp_path, text, "report", "--timeout", "3", "--no-timings")
+    assert code == cli.EXIT_CAPABILITY
+    assert time.monotonic() - start < 6
+    err = capsys.readouterr().err
+    assert "timed out" in err and "Traceback" not in err
+
+
 def test_cli_system_text(tmp_path, capsys):
     code = run_cli(tmp_path, TRIANGLE, "system", "--form", "soe", "--format", "text")
     out = capsys.readouterr().out
@@ -260,6 +274,12 @@ def test_cli_single_edge_graph(tmp_path, capsys):
     report = payload("report", "--no-timings")
     assert report["mv_soe"]["value"] == report["mv_subsoe"]["value"] == 1
     assert report["witness_degenerate"] is False
+    # Every construction sequence starts at the triangle, so the single
+    # edge has none and no Henneberg class.
+    assert report["class"] is None
+    assert run_cli(tmp_path, "n 2\ne 1 2\n", "henneberg") == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "start at the triangle" in err
 
 
 def test_cli_mv_rejects_non_laman(tmp_path, capsys):
