@@ -19,14 +19,14 @@ from lamanmv.polysys import FORM_SUBSOE
 for n in range(3, 9):
     seq = random_henneberg_sequence(n, seed=n)
     fw = tight_lengths(seq)
-    embs = enumerate_h1(fw, seq)
+    embs = list(enumerate_h1(fw, seq))
     worst = max(e.residual for e in embs)
     print(f"n={n}: {len(embs):3d} embeddings = 2^{n - 2}, "
           f"max relative residual {worst:.1e}")
 
 seq = random_henneberg_sequence(5, seed=4)
 fw = tight_lengths(seq)
-embs = enumerate_h1(fw, seq)
+embs = list(enumerate_h1(fw, seq))
 print("\nEvery embedding verifies at 1e-9:",
       all(verify_embedding(fw, e) for e in embs))
 print("Count equals the substituted-system bound:",

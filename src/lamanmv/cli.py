@@ -213,7 +213,7 @@ def _embed(args, fw):
     dec = h1_decomposition(fw.graph)
     if dec is None:
         raise InputError("embedding enumeration needs a degree-2-constructible graph")
-    embs = reporting.h1_embeddings(fw, dec, args.tight, _deadline(args))
+    embs = list(reporting.h1_embeddings(fw, dec, args.tight, _deadline(args)))
     payload = {
         "embedding_count": len(embs),
         "max_residual": max((e.residual for e in embs), default=0.0),

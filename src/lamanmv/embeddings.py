@@ -2,10 +2,10 @@
 
 Every vertex added with two edges sits on the intersection of two
 circles, so a framework built purely from such steps has at most two
-choices per vertex and all embeddings are enumerated by a depth-first
-product over those choices. Reflections across the pinned axis count as
-distinct embeddings (the pinning kills translations and rotations only),
-which is why the triangle has exactly two.
+choices per vertex and all embeddings are streamed, in canonical order,
+out of a depth-first product over those choices. Reflections across the
+pinned axis count as distinct embeddings (the pinning kills translations
+and rotations only), which is why the triangle has exactly two.
 
 Edge lengths from tight_lengths make every intersection real and
 transversal, so the 2^(n-2) bound is attained.
@@ -81,33 +81,47 @@ def _circle_intersections(c1, r1, c2, r2):
         return [(base, 0)], True
     h = math.sqrt(h2)
     normal = np.array([-delta[1], delta[0]]) / d
-    return [(base + h * normal, +1), (base - h * normal, -1)], False
+    return [(base - h * normal, -1), (base + h * normal, +1)], False
 
 
 def enumerate_h1(framework, seq, deadline=None):
-    """All embeddings of a degree-2-step framework, depth first.
+    """All embeddings of a degree-2-step framework, as a generator.
 
     The first two vertices are pinned at (0,0) and (l12, 0); the apex and
     every added vertex contribute at most two intersection points each.
-    Output is canonically ordered by the sign vector of the choices.
-    Raises CapabilityError once `deadline` (a time.monotonic() value) has
-    passed, checked once per placed vertex.
+    Inputs are validated before this returns. The depth-first search
+    visits the -1 intersection first, so embeddings come in the canonical
+    order of their choices; a residual is the worst relative edge error,
+    each edge measured when its later endpoint is placed. Iterating raises
+    CapabilityError once `deadline` (a time.monotonic() value) has passed,
+    checked once per placed vertex.
     """
     if not seq.is_step1_only():
         raise InputError("enumeration needs a degree-2-only sequence")
     g = henneberg_apply(seq)
     if g.edges != framework.graph.edges or g.n != framework.graph.n:
         raise InputError("framework does not match the sequence's graph")
-    lengths = {e: float(l) for e, l in framework.lengths.items()}
-    l12 = lengths[edge_key(1, 2)]
+    try:
+        lengths = {e: float(l) for e, l in framework.lengths.items()}
+    except OverflowError:
+        raise InputError("an edge length exceeds the floating-point range")
+    if 0.0 in lengths.values():
+        raise InputError("an edge length is below the floating-point range")
     anchors = [(1, 2, 3)] + [(s.a, s.b, 4 + i) for i, s in enumerate(seq.steps)]
+    pos = {1: (0.0, 0.0), 2: (lengths[edge_key(1, 2)], 0.0)}
 
-    results = []
+    def error(u, v):
+        (i, j) = key = edge_key(u, v)
+        dx = pos[i][0] - pos[j][0]
+        dy = pos[i][1] - pos[j][1]
+        return abs(math.hypot(dx, dy) - lengths[key]) / lengths[key]
 
-    def place(pos, idx, choices, tangent_seen):
+    def place(idx, choices, tangent_seen, residual):
         check_deadline(deadline, "embedding enumeration")
         if idx == len(anchors):
-            results.append((dict(pos), tuple(choices), tangent_seen))
+            yield Embedding(
+                points=dict(pos), residual=residual, choices=choices, tangent=tangent_seen
+            )
             return
         a, b, v = anchors[idx]
         pts, tangent = _circle_intersections(
@@ -115,30 +129,11 @@ def enumerate_h1(framework, seq, deadline=None):
         )
         for pt, sign in pts:
             pos[v] = (float(pt[0]), float(pt[1]))
-            choices.append(sign)
-            place(pos, idx + 1, choices, tangent_seen or tangent)
-            choices.pop()
+            worst = max(residual, error(a, v), error(b, v))
+            yield from place(idx + 1, choices + (sign,), tangent_seen or tangent, worst)
             del pos[v]
 
-    place({1: (0.0, 0.0), 2: (l12, 0.0)}, 0, [], False)
-
-    out = []
-    for pos, choices, tangent in sorted(results, key=lambda r: r[1]):
-        residual = _max_relative_error(framework, pos)
-        out.append(
-            Embedding(points=pos, residual=residual, choices=choices, tangent=tangent)
-        )
-    return out
-
-
-def _max_relative_error(framework, pos):
-    worst = 0.0
-    for (i, j), l in framework.lengths.items():
-        dx = pos[i][0] - pos[j][0]
-        dy = pos[i][1] - pos[j][1]
-        err = abs(math.hypot(dx, dy) - float(l)) / float(l)
-        worst = max(worst, err)
-    return worst
+    return place(0, (), False, 0.0)
 
 
 def verify_embedding(framework, embedding, tol=Fraction(1, 10**9)):

@@ -97,10 +97,10 @@ class Polynomial:
             c = Fraction(c)
             if len(expo) != nvars:
                 raise InputError("exponent length mismatch")
-            if any(e < 0 for e in expo):
-                raise InputError("negative exponent")
+            if not all(isinstance(e, int) and e >= 0 for e in expo):
+                raise InputError(f"exponents must be nonnegative integers: {expo!r}")
             if c != 0:
-                terms[tuple(int(e) for e in expo)] = terms.get(tuple(expo), Fraction(0)) + c
+                terms[expo] = terms.get(expo, Fraction(0)) + c
         cleaned = tuple(sorted((e, c) for e, c in terms.items() if c != 0))
         return Polynomial(nvars=nvars, terms=cleaned)
 

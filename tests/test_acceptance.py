@@ -162,7 +162,7 @@ def test_criterion_8_tight_embeddings():
     for n in range(3, 9):
         seq = random_henneberg_sequence(n, seed=5 * n + 1)
         fw = tight_lengths(seq)
-        embs = enumerate_h1(fw, seq)
+        embs = list(enumerate_h1(fw, seq))
         assert len(embs) == 2 ** (n - 2), f"n={n}: {len(embs)}"
         worst = max(e.residual for e in embs)
         assert worst < 1e-9, f"n={n} residual {worst}"

@@ -1,9 +1,13 @@
+import math
+import random
 import time
 from fractions import Fraction as F
 
 import pytest
 
 from lamanmv.embeddings import (
+    Embedding,
+    _circle_intersections,
     enumerate_h1,
     reflect,
     tight_lengths,
@@ -15,6 +19,7 @@ from lamanmv.graphs import (
     HennebergSequence,
     StepI,
     StepII,
+    edge_key,
     henneberg_apply,
     random_henneberg_sequence,
 )
@@ -39,7 +44,7 @@ def test_tight_lengths_rejects_degree3_steps():
 
 def test_triangle_two_mirror_embeddings():
     seq = HennebergSequence(())
-    embs = enumerate_h1(tight_lengths(seq), seq)
+    embs = list(enumerate_h1(tight_lengths(seq), seq))
     assert len(embs) == 2
     a, b = embs
     assert a.points[3][1] == -b.points[3][1]
@@ -50,22 +55,23 @@ def test_triangle_two_mirror_embeddings():
 def test_tight_counts_up_to_eight():
     for n in range(3, 9):
         seq = random_henneberg_sequence(n, seed=n * 7)
-        embs = enumerate_h1(tight_lengths(seq), seq)
+        embs = list(enumerate_h1(tight_lengths(seq), seq))
         assert len(embs) == 2 ** (n - 2)
         assert all(e.residual < 1e-9 for e in embs)
 
 
 def test_deadline_in_the_past_stops_enumeration():
     seq = random_henneberg_sequence(5, seed=0)
-    with pytest.raises(CapabilityError):
-        enumerate_h1(tight_lengths(seq), seq, deadline=time.monotonic() - 1)
+    embs = enumerate_h1(tight_lengths(seq), seq, deadline=time.monotonic() - 1)
+    with pytest.raises(CapabilityError):  # raised on iteration
+        next(embs)
 
 
 def test_unreachable_length_gives_zero():
     seq = HennebergSequence((StepI(1, 2),))
     g = henneberg_apply(seq)
     fw = Framework.make(g, {(1, 2): 3, (1, 3): 4, (2, 3): 5, (1, 4): 100, (2, 4): 1})
-    assert enumerate_h1(fw, seq) == []
+    assert list(enumerate_h1(fw, seq)) == []
 
 
 def test_tangency_flagged_and_counted_once():
@@ -73,7 +79,7 @@ def test_tangency_flagged_and_counted_once():
     seq = HennebergSequence((StepI(1, 2),))
     g = henneberg_apply(seq)
     fw = Framework.make(g, {(1, 2): 3, (1, 3): 4, (2, 3): 5, (1, 4): 1, (2, 4): 2})
-    embs = enumerate_h1(fw, seq)
+    embs = list(enumerate_h1(fw, seq))
     assert len(embs) == 2  # one tangency point per apex branch
     for e in embs:
         assert e.tangent
@@ -97,14 +103,15 @@ def test_coincident_equal_circles_raise():
             (4, 5): 2,
         },
     )
-    with pytest.raises(DegenerateInputError):
-        enumerate_h1(fw, seq)
+    embs = enumerate_h1(fw, seq)
+    with pytest.raises(DegenerateInputError):  # raised on iteration
+        list(embs)
 
 
 def test_verify_embedding_and_perturbation():
     seq = HennebergSequence(())
     fw = tight_lengths(seq)
-    embs = enumerate_h1(fw, seq)
+    embs = list(enumerate_h1(fw, seq))
     good = embs[0]
     assert verify_embedding(fw, good, F(1, 10**9))
     bad_points = dict(good.points)
@@ -116,7 +123,7 @@ def test_verify_embedding_and_perturbation():
 def test_reflection_closure():
     seq = random_henneberg_sequence(6, seed=11)
     fw = tight_lengths(seq)
-    embs = enumerate_h1(fw, seq)
+    embs = list(enumerate_h1(fw, seq))
     keys = {tuple(sorted(e.points.items())) for e in embs}
 
     def rounded(e):
@@ -130,7 +137,7 @@ def test_reflection_closure():
 def test_reflected_embedding_still_verifies():
     seq = random_henneberg_sequence(5, seed=2)
     fw = tight_lengths(seq)
-    embs = enumerate_h1(fw, seq)
+    embs = list(enumerate_h1(fw, seq))
     assert verify_embedding(fw, reflect(embs[0]), F(1, 10**9))
 
 
@@ -138,7 +145,7 @@ def test_sequence_graph_mismatch_rejected():
     seq = HennebergSequence((StepI(1, 2),))
     other = HennebergSequence((StepI(1, 3),))
     fw = tight_lengths(other)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError):  # validated before the first embedding
         enumerate_h1(fw, seq)
 
 
@@ -154,8 +161,70 @@ def test_count_never_exceeds_substituted_bound():
             g, {e: F(i + 2, 1) for i, e in enumerate(sorted(g.edges))}
         )
         try:
-            count = len(enumerate_h1(fw, seq))
+            count = len(list(enumerate_h1(fw, seq)))
         except DegenerateInputError:
             continue
         bound = mv_for_graph(fw, FORM_SUBSOE, seed=0).value
         assert count <= bound == 2 ** (n - 2)
+
+
+def eager_reference(framework, seq):
+    """The former eager definition of `enumerate_h1`.
+
+    Collects every leaf of the depth-first search (visiting +1 before -1,
+    so that the sort alone fixes the order), sorts the leaves by their
+    choices and takes each residual as the largest relative error over
+    all framework edges.
+    """
+    lengths = {e: float(l) for e, l in framework.lengths.items()}
+    anchors = [(1, 2, 3)] + [(s.a, s.b, 4 + i) for i, s in enumerate(seq.steps)]
+    leaves = []
+
+    def place(pos, idx, choices, tangent_seen):
+        if idx == len(anchors):
+            leaves.append((dict(pos), tuple(choices), tangent_seen))
+            return
+        a, b, v = anchors[idx]
+        pts, tangent = _circle_intersections(
+            pos[a], lengths[edge_key(a, v)], pos[b], lengths[edge_key(b, v)]
+        )
+        for pt, sign in reversed(pts):
+            pos[v] = (float(pt[0]), float(pt[1]))
+            place(pos, idx + 1, choices + [sign], tangent_seen or tangent)
+            del pos[v]
+
+    place({1: (0.0, 0.0), 2: (lengths[(1, 2)], 0.0)}, 0, [], False)
+    out = []
+    for pos, choices, tangent in sorted(leaves, key=lambda r: r[1]):
+        worst = 0.0
+        for (i, j), l in framework.lengths.items():
+            dx = pos[i][0] - pos[j][0]
+            dy = pos[i][1] - pos[j][1]
+            worst = max(worst, abs(math.hypot(dx, dy) - float(l)) / float(l))
+        out.append(Embedding(points=pos, residual=worst, choices=choices, tangent=tangent))
+    return out
+
+
+def test_stream_matches_eager_reference():
+    """Points, choices, tangent flags, residuals and order, exactly."""
+    frameworks = []
+    for n in range(3, 10):
+        for seed in range(6):
+            seq = random_henneberg_sequence(n, seed=seed)
+            frameworks.append((tight_lengths(seq), seq))
+            # Small random lengths leave many intersections empty.
+            rng = random.Random(f"{n}/{seed}")
+            g = henneberg_apply(seq)
+            lengths = {e: F(rng.randint(1, 20), rng.randint(1, 3)) for e in sorted(g.edges)}
+            frameworks.append((Framework.make(g, lengths), seq))
+    seq = HennebergSequence((StepI(1, 2),))
+    tangent = {(1, 2): 3, (1, 3): 4, (2, 3): 5, (1, 4): 1, (2, 4): 2}
+    frameworks.append((Framework.make(henneberg_apply(seq), tangent), seq))
+
+    total = empty = 0
+    for fw, seq in frameworks:
+        expected = eager_reference(fw, seq)
+        assert list(enumerate_h1(fw, seq)) == expected
+        total += len(expected)
+        empty += not expected
+    assert total > 1500 and empty > 30

@@ -42,6 +42,7 @@ from lamanmv.polytopes import (
     EdgeCell,
     RationalPolytope,
     edge_matrix_det,
+    is_edge,
     minkowski_sum_many,
     volume_exact,
 )
@@ -466,6 +467,48 @@ def test_integer_det_and_leaf_check_match_fraction_reference():
     assert min(verdicts.count(v) for v in (NO, YES_TIE, YES_STRICT)) >= 10
 
 
+def test_strict_cell_on_raw_supports_chooses_edges():
+    """A strict cell over raw supports makes each chosen pair the unique
+    minimizer of mu_j - alpha over its support, hence an edge of its hull;
+    this is what lets certify_general_bound skip the hulls."""
+    strict = 0
+    for dim, npoints, seeds in ((2, 6, range(10)), (3, 4, range(6)), (4, 3, range(6))):
+        for seed in seeds:
+            rng = random.Random(f"raw-support/{dim}/{seed}")
+            supports = []
+            for _ in range(dim):
+                pts = set()
+                while len(pts) < 2:
+                    pts = {tuple(F(rng.randint(0, 2)) for _ in range(dim)) for _ in range(npoints)}
+                supports.append(sorted(pts))
+            raw = [RationalPolytope(dim, tuple(s)) for s in supports]
+            hulls = [RP(s) for s in supports]
+            lifting = random_lifting(raw, seed)
+            for pairs in itertools.product(*(itertools.combinations(s, 2) for s in supports)):
+                if is_mixed_cell(EdgeCell(edges=pairs), raw, lifting) == YES_STRICT:
+                    strict += 1
+                    assert all(is_edge(h, a, b) for h, (a, b) in zip(hulls, pairs))
+    assert strict >= 40
+
+
+def test_square_diagonal_is_never_a_strict_cell():
+    # A linear functional minimized at both ends of a diagonal is minimized
+    # at one of the other two corners too, so the answer is a tie or no.
+    square = tuple((F(x), F(y)) for x in (0, 1) for y in (0, 1))
+    raw = [RationalPolytope(2, square), RationalPolytope(2, square)]
+    diagonals = [(square[0], square[3]), (square[1], square[2])]
+    seen = Counter()
+    for seed in range(20):
+        lifting = random_lifting(raw, seed)
+        for diagonal in diagonals:
+            for other in itertools.combinations(square, 2):
+                for edges in ((diagonal, other), (other, diagonal)):
+                    status = is_mixed_cell(EdgeCell(edges=edges), raw, lifting)
+                    assert status != YES_STRICT
+                    seen[status] += 1
+    assert seen[NO] > 0
+
+
 def test_deadline_enforced(monkeypatch):
     import time
 
@@ -473,17 +516,18 @@ def test_deadline_enforced(monkeypatch):
     with pytest.raises(CapabilityError):
         mv_for_graph(fw, FORM_SUBSOE, seed=0, deadline=time.monotonic() - 1)
     g = henneberg_apply(random_henneberg_sequence(4, seed=4))
-    with pytest.raises(CapabilityError):  # checked before the hulls
+    with pytest.raises(CapabilityError):
         certify_general_bound(g, deadline=time.monotonic() - 1)
-    # ... and again before the cell check, for hulls that outlast it.
-    hulls = mixedvol.newton_polytopes
+    # The check sits after the system build, so a build that outlasts the
+    # deadline stops before the cell check.
+    build = mixedvol.build_soe
 
-    def slow_hulls(system):
-        out = hulls(system)
+    def slow_build(fw):
+        out = build(fw)
         time.sleep(0.2)
         return out
 
-    monkeypatch.setattr(mixedvol, "newton_polytopes", slow_hulls)
+    monkeypatch.setattr(mixedvol, "build_soe", slow_build)
     with pytest.raises(CapabilityError):
         certify_general_bound(g, deadline=time.monotonic() + 0.1)
     assert certify_general_bound(g, deadline=time.monotonic() + 60).value == 16

@@ -209,6 +209,15 @@ def test_evaluate_exact():
     assert diff.evaluate((GR_ONE, GR_I)).is_zero()
 
 
+def test_make_rejects_non_integer_exponents():
+    for expo in ((0.5,), ("1",), (None,), (F(1, 2),)):
+        with pytest.raises(InputError):
+            Polynomial.make(1, {expo: 1})
+    with pytest.raises(InputError):
+        Polynomial.make(1, {(-1,): 1})
+    assert Polynomial.make(2, {(2, 0): 1, (0, 2): 2}).terms == (((0, 2), 2), ((2, 0), 1))
+
+
 def test_evaluate_poly_minus_itself():
     rng = random.Random(7)
     soe = build_soe(triangle_framework())

@@ -1,10 +1,12 @@
 import json
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 from lamanmv import cli, mixedvol, polysys
+from lamanmv.embeddings import tight_lengths
 from lamanmv.errors import InputError, InternalError
 from lamanmv.graphs import henneberg_apply, k33_graph, random_henneberg_sequence
 from lamanmv.reporting import (
@@ -88,6 +90,20 @@ def test_report_triangle_invariants():
     assert rep.borcea_streinu == 2
     assert rep.embedding_count == 2
     assert rep.witness_degenerate is True
+
+
+def test_report_counts_embeddings_without_holding_them():
+    # n = 14 has 2^12 embeddings: holding them as a list peaked at 5.1 MiB.
+    seq = random_henneberg_sequence(14, seed=1)
+    fw = tight_lengths(seq)
+    tracemalloc.start()
+    try:
+        rep = build_report(fw, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.embedding_count == 2**12
+    assert peak < 2 * 2**20
 
 
 def test_report_non_laman_short_circuit():
