@@ -1,11 +1,10 @@
 """Small exact linear algebra helpers on Python-int rows.
 
 All elimination is fraction-free (Bareiss, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination", Math. Comp. 1968):
-the mixed-cell search, the leaf check, the edge-matrix determinants and
-the polytope hulls scale rational rows to integers once and never build
-a Fraction inside an elimination. The dimensions in this package stay
-below ~40.
+multistep integer-preserving Gaussian elimination", Math. Comp. 1968).
+Rationals become integers in one place, `scaled`, and no Fraction is
+built inside an elimination; `int_det` and `solve` share one forward
+elimination. The dimensions in this package stay below ~40.
 """
 
 import math
@@ -47,9 +46,14 @@ def echelon(rows):
     return pivots
 
 
-def int_det(rows):
-    """Determinant of a square integer matrix by Bareiss elimination."""
-    a = [list(r) for r in rows]
+def scaled(points):
+    """Integer points D*p for the lcm D of all denominators, and D."""
+    den = math.lcm(*(x.denominator for p in points for x in p))
+    return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
+
+
+def _forward(a):
+    """Bareiss elimination in place, right-hand sides included; the row-swap sign, 0 if singular."""
     n = len(a)
     sign, prev = 1, 1
     for k in range(n - 1):
@@ -62,7 +66,31 @@ def int_det(rows):
         pk = a[k][k]
         for r in range(k + 1, n):
             ar, ark = a[r], a[r][k]
-            for c in range(k + 1, n):
+            for c in range(k + 1, len(ar)):
                 ar[c] = (pk * ar[c] - ark * a[k][c]) // prev
         prev = pk
-    return sign * a[-1][-1] if n else 1
+    return sign
+
+
+def int_det(rows):
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    a = [list(r) for r in rows]
+    return _forward(a) * a[-1][-1] if a else 1
+
+
+def solve(rows):
+    """(D, X) with D > 0 and x = X/D solving n integer rows (coeffs..., rhs), or None if singular.
+
+    D is |det| and X the Cramer numerators, integers, so each back
+    substitution step divides exactly.
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    den = abs(_forward(a) * a[-1][n - 1]) if a else 1
+    if not den:
+        return None
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        ai = a[i]
+        x[i] = (den * ai[n] - sum(ai[c] * x[c] for c in range(i + 1, n))) // ai[i]
+    return den, x

@@ -6,20 +6,20 @@ belongs to the subdivision iff some linear functional touches the lifted
 sum exactly along those edges. Enumeration is a depth-first search over
 edge choices, pruned by (a) linear independence of the chosen edge
 directions and (b) exact LP feasibility of the touching functional.
-All constraint rows are integer rows, eliminated fraction-free against
-the chosen edge equalities and carried down the search, so each node
-reduces only what it adds; an exact LP runs only where the particular
-solution violates a row. That pruning test (`linprog.feasible`, phase 1
-on the Farkas system of the rows, with one tableau row per free column
-plus one) is the only LP in the engine: the edges come from the
-certified face lattices of `polytopes`, and the cell checks here solve
-by Cramer's rule.
+Every constraint row is the difference of two integer lifted points
+(`_lifted`), eliminated fraction-free against the chosen edge
+equalities and carried down the search, so each node reduces only what
+it adds; an exact LP runs only where the particular solution violates a
+row. That pruning test (`linprog.feasible`, phase 1 on the Farkas system
+of the rows, with one tableau row per free column plus one) is the only
+LP in the engine: the edges come from the certified face lattices of
+`polytopes`, and the cell checks here solve by `_linalg.solve`.
 Complete cells are accepted only when every non-edge vertex clears the
 functional with a strictly positive margin; a zero margin, found at the
 leaf or carried down from the node that fixed it, means the lifting is
 non-generic and the caller re-seeds. Each accepted cell is checked again
-by `is_mixed_cell`, which solves its edge equalities by Cramer's rule on
-integer determinants and shares no elimination with the search. The
+by `is_mixed_cell`, which lifts the points afresh, solves its edge
+equalities on their own and shares no elimination with the search. The
 search runs in one thread: its exact Python arithmetic holds the GIL,
 so threads cannot speed it up.
 
@@ -31,14 +31,14 @@ what makes the substituted vertex systems tractable.
 """
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 from typing import Optional
 
 from . import linprog, polytopes
-from ._linalg import eliminate, int_det
+from ._linalg import eliminate, scaled, solve
 from .errors import (
     CapabilityError,
     InputError,
@@ -71,10 +71,6 @@ class Lifting:
     """One rational lifting vector per polytope."""
 
     vectors: tuple
-
-    def value(self, j, point):
-        mu = self.vectors[j]
-        return sum((m * x for m, x in zip(mu, point) if x), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -124,54 +120,46 @@ def random_lifting(polys, seed):
     return Lifting(vectors=vectors)
 
 
+def _lifted(vertices, mu):
+    """Each v as (E*D*v, (E*mu).(D*v)) = E*D*(v, <mu, v>), and the scale E*D.
+
+    D and E are the lcms of the vertex and mu denominators, so a - b
+    is the row of <alpha, a - b> = <mu, a - b> times E*D > 0.
+    """
+    pts, d = scaled(vertices)
+    (m,), e = scaled([mu])
+    return [(*(e * x for x in p), sum(map(mul, m, p))) for p in pts], d * e
+
+
 def is_mixed_cell(cell, polys, lifting):
     """Direct edge-matrix test of the mixed-cell criterion.
 
-    Solves the edge equalities <alpha, a - b> = <mu, a - b> for the
-    unique touching functional by Cramer's rule on integer rows (a
-    singular edge matrix fails immediately), so the check shares no
-    elimination with the search, and tests every non-edge vertex of
-    every polytope against it, exactly.
+    Solves the edge equalities, differences of lifted points, for the
+    unique touching functional alpha = X/den (a singular edge matrix
+    fails at once), sharing no elimination with the search, and tests
+    every non-edge vertex u by the sign of its integer slack
+    (<mu - alpha, u> - <mu - alpha, a>) * den*E*D.
     """
     k = polys[0].ambient_dim
     if len(polys) != k or len(cell.edges) != k:
         raise InputError("cell/polytope count must equal the ambient dimension")
-    rows = [_int_row(d, lifting.value(j, d)) for j, d in enumerate(cell.directions())]
-    alpha = _cramer(rows, k)
-    if alpha is None:
+    tables = [
+        _lifted((a, b, *(u for u in poly.vertices if u != a and u != b)), mu)[0]
+        for poly, (a, b), mu in zip(polys, cell.edges, lifting.vectors, strict=True)
+    ]
+    sol = solve([tuple(map(sub, pts[0], pts[1])) for pts in tables])
+    if sol is None:
         return NO
+    den, alpha = sol
     strict = True
-    for j, poly in enumerate(polys):
-        a, b = cell.edges[j]
-        ga = lifting.value(j, a) - _dot(alpha, a)
-        for u in poly.vertices:
-            if u == a or u == b:
-                continue
-            slack = (lifting.value(j, u) - _dot(alpha, u)) - ga
-            if slack < 0:
+    for pts in tables:
+        ga, _, *gus = [den * p[k] - sum(map(mul, alpha, p)) for p in pts]
+        for gu in gus:
+            if gu < ga:
                 return NO
-            if slack == 0:
+            if gu == ga:
                 strict = False
     return YES_STRICT if strict else YES_TIE
-
-
-def _cramer(rows, k):
-    """The solution of k integer rows (coeffs..., rhs), or None if singular."""
-    det = int_det([r[:k] for r in rows])
-    if not det:
-        return None
-    return [Fraction(int_det([r[:i] + r[k:] + r[i + 1:k] for r in rows]), det) for i in range(k)]
-
-
-def _dot(a, b):
-    return sum((x * y for x, y in zip(a, b) if y), Fraction(0))
-
-
-def _int_row(coeffs, rhs):
-    """(coeffs..., rhs) scaled by the positive lcm of its denominators."""
-    entries = (*coeffs, rhs)
-    scale = math.lcm(*(x.denominator for x in entries))
-    return tuple(int(x * scale) for x in entries)
 
 
 class _Enumerator:
@@ -197,25 +185,20 @@ class _Enumerator:
         self.deadline = deadline
         self.order = self._search_order()
         self.edge_lists = [p.edges() for p in self.polys]
-        # Per polytope and edge (a, b): the direction equality
-        # <alpha, a - b> = <mu, a - b>, and for each vertex u off the edge
-        # the row <alpha, a - u> >= <mu, a - u>.
+        # Per polytope and edge (a, b), as differences of lifted points:
+        # the direction equality <alpha, a - b> = <mu, a - b>, and for each
+        # vertex u off the edge the row <alpha, a - u> >= <mu, a - u>.
         self.directions = []
         self.rows = []
-        for i, poly in enumerate(self.polys):
-            dirs, per_edge = [], []
-            for a, b in self.edge_lists[i]:
-                d = tuple(x - y for x, y in zip(a, b))
-                dirs.append(_int_row(d, lifting.value(i, d)))
-                cons = []
-                for u in poly.vertices:
-                    if u == a or u == b:
-                        continue
-                    coeff = tuple(x - y for x, y in zip(a, u))
-                    cons.append(_int_row(coeff, lifting.value(i, coeff)))
-                per_edge.append(cons)
-            self.directions.append(dirs)
-            self.rows.append(per_edge)
+        for poly, edges, mu in zip(self.polys, self.edge_lists, lifting.vectors, strict=True):
+            verts = poly.vertices
+            pts = _lifted(verts, mu)[0]
+            lift = dict(zip(verts, pts))
+            self.directions.append([tuple(map(sub, lift[a], lift[b])) for a, b in edges])
+            self.rows.append([
+                [tuple(map(sub, lift[a], lu)) for u, lu in zip(verts, pts) if u != a and u != b]
+                for a, b in edges
+            ])
 
     def _search_order(self):
         """Static polytope order: few edges first, staying connected.
@@ -405,20 +388,18 @@ def separation_split(polys):
                 adj[i].add(j)
     comps = _sccs(adj, k)
     # Order sinks first so each block only sees its own coordinates once
-    # the earlier blocks' coordinates are projected away.
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    dag = {ci: set() for ci in range(len(comps))}
-    for i in range(k):
-        for j in adj[i]:
-            if comp_of[i] != comp_of[j]:
-                dag[comp_of[i]].add(comp_of[j])
-    order = _topo_sinks_first(dag)
+    # the earlier blocks' coordinates are projected away. Tarjan emits a
+    # component after every component it reaches, so one pass in
+    # emission order gives each its height (longest path to a sink), and
+    # a stable sort by height lists sinks first.
+    comp_of, heights = {}, []
+    for comp in comps:
+        succ = {comp_of[j] for i in comp for j in adj[i] if j in comp_of}
+        heights.append(max((heights[c] + 1 for c in succ), default=0))
+        comp_of.update((i, len(heights) - 1) for i in comp)
     blocks = []
-    for ci in order:
-        members = sorted(comps[ci])
+    for ci in sorted(range(len(comps)), key=heights.__getitem__):
+        members = comps[ci]
         coords = tuple(sorted(match[i] for i in members))
         projected = tuple(polys[i].project(coords) for i in members)
         blocks.append(Block(tuple(members), coords, projected))
@@ -494,22 +475,6 @@ def _sccs(adj, n):
                         break
                 comps.append(sorted(comp))
     return comps
-
-
-def _topo_sinks_first(dag):
-    """Deterministic topological order emitting sinks before sources."""
-    remaining = dict((ci, set(ds)) for ci, ds in dag.items())
-    order = []
-    while remaining:
-        sinks = sorted(ci for ci, ds in remaining.items() if not ds)
-        if not sinks:
-            raise InternalError("condensation must be acyclic")
-        for ci in sinks:
-            order.append(ci)
-            del remaining[ci]
-        for ds in remaining.values():
-            ds.difference_update(sinks)
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -703,31 +668,26 @@ def full_subdivision_2d(polys, lifting):
 def _touching_margin(polys, lifting, faces):
     """Margin of the functional pinned to the given faces, or None.
 
-    The face equalities <alpha, f0 - v> = <mu, f0 - v> fix alpha by
-    Cramer's rule on the first two independent ones; without two, the
-    faces span no area and the answer is None. The others hold as well:
-    two independent ones come from a single polygon face or from two
-    edges, and a polygon face's equalities all hold at alpha = mu, as the
-    lifting is linear. The margin is the smallest slack
-    <alpha - mu, f0 - u> over the vertices u off the faces, capped at 1;
-    a negative margin gives None.
+    The face equalities <alpha, f0 - v> = <mu, f0 - v>, differences of
+    lifted points, fix alpha = X/den by the first two independent ones;
+    without two, the faces span no area and the answer is None. The
+    others hold as well: two independent ones come from a single polygon
+    face or from two edges, and a polygon face's equalities all hold at
+    alpha = mu, as the lifting is linear. The margin is the smallest
+    slack <alpha - mu, f0 - u> over the vertices u off the faces (an
+    integer over den and the scale), capped at 1; negative gives None.
     """
     eqs, offs = [], []
-    for j, face in enumerate(faces):
-        f0 = face[0]
-        for v in face[1:]:
-            d = (f0[0] - v[0], f0[1] - v[1])
-            eqs.append(_int_row(d, lifting.value(j, d)))
-        for u in polys[j].vertices:
-            if u not in face:
-                d = (f0[0] - u[0], f0[1] - u[1])
-                offs.append((d, lifting.value(j, d)))
-    alpha = None
-    for pair in itertools.combinations(eqs, 2):
-        alpha = _cramer(pair, 2)
-        if alpha is not None:
-            break
-    if alpha is None:
+    for face, poly, mu in zip(faces, polys, lifting.vectors, strict=True):
+        pts, scale = _lifted((*face, *(u for u in poly.vertices if u not in face)), mu)
+        f0 = pts[0]
+        eqs.extend(tuple(map(sub, f0, p)) for p in pts[1:len(face)])
+        offs.extend((tuple(map(sub, f0, p)), scale) for p in pts[len(face):])
+    sol = next(filter(None, map(solve, itertools.combinations(eqs, 2))), None)
+    if sol is None:
         return None
-    margin = min([_dot(alpha, d) - m for d, m in offs] + [Fraction(1)])
+    den, alpha = sol
+    margin = min([Fraction(1)] + [
+        Fraction(sum(map(mul, alpha, r)) - den * r[-1], den * scale) for r, scale in offs
+    ])
     return None if margin < 0 else margin

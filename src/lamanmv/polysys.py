@@ -130,13 +130,10 @@ class Polynomial:
         return total
 
     def face(self, w):
-        """Terms minimal under direction w (the w-face subpolynomial)."""
+        """Terms minimal under the rational direction w (the w-face subpolynomial)."""
         if all(x == 0 for x in w):
             raise InputError("face direction must be nonzero")
-        vals = [
-            sum((Fraction(wc) * e for wc, e in zip(w, expo)), Fraction(0))
-            for expo, _ in self.terms
-        ]
+        vals = [sum(wc * e for wc, e in zip(w, expo) if e) for expo, _ in self.terms]
         lo = min(vals)
         kept = {e: c for (e, c), v in zip(self.terms, vals) if v == lo}
         return Polynomial.make(self.nvars, kept)

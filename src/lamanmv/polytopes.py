@@ -24,10 +24,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from operator import mul
 
-from ._linalg import echelon, int_det
+from ._linalg import echelon, int_det, scaled
 from .errors import CapabilityError, InputError, check_deadline
 
 try:  # proposes facets only; every proposal is certified exactly
@@ -70,7 +70,7 @@ class RationalPolytope:
         if any(len(p) != dim for p in pts):
             raise InputError("inconsistent point dimensions")
         pts = sorted(set(pts))
-        root = _Face(tuple(range(len(pts))), _affine(_scaled(pts)[0]), _Hull(deadline))
+        root = _Face(tuple(range(len(pts))), _affine(scaled(pts)[0]), _Hull(deadline))
         keep = sorted(root.vertices())
         poly = RationalPolytope(ambient_dim=dim, vertices=tuple(pts[i] for i in keep))
         poly._cache["hull"] = (poly.vertices, root.restrict({i: n for n, i in enumerate(keep)}, {}))
@@ -204,7 +204,7 @@ def edge_matrix_det(cell):
     k = len(dirs[0]) if dirs else 0
     if len(dirs) != k:
         raise InputError("edge count must equal the ambient dimension")
-    rows, den = _scaled(dirs)
+    rows, den = scaled(dirs)
     return Fraction(int_det(rows), den ** k)
 
 
@@ -227,18 +227,12 @@ def volume_exact(p, deadline=None):
     verts, root = p._lattice(deadline)
     if root.d < k:
         return Fraction(0)
-    pts, den = _scaled(verts)
+    pts, den = scaled(verts)
     total = 0
     for simplex in root.simplices():
         a = pts[simplex[0]]
         total += abs(int_det([[x - y for x, y in zip(pts[i], a)] for i in simplex[1:]]))
     return Fraction(total, den ** k * factorial(k))
-
-
-def _scaled(points):
-    """Integer points D*p for the lcm D of all denominators, and D."""
-    den = lcm(*(x.denominator for p in points for x in p))
-    return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
 
 
 def _affine(pts):

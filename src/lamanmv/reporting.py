@@ -10,13 +10,14 @@ edge order otherwise.
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from . import embeddings, mixedvol, polysys
-from .errors import InputError, InternalError, check_deadline
+from .errors import CapabilityError, InputError, InternalError, check_deadline
 from .graphs import (
     Framework,
     Graph,
@@ -62,6 +63,10 @@ def parse_graph_file(text):
             length = None
             if len(parts) == 4:
                 try:
+                    # Fraction builds 10**exponent: refuse it past the int-to-str limit.
+                    _, e, exponent = parts[3].lower().partition("e")
+                    if e and 0 < _int_str_digits() < abs(int(exponent)):
+                        raise ValueError(exponent)
                     length = Fraction(parts[3])
                 except (ValueError, ZeroDivisionError):
                     raise InputError(f"line {lineno}: bad length {parts[3]!r}")
@@ -81,6 +86,11 @@ def parse_graph_file(text):
     if not lengths:
         lengths = default_lengths(graph)
     return Framework.make(graph, lengths)
+
+
+def _int_str_digits():
+    """Python's int-to-str digit limit, 0 where there is none."""
+    return getattr(sys, "get_int_max_str_digits", int)()
 
 
 def default_lengths(graph):
@@ -109,8 +119,15 @@ def h1_embeddings(framework, dec, tight=False, deadline=None):
 
 
 def borcea_streinu_bound(n):
-    """Binomial comparison bound on the embedding count."""
-    return math.comb(2 * n - 4, n - 2)
+    """Binomial comparison bound on the embedding count.
+
+    CapabilityError when it has more digits than the int-to-str limit
+    lets either output format print.
+    """
+    bound = math.comb(2 * n - 4, n - 2)
+    if 0 < (limit := _int_str_digits()) and bound >= 10**limit:
+        raise CapabilityError(f"comparison bound C({2 * n - 4}, {n - 2}) exceeds {limit} digits")
+    return bound
 
 
 @dataclass

@@ -22,6 +22,12 @@ def _dot(a, b):
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
+def lifting_value(lifting, j, point):
+    """<mu_j, point> over Fractions: the lifting that the library's integer
+    lifted points stand for."""
+    return _dot(lifting.vectors[j], point)
+
+
 class AffineEliminator:
     """Incrementally row-reduced system of equalities <d, x> = b.
 
@@ -119,7 +125,7 @@ class ReferenceEnumerator:
                     if u == a or u == b:
                         continue
                     coeff = tuple(x - y for x, y in zip(a, u))
-                    cons.append((coeff, self.lifting.value(i, coeff)))
+                    cons.append((coeff, lifting_value(self.lifting, i, coeff)))
                 per_edge.append(cons)
             self.rows[i] = per_edge
 
@@ -156,7 +162,7 @@ class ReferenceEnumerator:
         poly_idx, edge_idx = pending[-1]
         a, b = self.edge_lists[poly_idx][edge_idx]
         direction = tuple(x - y for x, y in zip(a, b))
-        rhs = self.lifting.value(poly_idx, direction)
+        rhs = lifting_value(self.lifting, poly_idx, direction)
         snap = elim.snapshot()
         status = elim.add(direction, rhs)
         if status != "new":

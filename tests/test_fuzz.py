@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from lamanmv import cli
 
 GOOD_LENGTHS = ["1", "2", "3", "5", "7/2", "2.5", "1e-3", "10000"]
-BAD_LENGTHS = ["0", "-1", "1/0", "x", "nan", "1e400", "1e-400"]
+BAD_LENGTHS = ["0", "-1", "1/0", "x", "nan", "1e400", "1e-400", "1e9999999"]
 LENGTHS = st.sampled_from(GOOD_LENGTHS * 10 + BAD_LENGTHS)
 JUNK = st.sampled_from(
     ["", "# comment", "n", "n x", "n 3 4", "n 0", "n -2", "e", "e 1", "e 1 1", "e 1 9",

@@ -7,7 +7,7 @@ import pytest
 import reference_simplex as simplex
 
 from conftest import framework_for, random_fullmixed_instance
-from reference_enumerator import reference_enumerate_mixed_cells
+from reference_enumerator import lifting_value, reference_enumerate_mixed_cells
 from reference_linalg import mat_det, mat_solve
 from lamanmv import mixedvol
 from lamanmv.errors import CapabilityError, InputError, NonGenericLiftingError
@@ -172,6 +172,49 @@ def test_separation_k33_has_single_large_block():
     assert len(large[0].coordinates) == 12
 
 
+def _condensation_sinks_first(comps, adj):
+    """Reference block order: Kahn rounds over the condensation DAG,
+    each round's sinks in Tarjan emission order."""
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    remaining = {ci: set() for ci in range(len(comps))}
+    for i, succ in adj.items():
+        remaining[comp_of[i]].update(comp_of[j] for j in succ if comp_of[j] != comp_of[i])
+    order = []
+    while remaining:
+        sinks = sorted(ci for ci, ds in remaining.items() if not ds)
+        assert sinks, "condensation must be acyclic"
+        for ci in sinks:
+            order.append(tuple(comps[ci]))
+            del remaining[ci]
+        for ds in remaining.values():
+            ds.difference_update(sinks)
+    return order
+
+
+def test_block_order_matches_condensation_rule():
+    # Random supports, each holding a coordinate of a random permutation so
+    # that a perfect matching exists; "reordered" counts block orders that
+    # differ from Tarjan's emission order.
+    rng = random.Random(12)
+    shapes = Counter()
+    for _ in range(1000):
+        k = rng.randint(1, 12)
+        density = rng.random() * 0.35
+        perm = rng.sample(range(k), k)
+        supports = [{perm[i]} | {c for c in range(k) if rng.random() < density} for i in range(k)]
+        zero = (F(0),) * k
+        polys = [RationalPolytope(k, (zero, tuple(F(c in s) for c in range(k)))) for s in supports]
+        match = mixedvol._perfect_matching([sorted(s) for s in supports], k)
+        owner = {c: i for i, c in enumerate(match)}
+        adj = {i: {owner[c] for c in supports[i]} - {i} for i in range(k)}
+        comps = mixedvol._sccs(adj, k)
+        blocks = [b.polytope_indices for b in separation_split(polys)]
+        assert blocks == _condensation_sinks_first(comps, adj)
+        shapes["many blocks" if len(blocks) >= 4 else "few blocks"] += 1
+        shapes["reordered"] += blocks != [tuple(c) for c in comps]
+    assert min(shapes.values()) >= 100, shapes
+
+
 def test_separation_soundness_small():
     # product over blocks equals direct enumeration without separation
     for n in (3, 4):
@@ -276,11 +319,11 @@ def _touching_margin_lp(polys, lifting, faces):
         f0 = face[0]
         for v in face[1:]:
             coeff = [f0[0] - v[0], f0[1] - v[1], F(0)]
-            rows.append((coeff, simplex.EQ, lifting.value(j, tuple(coeff[:2]))))
+            rows.append((coeff, simplex.EQ, lifting_value(lifting, j, tuple(coeff[:2]))))
         for u in polys[j].vertices:
             if u not in face:
                 coeff = [f0[0] - u[0], f0[1] - u[1], F(-1)]
-                rows.append((coeff, simplex.GE, lifting.value(j, tuple(coeff[:2]))))
+                rows.append((coeff, simplex.GE, lifting_value(lifting, j, tuple(coeff[:2]))))
     rows.append(([F(0), F(0), F(1)], simplex.LE, 1))
     out = simplex.solve(simplex.LinearProgram.make([0, 0, 1], rows))
     if out.status != simplex.OPTIMAL or out.value < 0:
@@ -408,8 +451,8 @@ def test_tie_fixed_above_the_leaf_rejects_the_cell():
 
 def _fraction_leaf_check(cell, polys, lifting):
     """The leaf criterion with alpha from Fraction Gaussian elimination."""
-    rhs = [lifting.value(j, a) - lifting.value(j, b) for j, (a, b) in enumerate(cell.edges)]
-    alpha = mat_solve(cell.directions(), rhs)
+    dirs = cell.directions()
+    alpha = mat_solve(dirs, [lifting_value(lifting, j, d) for j, d in enumerate(dirs)])
     if alpha is None:
         return NO
     verdict = YES_STRICT
@@ -417,7 +460,7 @@ def _fraction_leaf_check(cell, polys, lifting):
         a, b = cell.edges[j]
         for u in poly.vertices:
             if u not in (a, b):
-                slack = lifting.value(j, u) - lifting.value(j, a) - sum(
+                slack = lifting_value(lifting, j, u) - lifting_value(lifting, j, a) - sum(
                     x * (p - q) for x, p, q in zip(alpha, u, a)
                 )
                 if slack < 0:
@@ -447,24 +490,31 @@ def test_integer_det_and_leaf_check_match_fraction_reference():
         dets.append(det)
     assert dets.count(0) >= 60 and len(set(dets)) > 100
 
-    verdicts = []
-    for trial in range(400):
-        k = rng.randint(2, 4)
-        polys = [
-            RP({tuple(F(rng.randint(0, 3), rng.randint(1, 2)) for _ in range(k))
-                for _ in range(rng.randint(2, 5))})
-            for _ in range(k)
-        ]
-        polys = [p if p.nvertices > 1 else RP([(F(0),) * k, (F(1),) * k]) for p in polys]
-        edges = [rng.choice(p.edges()) for p in polys]
-        if trial % 4 == 0:  # one edge twice: a singular edge matrix
-            polys[1], edges[1] = polys[0], edges[0]
-        lifting = Lifting(tuple(tuple(F(rng.randint(0, 2)) for _ in range(k)) for _ in polys))
-        cell = EdgeCell(tuple(edges))
-        verdict = is_mixed_cell(cell, polys, lifting)
-        assert verdict == _fraction_leaf_check(cell, polys, lifting)
-        verdicts.append(verdict)
-    assert min(verdicts.count(v) for v in (NO, YES_TIE, YES_STRICT)) >= 10
+    # Integer liftings, then liftings with mixed denominators, whose
+    # lifted points carry scales E > 1 that differ between polytopes.
+    for rational_lifting in (False, True):
+        verdicts = []
+        for trial in range(400):
+            k = rng.randint(2, 4)
+            polys = [
+                RP({tuple(F(rng.randint(0, 3), rng.randint(1, 2)) for _ in range(k))
+                    for _ in range(rng.randint(2, 5))})
+                for _ in range(k)
+            ]
+            polys = [p if p.nvertices > 1 else RP([(F(0),) * k, (F(1),) * k]) for p in polys]
+            edges = [rng.choice(p.edges()) for p in polys]
+            if trial % 4 == 0:  # one edge twice: a singular edge matrix
+                polys[1], edges[1] = polys[0], edges[0]
+            lifting = Lifting(tuple(
+                tuple(F(rng.randint(0, 2), rng.randint(1, 3) if rational_lifting else 1)
+                      for _ in range(k))
+                for _ in polys
+            ))
+            cell = EdgeCell(tuple(edges))
+            verdict = is_mixed_cell(cell, polys, lifting)
+            assert verdict == _fraction_leaf_check(cell, polys, lifting)
+            verdicts.append(verdict)
+        assert min(verdicts.count(v) for v in (NO, YES_TIE, YES_STRICT)) >= 10
 
 
 def test_strict_cell_on_raw_supports_chooses_edges():

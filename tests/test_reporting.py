@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 import tracemalloc
 from fractions import Fraction as F
@@ -66,6 +67,17 @@ def test_parse_reports_line_numbers():
     with pytest.raises(InputError) as err:
         parse_graph_file("n 3\ne 1 2 5\ne 1 oops 4")
     assert "line 3" in str(err.value)
+
+
+def test_parse_rejects_huge_decimal_exponent():
+    # Fraction would build 10**9999999 first; the exponent is refused at
+    # once, like a numerator beyond the int-to-str digit limit.
+    start = time.process_time()
+    for length in ("1e9999999", "1E-9999999"):
+        with pytest.raises(InputError, match="bad length"):
+            parse_graph_file(f"n 3\ne 1 2 {length}\ne 1 3 1\ne 2 3 1")
+    assert time.process_time() - start < 1
+    assert parse_graph_file("n 3\ne 1 2 1e3\ne 1 3 1\ne 2 3 1").lengths[(1, 2)] == 1000
 
 
 def test_default_lengths_tight_for_h1():
@@ -296,6 +308,22 @@ def test_cli_single_edge_graph(tmp_path, capsys):
     assert run_cli(tmp_path, "n 2\ne 1 2\n", "henneberg") == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "start at the triangle" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cli_report_bound_beyond_digit_limit_is_capability(tmp_path, capsys, fmt):
+    # C(2n-4, n-2) has 4,300 digits at n = 7,147 and 4,301 from n = 7,148
+    # on, past Python's default int-to-str limit, so neither format could
+    # print it.
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300:
+        pytest.skip("this Python has no or a non-default int-to-str limit")
+    assert run_cli(tmp_path, "n 7147\ne 1 2\n", "report", "--format", fmt) == cli.EXIT_OK
+    capsys.readouterr()
+    for n in (7148, 7150):
+        code = run_cli(tmp_path, f"n {n}\ne 1 2\n", "report", "--format", fmt)
+        assert code == cli.EXIT_CAPABILITY
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "4300 digits" in err and "Traceback" not in err
 
 
 def test_cli_mv_rejects_non_laman(tmp_path, capsys):
