@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DegenerateInputError, InputError, check_deadline
 from .graphs import Framework, edge_key, henneberg_apply
 
@@ -62,10 +60,9 @@ def _circle_intersections(c1, r1, c2, r2):
     Returns (points, tangent). Coincident centers with equal radii are
     degenerate input; empty intersections give no points.
     """
-    c1 = np.asarray(c1, dtype=float)
-    c2 = np.asarray(c2, dtype=float)
-    delta = c2 - c1
-    d2 = float(delta @ delta)
+    x1, y1 = float(c1[0]), float(c1[1])
+    dx, dy = float(c2[0]) - x1, float(c2[1]) - y1
+    d2 = dx * dx + dy * dy
     if d2 == 0.0:
         if abs(r1 - r2) <= TANGENCY_TOLERANCE:
             raise DegenerateInputError("coincident circles: infinitely many points")
@@ -76,12 +73,13 @@ def _circle_intersections(c1, r1, c2, r2):
     scale = max(r1 * r1, r2 * r2, d2)
     if h2 < -TANGENCY_TOLERANCE * scale:
         return [], False
-    base = c1 + (along / d) * delta
+    t = along / d
+    bx, by = x1 + t * dx, y1 + t * dy
     if h2 <= TANGENCY_TOLERANCE * scale:
-        return [(base, 0)], True
+        return [((bx, by), 0)], True
     h = math.sqrt(h2)
-    normal = np.array([-delta[1], delta[0]]) / d
-    return [(base - h * normal, -1), (base + h * normal, +1)], False
+    nx, ny = -dy / d, dx / d
+    return [((bx - h * nx, by - h * ny), -1), ((bx + h * nx, by + h * ny), +1)], False
 
 
 def enumerate_h1(framework, seq, deadline=None):
@@ -128,7 +126,7 @@ def enumerate_h1(framework, seq, deadline=None):
             pos[a], lengths[edge_key(a, v)], pos[b], lengths[edge_key(b, v)]
         )
         for pt, sign in pts:
-            pos[v] = (float(pt[0]), float(pt[1]))
+            pos[v] = pt
             worst = max(residual, error(a, v), error(b, v))
             yield from place(idx + 1, choices + (sign,), tangent_seen or tangent, worst)
             del pos[v]

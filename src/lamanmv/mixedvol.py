@@ -528,6 +528,11 @@ def mv_for_graph(framework, form=FORM_SUBSOE, seed=0, oracle=False, deadline=Non
         system = build_subsoe(fw)
     else:
         raise InputError(f"unknown system form {form!r}")
+    return _mv_for_system(system, seed, oracle, deadline)
+
+
+def _mv_for_system(system, seed=0, oracle=False, deadline=None):
+    """`mv_for_graph` on a system already built."""
     polys = newton_polytopes(system)
     blocks = separation_split(polys)
     value = Fraction(1)

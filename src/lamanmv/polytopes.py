@@ -4,37 +4,31 @@ Polytopes are stored purely as vertex lists in Q^k. Vertex reduction,
 edges and volumes share one certified face lattice on Python ints: the
 points are scaled by the lcm of their denominators and projected onto
 integer coordinates of their affine hull. Affinely independent points
-are all vertices and collinear points reduce to their endpoints;
-otherwise qhull proposes facets in floats and each is certified exactly
-(an integer normal with every point on one side, the exact set of points
-on it, and ridge closure: every facet of a facet lies in exactly two
-facets). Only the complete facet list passes the closure check. When
-qhull is missing or fails, or its proposal does not certify, the facets
-come from an exhaustive search over point subsets with the same integer
-checks. So the vertices (the vertices of the facets), the edges (every
-vertex pair of a simplex face) and the volume (a pyramid triangulation
-with integer determinants, divided by D^k * k! at the end) are exact,
-and no LP runs. Each face is certified once per hull, however many
-facets it lies in; `from_points` keeps the lattice on its vertices, and
-a polytope built otherwise builds it on first use. Volumes are capped at
-dimension 6.
+are all vertices and collinear points reduce to their endpoints. A
+polygon's edges come from the monotone chain (Andrew, IPL 1979); a face
+of dimension >= 3 is gift-wrapped (Chand & Kapur, JACM 1970): a facet of
+a projection gives the first facet, and one turn of the hyperplane about
+a ridge that lies in only one facet found so far gives a new one, until
+every ridge lies in two; the facet graph is connected, so the list is
+complete by construction. Every facet is certified on integers (no
+point above its hyperplane, and every point on it listed); a failed
+certificate is an InternalError. So the vertices (the vertices of the
+facets), the edges (every vertex pair of a simplex face) and the volume
+(a pyramid triangulation with integer determinants, divided by
+D^k * k! at the end) are exact, with no LP and no floating point. Each
+face is certified once per hull, however many facets it lies in;
+`from_points` keeps the lattice on its vertices, and a polytope built
+otherwise builds it on first use. Volumes are capped at dimension 6.
 """
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd
 from operator import mul
 
-from ._linalg import echelon, int_det, scaled
-from .errors import CapabilityError, InputError, check_deadline
-
-try:  # proposes facets only; every proposal is certified exactly
-    import numpy as np
-    from scipy.spatial import ConvexHull as _ConvexHull
-except Exception:  # pragma: no cover
-    _ConvexHull = None
+from ._linalg import echelon, int_det, scaled, solve
+from .errors import CapabilityError, InputError, InternalError, check_deadline
 
 VOLUME_DIM_CAP = 6
 
@@ -63,16 +57,24 @@ class RationalPolytope:
         `deadline` (a time.monotonic() value) has passed, checked before
         each facet computation.
         """
-        pts = [_frac_point(p) for p in points]
+        pts = [
+            p if all(isinstance(x, (int, Fraction)) for x in p) else _frac_point(p)
+            for p in map(tuple, points)
+        ]
         if not pts:
             raise InputError("empty point list")
         dim = len(pts[0])
         if any(len(p) != dim for p in pts):
             raise InputError("inconsistent point dimensions")
-        pts = sorted(set(pts))
-        root = _Face(tuple(range(len(pts))), _affine(scaled(pts)[0]), _Hull(deadline))
+        # Duplicates go and the order is fixed on the scaled integers
+        # (a positive scale keeps the order); Fractions only for vertices.
+        point_of = dict(zip(scaled(pts)[0], pts))
+        keys = sorted(point_of)
+        root = _Face(tuple(range(len(keys))), _affine(keys), _Hull(deadline))
         keep = sorted(root.vertices())
-        poly = RationalPolytope(ambient_dim=dim, vertices=tuple(pts[i] for i in keep))
+        poly = RationalPolytope(
+            ambient_dim=dim, vertices=tuple(_frac_point(point_of[keys[i]]) for i in keep)
+        )
         poly._cache["hull"] = (poly.vertices, root.restrict({i: n for n, i in enumerate(keep)}, {}))
         return poly
 
@@ -250,9 +252,10 @@ def _affine(pts):
 class _Hull:
     """What the faces of one hull share.
 
-    `faces` maps the id set of every face built so far to its `_Face`,
-    so a face lying in several facets is built and certified once;
-    `deadline` is checked before each facet computation.
+    `faces` maps the ids of every face built so far (an increasing
+    tuple) to its `_Face`, so a face lying in several facets is built
+    and certified once; `deadline` is checked before each facet
+    computation.
     """
 
     def __init__(self, deadline):
@@ -260,10 +263,9 @@ class _Hull:
         self.faces = {}
 
     def face(self, ids, pts):
-        key = frozenset(ids)
-        found = self.faces.get(key)
+        found = self.faces.get(ids)
         if found is None:
-            found = self.faces[key] = _Face(ids, pts, self)
+            found = self.faces[ids] = _Face(ids, pts, self)
         return found
 
 
@@ -272,8 +274,12 @@ class _Face:
 
     `ids` names each point for the caller, in increasing order. A facet
     is a `_Face` of the points on it, in the coordinates left after
-    dropping one coordinate on which its normal is nonzero (a bijection
-    of its hyperplane); which parent builds it does not matter.
+    dropping the last coordinate on which its normal is nonzero, a
+    bijection of its hyperplane. The coordinates kept are then the
+    lexicographically first ones that parametrize the facet, so they do
+    not depend on which parent builds a shared face, and a normal in a
+    facet's coordinates lifts to the parent's with a zero at the dropped
+    position.
     """
 
     def __init__(self, ids, pts, hull, d=None):
@@ -282,6 +288,7 @@ class _Face:
         self.hull = hull
         self.d = len(pts[0]) if d is None else d
         self._facets = None
+        self._planes = None  # (outer normal, offset) of each facet, in these coordinates
         self._vertices = None
 
     def is_simplex(self):
@@ -295,10 +302,34 @@ class _Face:
                         max(range(len(self.pts)), key=self.pts.__getitem__))
                 self._facets = [self.hull.face((self.ids[i],), [()]) for i in ends]
             else:
-                self._facets = _certified_facets(self) or _facets_through(
-                    self, itertools.combinations(range(len(self.pts)), self.d)
-                )
+                found = _facets(self)
+                p = self.pts[0]
+                self._planes = [(n, sum(map(mul, n, p)) - h[0]) for n, h, _ in found]
+                self._facets = [f for _, _, f in found]
         return self._facets
+
+    def ridges(self):
+        """The ids of each facet, for a face of dimension >= 2; a simplex builds no facets."""
+        if self.is_simplex():
+            return [self.ids[:v] + self.ids[v + 1:] for v in range(len(self.ids))]
+        return [f.ids for f in self.facets()]
+
+    def plane(self, j):
+        """(outer normal, offset) of the facet listed j-th by `ridges`.
+
+        For a simplex, with p_1 - p_0, ..., p_d - p_0 as the rows of R,
+        the normal of the facet opposite p_j solves R x = -e_j (j >= 1),
+        and that of the facet opposite p_0 solves R x = 1.
+        """
+        if not self.is_simplex():
+            return self._planes[j]
+        p0 = self.pts[0]
+        rhs = [-(i == j - 1) for i in range(self.d)] if j else [1] * self.d
+        _, x = solve([[a - b for a, b in zip(p, p0)] + [c] for p, c in zip(self.pts[1:], rhs)])
+        g = gcd(*x)
+        normal = tuple(y // g for y in x)
+        # p_0 lies on every facet but the one opposite it, which holds p_1.
+        return normal, sum(map(mul, normal, self.pts[0 if j else 1]))
 
     def restrict(self, index, memo):
         """This face on the points named in `index` only, renamed by it.
@@ -316,12 +347,6 @@ class _Face:
             if not out.is_simplex():
                 out._facets = [f.restrict(index, memo) for f in self.facets()]
         return out
-
-    def facet_ids(self):
-        """The point ids of each facet (each ridge, seen from the parent)."""
-        if self.is_simplex():
-            return [frozenset(s) for s in itertools.combinations(self.ids, self.d)]
-        return [frozenset(f.ids) for f in self.facets()]
 
     def vertices(self):
         """Ids of the extreme points: the vertices of the facets."""
@@ -359,64 +384,138 @@ class _Face:
         return pairs
 
 
-def _certified_facets(face):
-    """The facets of a face of dimension >= 2 as proposed by qhull, or None.
+def _facets(face):
+    """(outer normal, heights, facet) of every facet of a face of dimension >= 2.
 
-    Each facet is certified by `_facets_through`; the list is complete
-    when every ridge lies in exactly two of them (the facet graph of a
-    polytope is connected, and each ridge joins exactly two facets).
-    None when qhull is missing or fails, or the list is not complete.
-    """
-    if _ConvexHull is None:
-        return None
-    try:
-        proposals = _ConvexHull(np.array(face.pts, dtype=float)).simplices.tolist()
-    except Exception:  # qhull's failure only selects the exhaustive search
-        return None
-    facets = _facets_through(face, proposals)
-    ridges = Counter(r for f in facets for r in f.facet_ids())
-    if not facets or any(n != 2 for n in ridges.values()):
-        return None
-    return facets
-
-
-def _facets_through(face, subsets):
-    """Distinct facets on hyperplanes through given d-point subsets.
-
-    A subset yields a facet when its points are affinely independent and
-    every point lies on one side of their hyperplane (integer normal);
-    the facet holds every point on it. Subsets inside a facet already
-    found are skipped.
+    A polygon's edges come from the monotone chain (Andrew 1979); a face
+    of dimension >= 3 is gift-wrapped (Chand & Kapur 1970): a first facet
+    from `_first_plane`, then one turn about each ridge that lies in only
+    one facet found so far, with the ridge's normal read off that facet
+    (`_Face.plane`) and lifted. The facet graph is connected, so no facet
+    is missed. Heights are normal.p - offset, one per point; `_facet`
+    certifies each plane.
     """
     pts = face.pts
-    found = []
-    onsets = []
-    for subset in subsets:
-        if any(onset.issuperset(subset) for onset in onsets):
-            continue
-        p0 = pts[subset[0]]
-        normal = _normal([[a - b for a, b in zip(pts[i], p0)] for i in subset[1:]])
-        if normal is None:
-            continue
-        vals = [sum(map(mul, normal, p)) for p in pts]
-        b = vals[subset[0]]
-        if b != max(vals) and b != min(vals):
-            continue
-        onset = [i for i, v in enumerate(vals) if v == b]
-        drop = next(c for c, x in enumerate(normal) if x)
-        onsets.append(frozenset(onset))
-        found.append(face.hull.face(
-            tuple(face.ids[i] for i in onset),
-            [pts[i][:drop] + pts[i][drop + 1:] for i in onset],
-        ))
+    if face.d == 2:
+        found = []
+        for normal, off in _chain(pts):
+            heights = [normal[0] * x + normal[1] * y - off for x, y in pts]
+            found.append((normal, heights, _facet(face, normal, heights)))
+        return found
+    normal, heights = _first_plane(pts)
+    found = [(normal, heights, _facet(face, normal, heights))]
+    known = {found[0][2]}
+    # Ridges seen in exactly one facet found so far: only these are turned
+    # about, so every turn must reach a new facet.
+    unmatched = set(found[0][2].ridges())
+    for normal, heights, facet in found:
+        drop = _drop(normal)
+        for j, ridge in enumerate(facet.ridges()):
+            if ridge not in unmatched:
+                continue
+            rnormal, roff = facet.plane(j)
+            lift = rnormal[:drop] + (0,) + rnormal[drop:]
+            turned = _turn(
+                normal, heights, [-x for x in lift], [roff - sum(map(mul, lift, p)) for p in pts]
+            )
+            new = _facet(face, *turned)
+            if new in known:
+                raise InternalError("a turn about an unmatched ridge reached a known facet")
+            known.add(new)
+            found.append(turned + (new,))
+            unmatched.symmetric_difference_update(new.ridges())
     return found
 
 
+def _facet(face, normal, heights):
+    """The facet of `face` on a plane, certified: no height above 0, and every point at 0 on it."""
+    if max(heights) > 0:
+        raise InternalError("a facet plane leaves points on both sides")
+    onset = [i for i, h in enumerate(heights) if not h]
+    drop = _drop(normal)
+    return face.hull.face(
+        tuple(face.ids[i] for i in onset),
+        [face.pts[i][:drop] + face.pts[i][drop + 1:] for i in onset],
+    )
+
+
+def _drop(normal):
+    """The last coordinate on which a normal is nonzero."""
+    return max(c for c, x in enumerate(normal) if x)
+
+
+def _chain(pts):
+    """(outer primitive normal, offset) of each edge of the hull of points spanning Z^2.
+
+    The lower and upper chains keep only strict left turns, so every
+    vertex is a corner and no edge is listed twice.
+    """
+    order = sorted(range(len(pts)), key=pts.__getitem__)
+    cycle = []
+    for seq in (order, order[::-1]):
+        half = []
+        for i in seq:
+            (x, y) = pts[i]
+            while len(half) > 1:
+                (x0, y0), (x1, y1) = pts[half[-2]], pts[half[-1]]
+                if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) > 0:
+                    break
+                half.pop()
+            half.append(i)
+        cycle += half[:-1]
+    planes = []
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        (x0, y0), (x1, y1) = pts[u], pts[v]
+        g = gcd(y1 - y0, x1 - x0)
+        nx, ny = (y1 - y0) // g, (x0 - x1) // g
+        planes.append(((nx, ny), nx * x0 + ny * y0))
+    return planes
+
+
+def _first_plane(pts):
+    """(outer normal, heights) of one facet of integer points spanning Z^k, k >= 1.
+
+    A facet of the projection that drops the last coordinate lifts to a
+    supporting vertical plane. It is a facet when the points on it span
+    k - 1 dimensions; otherwise they span a ridge, and one turn about it
+    reaches a facet.
+    """
+    if len(pts[0]) == 1:
+        top = max(p[0] for p in pts)
+        return (1,), [p[0] - top for p in pts]
+    normal, heights = _first_plane([p[:-1] for p in pts])
+    normal += (0,)
+    on = [pts[i] for i, h in enumerate(heights) if not h]
+    basis = [row for _, row in echelon([[x - y for x, y in zip(p, on[0])] for p in on[1:]])]
+    if len(basis) == len(normal) - 1:
+        return normal, heights
+    m = _normal(basis + [list(normal)])
+    r = sum(map(mul, m, on[0]))
+    return _turn(normal, heights, m, [sum(map(mul, m, p)) - r for p in pts])
+
+
+def _turn(normal, heights, m, b):
+    """Turn a supporting plane about a ridge until it meets a point: (normal, heights) there.
+
+    `heights` (normal.p - offset, all <= 0) and `b` (m.p + const) both
+    vanish on the ridge, and `b` is >= 0 on the plane. The point c below
+    the plane that maximises the angle is kept (p replaces c when
+    a_c*b_p - a_p*b_c > 0, with a the heights); the new normal is
+    a_c*m - b_c*normal and its heights a_c*b - b_c*a, both divided by
+    the normal's gcd.
+    """
+    ac = None
+    for ap, bp in zip(heights, b):
+        if ap < 0 and (ac is None or ac * bp - ap * bc > 0):
+            ac, bc = ap, bp
+    new = [ac * y - bc * x for x, y in zip(normal, m)]
+    g = gcd(*new)
+    return tuple(x // g for x in new), [(ac * y - bc * x) // g for x, y in zip(heights, b)]
+
+
 def _normal(rows):
-    """Primitive integer normal to d-1 vectors in Z^d; None if dependent."""
+    """Primitive integer normal to d-1 independent vectors in Z^d."""
     d = len(rows[0])
     normal = [(-1) ** j * int_det([r[:j] + r[j + 1:] for r in rows]) for j in range(d)]
     g = gcd(*normal)
-    if not g:
-        return None
-    return [x // g for x in normal]
+    return tuple(x // g for x in normal)

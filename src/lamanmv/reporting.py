@@ -252,7 +252,7 @@ def build_report(framework, seed=0, tight=False, deadline=None):
     timings["mv_soe_certificate"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    sub = mixedvol.mv_for_graph(framework, polysys.FORM_SUBSOE, seed=seed, deadline=deadline)
+    sub = mixedvol._mv_for_system(subsoe, seed=seed, deadline=deadline)
     report.mv_subsoe = mv_result_dict(sub)
     timings["mv_subsoe"] = time.monotonic() - t0
 

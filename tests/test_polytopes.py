@@ -4,10 +4,11 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from reference_hull import reference_edges, reference_vertices, reference_volume
+from reference_hull import _facet_enumeration, reference_edges, reference_vertices, reference_volume
 
 from lamanmv import polytopes
-from lamanmv.errors import CapabilityError, InputError
+from lamanmv._linalg import scaled
+from lamanmv.errors import CapabilityError, InputError, InternalError
 from lamanmv.polytopes import (
     EdgeCell,
     RationalPolytope,
@@ -255,35 +256,72 @@ def _assert_edges_match_reference(p):
     assert {frozenset(e) for e in q.edges()} == {frozenset(e) for e in expected}
 
 
-class _FailingHull:
-    def __init__(self, *args, **kwargs):
-        raise RuntimeError("qhull unavailable")
+def _wrap_input(rng, k):
+    """Seeded point set in Q^k with points on its facets.
+
+    A sample of the lattice points of [0, 2]^k (many points in lines and
+    planes on its facets), or a rational simplex or cross-polytope with
+    midpoints of some edges (collinear on a facet) and centroids of some
+    vertex triples of one facet (coplanar on it); the last two are
+    scaled by a random rational and shifted. The cross-polytope stops at
+    dimension 5: the reference is slow on the 64 facets of the
+    6-dimensional one.
+    """
+    kind = rng.choice(("box", "simplex", "cross")[: 2 if k > 5 else 3])
+    if kind == "box":
+        return [tuple(F(rng.randint(0, 2)) for _ in range(k)) for _ in range(rng.randint(k + 1, k + 6))]
+    if kind == "simplex":
+        verts = [tuple(F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(k)) for _ in range(k + 1)]
+        facets = [verts[1:]]
+    else:
+        verts = [tuple(F(s) if c == i else F(0) for c in range(k)) for i in range(k) for s in (1, -1)]
+        facets = [[verts[2 * i + rng.randint(0, 1)] for i in range(k)] for _ in range(2)]
+    pts = list(verts)
+    for _ in range(rng.randint(1, 4)):
+        facet = rng.choice(facets)
+        a, b = rng.sample(facet, 2)
+        pts.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+        if k > 2:
+            a, b, c = rng.sample(facet, 3)
+            pts.append(tuple((x + y + z) / 3 for x, y, z in zip(a, b, c)))
+    scale = F(rng.randint(1, 5), rng.randint(1, 4))
+    shift = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)]
+    pts = [tuple(scale * x + s for x, s in zip(p, shift)) for p in pts]
+    rng.shuffle(pts)
+    return pts
 
 
-def _partial_hull(points):
-    # A proposal that misses facets, so the ridge closure check fails.
-    hull = pytest.importorskip("scipy.spatial").ConvexHull(points)
-    hull.simplices = hull.simplices[: max(1, len(hull.simplices) // 2)]
-    return hull
-
-
-@pytest.mark.parametrize("proposer", [None, _FailingHull, _partial_hull])
-def test_fallbacks_match_default_path(monkeypatch, proposer):
-    rng = random.Random(11)
-    cases = [_random_hull_input(rng, 2 + trial % 3) for trial in range(60)]
-    expected = [(RP(pts).vertices, RP(pts).edges(), volume_exact(RP(pts))) for pts in cases]
-    monkeypatch.setattr(polytopes, "_ConvexHull", proposer)
-    failed = []
-    certified = polytopes._certified_facets
-    monkeypatch.setattr(
-        polytopes, "_certified_facets", lambda face: certified(face) or failed.append(face)
-    )
-    for pts, (verts, edges, vol) in zip(cases, expected):
+def test_facets_match_reference_in_dimensions_2_to_6():
+    # The facets of the root face (each with every point on it), the
+    # vertices, the edges and the volume, against the LP and Fraction
+    # reference.
+    rng = random.Random(31)
+    for trial in range(30):
+        k = 2 + trial % 5
+        pts = _wrap_input(rng, k)
+        ints = sorted(set(scaled(pts)[0]))
+        face = polytopes._Face(tuple(range(len(ints))), polytopes._affine(ints), polytopes._Hull(None))
+        if face.d >= 2:
+            got = {frozenset(f.ids) for _, _, f in polytopes._facets(face)}
+            want = {frozenset(o) for o in _facet_enumeration([tuple(map(F, q)) for q in face.pts], face.d)}
+            assert got == want, pts
         p = RP(pts)
-        assert p.vertices == verts, pts
-        assert p.edges() == edges, pts
-        assert volume_exact(p) == vol, pts
-    assert failed  # the exhaustive facet search really ran
+        assert p.vertices == reference_vertices(pts), pts
+        assert volume_exact(p) == reference_volume(p), pts
+        _assert_edges_match_reference(p)
+
+
+def test_forged_turn_raises_internal_error(monkeypatch):
+    # A turn the wrong way about a ridge leaves points above the new
+    # plane, which its certificate refuses.
+    turn = polytopes._turn
+    monkeypatch.setattr(
+        polytopes,
+        "_turn",
+        lambda normal, heights, m, b: turn(normal, heights, [-x for x in m], [-x for x in b]),
+    )
+    with pytest.raises(InternalError):
+        RP(itertools.product(range(2), repeat=3))
 
 
 def test_hull_is_independent_of_point_order_and_repeats():
@@ -311,14 +349,12 @@ def test_volume_and_reduction_honour_deadline():
 
 def test_each_face_is_certified_once(monkeypatch):
     # Every lattice point of the box [0, 2]^6. The 6-cube has 3^6 faces,
-    # 473 of them of dimension >= 2, which need one qhull proposal each;
-    # a face reached through several facets is certified once, and the
-    # volume reads the lattice that from_points kept.
-    hull = polytopes._ConvexHull
-    if hull is None:
-        pytest.skip("qhull is not available")
+    # 473 of them of dimension >= 2, which need one facet computation
+    # each; a face reached through several facets is certified once, and
+    # the volume reads the lattice that from_points kept.
+    facets = polytopes._facets
     calls = []
-    monkeypatch.setattr(polytopes, "_ConvexHull", lambda pts: calls.append(len(pts)) or hull(pts))
+    monkeypatch.setattr(polytopes, "_facets", lambda face: calls.append(face.d) or facets(face))
     p = RationalPolytope.from_points(itertools.product(range(3), repeat=6))
     assert p.vertices == tuple(itertools.product((F(0), F(2)), repeat=6))
     assert len(calls) == 473

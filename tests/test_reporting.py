@@ -253,9 +253,9 @@ def test_cli_timeout_exit(tmp_path, capsys):
 
 
 def test_cli_report_timeout_reaches_every_stage(tmp_path, capsys):
-    # 2^18 embeddings take about 25 s to enumerate; the deadline must stop
+    # 2^20 embeddings take about 10 s to enumerate; the deadline must stop
     # the report there as well as in the mixed-cell search.
-    g = henneberg_apply(random_henneberg_sequence(20, seed=1))
+    g = henneberg_apply(random_henneberg_sequence(22, seed=1))
     text = f"n {g.n}\n" + "\n".join(f"e {a} {b}" for a, b in sorted(g.edges))
     start = time.monotonic()
     code = run_cli(tmp_path, text, "report", "--timeout", "3", "--no-timings")
