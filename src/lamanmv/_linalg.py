@@ -1,13 +1,29 @@
 """Small exact linear algebra helpers on Python-int rows.
 
-All elimination is fraction-free (Bareiss, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination", Math. Comp. 1968).
-Rationals become integers in one place, `scaled`, and no Fraction is
-built inside an elimination; `int_det` and `solve` share one forward
-elimination. The dimensions in this package stay below ~40.
+A coordinate is an int when it is integral and a Fraction only when it
+is not (`rational`). Int points pass `scaled` as they are; other points
+become integers there, in one place, and no Fraction is built inside an
+elimination. All elimination is fraction-free (Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 1968); `int_det` and `solve` share one forward elimination. The
+dimensions in this package stay below ~40.
 """
 
 import math
+from fractions import Fraction
+from itertools import chain, repeat
+
+
+def rational(x):
+    """x as an int when it is integral, else as a Fraction."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def all_int(points):
+    """True when every coordinate of every point is an int."""
+    return all(map(isinstance, chain.from_iterable(points), repeat(int)))
 
 
 def eliminate(row, col, pivot):
@@ -47,7 +63,9 @@ def echelon(rows):
 
 
 def scaled(points):
-    """Integer points D*p for the lcm D of all denominators, and D."""
+    """Integer points D*p for the lcm D of all denominators, and D (int points as they are)."""
+    if all_int(points):
+        return list(map(tuple, points)), 1
     den = math.lcm(*(x.denominator for p in points for x in p))
     return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
 

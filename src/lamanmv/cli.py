@@ -10,6 +10,7 @@ self-check, which means a bug).
 """
 
 import argparse
+import functools
 import sys
 import time
 
@@ -33,7 +34,9 @@ EXIT_CAPABILITY = 2
 EXIT_INTERNAL = 3
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built on first use and shared by every `run`."""
     p = argparse.ArgumentParser(
         prog="lamanmv",
         description="Exact mixed-volume bounds for planar framework embeddings",

@@ -68,7 +68,7 @@ NO = "no"
 
 @dataclass(frozen=True)
 class Lifting:
-    """One rational lifting vector per polytope."""
+    """One rational lifting vector per polytope (integral entries as ints)."""
 
     vectors: tuple
 
@@ -107,16 +107,12 @@ class MVResult:
 def random_lifting(polys, seed):
     """Deterministic pseudorandom lifting, reproducible from the seed.
 
-    Entries are nonnegative rationals with bounded numerator and
-    denominator; integer numerators keep the downstream exact pivots
-    small.
+    Entries are ints in [0, 2**16], which keep the downstream exact
+    pivots small.
     """
     rng = random.Random(seed)
     dim = polys[0].ambient_dim if polys else 0
-    vectors = tuple(
-        tuple(Fraction(rng.randint(0, 2**16), 1) for _ in range(dim))
-        for _ in polys
-    )
+    vectors = tuple(tuple(rng.randint(0, 2**16) for _ in range(dim)) for _ in polys)
     return Lifting(vectors=vectors)
 
 
@@ -597,13 +593,13 @@ def certify_general_bound(g, deadline=None):
     n = g.n
     k = 2 * n
     supports = [polytopes.RationalPolytope(k, tuple(p.support())) for p in system.polys]
-    mu = [tuple(Fraction(1) if c == j else Fraction(4 * n) for c in range(k)) for j in range(k)]
+    mu = [tuple(1 if c == j else 4 * n for c in range(k)) for j in range(k)]
     lifting = Lifting(vectors=tuple(mu))
-    zero = tuple(Fraction(0) for _ in range(k))
+    zero = (0,) * k
     edges = []
     for j in range(k):
         scale = 1 if j < 4 else 2
-        vertex = tuple(Fraction(scale) if c == j else Fraction(0) for c in range(k))
+        vertex = tuple(scale if c == j else 0 for c in range(k))
         if vertex not in supports[j].vertices or zero not in supports[j].vertices:
             raise InternalError("expected cell points missing from a support")
         edges.append((vertex, zero))

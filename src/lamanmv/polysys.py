@@ -11,8 +11,11 @@ exact over Gaussian rationals.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import mul
 
 from . import polytopes
+from ._linalg import rational
 from .errors import InputError
 from .graphs import _base_framework, edge_key, orient_two_in
 
@@ -24,12 +27,14 @@ FORM_CUSTOM = "custom"
 
 @dataclass(frozen=True)
 class GaussianRational:
+    """re + i*im with exact rational parts; `of` makes integral parts ints."""
+
     re: Fraction
-    im: Fraction = Fraction(0)
+    im: Fraction = 0
 
     @staticmethod
     def of(re, im=0):
-        return GaussianRational(Fraction(re), Fraction(im))
+        return GaussianRational(rational(re), rational(im))
 
     def __add__(self, other):
         return GaussianRational(self.re + other.re, self.im + other.im)
@@ -92,17 +97,17 @@ class Polynomial:
 
     @staticmethod
     def make(nvars, coeffs):
-        terms = {}
+        terms = []
         for expo, c in coeffs.items():
             c = Fraction(c)
             if len(expo) != nvars:
                 raise InputError("exponent length mismatch")
-            if not all(isinstance(e, int) and e >= 0 for e in expo):
+            if not (all(map(isinstance, expo, repeat(int))) and min(expo, default=0) >= 0):
                 raise InputError(f"exponents must be nonnegative integers: {expo!r}")
             if c != 0:
-                terms[expo] = terms.get(expo, Fraction(0)) + c
-        cleaned = tuple(sorted((e, c) for e, c in terms.items() if c != 0))
-        return Polynomial(nvars=nvars, terms=cleaned)
+                terms.append((expo, c))
+        # A mapping holds each exponent once: nothing to merge.
+        return Polynomial(nvars=nvars, terms=tuple(sorted(terms)))
 
     def support(self):
         return [e for e, _ in self.terms]
@@ -122,21 +127,23 @@ class Polynomial:
             raise InputError("point length mismatch")
         total = GR_ZERO
         for expo, coeff in self.terms:
-            val = GaussianRational.of(coeff)
-            for x, e in zip(point, expo):
+            # The monomial over the term's variables only (compress keeps
+            # point[i] where expo[i] != 0), then the coefficient.
+            val = GR_ONE
+            for x, e in zip(compress(point, expo), filter(None, expo)):
                 for _ in range(e):
                     val = val * x
-            total = total + val
+            total = total + val * GaussianRational(coeff)
         return total
 
     def face(self, w):
         """Terms minimal under the rational direction w (the w-face subpolynomial)."""
         if all(x == 0 for x in w):
             raise InputError("face direction must be nonzero")
-        vals = [sum(wc * e for wc, e in zip(w, expo) if e) for expo, _ in self.terms]
+        vals = [sum(map(mul, w, expo)) for expo, _ in self.terms]
         lo = min(vals)
-        kept = {e: c for (e, c), v in zip(self.terms, vals) if v == lo}
-        return Polynomial.make(self.nvars, kept)
+        # A subsequence of sorted, nonzero terms needs no cleaning.
+        return Polynomial(self.nvars, tuple(t for t, v in zip(self.terms, vals) if v == lo))
 
 
 @dataclass(frozen=True)
@@ -292,7 +299,7 @@ def face_system(system, w):
         raise InputError("direction length mismatch")
     if all(x == 0 for x in w):
         raise InputError("face direction must be nonzero")
-    w = tuple(Fraction(x) for x in w)
+    w = tuple(map(rational, w))
     return PolySystem(
         system.variables, tuple(p.face(w) for p in system.polys), form=FORM_FACE
     )
@@ -313,7 +320,7 @@ def bezout(system):
 
 def degeneracy_direction(n):
     """Direction that keeps pinning terms and drops edge constants."""
-    return tuple([Fraction(0)] * 4 + [Fraction(-1)] * (2 * n - 4))
+    return (0,) * 4 + (-1,) * (2 * n - 4)
 
 
 def degeneracy_witness_point(n, consts, l12):

@@ -1,40 +1,38 @@
 """Exact rational polytope primitives.
 
-Polytopes are stored purely as vertex lists in Q^k. Vertex reduction,
-edges and volumes share one certified face lattice on Python ints: the
-points are scaled by the lcm of their denominators and projected onto
-integer coordinates of their affine hull. Affinely independent points
-are all vertices and collinear points reduce to their endpoints. A
-polygon's edges come from the monotone chain (Andrew, IPL 1979); a face
-of dimension >= 3 is gift-wrapped (Chand & Kapur, JACM 1970): a facet of
-a projection gives the first facet, and one turn of the hyperplane about
-a ridge that lies in only one facet found so far gives a new one, until
-every ridge lies in two; the facet graph is connected, so the list is
-complete by construction. Every facet is certified on integers (no
-point above its hyperplane, and every point on it listed); a failed
-certificate is an InternalError. So the vertices (the vertices of the
-facets), the edges (every vertex pair of a simplex face) and the volume
-(a pyramid triangulation with integer determinants, divided by
-D^k * k! at the end) are exact, with no LP and no floating point. Each
-face is certified once per hull, however many facets it lies in;
-`from_points` keeps the lattice on its vertices, and a polytope built
-otherwise builds it on first use. Volumes are capped at dimension 6.
+Polytopes are stored purely as vertex lists in Q^k, a coordinate an int
+when it is integral (`_linalg.rational`), so a lattice polytope holds
+ints only. Vertex reduction, edges and volumes share one certified face
+lattice on Python ints: the points are scaled by the lcm of their
+denominators and projected onto integer coordinates of their affine
+hull. Affinely independent points are all vertices and collinear points
+reduce to their endpoints. A polygon's edges come from the monotone
+chain (Andrew, IPL 1979); a face of dimension >= 3 is gift-wrapped
+(Chand & Kapur, JACM 1970): a facet of a projection gives the first
+facet, and one turn of the hyperplane about a ridge that lies in only
+one facet found so far gives a new one, until every ridge lies in two;
+the facet graph is connected, so the list is complete by construction.
+Every facet is certified on integers (no point above its hyperplane, and
+every point on it listed); a failed certificate is an InternalError. So
+the vertices (the vertices of the facets), the edges (every vertex pair
+of a simplex face) and the volume (a pyramid triangulation with integer
+determinants, divided by D^k * k! at the end) are exact, with no LP and
+no floating point. Each face is certified once per hull, however many
+facets it lies in; `from_points` keeps the lattice on its vertices, and
+a polytope built otherwise builds it on first use. Volumes are capped at
+dimension 6.
 """
 
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd
-from operator import mul
+from operator import add, mul, sub
 
-from ._linalg import echelon, int_det, scaled, solve
+from ._linalg import all_int, echelon, int_det, rational, scaled, solve
 from .errors import CapabilityError, InputError, InternalError, check_deadline
 
 VOLUME_DIM_CAP = 6
-
-
-def _frac_point(p):
-    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in p)
 
 
 @dataclass(frozen=True)
@@ -57,23 +55,22 @@ class RationalPolytope:
         `deadline` (a time.monotonic() value) has passed, checked before
         each facet computation.
         """
-        pts = [
-            p if all(isinstance(x, (int, Fraction)) for x in p) else _frac_point(p)
-            for p in map(tuple, points)
-        ]
+        pts = list(map(tuple, points))
         if not pts:
             raise InputError("empty point list")
         dim = len(pts[0])
         if any(len(p) != dim for p in pts):
             raise InputError("inconsistent point dimensions")
+        if not all_int(pts):
+            pts = [tuple(map(rational, p)) for p in pts]
         # Duplicates go and the order is fixed on the scaled integers
-        # (a positive scale keeps the order); Fractions only for vertices.
+        # (a positive scale keeps the order); int points are their own keys.
         point_of = dict(zip(scaled(pts)[0], pts))
         keys = sorted(point_of)
         root = _Face(tuple(range(len(keys))), _affine(keys), _Hull(deadline))
         keep = sorted(root.vertices())
         poly = RationalPolytope(
-            ambient_dim=dim, vertices=tuple(_frac_point(point_of[keys[i]]) for i in keep)
+            ambient_dim=dim, vertices=tuple(point_of[keys[i]] for i in keep)
         )
         poly._cache["hull"] = (poly.vertices, root.restrict({i: n for n, i in enumerate(keep)}, {}))
         return poly
@@ -104,12 +101,9 @@ class RationalPolytope:
         if cached is None:
             verts, root = self._lattice()
             ids = root.edge_ids()
-            # The lattice id of each listed vertex (-1 for a non-vertex);
-            # ids compare cheaply where Fraction coordinates hash slowly.
-            if verts == self.vertices:
-                key = range(len(verts))
-            else:
-                key = [verts.index(v) if v in verts else -1 for v in self.vertices]
+            # The lattice id of each listed vertex (-1 for a non-vertex).
+            pos = dict(zip(verts, itertools.count()))
+            key = [pos.get(v, -1) for v in self.vertices]
             cached = tuple(
                 (a, b)
                 for (i, a), (j, b) in itertools.combinations(zip(key, self.vertices), 2)
@@ -119,10 +113,11 @@ class RationalPolytope:
         return cached
 
     def translate(self, shift):
-        shift = _frac_point(shift)
+        shift = tuple(map(rational, shift))
         return RationalPolytope(
             self.ambient_dim,
-            tuple(tuple(v[c] + shift[c] for c in range(self.ambient_dim)) for v in self.vertices),
+            tuple(tuple(rational(v[c] + shift[c]) for c in range(self.ambient_dim))
+                  for v in self.vertices),
         )
 
     def project(self, coords):
@@ -131,17 +126,15 @@ class RationalPolytope:
         return RationalPolytope.from_points(pts)
 
     def scale(self, factor):
-        f = Fraction(factor)
+        f = rational(factor)
         return RationalPolytope(
             self.ambient_dim,
-            tuple(tuple(f * x for x in v) for v in self.vertices),
+            tuple(tuple(rational(f * x) for x in v) for v in self.vertices),
         )
 
     def support(self):
         """Coordinates on which some vertex is nonzero."""
-        return frozenset(
-            c for c in range(self.ambient_dim) if any(v[c] != 0 for v in self.vertices)
-        )
+        return frozenset(c for c, column in enumerate(zip(*self.vertices)) if any(column))
 
 
 @dataclass(frozen=True)
@@ -151,9 +144,7 @@ class EdgeCell:
     edges: tuple  # tuple of ((point, point), ...) aligned with the polytope list
 
     def directions(self):
-        return [
-            tuple(a[c] - b[c] for c in range(len(a))) for a, b in self.edges
-        ]
+        return [tuple(map(sub, a, b)) for a, b in self.edges]
 
 
 def hull_vertices(points):
@@ -163,8 +154,8 @@ def hull_vertices(points):
 
 def is_edge(p, a, b):
     """True when conv{a, b} is an edge of p: a lookup in `p.edges()`."""
-    a = _frac_point(a)
-    b = _frac_point(b)
+    a = tuple(map(rational, a))
+    b = tuple(map(rational, b))
     if a == b:
         raise InputError("edge endpoints must be distinct")
     if a not in p.vertices or b not in p.vertices:
@@ -180,11 +171,7 @@ def minkowski_sum(p, q, deadline=None):
     """
     if p.ambient_dim != q.ambient_dim:
         raise InputError("Minkowski sum needs equal ambient dimensions")
-    sums = [
-        tuple(a[c] + b[c] for c in range(p.ambient_dim))
-        for a in p.vertices
-        for b in q.vertices
-    ]
+    sums = [tuple(map(add, a, b)) for a in p.vertices for b in q.vertices]
     return RationalPolytope.from_points(sums, deadline)
 
 

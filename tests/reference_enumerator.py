@@ -41,7 +41,7 @@ class AffineEliminator:
         self.pivots = []  # list of (pivot_col, coeff_row, rhs)
 
     def reduce(self, d, b):
-        d = list(d)
+        d = list(map(Fraction, d))
         b = Fraction(b)
         for col, row, rhs in self.pivots:
             f = d[col]

@@ -111,7 +111,7 @@ def reference_volume(p):
         raise CapabilityError(f"volume capped at dimension {VOLUME_DIM_CAP}")
     if k == 0:
         return Fraction(0)
-    verts = list(p.vertices)
+    verts = [tuple(map(Fraction, v)) for v in p.vertices]
     if len(verts) <= k:
         return Fraction(0)
     if k == 1:

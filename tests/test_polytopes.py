@@ -4,11 +4,16 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from conftest import framework_for, random_lattice_polytope
+from hypothesis import assume, given, settings, strategies as st
 from reference_hull import _facet_enumeration, reference_edges, reference_vertices, reference_volume
 
 from lamanmv import polytopes
 from lamanmv._linalg import scaled
 from lamanmv.errors import CapabilityError, InputError, InternalError
+from lamanmv.graphs import _base_framework, henneberg_apply, random_henneberg_sequence
+from lamanmv.mixedvol import mixed_volume
+from lamanmv.polysys import Polynomial, PolySystem, build_subsoe, newton_polytopes
 from lamanmv.polytopes import (
     EdgeCell,
     RationalPolytope,
@@ -360,3 +365,77 @@ def test_each_face_is_certified_once(monkeypatch):
     assert len(calls) == 473
     assert volume_exact(p) == 64
     assert len(calls) == 473
+
+
+# -- int coordinates ----------------------------------------------------------
+# A coordinate is an int when it is integral and a Fraction only when it is
+# not; these keep every lattice polytope on ints.
+
+
+def _point_lists(coordinate, max_dim=5, max_size=10):
+    return st.integers(1, max_dim).flatmap(
+        lambda k: st.lists(st.tuples(*[coordinate] * k), min_size=1, max_size=max_size)
+    )
+
+
+def _coordinate_types(points):
+    return {type(x) for p in points for x in p}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_point_lists(st.integers(-3, 3)), st.booleans())
+def test_integral_input_gives_int_coordinates(pts, as_fractions):
+    if as_fractions:
+        pts = [tuple(map(F, p)) for p in pts]
+    p = RP(pts)
+    # A polytope built without reduction keeps the input's types.
+    q = RationalPolytope(p.ambient_dim, tuple(pts))
+    assert _coordinate_types(p.vertices) == {int}
+    assert _coordinate_types(minkowski_sum(p, q).vertices) == {int}
+    assert _coordinate_types(minkowski_sum(q, q).vertices) == {int}
+    assert _coordinate_types(q.project(range(0, p.ambient_dim, 2)).vertices) == {int}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(
+    st.lists(st.tuples(*[st.integers(0, 3)] * k), min_size=1, max_size=6), min_size=1, max_size=3
+)))
+def test_newton_polytopes_have_int_coordinates(supports):
+    k = len(supports[0][0])
+    system = PolySystem(
+        tuple(f"x{i}" for i in range(k)),
+        tuple(Polynomial.make(k, {e: F(1, 2) for e in s}) for s in supports),
+    )
+    for poly, support in zip(newton_polytopes(system), supports, strict=True):
+        assert _coordinate_types(poly.vertices) == {int}
+        assert poly.vertices == reference_vertices(support)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(3, 7), st.integers(0, 10**6))
+def test_graph_newton_polytopes_have_int_coordinates(n, seed):
+    g = henneberg_apply(random_henneberg_sequence(n, seed=seed, step2_probability=0.5))
+    for poly in newton_polytopes(build_subsoe(_base_framework(framework_for(g)))):
+        assert _coordinate_types(poly.vertices) == {int}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_point_lists(st.fractions(-3, 3, max_denominator=4), max_dim=4, max_size=8))
+def test_rational_input_matches_reference_vertices(pts):
+    assume(any(x.denominator > 1 for p in pts for x in p))
+    p = RP(pts)
+    assert p.vertices == reference_vertices(pts)
+    assert all(type(x) is (int if x.denominator == 1 else F) for v in p.vertices for x in v)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 3))
+def test_int_and_fraction_vertices_agree(seed, dim):
+    # The same polytopes with int and with integral Fraction vertices.
+    rng = random.Random(seed)
+    ints = [random_lattice_polytope(rng, dim) for _ in range(dim)]
+    fracs = [RationalPolytope(dim, tuple(tuple(map(F, v)) for v in p.vertices)) for p in ints]
+    for p, q in zip(ints, fracs):
+        assert q.edges() == p.edges()
+        assert volume_exact(q) == volume_exact(p)
+    assert mixed_volume(fracs, seed=0) == mixed_volume(ints, seed=0)

@@ -211,6 +211,28 @@ def test_cli_unknown_flag_exit(tmp_path):
     assert cli.run(["check", "--bogus", str(path)]) == 1
 
 
+def test_cli_parser_is_shared_between_runs(tmp_path, capsys):
+    # A good call, a failing argv (exit 1), then other subcommands, on the
+    # one parser `run` reuses and then each on a newly built parser: the
+    # exit codes and both output streams agree.
+    path = tmp_path / "g.graph"
+    path.write_text(TRIANGLE)
+    argvs = [
+        ["check", str(path)],
+        ["check", "--bogus", str(path)],
+        ["orient", "--format", "text", str(path)],
+        ["mv", "--seed", "2", str(path)],
+    ]
+    shared = [(cli.run(argv), *capsys.readouterr()) for argv in argvs]
+    assert cli._parser() is cli._parser()
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append((cli.run(argv), *capsys.readouterr()))
+    assert [code for code, _, _ in shared] == [0, 1, 0, 0]
+    assert shared == fresh
+
+
 def test_cli_report_byte_identical(tmp_path, capsys):
     path = tmp_path / "g.graph"
     path.write_text(TRIANGLE)
