@@ -350,6 +350,11 @@ def henneberg_decompose(g, keep=frozenset(), only_step1=False):
     """
     if not check_laman(g)["laman"]:
         raise InputError("graph is not Laman")
+    return _henneberg_decompose(g, keep, only_step1)
+
+
+def _henneberg_decompose(g, keep, only_step1):
+    """`henneberg_decompose` for a graph known to be Laman."""
     if g.n < 3:
         raise NoSequenceError("no construction sequence: sequences start at the triangle")
     vertices = set(range(1, g.n + 1))
@@ -389,8 +394,15 @@ def h1_decomposition(g):
 
     Raises InputError when g is not Laman.
     """
+    if not check_laman(g)["laman"]:
+        raise InputError("graph is not Laman")
+    return _h1_decomposition(g)
+
+
+def _h1_decomposition(g):
+    """`h1_decomposition` for a graph known to be Laman."""
     try:
-        return henneberg_decompose(g, only_step1=True)
+        return _henneberg_decompose(g, frozenset(), True)
     except NoSequenceError:
         return None
 
@@ -458,10 +470,15 @@ def orient_two_in(g, base):
         raise InputError(f"base {base} is not an edge")
     if not check_laman(g)["laman"]:
         raise InputError("graph is not Laman")
+    return _orient_two_in(g, base)
+
+
+def _orient_two_in(g, base):
+    """`orient_two_in` for a Laman graph and one of its edges."""
     if g.n == 2:
         return Orientation(base=base, heads={})  # the lone base edge
     work, old_to_new = relabel_with_base(g, base)
-    dec = henneberg_decompose(work, keep=frozenset({1, 2}))
+    dec = _henneberg_decompose(work, frozenset({1, 2}), False)
     heads = {edge_key(1, 3): 3, edge_key(2, 3): 3}
     n = 3
     for step in dec.sequence.steps:

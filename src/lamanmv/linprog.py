@@ -5,11 +5,13 @@
 lemma exactly one of A x >= b and the Farkas system A^T y = 0,
 b^T y = 1, y >= 0 has a solution, and the test runs phase 1 of the dense
 simplex method on the latter: nvars + 1 equality rows with right-hand
-sides 0 and 1, one nonnegative column per input row (scaled to integers
-by the lcm of the row's denominators) and an identity block for the
-artificials. Bland's pivoting rule makes every run terminate and pivot
-identically on identical inputs; every pivot is the integer-preserving
-update of Bareiss (Math. Comp. 22, 1968). A positive phase-1 optimum
+sides 0 and 1, one nonnegative column per input row and an identity
+block for the artificials. Int rows, the only rows the mixed-cell search
+passes, enter the tableau as they are; when some entry is a Fraction,
+each row is scaled to integers by the lcm of its denominators. Bland's
+pivoting rule makes every run terminate and pivot identically on
+identical inputs; every pivot is the integer-preserving update of
+Bareiss (Math. Comp. 22, 1968). A positive phase-1 optimum
 means A x >= b is feasible. A zero one means it is not, and the basic
 columns give an int Farkas vector y >= 0 with y^T A = 0 and y^T b > 0
 (the rows add up to 0 >= a positive number), verified exactly before
@@ -20,6 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from ._linalg import all_int
 from .errors import InputError, InternalError
 
 FEASIBLE = "Feasible"
@@ -39,16 +42,19 @@ class LPOutcome:
 def solve(rows, nvars):
     """Phase 1 on the Farkas system of rows of nvars coefficients and a rhs.
 
-    Column j is row j times the lcm s_j of its denominators. Entries are
-    ints over one common denominator d > 0, each a minor of the initial
-    matrix up to sign, so the Bareiss update divides exactly. z is d times
-    the cost row of minus the sum of the artificials (z_j > 0: column j
-    lowers the sum), with d times the sum last. Certificates are not
-    re-checked here.
+    Column j is row j times the lcm s_j of its denominators; int rows
+    are used as given (s_j = 1). Entries are ints over one common
+    denominator d > 0, each a minor of the initial matrix up to sign, so
+    the Bareiss update divides exactly. z is d times the cost row of
+    minus the sum of the artificials (z_j > 0: column j lowers the sum),
+    with d times the sum last. Certificates are not re-checked here.
     """
     m = len(rows)
-    scales = [math.lcm(*[x.denominator for x in row]) for row in rows]
-    cols = [[(x * s).numerator for x in row] for row, s in zip(rows, scales)]
+    if all_int(rows):
+        scales, cols = [1] * m, rows
+    else:
+        scales = [math.lcm(*[x.denominator for x in row]) for row in rows]
+        cols = [[(x * s).numerator for x in row] for row, s in zip(rows, scales)]
     tab = [
         [col[i] for col in cols] + [int(t == i) for t in range(nvars + 1)] + [int(i == nvars)]
         for i in range(nvars + 1)

@@ -8,12 +8,16 @@ edge choices, pruned by (a) linear independence of the chosen edge
 directions and (b) exact LP feasibility of the touching functional.
 Every constraint row is the difference of two integer lifted points
 (`_lifted`), eliminated fraction-free against the chosen edge
-equalities and carried down the search, so each node reduces only what
-it adds; an exact LP runs only where the particular solution violates a
-row. That pruning test (`linprog.feasible`, phase 1 on the Farkas system
-of the rows, with one tableau row per free column plus one) is the only
-LP in the engine: the edges come from the certified face lattices of
-`polytopes`, and the cell checks here solve by `_linalg.solve`.
+equalities. A node reduces the differences of the next polytope's lifted
+points against its pivots once, and its children, one per edge of that
+polytope, share the table: each reads its edge direction and off-edge
+rows from it and reduces them, with the rows carried down from the node,
+by its own new pivot only. An exact LP runs only where the particular
+solution violates a row. That pruning test (`linprog.feasible`, phase 1
+on the Farkas system of the rows, with one tableau row per free column
+plus one) is the only LP in the engine: the edges come from the
+certified face lattices of `polytopes`, and the cell checks here solve
+by `_linalg.solve`.
 Complete cells are accepted only when every non-edge vertex clears the
 functional with a strictly positive margin; a zero margin, found at the
 leaf or carried down from the node that fixed it, means the lifting is
@@ -46,7 +50,7 @@ from .errors import (
     NonGenericLiftingError,
     check_deadline,
 )
-from .graphs import Framework, _base_framework, check_laman
+from .graphs import Framework, _base_framework
 from .polysys import FORM_SOE, FORM_SUBSOE, bezout, build_soe, build_subsoe, newton_polytopes
 
 # The search runs no float LP. The benchmark tracer (perfbench/tracing.py)
@@ -161,13 +165,17 @@ def is_mixed_cell(cell, polys, lifting):
 class _Enumerator:
     """Branch-and-prune search for all mixed cells under one lifting.
 
-    Every row is an integer tuple (coeffs..., rhs). A node's state is
-    passed down the recursion: the chosen edge equalities as pivot rows
-    in integer echelon form, the off-edge rows `<coeff, alpha> >= rhs` of
-    the chosen edges reduced against those pivots (so each row is zero on
-    the pivot columns and stands for a constraint on the free columns),
-    and a tie flag. A child reduces the carried rows by its one new pivot
-    and only the new polytope's rows against all pivots.
+    Every row is an integer tuple (coeffs..., rhs), the difference of two
+    lifted points. A node's state is passed down the recursion: the
+    chosen edge equalities as pivot rows in integer echelon form, the
+    off-edge rows `<coeff, alpha> >= rhs` of the chosen edges reduced
+    against those pivots (so each row is zero on the pivot columns and
+    stands for a constraint on the free columns), and a tie flag. A node
+    reduces the differences of the next polytope's lifted points against
+    its pivots once (`_reduced`), and its children share that table: the
+    child for edge (a, b) takes its direction a - b and its off-edge rows
+    a - u from it, then reduces those and the carried rows by its one
+    new pivot only.
     """
 
     def __init__(self, polys, lifting, deadline=None):
@@ -181,20 +189,14 @@ class _Enumerator:
         self.deadline = deadline
         self.order = self._search_order()
         self.edge_lists = [p.edges() for p in self.polys]
-        # Per polytope and edge (a, b), as differences of lifted points:
-        # the direction equality <alpha, a - b> = <mu, a - b>, and for each
-        # vertex u off the edge the row <alpha, a - u> >= <mu, a - u>.
-        self.directions = []
-        self.rows = []
+        # Per polytope, its lifted points in vertex order, and each edge
+        # (a, b) as the indices of its two vertices there.
+        self.lifted = []
+        self.edge_ids = []
         for poly, edges, mu in zip(self.polys, self.edge_lists, lifting.vectors, strict=True):
-            verts = poly.vertices
-            pts = _lifted(verts, mu)[0]
-            lift = dict(zip(verts, pts))
-            self.directions.append([tuple(map(sub, lift[a], lift[b])) for a, b in edges])
-            self.rows.append([
-                [tuple(map(sub, lift[a], lu)) for u, lu in zip(verts, pts) if u != a and u != b]
-                for a, b in edges
-            ])
+            self.lifted.append(_lifted(poly.vertices, mu)[0])
+            index = {v: i for i, v in enumerate(poly.vertices)}
+            self.edge_ids.append([(index[a], index[b]) for a, b in edges])
 
     def _search_order(self):
         """Static polytope order: few edges first, staying connected.
@@ -219,10 +221,8 @@ class _Enumerator:
         return order
 
     def run(self):
-        first = self.order[0]
         cells, ties = [], []
-        for idx in range(len(self.edge_lists[first])):
-            self._descend(((first, idx),), (), (), False, cells, ties)
+        self._branch((), (), (), False, cells, ties)
         if ties:
             raise NonGenericLiftingError(
                 "lifting produced tie cells; re-seed", cells=tuple(ties)
@@ -230,13 +230,34 @@ class _Enumerator:
         cells.sort(key=lambda r: r.cell.edges)
         return tuple(cells)
 
-    def _descend(self, chosen, pivots, active, tie, cells, ties):
+    def _reduced(self, poly_idx, pivots):
+        """table[i][j]: lifted point i minus lifted point j, reduced against the pivots.
+
+        Each pair i < j is reduced once; (j, i) is its negation, since
+        eliminating commutes with negating the row.
+        """
+        pts = self.lifted[poly_idx]
+        table = [[None] * len(pts) for _ in pts]
+        for i, j in itertools.combinations(range(len(pts)), 2):
+            r = tuple(map(sub, pts[i], pts[j]))
+            for c, p in pivots:
+                if r[c]:
+                    r = eliminate(r, c, p)
+            table[i][j] = r
+            table[j][i] = [-x for x in r]
+        return table
+
+    def _branch(self, chosen, pivots, active, tie, cells, ties):
+        """One child per edge of the next polytope in the search order."""
+        nxt = self.order[len(chosen)]
+        table = self._reduced(nxt, pivots)
+        for idx, (a, b) in enumerate(self.edge_ids[nxt]):
+            self._descend(chosen + ((nxt, idx),), a, b, table, pivots, active, tie, cells, ties)
+
+    def _descend(self, chosen, a, b, table, pivots, active, tie, cells, ties):
         check_deadline(self.deadline, "mixed-cell enumeration")
         k = self.k
-        poly_idx, edge_idx = chosen[-1]
-        v = self.directions[poly_idx][edge_idx]
-        for c, p in pivots:
-            v = eliminate(v, c, p)
+        v = table[a][b]
         col = next((c for c in range(k) if v[c]), None)
         if col is None:
             # Either no touching functional or a forced singular matrix.
@@ -244,12 +265,12 @@ class _Enumerator:
         if v[col] < 0:
             v = [-x for x in v]
         pivots = pivots + ((col, v),)
-        fresh = self.rows[poly_idx][edge_idx]
-        for c, p in pivots:
-            fresh = [eliminate(r, c, p) for r in fresh]
+        fresh = (r for u, r in enumerate(table[a]) if u != a and u != b)
         rows = []
         violated = False
-        for r in itertools.chain((eliminate(r, col, v) for r in active), fresh):
+        for r in itertools.chain(active, fresh):
+            if r[col]:
+                r = eliminate(r, col, v)
             if any(r[:k]):
                 rows.append(r)
                 violated = violated or r[k] > 0
@@ -263,9 +284,7 @@ class _Enumerator:
             return
         if violated and self._prunable(pivots, rows):
             return
-        nxt = self.order[len(chosen)]
-        for idx in range(len(self.edge_lists[nxt])):
-            self._descend(chosen + ((nxt, idx),), pivots, rows, tie, cells, ties)
+        self._branch(chosen, pivots, rows, tie, cells, ties)
 
     def _prunable(self, pivots, rows):
         """True when no touching functional satisfies the chosen edges.
@@ -583,10 +602,11 @@ def certify_general_bound(g, deadline=None):
     no hull either: `is_mixed_cell` runs over every point of each raw
     support, and a strict answer makes each chosen pair the unique
     minimizer of mu_j - alpha over its support, hence an edge of its
-    Newton polytope. Raises CapabilityError once `deadline` (a
-    time.monotonic() value) has passed, checked after the system build.
+    Newton polytope. Raises InputError when g is not Laman (`build_soe`
+    checks it) and CapabilityError once `deadline` (a time.monotonic()
+    value) has passed, checked after the system build.
     """
-    if not check_laman(g)["laman"]:
+    if not g.edges:  # no edge to pin, so build_soe would not get to say so
         raise InputError("graph is not Laman")
     system = build_soe(_base_framework(Framework.make(g, {e: 1 for e in g.edges})))
     check_deadline(deadline, "general-bound certificate")

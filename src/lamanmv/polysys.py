@@ -201,6 +201,15 @@ def build_soe(framework, consts=None):
     i for every i >= 3. That ordering is what the volume certificate
     consumes.
     """
+    return _build_soe(framework, consts, orient_two_in)
+
+
+def _build_soe(framework, consts, orient):
+    """`build_soe`, oriented by orient(graph, (1, 2)).
+
+    A caller that has checked the Laman property already passes
+    `graphs._orient_two_in`, which does not check it again.
+    """
     l12 = _require_base_edge(framework)
     if consts is None:
         consts = Constants.generic_for(l12)
@@ -211,9 +220,9 @@ def build_soe(framework, consts=None):
     xs = {i: 2 * (i - 1) for i in range(1, n + 1)}
     ys = {i: 2 * (i - 1) + 1 for i in range(1, n + 1)}
     polys = _pinning_polys(nvars, xs[1], ys[1], xs[2], ys[2], consts, l12)
-    orient = orient_two_in(g, (1, 2))
+    orientation = orient(g, (1, 2))
     in_edges = {v: [] for v in range(3, n + 1)}
-    for e, head in orient.heads.items():
+    for e, head in orientation.heads.items():
         in_edges[head].append(e)
     mk = Polynomial.make
     for v in range(3, n + 1):

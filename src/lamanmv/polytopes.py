@@ -2,10 +2,12 @@
 
 Polytopes are stored purely as vertex lists in Q^k, a coordinate an int
 when it is integral (`_linalg.rational`), so a lattice polytope holds
-ints only. Vertex reduction, edges and volumes share one certified face
-lattice on Python ints: the points are scaled by the lcm of their
-denominators and projected onto integer coordinates of their affine
-hull. Affinely independent points are all vertices and collinear points
+ints only. The constructor applies that rule to the vertices it is
+given (only when some coordinate is not an int already), so a polytope
+built directly from integral Fractions holds ints too. Vertex
+reduction, edges and volumes share one certified face lattice on Python
+ints: the points are scaled by the lcm of their denominators and
+projected onto integer coordinates of their affine hull. Affinely independent points are all vertices and collinear points
 reduce to their endpoints. A polygon's edges come from the monotone
 chain (Andrew, IPL 1979); a face of dimension >= 3 is gift-wrapped
 (Chand & Kapur, JACM 1970): a facet of a projection gives the first
@@ -37,7 +39,10 @@ VOLUME_DIM_CAP = 6
 
 @dataclass(frozen=True)
 class RationalPolytope:
-    """Vertex-form polytope; construct via from_points for reduction."""
+    """Vertex-form polytope; construct via from_points for reduction.
+
+    Integral coordinates become ints on construction (`_linalg.rational`).
+    """
 
     ambient_dim: int
     vertices: tuple
@@ -45,6 +50,11 @@ class RationalPolytope:
     # "hull": (sorted distinct vertices, certified face lattice on them),
     # set by from_points or built on first use; "edges": the edge list.
     _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+
+    def __post_init__(self):
+        if not all_int(self.vertices):
+            vertices = tuple(tuple(map(rational, v)) for v in self.vertices)
+            object.__setattr__(self, "vertices", vertices)
 
     @staticmethod
     def from_points(points, deadline=None):

@@ -22,9 +22,10 @@ from .graphs import (
     Framework,
     Graph,
     _base_framework,
+    _h1_decomposition,
+    _orient_two_in,
     check_laman,
     edge_key,
-    h1_decomposition,
     henneberg_class,
 )
 
@@ -95,7 +96,7 @@ def _int_str_digits():
 
 def default_lengths(graph):
     """Deterministic lengths: tight recipe when possible, else 1,2,3,..."""
-    dec = h1_decomposition(graph) if check_laman(graph)["laman"] else None
+    dec = _h1_decomposition(graph) if check_laman(graph)["laman"] else None
     if dec is not None:
         tight = embeddings.tight_lengths(dec.sequence)
         return {
@@ -236,12 +237,12 @@ def build_report(framework, seed=0, tight=False, deadline=None):
         return report
     check_deadline(deadline, "report")
     t0 = time.monotonic()
-    dec = h1_decomposition(g)
+    dec = _h1_decomposition(g)
     report.henneberg_class = henneberg_class(g, dec)
     timings["classify"] = time.monotonic() - t0
 
     fw = _base_framework(framework)
-    soe = polysys.build_soe(fw)
+    soe = polysys._build_soe(fw, None, _orient_two_in)
     subsoe = polysys.build_subsoe(fw)
     report.bezout_soe = polysys.bezout(soe)
     report.bezout_subsoe = polysys.bezout(subsoe)

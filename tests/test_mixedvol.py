@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -9,9 +10,10 @@ import reference_simplex as simplex
 from conftest import framework_for, random_fullmixed_instance
 from reference_enumerator import lifting_value, reference_enumerate_mixed_cells
 from reference_linalg import mat_det, mat_solve
-from lamanmv import mixedvol
+from lamanmv import linprog, mixedvol
 from lamanmv.errors import CapabilityError, InputError, NonGenericLiftingError
 from lamanmv.graphs import (
+    _base_framework,
     desargues_graph,
     henneberg_apply,
     k33_graph,
@@ -37,6 +39,7 @@ from lamanmv.mixedvol import (
     random_lifting,
     separation_split,
 )
+from lamanmv.linprog import feasible
 from lamanmv.polysys import FORM_SOE, FORM_SUBSOE, build_subsoe, newton_polytopes
 from lamanmv.polytopes import (
     EdgeCell,
@@ -430,6 +433,35 @@ def test_search_matches_reference_enumerator():
         assert got == _search_outcome(reference_enumerate_mixed_cells, polys, lifting)
         kinds[got[0]] += bool(got[1])
     assert kinds["cells"] >= 100 and kinds["ties"] >= 30
+
+
+@pytest.mark.parametrize("graph, dim, lps, infeasible, digest", [
+    (k33_graph, 12, 1158, 520,
+     "ca1d7ac3a2efb0a5c464caba6a43f4b49f9d20e5601b0bb20144bf20189526fb"),
+    (desargues_graph, 9, 951, 461,
+     "ab58e4f233602e5933c4728422b856849ba9aedbdca64bbcab37062df5398a81"),
+], ids=["k33", "prism"])
+def test_search_lps_are_pinned(monkeypatch, graph, dim, lps, infeasible, digest):
+    # Every pruning LP of the deep substituted blocks of K33 and the prism
+    # at lifting seed 0, as the search hands it to linprog.feasible: a
+    # change to the search's elimination shows up in these rows.
+    fw = _base_framework(framework_for(graph()))
+    block = next(b for b in separation_split(newton_polytopes(build_subsoe(fw)))
+                 if len(b.coordinates) == dim)
+    recorded, statuses = [], Counter()
+
+    def record(rows, nvars):
+        recorded.append((tuple(map(tuple, rows)), nvars))
+        out = feasible(rows, nvars)
+        statuses[out.status] += 1
+        return out
+
+    monkeypatch.setattr(linprog, "feasible", record)
+    res = mixed_volume(block.projected, seed=0)
+    monkeypatch.undo()
+    assert res.lifting_seed == 0 and len(res.cells) == 4
+    assert (len(recorded), statuses[linprog.INFEASIBLE]) == (lps, infeasible)
+    assert hashlib.sha256(repr(recorded).encode()).hexdigest() == digest
 
 
 def test_tie_fixed_above_the_leaf_rejects_the_cell():

@@ -388,8 +388,9 @@ def test_integral_input_gives_int_coordinates(pts, as_fractions):
     if as_fractions:
         pts = [tuple(map(F, p)) for p in pts]
     p = RP(pts)
-    # A polytope built without reduction keeps the input's types.
+    # A polytope built without reduction: integral Fractions become ints too.
     q = RationalPolytope(p.ambient_dim, tuple(pts))
+    assert _coordinate_types(q.vertices) == {int}
     assert _coordinate_types(p.vertices) == {int}
     assert _coordinate_types(minkowski_sum(p, q).vertices) == {int}
     assert _coordinate_types(minkowski_sum(q, q).vertices) == {int}
@@ -428,14 +429,26 @@ def test_rational_input_matches_reference_vertices(pts):
     assert all(type(x) is (int if x.denominator == 1 else F) for v in p.vertices for x in v)
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.integers(0, 10**6), st.integers(2, 3))
-def test_int_and_fraction_vertices_agree(seed, dim):
-    # The same polytopes with int and with integral Fraction vertices.
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 3), st.data())
+def test_int_and_fraction_vertices_agree(seed, dim, data):
+    # The same polytopes built directly, RationalPolytope(dim, vertices),
+    # with each coordinate an int or an integral Fraction: the constructor
+    # makes them all ints.
     rng = random.Random(seed)
     ints = [random_lattice_polytope(rng, dim) for _ in range(dim)]
-    fracs = [RationalPolytope(dim, tuple(tuple(map(F, v)) for v in p.vertices)) for p in ints]
+    mixed = [
+        tuple(tuple(F(x) if data.draw(st.booleans()) else x for x in v) for v in p.vertices)
+        for p in ints
+    ]
+    fracs = [RationalPolytope(dim, verts) for verts in mixed]
     for p, q in zip(ints, fracs):
+        assert q.vertices == p.vertices and _coordinate_types(q.vertices) == {int}
         assert q.edges() == p.edges()
         assert volume_exact(q) == volume_exact(p)
     assert mixed_volume(fracs, seed=0) == mixed_volume(ints, seed=0)
+    # A non-integral point keeps its Fractions; the others still become ints.
+    half = F(1, 2)
+    q = RationalPolytope(dim, ((half,) * dim, *mixed[0]))
+    assert [type(x) for x in q.vertices[0]] == [F] * dim
+    assert q.vertices[1:] == ints[0].vertices and _coordinate_types(q.vertices[1:]) == {int}
