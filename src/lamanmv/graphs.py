@@ -3,10 +3,10 @@
 A graph on n vertices with 2n-3 edges is Laman when every k-subset of
 vertices spans at most 2k-3 edges. The fast check is a (2,3)-pebble game;
 the subset definition is kept as a brute-force oracle for cross checks.
-Construction sequences (vertex additions of degree 2, or degree 3 with
-one edge removal) are recovered by backtracking, and replaying them
-yields the edge orientation with in-degree 2 everywhere outside the two
-pinned base vertices.
+The same game, played with the pinned base edge last, also yields the
+edge orientation with in-degree 2 everywhere outside the two base
+vertices. Construction sequences (vertex additions of degree 2, or
+degree 3 with one edge removal) are recovered by backtracking.
 """
 
 import itertools
@@ -49,9 +49,6 @@ class Graph:
 
     def degree(self, v):
         return sum(1 for e in self.edges if v in e)
-
-    def neighbors(self, v):
-        return sorted(a if b == v else b for a, b in self.edges if v in (a, b))
 
     def sorted_edges(self):
         return sorted(self.edges)
@@ -123,9 +120,6 @@ class HennebergSequence:
 
     steps: tuple
 
-    def final_vertex_count(self):
-        return 3 + len(self.steps)
-
     def is_step1_only(self):
         return all(isinstance(s, StepI) for s in self.steps)
 
@@ -176,6 +170,20 @@ def check_laman(g):
     """
     if g.n < 2:
         return {"laman": False, "witness": None}
+    witness, _ = _pebble_game(g, sorted(g.edges))
+    if witness is not None:
+        return {"laman": False, "witness": witness}
+    return {"laman": len(g.edges) == 2 * g.n - 3, "witness": None}
+
+
+def _pebble_game(g, order):
+    """(2,3)-pebble game inserting the edges of g in `order`.
+
+    Returns (witness, out). The witness is None when every edge was
+    accepted, else the sorted reachable closure of the first edge that
+    was not. out maps each vertex to the far ends of the accepted edges
+    it pays for: one pebble per edge, two per vertex.
+    """
     pebbles = {v: 2 for v in range(1, g.n + 1)}
     out = {v: set() for v in range(1, g.n + 1)}
 
@@ -209,7 +217,7 @@ def check_laman(g):
                     stack.append(y)
         return seen
 
-    for u, v in sorted(g.edges):
+    for u, v in order:
         while pebbles[u] + pebbles[v] < 4:
             moved = False
             for root in (u, v):
@@ -225,11 +233,11 @@ def check_laman(g):
             if not moved:
                 # The reachable closure spans too many edges once (u, v)
                 # is counted, so it violates the subset condition.
-                return {"laman": False, "witness": sorted(reachable(u, v))}
+                return sorted(reachable(u, v)), out
         payer, other = (u, v) if pebbles[u] > 0 else (v, u)
         pebbles[payer] -= 1
         out[payer].add(other)
-    return {"laman": len(g.edges) == 2 * g.n - 3, "witness": None}
+    return None, out
 
 
 def laman_oracle(g):
@@ -300,11 +308,11 @@ def _edges_laman(edges, vertices):
     return check_laman(g)["laman"]
 
 
-def _peel_search(edges, vertices, keep, only_step1, _failed=None):
+def _peel_search(edges, vertices, only_step1, _failed=None):
     """Backtracking reverse construction down to a triangle.
 
     Returns a list of peel records (kind, vertex, anchors, inserted) in
-    peel order, or None. keep lists vertices that must survive.
+    peel order, or None.
     """
     if _failed is None:
         _failed = set()
@@ -315,14 +323,14 @@ def _peel_search(edges, vertices, keep, only_step1, _failed=None):
         return []
     deg = _degree_map(edges, vertices)
     degrees = (2,) if only_step1 else (2, 3)
-    candidates = [v for v in vertices if v not in keep and deg[v] in degrees]
+    candidates = [v for v in vertices if deg[v] in degrees]
     for v in sorted(candidates, key=lambda v: (deg[v], v)):
         nbrs = sorted(a if b == v else b for a, b in edges if v in (a, b))
         stripped = {e for e in edges if v not in e}
         rest = vertices - {v}
         if deg[v] == 2:
             # Removing a degree-2 vertex of a Laman graph keeps it Laman.
-            sub = _peel_search(stripped, rest, keep, only_step1, _failed)
+            sub = _peel_search(stripped, rest, only_step1, _failed)
             if sub is not None:
                 return [("I", v, tuple(nbrs), None)] + sub
         else:
@@ -333,42 +341,38 @@ def _peel_search(edges, vertices, keep, only_step1, _failed=None):
                 cand = stripped | {ins}
                 if not _edges_laman(cand, rest):
                     continue
-                sub = _peel_search(cand, rest, keep, only_step1, _failed)
+                sub = _peel_search(cand, rest, only_step1, _failed)
                 if sub is not None:
                     return [("II", v, tuple(nbrs), ins)] + sub
     _failed.add(key)
     return None
 
 
-def henneberg_decompose(g, keep=frozenset(), only_step1=False):
+def henneberg_decompose(g, only_step1=False):
     """Construction sequence plus explicit relabeling for a Laman graph.
 
     Replaying the returned sequence gives a graph isomorphic to g; the
-    relabeling maps replay labels to the original ones. Vertices in keep
-    are never peeled and end up in the base triangle. Raises
+    relabeling maps replay labels to the original ones. Raises
     NoSequenceError when no peel order reaches a triangle.
     """
     if not check_laman(g)["laman"]:
         raise InputError("graph is not Laman")
-    return _henneberg_decompose(g, keep, only_step1)
+    return _henneberg_decompose(g, only_step1)
 
 
-def _henneberg_decompose(g, keep, only_step1):
+def _henneberg_decompose(g, only_step1):
     """`henneberg_decompose` for a graph known to be Laman."""
     if g.n < 3:
         raise NoSequenceError("no construction sequence: sequences start at the triangle")
     vertices = set(range(1, g.n + 1))
-    peels = _peel_search(set(g.edges), vertices, frozenset(keep), only_step1)
+    peels = _peel_search(set(g.edges), vertices, only_step1)
     if peels is None:
         raise NoSequenceError(
             "no construction sequence found"
             + (" with only degree-2 additions" if only_step1 else "")
         )
     surviving = vertices - {p[1] for p in peels}
-    orig_to_replay = {}
-    ordered = sorted(keep) + sorted(surviving - set(keep))
-    for i, v in enumerate(ordered):
-        orig_to_replay[v] = i + 1
+    orig_to_replay = {v: i + 1 for i, v in enumerate(sorted(surviving))}
     steps = []
     label = 3
     for kind, v, anchors, inserted in reversed(peels):
@@ -402,7 +406,7 @@ def h1_decomposition(g):
 def _h1_decomposition(g):
     """`h1_decomposition` for a graph known to be Laman."""
     try:
-        return _henneberg_decompose(g, frozenset(), True)
+        return _henneberg_decompose(g, True)
     except NoSequenceError:
         return None
 
@@ -461,50 +465,20 @@ def relabel_with_base(g, base):
 def orient_two_in(g, base):
     """Edge directions with in-degree 2 off the base, 0 on its endpoints.
 
-    Built by replaying a construction sequence that keeps the base edge
-    pinned: new edges point at the new vertex, except that a degree-3
-    addition redirects one edge at the deleted edge's former head.
+    The (2,3)-pebble game plays the base edge last. A Laman graph accepts
+    it only once both its endpoints hold both their pebbles, so every
+    other vertex has paid for exactly two edges; each non-base edge
+    points at the vertex that pays for it.
     """
     base = edge_key(*base)
     if base not in g.edges:
         raise InputError(f"base {base} is not an edge")
-    if not check_laman(g)["laman"]:
+    witness, out = _pebble_game(g, sorted(g.edges - {base}) + [base])
+    if witness is not None or len(g.edges) != 2 * g.n - 3:
         raise InputError("graph is not Laman")
-    return _orient_two_in(g, base)
-
-
-def _orient_two_in(g, base):
-    """`orient_two_in` for a Laman graph and one of its edges."""
-    if g.n == 2:
-        return Orientation(base=base, heads={})  # the lone base edge
-    work, old_to_new = relabel_with_base(g, base)
-    dec = _henneberg_decompose(work, frozenset({1, 2}), False)
-    heads = {edge_key(1, 3): 3, edge_key(2, 3): 3}
-    n = 3
-    for step in dec.sequence.steps:
-        new = n + 1
-        if isinstance(step, StepI):
-            heads[edge_key(step.a, new)] = new
-            heads[edge_key(step.b, new)] = new
-        else:
-            old_head = heads.pop(step.removed)
-            r, s = step.removed
-            tail = r if old_head == s else s
-            third = ({step.a, step.b, step.c} - {r, s}).pop()
-            heads[edge_key(new, old_head)] = old_head
-            heads[edge_key(new, tail)] = new
-            heads[edge_key(new, third)] = new
-        n = new
-    # Map replay labels back through the decomposition and the relabeling.
-    new_to_old = {v: k for k, v in old_to_new.items()}
-
-    def back(replay_label):
-        return new_to_old[dec.to_original(replay_label)]
-
-    out_heads = {}
-    for (a, b), h in heads.items():
-        out_heads[edge_key(back(a), back(b))] = back(h)
-    orientation = Orientation(base=base, heads=out_heads)
+    heads = {edge_key(x, y): x for x in out for y in out[x]}
+    del heads[base]
+    orientation = Orientation(base=base, heads=heads)
     if not orientation.check(g):
         raise InternalError("orientation invariant violated")
     return orientation

@@ -579,15 +579,11 @@ def _mv_for_system(system, seed=0, oracle=False, deadline=None):
         method = METHOD_SEPARATION
     else:
         method = METHOD_ENUMERATION
-    if method == METHOD_ENUMERATION:
-        cells = out_blocks[0].cells
-    else:
-        cells = tuple(all_cells)
     return MVResult(
         value=value,
         method=method,
         lifting_seed=None if oracle else seed,
-        cells=cells,
+        cells=tuple(all_cells),
         blocks=tuple(out_blocks),
     )
 

@@ -176,7 +176,8 @@ def _expo(nvars, pairs):
     return tuple(e)
 
 
-def _pinning_polys(nvars, x1, y1, x2, y2, consts, l12):
+def _pinning_polys(nvars, x1, y1, x2, y2, l12):
+    consts = Constants.generic_for(l12)
     mk = Polynomial.make
     return [
         mk(nvars, {_expo(nvars, [(x1, 1)]): 1, _expo(nvars, []): -consts.c1}),
@@ -193,7 +194,7 @@ def _require_base_edge(framework):
     return framework.lengths[base]
 
 
-def build_soe(framework, consts=None):
+def build_soe(framework):
     """Distance system: four pinning equations, one quadratic per edge.
 
     Quadratics are ordered by the two-incoming-edges orientation, so the
@@ -201,26 +202,14 @@ def build_soe(framework, consts=None):
     i for every i >= 3. That ordering is what the volume certificate
     consumes.
     """
-    return _build_soe(framework, consts, orient_two_in)
-
-
-def _build_soe(framework, consts, orient):
-    """`build_soe`, oriented by orient(graph, (1, 2)).
-
-    A caller that has checked the Laman property already passes
-    `graphs._orient_two_in`, which does not check it again.
-    """
     l12 = _require_base_edge(framework)
-    if consts is None:
-        consts = Constants.generic_for(l12)
-    consts.validate(l12)
     g = framework.graph
     n = g.n
     nvars = 2 * n
     xs = {i: 2 * (i - 1) for i in range(1, n + 1)}
     ys = {i: 2 * (i - 1) + 1 for i in range(1, n + 1)}
-    polys = _pinning_polys(nvars, xs[1], ys[1], xs[2], ys[2], consts, l12)
-    orientation = orient(g, (1, 2))
+    polys = _pinning_polys(nvars, xs[1], ys[1], xs[2], ys[2], l12)
+    orientation = orient_two_in(g, (1, 2))
     in_edges = {v: [] for v in range(3, n + 1)}
     for e, head in orientation.heads.items():
         in_edges[head].append(e)
@@ -248,19 +237,16 @@ def _build_soe(framework, consts, orient):
     return PolySystem(_soe_variables(n), tuple(polys), form=FORM_SOE)
 
 
-def build_subsoe(framework, consts=None):
+def build_subsoe(framework):
     """Substituted system: pinning, edge equations in s_i, circle equations."""
     l12 = _require_base_edge(framework)
-    if consts is None:
-        consts = Constants.generic_for(l12)
-    consts.validate(l12)
     g = framework.graph
     n = g.n
     nvars = 3 * n
     xs = {i: 2 * (i - 1) for i in range(1, n + 1)}
     ys = {i: 2 * (i - 1) + 1 for i in range(1, n + 1)}
     ss = {i: 2 * n + (i - 1) for i in range(1, n + 1)}
-    polys = _pinning_polys(nvars, xs[1], ys[1], xs[2], ys[2], consts, l12)
+    polys = _pinning_polys(nvars, xs[1], ys[1], xs[2], ys[2], l12)
     mk = Polynomial.make
     for i, j in sorted(g.edges - {edge_key(1, 2)}):
         l = framework.lengths[edge_key(i, j)]
@@ -345,7 +331,7 @@ def degeneracy_witness_point(n, consts, l12):
     return tuple(pt)
 
 
-def witness_check(framework, consts=None):
+def witness_check(framework):
     """Certify that the distance system is degenerate for face counting.
 
     Builds the face system along (0,0,0,0,-1,..,-1) and evaluates it at
@@ -355,19 +341,16 @@ def witness_check(framework, consts=None):
     has no free vertex and gives False.
     """
     fw = _base_framework(framework)
-    return _witness_holds(fw, build_soe(fw, consts), consts)
+    return _witness_holds(fw, build_soe(fw))
 
 
-def _witness_holds(fw, soe, consts=None):
-    """`witness_check` on `soe`, the distance system of the base framework
-    `fw` built with `consts` (None for the default constants)."""
+def _witness_holds(fw, soe):
+    """`witness_check` on `soe`, the distance system of the base framework `fw`."""
     n = fw.graph.n
     if n == 2:
         return False  # no free vertex, so no face direction to test
     l12 = fw.lengths[edge_key(1, 2)]
-    if consts is None:
-        consts = Constants.generic_for(l12)
-    point = degeneracy_witness_point(n, consts, l12)
+    point = degeneracy_witness_point(n, Constants.generic_for(l12), l12)
     if any(x.is_zero() for x in point):
         return False
     faces = face_system(soe, degeneracy_direction(n))

@@ -23,7 +23,6 @@ from .graphs import (
     Graph,
     _base_framework,
     _h1_decomposition,
-    _orient_two_in,
     check_laman,
     edge_key,
     henneberg_class,
@@ -242,7 +241,7 @@ def build_report(framework, seed=0, tight=False, deadline=None):
     timings["classify"] = time.monotonic() - t0
 
     fw = _base_framework(framework)
-    soe = polysys._build_soe(fw, None, _orient_two_in)
+    soe = polysys.build_soe(fw)
     subsoe = polysys.build_subsoe(fw)
     report.bezout_soe = polysys.bezout(soe)
     report.bezout_subsoe = polysys.bezout(subsoe)

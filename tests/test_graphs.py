@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lamanmv import graphs
 from lamanmv.errors import CapabilityError, InputError, SequenceError
 from lamanmv.graphs import (
     HENNEBERG_I,
@@ -182,7 +183,7 @@ def test_classify():
     assert len(graphs) == 318
     classes = []
     for g in graphs:
-        peels = _peel_search(set(g.edges), set(range(1, g.n + 1)), frozenset(), only_step1=True)
+        peels = _peel_search(set(g.edges), set(range(1, g.n + 1)), only_step1=True)
         cls = classify(g)
         assert cls == (HENNEBERG_I if peels is not None else HENNEBERG_II)
         assert (cls == HENNEBERG_I) == _greedy_degree2_peel(g)
@@ -235,3 +236,40 @@ def test_orientation_every_base_of_desargues_and_k33():
 def test_orientation_rejects_non_edge():
     with pytest.raises(InputError):
         orient_two_in(triangle(), (1, 5))
+
+
+def test_orientation_every_base_of_the_catalog():
+    for n in range(4, 7):
+        for g in all_laman_graphs(n):
+            for base in sorted(g.edges):
+                assert orient_two_in(g, base).check(g)
+
+
+def test_orientation_rejects_non_laman_graphs():
+    rejected = [k4()]  # too many edges
+    for g in all_laman_graphs(5):
+        missing = sorted(set(itertools.combinations(range(1, 6), 2)) - g.edges)
+        for e in sorted(g.edges):
+            # Independent, one edge short.
+            rejected.append(Graph.make(5, g.edges - {e}))
+            # 2n-3 edges with an overbraced subset.
+            for f in missing:
+                h = Graph.make(5, (g.edges - {e}) | {f})
+                if not check_laman(h)["laman"]:
+                    rejected.append(h)
+    assert sum(len(h.edges) == 7 for h in rejected) > 10
+    for h in rejected:
+        for base in sorted(h.edges):
+            with pytest.raises(InputError, match="graph is not Laman"):
+                orient_two_in(h, base)
+
+
+def test_orientation_needs_no_construction_sequence(monkeypatch):
+    def no_peeling(*args, **kwargs):
+        raise AssertionError("orientation ran a peel search")
+
+    monkeypatch.setattr(graphs, "_peel_search", no_peeling)
+    heavy = henneberg_apply(random_henneberg_sequence(20, seed=1, step2_probability=0.9))
+    for g in (k33_graph(), heavy):
+        for base in sorted(g.edges):
+            assert orient_two_in(g, base).check(g)
