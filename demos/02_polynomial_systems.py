@@ -34,4 +34,4 @@ print("\nNewton polytope vertex counts (distance system):",
 # The distance system is degenerate for root counting: an explicit
 # face direction admits a solution with all coordinates nonzero, so the
 # mixed volume is a strict upper bound on the embedding count.
-print("\nDegeneracy witness verifies exactly:", witness_check(fw))
+print("\nDegeneracy witness verifies exactly:", witness_check(soe))

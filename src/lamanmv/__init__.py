@@ -77,7 +77,6 @@ from .polytopes import (
     EdgeCell,
     RationalPolytope,
     edge_matrix_det,
-    hull_vertices,
     is_edge,
     minkowski_sum,
     volume_exact,

@@ -18,7 +18,6 @@ from . import mixedvol, polysys, reporting
 from .errors import CapabilityError, InputError, InternalError
 from .graphs import (
     StepI,
-    _base_framework,
     check_laman,
     classify,
     default_base,
@@ -169,7 +168,7 @@ def _orient(args, fw):
 
 def _system(args, fw):
     build = polysys.build_soe if args.form == polysys.FORM_SOE else polysys.build_subsoe
-    system = build(_base_framework(fw))
+    system = build(fw)
     payload = {
         "form": system.form,
         "variables": list(system.variables),
@@ -200,7 +199,9 @@ def _mv(args, fw):
 
 
 def _certify(args, fw):
-    res = mixedvol.certify_general_bound(fw.graph, deadline=_deadline(args))
+    if not check_laman(fw.graph)["laman"]:
+        raise InputError("graph is not Laman")
+    res = mixedvol.certify_general_bound(polysys.build_soe(fw), deadline=_deadline(args))
     return _with_cells(res), lambda p: f"mixed volume: {p['value']} (certificate)"
 
 

@@ -438,15 +438,6 @@ def default_base(g):
     return base if base in g.edges else min(g.edges)
 
 
-def _base_framework(framework):
-    """Relabel so the pinned edge is (1,2); identity when already there."""
-    base = default_base(framework.graph)
-    if base == edge_key(1, 2):
-        return framework
-    _, mapping = relabel_with_base(framework.graph, base)
-    return framework.relabel(mapping)
-
-
 def relabel_with_base(g, base):
     """Relabel so the base edge becomes (1, 2); returns (graph, old->new)."""
     base = edge_key(*base)

@@ -50,7 +50,6 @@ from .errors import (
     NonGenericLiftingError,
     check_deadline,
 )
-from .graphs import Framework, _base_framework
 from .polysys import FORM_SOE, FORM_SUBSOE, bezout, build_soe, build_subsoe, newton_polytopes
 
 # The search runs no float LP. The benchmark tracer (perfbench/tracing.py)
@@ -536,11 +535,10 @@ def mv_for_graph(framework, form=FORM_SUBSOE, seed=0, oracle=False, deadline=Non
     coordinate blocks, enumerate mixed cells per block (or run the
     inclusion-exclusion oracle when requested), multiply.
     """
-    fw = _base_framework(framework)
     if form == FORM_SOE:
-        system = build_soe(fw)
+        system = build_soe(framework)
     elif form == FORM_SUBSOE:
-        system = build_subsoe(fw)
+        system = build_subsoe(framework)
     else:
         raise InputError(f"unknown system form {form!r}")
     return _mv_for_system(system, seed, oracle, deadline)
@@ -588,8 +586,8 @@ def _mv_for_system(system, seed=0, oracle=False, deadline=None):
     )
 
 
-def certify_general_bound(g, deadline=None):
-    """Exact mixed volume of the distance system from one verified cell.
+def certify_general_bound(system, deadline=None):
+    """Exact mixed volume of a distance system from one verified cell.
 
     The degree product bounds the mixed volume from above; the explicit
     lifting whose j-th vector dips only in coordinate j certifies the
@@ -598,15 +596,16 @@ def certify_general_bound(g, deadline=None):
     no hull either: `is_mixed_cell` runs over every point of each raw
     support, and a strict answer makes each chosen pair the unique
     minimizer of mu_j - alpha over its support, hence an edge of its
-    Newton polytope. Raises InputError when g is not Laman (`build_soe`
-    checks it) and CapabilityError once `deadline` (a time.monotonic()
-    value) has passed, checked after the system build.
+    Newton polytope. `system` is a `build_soe` output with any edge
+    lengths: they and the pinning constants are nonzero, so every support
+    holds the constant term and the cell and value do not depend on them.
+    Raises InputError for any other form of system and CapabilityError
+    once `deadline` (a time.monotonic() value) has passed, checked first.
     """
-    if not g.edges:  # no edge to pin, so build_soe would not get to say so
-        raise InputError("graph is not Laman")
-    system = build_soe(_base_framework(Framework.make(g, {e: 1 for e in g.edges})))
+    if system.form != FORM_SOE:
+        raise InputError("the certificate needs a distance system")
     check_deadline(deadline, "general-bound certificate")
-    n = g.n
+    n = system.nvars // 2
     k = 2 * n
     supports = [polytopes.RationalPolytope(k, tuple(p.support())) for p in system.polys]
     mu = [tuple(1 if c == j else 4 * n for c in range(k)) for j in range(k)]
@@ -667,9 +666,9 @@ def full_subdivision_2d(polys, lifting):
         if outcome is None:
             continue
         margin = outcome
-        piece = polytopes.minkowski_sum_many(
-            [polytopes.RationalPolytope.from_points(f) for _, f in combo]
-        )
+        piece, *rest = (polytopes.RationalPolytope.from_points(f) for _, f in combo)
+        for q in rest:
+            piece = polytopes.minkowski_sum(piece, q)
         area = polytopes.volume_exact(piece)
         if area == 0:
             continue

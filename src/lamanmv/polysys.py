@@ -5,8 +5,10 @@ and pinning equations over x1,y1,..,xn,yn) and the substituted system
 ("subsoe", 3n equations with one extra variable per vertex replacing the
 squared norm x_i^2 + y_i^2). Pinning fixes vertex 1 at (c1, c2), the x
 coordinate of vertex 2 at l12 - c1 and its y coordinate at c3, which
-removes rigid motions. All coefficients are rational and evaluation is
-exact over Gaussian rationals.
+removes rigid motions. The builders choose the pinned edge themselves:
+they relabel any framework so that its `graphs.default_base` edge
+becomes (1,2). All coefficients are rational and evaluation is exact
+over Gaussian rationals.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from operator import mul
 from . import polytopes
 from ._linalg import rational
 from .errors import InputError
-from .graphs import _base_framework, edge_key, orient_two_in
+from .graphs import default_base, edge_key, orient_two_in, relabel_with_base
 
 FORM_SOE = "soe"
 FORM_SUBSOE = "subsoe"
@@ -69,23 +71,12 @@ class Constants:
     c3: Fraction = Fraction(3)
 
     @staticmethod
-    def default():
-        return Constants()
-
-    @staticmethod
     def generic_for(l12):
         """Default constants, with c1 bumped when it equals the base length."""
         c = Constants()
         if c.c1 == Fraction(l12):
             c = Constants(c1=Fraction(l12) + 1, c2=c.c2, c3=c.c3)
         return c
-
-    def validate(self, l12):
-        for name, c in (("c1", self.c1), ("c2", self.c2), ("c3", self.c3)):
-            if c == 0:
-                raise InputError(f"constant {name} must be nonzero")
-        if self.c1 == l12:
-            raise InputError("c1 must differ from the base edge length")
 
 
 @dataclass(frozen=True)
@@ -187,22 +178,24 @@ def _pinning_polys(nvars, x1, y1, x2, y2, l12):
     ]
 
 
-def _require_base_edge(framework):
-    base = edge_key(1, 2)
-    if base not in framework.graph.edges:
-        raise InputError("framework must carry the base edge (1,2); relabel first")
-    return framework.lengths[base]
+def _pinned(framework):
+    """The framework relabelled so its default base edge is (1,2), and its length."""
+    base = default_base(framework.graph)
+    if base != (1, 2):
+        framework = framework.relabel(relabel_with_base(framework.graph, base)[1])
+    return framework, framework.lengths[(1, 2)]
 
 
 def build_soe(framework):
     """Distance system: four pinning equations, one quadratic per edge.
 
-    Quadratics are ordered by the two-incoming-edges orientation, so the
-    equations at positions 2i-1, 2i (1-based) are the in-edges of vertex
-    i for every i >= 3. That ordering is what the volume certificate
-    consumes.
+    Any framework will do: the edge `graphs.default_base` picks is
+    relabelled to (1,2) and pinned. Quadratics are ordered by the
+    two-incoming-edges orientation, so the equations at positions 2i-1,
+    2i (1-based) are the in-edges of vertex i for every i >= 3. That
+    ordering is what the volume certificate consumes.
     """
-    l12 = _require_base_edge(framework)
+    framework, l12 = _pinned(framework)
     g = framework.graph
     n = g.n
     nvars = 2 * n
@@ -238,8 +231,11 @@ def build_soe(framework):
 
 
 def build_subsoe(framework):
-    """Substituted system: pinning, edge equations in s_i, circle equations."""
-    l12 = _require_base_edge(framework)
+    """Substituted system: pinning, edge equations in s_i, circle equations.
+
+    The pinned edge is chosen and relabelled to (1,2) as in `build_soe`.
+    """
+    framework, l12 = _pinned(framework)
     g = framework.graph
     n = g.n
     nvars = 3 * n
@@ -284,7 +280,7 @@ def newton_polytopes(system):
         support = p.support()
         if not support:
             raise InputError("zero polynomial has no Newton polytope")
-        out.append(polytopes.hull_vertices(support))
+        out.append(polytopes.RationalPolytope.from_points(support))
     return out
 
 
@@ -318,21 +314,20 @@ def degeneracy_direction(n):
     return (0,) * 4 + (-1,) * (2 * n - 4)
 
 
-def degeneracy_witness_point(n, consts, l12):
-    """The pinned coordinates followed by (1, i) for every free vertex."""
-    pt = [
-        GaussianRational.of(consts.c1),
-        GaussianRational.of(consts.c2),
-        GaussianRational.of(l12 - consts.c1),
-        GaussianRational.of(consts.c3),
-    ]
-    for _ in range(n - 2):
-        pt.extend((GR_ONE, GR_I))
+def degeneracy_witness_point(soe):
+    """The witness point of the distance system `soe`.
+
+    Its pinned coordinates, read off the four pinning equations, then
+    (1, i) for every free vertex.
+    """
+    zero = (0,) * soe.nvars
+    pt = [GaussianRational.of(-p.coefficient(zero)) for p in soe.polys[:4]]
+    pt.extend((GR_ONE, GR_I) * (soe.nvars // 2 - 2))
     return tuple(pt)
 
 
-def witness_check(framework):
-    """Certify that the distance system is degenerate for face counting.
+def witness_check(soe):
+    """Certify that the distance system `soe` is degenerate for face counting.
 
     Builds the face system along (0,0,0,0,-1,..,-1) and evaluates it at
     the explicit point with nonzero complex entries; returns True iff
@@ -340,17 +335,12 @@ def witness_check(framework):
     strict upper bound on the embedding count. A two-vertex framework
     has no free vertex and gives False.
     """
-    fw = _base_framework(framework)
-    return _witness_holds(fw, build_soe(fw))
-
-
-def _witness_holds(fw, soe):
-    """`witness_check` on `soe`, the distance system of the base framework `fw`."""
-    n = fw.graph.n
+    if soe.form != FORM_SOE:
+        raise InputError("the degeneracy witness needs a distance system")
+    n = soe.nvars // 2
     if n == 2:
         return False  # no free vertex, so no face direction to test
-    l12 = fw.lengths[edge_key(1, 2)]
-    point = degeneracy_witness_point(n, Constants.generic_for(l12), l12)
+    point = degeneracy_witness_point(soe)
     if any(x.is_zero() for x in point):
         return False
     faces = face_system(soe, degeneracy_direction(n))

@@ -157,11 +157,6 @@ class EdgeCell:
         return [tuple(map(sub, a, b)) for a, b in self.edges]
 
 
-def hull_vertices(points):
-    """RationalPolytope with exactly the extreme points of the input."""
-    return RationalPolytope.from_points(points)
-
-
 def is_edge(p, a, b):
     """True when conv{a, b} is an edge of p: a lookup in `p.edges()`."""
     a = tuple(map(rational, a))
@@ -183,13 +178,6 @@ def minkowski_sum(p, q, deadline=None):
         raise InputError("Minkowski sum needs equal ambient dimensions")
     sums = [tuple(map(add, a, b)) for a in p.vertices for b in q.vertices]
     return RationalPolytope.from_points(sums, deadline)
-
-
-def minkowski_sum_many(polytopes, deadline=None):
-    acc = polytopes[0]
-    for q in polytopes[1:]:
-        acc = minkowski_sum(acc, q, deadline)
-    return acc
 
 
 def edge_matrix_det(cell):

@@ -21,7 +21,6 @@ from .errors import CapabilityError, InputError, InternalError, check_deadline
 from .graphs import (
     Framework,
     Graph,
-    _base_framework,
     _h1_decomposition,
     check_laman,
     edge_key,
@@ -240,14 +239,13 @@ def build_report(framework, seed=0, tight=False, deadline=None):
     report.henneberg_class = henneberg_class(g, dec)
     timings["classify"] = time.monotonic() - t0
 
-    fw = _base_framework(framework)
-    soe = polysys.build_soe(fw)
-    subsoe = polysys.build_subsoe(fw)
+    soe = polysys.build_soe(framework)
+    subsoe = polysys.build_subsoe(framework)
     report.bezout_soe = polysys.bezout(soe)
     report.bezout_subsoe = polysys.bezout(subsoe)
 
     t0 = time.monotonic()
-    cert = mixedvol.certify_general_bound(g, deadline)
+    cert = mixedvol.certify_general_bound(soe, deadline)
     report.mv_soe = mv_result_dict(cert)
     timings["mv_soe_certificate"] = time.monotonic() - t0
 
@@ -258,7 +256,7 @@ def build_report(framework, seed=0, tight=False, deadline=None):
 
     check_deadline(deadline, "report")
     t0 = time.monotonic()
-    report.witness_degenerate = polysys._witness_holds(fw, soe)
+    report.witness_degenerate = polysys.witness_check(soe)
     timings["witness_check"] = time.monotonic() - t0
 
     if dec is not None:

@@ -13,7 +13,6 @@ from conftest import framework_for, random_fullmixed_instance
 from lamanmv.embeddings import enumerate_h1, tight_lengths
 from lamanmv.graphs import (
     Graph,
-    _base_framework,
     all_laman_graphs,
     check_laman,
     desargues_graph,
@@ -45,7 +44,7 @@ def _note(criterion, text):
 
 
 def _record_graph_system(fw, form, value):
-    system = build_soe(_base_framework(fw)) if form == FORM_SOE else build_subsoe(_base_framework(fw))
+    system = build_soe(fw) if form == FORM_SOE else build_subsoe(fw)
     DEGREE_PRODUCT_CHECKS.append((value, bezout(system)))
 
 
@@ -81,7 +80,7 @@ def test_criterion_2_certificates_up_to_ten_vertices():
     assert any(g.edges == k33_graph().edges and g.n == 6 for g in fixture) or True
     for g in [k33_graph(), desargues_graph()] + fixture:
         t0 = time.monotonic()
-        res = certify_general_bound(g)
+        res = certify_general_bound(build_soe(framework_for(g)))
         elapsed = time.monotonic() - t0
         assert res.method == METHOD_CERTIFICATE
         assert res.value == 4 ** (g.n - 2)
@@ -101,7 +100,7 @@ def test_criterion_3_substituted_system_doubling(henneberg1_graphs):
             if n <= 4:
                 from lamanmv.polysys import newton_polytopes
 
-                polys = newton_polytopes(build_subsoe(_base_framework(fw)))
+                polys = newton_polytopes(build_subsoe(fw))
                 direct = mixed_volume(polys, seed=0)
                 assert direct.value == split.value
     _note(3, "substituted-system mixed volume 2^(n-2), split and direct agreeing")
@@ -151,7 +150,7 @@ def test_criterion_7_degeneracy_witness_all_small_graphs():
     for n in range(3, 7):
         for g in all_laman_graphs(n):
             fw = framework_for(g)
-            assert witness_check(fw), f"witness failed on n={n} graph {sorted(g.edges)}"
+            assert witness_check(build_soe(fw)), f"witness failed on n={n} graph {sorted(g.edges)}"
             checked += 1
     assert checked == 18
     _note(7, "face-system witness vanishes exactly on all 18 Laman graphs n<=6")
@@ -218,7 +217,7 @@ def test_criterion_9_property_suites(henneberg1_graphs):
     # computed by the earlier criteria plus these fresh ones.
     fw = framework_for(k33_graph())
     DEGREE_PRODUCT_CHECKS.append(
-        (mv_for_graph(fw, FORM_SOE, seed=0).value, bezout(build_soe(_base_framework(fw))))
+        (mv_for_graph(fw, FORM_SOE, seed=0).value, bezout(build_soe(fw)))
     )
     assert DEGREE_PRODUCT_CHECKS
     for value, product in DEGREE_PRODUCT_CHECKS:

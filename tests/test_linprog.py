@@ -10,7 +10,7 @@ from reference_simplex import solve as reference_solve
 
 from lamanmv import linprog
 from lamanmv.errors import InputError, InternalError
-from lamanmv.graphs import _base_framework, desargues_graph
+from lamanmv.graphs import desargues_graph
 from lamanmv.linprog import FEASIBLE, INFEASIBLE, feasible, verify_farkas
 from lamanmv.mixedvol import mixed_volume, separation_split
 from lamanmv.polysys import build_subsoe, newton_polytopes
@@ -182,7 +182,7 @@ def test_matches_reference_on_search_lps(monkeypatch):
     # The first 200 pruning LPs of the mixed-cell search on the prism's
     # 9-dim substituted block, as the search builds them: integer rows
     # over the columns its chosen edge equalities leave free.
-    fw = _base_framework(framework_for(desargues_graph()))
+    fw = framework_for(desargues_graph())
     block = next(b for b in separation_split(newton_polytopes(build_subsoe(fw)))
                  if len(b.coordinates) == 9)
     recorded = []

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -13,7 +14,9 @@ from reference_linalg import mat_det, mat_solve
 from lamanmv import linprog, mixedvol
 from lamanmv.errors import CapabilityError, InputError, NonGenericLiftingError
 from lamanmv.graphs import (
-    _base_framework,
+    Framework,
+    Graph,
+    all_laman_graphs,
     desargues_graph,
     henneberg_apply,
     k33_graph,
@@ -40,13 +43,20 @@ from lamanmv.mixedvol import (
     separation_split,
 )
 from lamanmv.linprog import feasible
-from lamanmv.polysys import FORM_SOE, FORM_SUBSOE, build_subsoe, newton_polytopes
+from lamanmv.polysys import (
+    FORM_SOE,
+    FORM_SUBSOE,
+    build_soe,
+    build_subsoe,
+    newton_polytopes,
+    witness_check,
+)
 from lamanmv.polytopes import (
     EdgeCell,
     RationalPolytope,
     edge_matrix_det,
     is_edge,
-    minkowski_sum_many,
+    minkowski_sum,
     volume_exact,
 )
 
@@ -125,11 +135,33 @@ def test_parallel_edges_rejected_by_criterion():
 def test_certificate_cell_verifies_under_constructed_lifting():
     for n in (3, 4):
         g = henneberg_apply(random_henneberg_sequence(n, seed=n))
-        res = certify_general_bound(g)
+        res = certify_general_bound(build_soe(framework_for(g)))
         assert res.method == METHOD_CERTIFICATE
         assert res.value == 4 ** (n - 2)
         assert len(res.cells) == 1
         assert abs(res.cells[0].det) == 4 ** (n - 2)
+
+
+def test_certificate_and_witness_on_the_frameworks_own_lengths():
+    # Both take the distance system with the framework's own lengths: every
+    # constant term stays nonzero, as lengths are positive and the pinning
+    # moves c1 off l12 (all lengths 1 makes l12 = c1 and forces that move).
+    rng = random.Random(14)
+    graphs = [Graph.make(2, [(1, 2)])] + [g for n in range(3, 7) for g in all_laman_graphs(n)]
+    for g in graphs:
+        g = g.relabel(dict(zip(range(1, g.n + 1), rng.sample(range(1, g.n + 1), g.n))))
+        unit = Framework.make(g, {e: 1 for e in g.edges})
+        own = Framework.make(g, {e: F(rng.randint(1, 40), rng.randint(1, 6)) for e in g.edges})
+        expected = certify_general_bound(build_soe(unit))
+        assert expected.value == 4 ** (g.n - 2)
+        assert certify_general_bound(build_soe(own)).cells == expected.cells
+        for fw in (unit, own):
+            assert witness_check(build_soe(fw)) == (g.n >= 3)
+    # Both read the distance system's layout, so they refuse any other form.
+    with pytest.raises(InputError):
+        certify_general_bound(build_subsoe(own))
+    with pytest.raises(InputError):
+        witness_check(build_subsoe(own))
 
 
 def test_non_generic_lifting_raises():
@@ -224,9 +256,7 @@ def test_separation_soundness_small():
         g = henneberg_apply(random_henneberg_sequence(n, seed=n + 10))
         fw = framework_for(g)
         split_res = mv_for_graph(fw, FORM_SUBSOE, seed=0)
-        from lamanmv.graphs import _base_framework
-
-        polys = newton_polytopes(build_subsoe(_base_framework(fw)))
+        polys = newton_polytopes(build_subsoe(fw))
         direct = mixed_volume(polys, seed=0)
         assert split_res.value == direct.value == 2 ** (n - 2)
 
@@ -362,7 +392,7 @@ def test_touching_margin_matches_lp_reference():
             got = _touching_margin(polys, lifting, faces)
             expected = _touching_margin_lp(polys, lifting, faces)
             if got is None and expected is not None:
-                piece = minkowski_sum_many([RP(f) for f in faces])
+                piece = functools.reduce(minkowski_sum, [RP(f) for f in faces])
                 assert volume_exact(piece) == 0, (faces, lifting)
                 seen["no area"] += 1
             else:
@@ -445,7 +475,7 @@ def test_search_lps_are_pinned(monkeypatch, graph, dim, lps, infeasible, digest)
     # Every pruning LP of the deep substituted blocks of K33 and the prism
     # at lifting seed 0, as the search hands it to linprog.feasible: a
     # change to the search's elimination shows up in these rows.
-    fw = _base_framework(framework_for(graph()))
+    fw = framework_for(graph())
     block = next(b for b in separation_split(newton_polytopes(build_subsoe(fw)))
                  if len(b.coordinates) == dim)
     recorded, statuses = [], Counter()
@@ -597,22 +627,24 @@ def test_deadline_enforced(monkeypatch):
     fw = framework_for(k33_graph())
     with pytest.raises(CapabilityError):
         mv_for_graph(fw, FORM_SUBSOE, seed=0, deadline=time.monotonic() - 1)
-    g = henneberg_apply(random_henneberg_sequence(4, seed=4))
+    fw = framework_for(henneberg_apply(random_henneberg_sequence(4, seed=4)))
     with pytest.raises(CapabilityError):
-        certify_general_bound(g, deadline=time.monotonic() - 1)
-    # The check sits after the system build, so a build that outlasts the
-    # deadline stops before the cell check.
-    build = mixedvol.build_soe
+        certify_general_bound(build_soe(fw), deadline=time.monotonic() - 1)
+    # The caller builds the system and the certificate checks the deadline
+    # when it starts, so a build that outlasts the deadline stops the
+    # certificate before its cell check.
+    deadline = time.monotonic() + 0.1
+    soe = build_soe(fw)
+    time.sleep(0.2)
 
-    def slow_build(fw):
-        out = build(fw)
-        time.sleep(0.2)
-        return out
+    def cell_check(*args):
+        raise AssertionError("cell check ran past the deadline")
 
-    monkeypatch.setattr(mixedvol, "build_soe", slow_build)
+    monkeypatch.setattr(mixedvol, "is_mixed_cell", cell_check)
     with pytest.raises(CapabilityError):
-        certify_general_bound(g, deadline=time.monotonic() + 0.1)
-    assert certify_general_bound(g, deadline=time.monotonic() + 60).value == 16
+        certify_general_bound(soe, deadline=deadline)
+    monkeypatch.undo()
+    assert certify_general_bound(soe, deadline=time.monotonic() + 60).value == 16
 
 
 def test_mismatched_multiplicities_rejected():

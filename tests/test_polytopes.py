@@ -11,14 +11,13 @@ from reference_hull import _facet_enumeration, reference_edges, reference_vertic
 from lamanmv import polytopes
 from lamanmv._linalg import scaled
 from lamanmv.errors import CapabilityError, InputError, InternalError
-from lamanmv.graphs import _base_framework, henneberg_apply, random_henneberg_sequence
+from lamanmv.graphs import henneberg_apply, random_henneberg_sequence
 from lamanmv.mixedvol import mixed_volume
 from lamanmv.polysys import Polynomial, PolySystem, build_subsoe, newton_polytopes
 from lamanmv.polytopes import (
     EdgeCell,
     RationalPolytope,
     edge_matrix_det,
-    hull_vertices,
     is_edge,
     minkowski_sum,
     volume_exact,
@@ -38,12 +37,12 @@ def example_pair():
 
 
 def test_hull_removes_midpoints():
-    p = hull_vertices([(0,), (1,), (2,)])
+    p = RP([(0,), (1,), (2,)])
     assert p.vertices == ((F(0),), (F(2),))
 
 
 def test_hull_single_point():
-    p = hull_vertices([(5, 7)])
+    p = RP([(5, 7)])
     assert p.vertices == ((F(5), F(7)),)
 
 
@@ -51,14 +50,14 @@ def test_hull_idempotent():
     rng = random.Random(1)
     for _ in range(10):
         pts = [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(8)]
-        p = hull_vertices(pts)
-        q = hull_vertices(p.vertices)
+        p = RP(pts)
+        q = RP(p.vertices)
         assert q.vertices == p.vertices
 
 
 def test_hull_dimension_mismatch():
     with pytest.raises(InputError):
-        hull_vertices([(0, 0), (1,)])
+        RP([(0, 0), (1,)])
 
 
 def test_edge_polynomial_support_reduces_to_five():
@@ -73,7 +72,7 @@ def test_edge_polynomial_support_reduces_to_five():
         tuple(1 if i in (4, 6) else 0 for i in range(dim)),
         tuple(1 if i in (5, 7) else 0 for i in range(dim)),
     ]
-    p = hull_vertices(pts)
+    p = RP(pts)
     assert p.nvertices == 5
     for i, a in enumerate(p.vertices):
         for b in p.vertices[i + 1 :]:
@@ -157,7 +156,7 @@ def test_volume_matches_shoelace_on_random_polygons():
     done = 0
     while done < 50:
         pts = [(F(rng.randint(0, 9)), F(rng.randint(0, 9))) for _ in range(rng.randint(3, 9))]
-        p = hull_vertices(pts)
+        p = RP(pts)
         if p.dim() < 2:
             continue
         assert volume_exact(p) == _shoelace(p.vertices)
@@ -416,7 +415,7 @@ def test_newton_polytopes_have_int_coordinates(supports):
 @given(st.integers(3, 7), st.integers(0, 10**6))
 def test_graph_newton_polytopes_have_int_coordinates(n, seed):
     g = henneberg_apply(random_henneberg_sequence(n, seed=seed, step2_probability=0.5))
-    for poly in newton_polytopes(build_subsoe(_base_framework(framework_for(g)))):
+    for poly in newton_polytopes(build_subsoe(framework_for(g))):
         assert _coordinate_types(poly.vertices) == {int}
 
 
