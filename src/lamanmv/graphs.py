@@ -6,7 +6,9 @@ the subset definition is kept as a brute-force oracle for cross checks.
 The same game, played with the pinned base edge last, also yields the
 edge orientation with in-degree 2 everywhere outside the two base
 vertices. Construction sequences (vertex additions of degree 2, or
-degree 3 with one edge removal) are recovered by backtracking.
+degree 3 with one edge removal) are peeled off greedily: by Laman's
+theorem the first candidate vertex never needs undoing. The catalog of
+Laman graphs up to isomorphism grows from the triangle by the same steps.
 """
 
 import itertools
@@ -19,7 +21,6 @@ from .errors import CapabilityError, InputError, InternalError, NoSequenceError,
 
 ORACLE_VERTEX_CAP = 12
 ISO_VERTEX_CAP = 8
-CATALOG_VERTEX_CAP = 6
 
 
 def edge_key(a, b):
@@ -308,44 +309,38 @@ def _edges_laman(edges, vertices):
     return check_laman(g)["laman"]
 
 
-def _peel_search(edges, vertices, only_step1, _failed=None):
-    """Backtracking reverse construction down to a triangle.
+def _peel_search(edges, vertices, only_step1):
+    """Reverse construction down to a triangle, with no backtracking.
 
-    Returns a list of peel records (kind, vertex, anchors, inserted) in
-    peel order, or None.
+    Returns peel records (kind, vertex, anchors, inserted) in peel order,
+    or None. Each step peels the smallest degree-2 vertex, else the
+    smallest degree-3 vertex with the first neighbour pair whose join
+    leaves a Laman graph. By Laman's theorem that choice never needs
+    undoing: deleting a degree-2 vertex keeps a graph Laman (and
+    degree-2-built when it was), and every degree-3 vertex has such a pair.
     """
-    if _failed is None:
-        _failed = set()
-    key = frozenset(edges)
-    if key in _failed:
-        return None
-    if len(vertices) == 3:
-        return []
-    deg = _degree_map(edges, vertices)
+    edges, vertices = set(edges), set(vertices)
     degrees = (2,) if only_step1 else (2, 3)
-    candidates = [v for v in vertices if deg[v] in degrees]
-    for v in sorted(candidates, key=lambda v: (deg[v], v)):
-        nbrs = sorted(a if b == v else b for a, b in edges if v in (a, b))
-        stripped = {e for e in edges if v not in e}
-        rest = vertices - {v}
+    peels = []
+    while len(vertices) > 3:
+        deg = _degree_map(edges, vertices)
+        candidates = [v for v in vertices if deg[v] in degrees]
+        if not candidates:
+            return None
+        v = min(candidates, key=lambda v: (deg[v], v))
+        nbrs = tuple(sorted(a if b == v else b for a, b in edges if v in (a, b)))
+        edges = {e for e in edges if v not in e}
+        vertices.remove(v)
         if deg[v] == 2:
-            # Removing a degree-2 vertex of a Laman graph keeps it Laman.
-            sub = _peel_search(stripped, rest, only_step1, _failed)
-            if sub is not None:
-                return [("I", v, tuple(nbrs), None)] + sub
-        else:
-            for x, y in itertools.combinations(nbrs, 2):
-                ins = edge_key(x, y)
-                if ins in stripped:
-                    continue
-                cand = stripped | {ins}
-                if not _edges_laman(cand, rest):
-                    continue
-                sub = _peel_search(cand, rest, only_step1, _failed)
-                if sub is not None:
-                    return [("II", v, tuple(nbrs), ins)] + sub
-    _failed.add(key)
-    return None
+            peels.append(("I", v, nbrs, None))
+            continue
+        joins = (edge_key(x, y) for x, y in itertools.combinations(nbrs, 2))
+        ins = next((e for e in joins if e not in edges and _edges_laman(edges | {e}, vertices)), None)
+        if ins is None:
+            raise InternalError(f"no neighbour pair of degree-3 vertex {v} leaves a Laman graph")
+        edges.add(ins)
+        peels.append(("II", v, nbrs, ins))
+    return peels
 
 
 def henneberg_decompose(g, only_step1=False):
@@ -513,31 +508,29 @@ def is_isomorphic(g, h):
 
 @lru_cache(maxsize=None)
 def all_laman_graphs(n):
-    """All Laman graphs on n vertices up to isomorphism (n <= 6)."""
-    if n > CATALOG_VERTEX_CAP:
-        raise CapabilityError(f"catalog capped at {CATALOG_VERTEX_CAP} vertices")
-    if n < 3:
-        return ()
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    target = 2 * n - 3
-    seen = set()
-    result = []
-    for subset in itertools.combinations(pairs, target):
-        deg = {v: 0 for v in range(1, n + 1)}
-        for a, b in subset:
-            deg[a] += 1
-            deg[b] += 1
-        if any(d < 2 for d in deg.values()):
-            continue
-        g = Graph.make(n, subset)
-        if not check_laman(g)["laman"]:
-            continue
-        form = canonical_form(g)
-        if form in seen:
-            continue
-        seen.add(form)
-        result.append(g)
-    return tuple(result)
+    """All Laman graphs on n vertices up to isomorphism (n <= 8).
+
+    Every Laman graph grows from the triangle by Henneberg steps, so the
+    catalog applies every degree-2 and every degree-3 step to each graph
+    of the n-1 catalog, and keeps the first graph of each canonical form.
+    """
+    if n > ISO_VERTEX_CAP:
+        raise CapabilityError(f"catalog capped at {ISO_VERTEX_CAP} vertices")
+    if n < 4:
+        return (triangle(),) if n == 3 else ()
+    found = {}
+    for g in all_laman_graphs(n - 1):
+        grown = [g.edges | {(a, n), (b, n)} for a, b in itertools.combinations(range(1, n), 2)]
+        grown += [
+            (g.edges - {(a, b)}) | {(a, n), (b, n), (c, n)}
+            for a, b in sorted(g.edges)
+            for c in range(1, n)
+            if c not in (a, b)
+        ]
+        for edges in grown:
+            h = Graph(n=n, edges=frozenset(edges))
+            found.setdefault(canonical_form(h), h)
+    return tuple(found.values())
 
 
 def desargues_graph():

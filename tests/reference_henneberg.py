@@ -1,0 +1,67 @@
+"""Exhaustive references for the Henneberg machinery in `lamanmv.graphs`.
+
+`peel_search` is the backtracking reverse construction with a memo of
+failed edge sets; `graphs._peel_search` peels greedily and must return
+the same records, because Laman's theorem says the first candidate
+never fails. `brute_force_catalog` tries every set of 2n-3 edges;
+`graphs.all_laman_graphs` grows the catalog by Henneberg steps and must
+give the same canonical forms.
+"""
+
+import itertools
+
+from lamanmv.graphs import Graph, _degree_map, _edges_laman, canonical_form, check_laman, edge_key
+
+
+def peel_search(edges, vertices, only_step1, _failed=None):
+    """Backtracking reverse construction down to a triangle.
+
+    Returns a list of peel records (kind, vertex, anchors, inserted) in
+    peel order, or None.
+    """
+    if _failed is None:
+        _failed = set()
+    key = frozenset(edges)
+    if key in _failed:
+        return None
+    if len(vertices) == 3:
+        return []
+    deg = _degree_map(edges, vertices)
+    degrees = (2,) if only_step1 else (2, 3)
+    candidates = [v for v in vertices if deg[v] in degrees]
+    for v in sorted(candidates, key=lambda v: (deg[v], v)):
+        nbrs = sorted(a if b == v else b for a, b in edges if v in (a, b))
+        stripped = {e for e in edges if v not in e}
+        rest = vertices - {v}
+        if deg[v] == 2:
+            sub = peel_search(stripped, rest, only_step1, _failed)
+            if sub is not None:
+                return [("I", v, tuple(nbrs), None)] + sub
+        else:
+            for x, y in itertools.combinations(nbrs, 2):
+                ins = edge_key(x, y)
+                if ins in stripped:
+                    continue
+                cand = stripped | {ins}
+                if not _edges_laman(cand, rest):
+                    continue
+                sub = peel_search(cand, rest, only_step1, _failed)
+                if sub is not None:
+                    return [("II", v, tuple(nbrs), ins)] + sub
+    _failed.add(key)
+    return None
+
+
+def brute_force_catalog(n):
+    """Canonical forms of all Laman graphs on n vertices, from every edge subset."""
+    if n < 3:
+        return set()
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    forms = set()
+    for subset in itertools.combinations(pairs, 2 * n - 3):
+        g = Graph.make(n, subset)
+        if min(_degree_map(subset, range(1, n + 1)).values()) < 2:
+            continue
+        if check_laman(g)["laman"]:
+            forms.add(canonical_form(g))
+    return forms

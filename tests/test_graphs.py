@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+import reference_henneberg
 
 from lamanmv import graphs
 from lamanmv.errors import CapabilityError, InputError, SequenceError
@@ -14,6 +15,7 @@ from lamanmv.graphs import (
     StepII,
     _peel_search,
     all_laman_graphs,
+    canonical_form,
     check_laman,
     classify,
     desargues_graph,
@@ -183,7 +185,7 @@ def test_classify():
     assert len(graphs) == 318
     classes = []
     for g in graphs:
-        peels = _peel_search(set(g.edges), set(range(1, g.n + 1)), only_step1=True)
+        peels = reference_henneberg.peel_search(set(g.edges), set(range(1, g.n + 1)), True)
         cls = classify(g)
         assert cls == (HENNEBERG_I if peels is not None else HENNEBERG_II)
         assert (cls == HENNEBERG_I) == _greedy_degree2_peel(g)
@@ -199,13 +201,43 @@ def test_first_henneberg2_graphs_arise_on_six_vertices():
     assert classes.count(HENNEBERG_II) == 2
 
 
+def test_greedy_peel_matches_backtracking_reference():
+    # Laman's theorem: the first candidate the backtracking search tries
+    # always succeeds, so the greedy peel returns the same records.
+    rng = random.Random(15)
+    graphs = [g for n in range(3, 8) for g in all_laman_graphs(n)]
+    for seed in range(300):
+        g = henneberg_apply(random_henneberg_sequence(4 + seed % 10, seed, step2_probability=rng.random()))
+        graphs.append(g.relabel(dict(zip(range(1, g.n + 1), rng.sample(range(1, g.n + 1), g.n)))))
+    no_h1 = with_step2 = 0
+    for g in graphs:
+        for only_step1 in (True, False):
+            args = (set(g.edges), set(range(1, g.n + 1)), only_step1)
+            peels = _peel_search(*args)
+            assert peels == reference_henneberg.peel_search(*args)
+            if only_step1:
+                no_h1 += peels is None
+            else:
+                with_step2 += any(kind == "II" for kind, *_ in peels)
+    assert no_h1 >= 30 and with_step2 >= 30
+
+
+def test_catalog_growth_matches_brute_force():
+    for n in range(2, 7):
+        grown = {canonical_form(g) for g in all_laman_graphs(n)}
+        assert len(grown) == len(all_laman_graphs(n))
+        assert grown == reference_henneberg.brute_force_catalog(n)
+
+
 def test_catalog_counts():
-    assert [len(all_laman_graphs(n)) for n in range(3, 7)] == [1, 1, 3, 13]
+    # OEIS A227117.
+    assert [len(all_laman_graphs(n)) for n in range(3, 8)] == [1, 1, 3, 13, 70]
+    assert all(check_laman(g)["laman"] for g in all_laman_graphs(7))
 
 
 def test_catalog_cap():
     with pytest.raises(CapabilityError):
-        all_laman_graphs(7)
+        all_laman_graphs(9)
 
 
 def test_orientation_triangle():

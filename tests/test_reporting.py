@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -285,6 +288,29 @@ def test_cli_report_timeout_reaches_every_stage(tmp_path, capsys):
     assert time.monotonic() - start < 6
     err = capsys.readouterr().err
     assert "timed out" in err and "Traceback" not in err
+
+
+def test_cli_peel_needs_no_backtracking_on_pendant_vertices(tmp_path):
+    # K33 plus 24 degree-2 vertices, without lengths. The degree-2 peel
+    # strips the pendants and stops at K33, which has no degree-2 vertex.
+    # A backtracking peel retried the pendants' removal orders, work
+    # exponential in their number, already while parsing the file.
+    k33 = sorted(k33_graph().edges)
+    pendants = [(x, 7 + i) for i in range(24) for x in k33[i % 9]]
+    path = tmp_path / "pendants.graph"
+    path.write_text("n 30\n" + "".join(f"e {a} {b}\n" for a, b in k33 + pendants))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for argv in (["check"], ["henneberg"], ["report", "--no-timings", "--timeout", "5"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lamanmv.cli", *argv, str(path)],
+            capture_output=True, text=True, timeout=20, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        if argv == ["check"]:
+            assert payload["laman"] is True
+        else:
+            assert payload["class"] == "HennebergII"
 
 
 def test_cli_system_text(tmp_path, capsys):
