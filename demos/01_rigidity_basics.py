@@ -29,8 +29,8 @@ print("K4 is overbraced; witness subset:", out["witness"])
 print("Complete bipartite 3x3:", check_laman(k33_graph())["laman"])
 print("Triangular prism:", check_laman(desargues_graph())["laman"])
 
-print("\nCatalog sizes up to isomorphism, grown from the triangle by Henneberg steps:")
-for n in range(3, 8):
+print("\nCatalog sizes up to isomorphism, grown from the single edge by Henneberg steps:")
+for n in range(3, 9):
     graphs = all_laman_graphs(n)
     kinds = [classify(g) for g in graphs]
     print(f"  n={n}: {len(graphs)} graphs, {kinds.count('HennebergII')} need an edge swap")

@@ -35,7 +35,6 @@ from .graphs import (
     h1_decomposition,
     henneberg_apply,
     henneberg_decompose,
-    is_isomorphic,
     k33_graph,
     laman_oracle,
     orient_two_in,

@@ -8,7 +8,7 @@ edge orientation with in-degree 2 everywhere outside the two base
 vertices. Construction sequences (vertex additions of degree 2, or
 degree 3 with one edge removal) are peeled off greedily: by Laman's
 theorem the first candidate vertex never needs undoing. The catalog of
-Laman graphs up to isomorphism grows from the triangle by the same steps.
+Laman graphs up to isomorphism grows from the single edge by the same steps.
 """
 
 import itertools
@@ -20,7 +20,7 @@ from functools import lru_cache
 from .errors import CapabilityError, InputError, InternalError, NoSequenceError, SequenceError
 
 ORACLE_VERTEX_CAP = 12
-ISO_VERTEX_CAP = 8
+ISO_VERTEX_CAP = 9
 
 
 def edge_key(a, b):
@@ -47,9 +47,6 @@ class Graph:
                 raise InputError(f"duplicate edge {k}")
             keys.add(k)
         return Graph(n=n, edges=frozenset(keys))
-
-    def degree(self, v):
-        return sum(1 for e in self.edges if v in e)
 
     def sorted_edges(self):
         return sorted(self.edges)
@@ -475,49 +472,51 @@ def orient_two_in(g, base):
 
 
 def canonical_form(g):
-    """Minimum edge tuple over degree-preserving relabelings (n <= 8)."""
+    """Minimum edge tuple over the leaves of individualization-refinement (n <= 9).
+
+    Colour refinement splits vertices by the sorted colours of their
+    neighbours. A discrete colouring numbers them 1..n; otherwise each vertex
+    of the first smallest non-singleton cell is individualized in turn (McKay
+    and Piperno, J. Symbolic Comput. 60, 2014). Only colours are read, so
+    isomorphic graphs get the same form.
+    """
     if g.n > ISO_VERTEX_CAP:
         raise CapabilityError(f"canonical form capped at {ISO_VERTEX_CAP} vertices")
-    degs = {v: g.degree(v) for v in range(1, g.n + 1)}
-    classes = {}
-    for v, d in degs.items():
-        classes.setdefault(d, []).append(v)
-    blocks = []
-    start = 1
-    for _, vs in sorted(classes.items()):
-        vs = sorted(vs)
-        blocks.append((vs, list(range(start, start + len(vs)))))
-        start += len(vs)
-    best = None
-    for perms in itertools.product(*(itertools.permutations(vs) for vs, _ in blocks)):
-        mapping = {}
-        for (_, targets), perm in zip(blocks, perms):
-            for v, t in zip(perm, targets):
-                mapping[v] = t
-        form = tuple(sorted(edge_key(mapping[a], mapping[b]) for a, b in g.edges))
-        if best is None or form < best:
-            best = form
-    return best
+    nbrs = {v: [a + b - v for a, b in g.edges if v in (a, b)] for v in range(1, g.n + 1)}
 
+    def leaves(colour):
+        while True:
+            sig = {v: (colour[v], tuple(sorted(colour[w] for w in nbrs[v]))) for v in nbrs}
+            rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+            stable = len(rank) == len(set(colour.values()))
+            colour = {v: rank[sig[v]] for v in nbrs}
+            if stable:
+                break
+        cells = {}
+        for v, c in colour.items():
+            cells.setdefault(c, []).append(v)
+        if len(cells) == g.n:
+            yield tuple(sorted(edge_key(colour[a] + 1, colour[b] + 1) for a, b in g.edges))
+            return
+        _, c = min((len(vs), c) for c, vs in cells.items() if len(vs) > 1)
+        for v in cells[c]:
+            yield from leaves({w: 2 * colour[w] + (w != v) for w in nbrs})
 
-def is_isomorphic(g, h):
-    if g.n != h.n or len(g.edges) != len(h.edges):
-        return False
-    return canonical_form(g) == canonical_form(h)
+    return min(leaves({v: 0 for v in nbrs}))
 
 
 @lru_cache(maxsize=None)
 def all_laman_graphs(n):
-    """All Laman graphs on n vertices up to isomorphism (n <= 8).
+    """All Laman graphs on n vertices up to isomorphism (n <= 9).
 
-    Every Laman graph grows from the triangle by Henneberg steps, so the
-    catalog applies every degree-2 and every degree-3 step to each graph
-    of the n-1 catalog, and keeps the first graph of each canonical form.
+    The single edge grows into every Laman graph by Henneberg steps, so
+    the catalog applies every degree-2 and degree-3 step to each graph of
+    the n-1 catalog and keeps the first graph of each canonical form.
     """
     if n > ISO_VERTEX_CAP:
         raise CapabilityError(f"catalog capped at {ISO_VERTEX_CAP} vertices")
-    if n < 4:
-        return (triangle(),) if n == 3 else ()
+    if n < 3:
+        return (Graph.make(2, [(1, 2)]),) if n == 2 else ()
     found = {}
     for g in all_laman_graphs(n - 1):
         grown = [g.edges | {(a, n), (b, n)} for a, b in itertools.combinations(range(1, n), 2)]

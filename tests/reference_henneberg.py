@@ -3,14 +3,17 @@
 `peel_search` is the backtracking reverse construction with a memo of
 failed edge sets; `graphs._peel_search` peels greedily and must return
 the same records, because Laman's theorem says the first candidate
-never fails. `brute_force_catalog` tries every set of 2n-3 edges;
+never fails. `canonical_form` tries every relabelling that keeps each
+degree class in place; `graphs.canonical_form` refines colours instead
+and must split graphs into the same isomorphism classes.
+`brute_force_catalog` tries every set of 2n-3 edges;
 `graphs.all_laman_graphs` grows the catalog by Henneberg steps and must
-give the same canonical forms.
+give the same classes.
 """
 
 import itertools
 
-from lamanmv.graphs import Graph, _degree_map, _edges_laman, canonical_form, check_laman, edge_key
+from lamanmv.graphs import Graph, _degree_map, _edges_laman, check_laman, edge_key
 
 
 def peel_search(edges, vertices, only_step1, _failed=None):
@@ -52,16 +55,38 @@ def peel_search(edges, vertices, only_step1, _failed=None):
     return None
 
 
+def canonical_form(g):
+    """Minimum edge tuple over degree-preserving relabelings."""
+    degs = _degree_map(g.edges, range(1, g.n + 1))
+    classes = {}
+    for v, d in degs.items():
+        classes.setdefault(d, []).append(v)
+    blocks = []
+    start = 1
+    for _, vs in sorted(classes.items()):
+        vs = sorted(vs)
+        blocks.append((vs, list(range(start, start + len(vs)))))
+        start += len(vs)
+    best = None
+    for perms in itertools.product(*(itertools.permutations(vs) for vs, _ in blocks)):
+        mapping = {}
+        for (_, targets), perm in zip(blocks, perms):
+            for v, t in zip(perm, targets):
+                mapping[v] = t
+        form = tuple(sorted(edge_key(mapping[a], mapping[b]) for a, b in g.edges))
+        if best is None or form < best:
+            best = form
+    return best
+
+
 def brute_force_catalog(n):
-    """Canonical forms of all Laman graphs on n vertices, from every edge subset."""
-    if n < 3:
+    """Reference canonical forms of all Laman graphs on n vertices, from every edge subset."""
+    if n < 2:
         return set()
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     forms = set()
     for subset in itertools.combinations(pairs, 2 * n - 3):
         g = Graph.make(n, subset)
-        if min(_degree_map(subset, range(1, n + 1)).values()) < 2:
-            continue
         if check_laman(g)["laman"]:
             forms.add(canonical_form(g))
     return forms

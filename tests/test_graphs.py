@@ -21,7 +21,6 @@ from lamanmv.graphs import (
     desargues_graph,
     henneberg_apply,
     henneberg_decompose,
-    is_isomorphic,
     k33_graph,
     laman_oracle,
     orient_two_in,
@@ -139,7 +138,7 @@ def test_decompose_roundtrip_random_step1():
         dec = henneberg_decompose(g)
         assert all(isinstance(s, StepI) for s in dec.sequence.steps)
         replay = henneberg_apply(dec.sequence)
-        assert is_isomorphic(replay, g)
+        assert canonical_form(replay) == canonical_form(g)
         # the relabeling is an explicit isomorphism
         assert replay.relabel(dec.relabeling).edges == g.edges
 
@@ -222,22 +221,51 @@ def test_greedy_peel_matches_backtracking_reference():
     assert no_h1 >= 30 and with_step2 >= 30
 
 
+def test_canonical_form_splits_like_the_degree_class_reference():
+    rng = random.Random(16)
+    graphs = [g for n in range(2, 8) for g in all_laman_graphs(n)]
+    for _ in range(500):
+        n = rng.randint(1, 7)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        graphs.append(Graph.make(n, rng.sample(pairs, rng.randint(0, len(pairs)))))
+    for n in range(3, 7):
+        graphs.append(Graph.make(n, [(v, v % n + 1) for v in range(1, n + 1)]))
+        graphs.append(Graph.make(n, itertools.combinations(range(1, n + 1), 2)))
+    graphs += [k33_graph(), desargues_graph()]
+    # Refinement leaves C3 + C4 one cell, which is not an orbit: the form
+    # must try every vertex of it, whichever cycle gets the low labels.
+    graphs.append(Graph.make(7, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7), (4, 7)]))
+    graphs.append(Graph.make(7, [(1, 2), (2, 3), (3, 4), (1, 4), (5, 6), (6, 7), (5, 7)]))
+    graphs += [g.relabel(dict(zip(range(1, g.n + 1), rng.sample(range(1, g.n + 1), g.n)))) for g in graphs]
+    forms = {(g.n, canonical_form(g), reference_henneberg.canonical_form(g)) for g in graphs}
+    # Two graphs share a form exactly when they share a reference form.
+    assert len({(n, new) for n, new, _ in forms}) == len(forms) == len({(n, ref) for n, _, ref in forms})
+    assert len(forms) > 200
+
+
 def test_catalog_growth_matches_brute_force():
-    for n in range(2, 7):
-        grown = {canonical_form(g) for g in all_laman_graphs(n)}
+    for n in range(1, 7):
+        grown = {reference_henneberg.canonical_form(g) for g in all_laman_graphs(n)}
         assert len(grown) == len(all_laman_graphs(n))
         assert grown == reference_henneberg.brute_force_catalog(n)
 
 
 def test_catalog_counts():
     # OEIS A227117.
-    assert [len(all_laman_graphs(n)) for n in range(3, 8)] == [1, 1, 3, 13, 70]
-    assert all(check_laman(g)["laman"] for g in all_laman_graphs(7))
+    assert [len(all_laman_graphs(n)) for n in range(3, 10)] == [1, 1, 3, 13, 70, 608, 7222]
+    assert all(check_laman(g)["laman"] for g in all_laman_graphs(9))
+
+
+def test_catalog_class_split():
+    # Degree-2-built graphs against the rest, for the n = 8 and n = 9 tables.
+    for n, split in ((8, (499, 109)), (9, (5500, 1722))):
+        classes = [classify(g) for g in all_laman_graphs(n)]
+        assert (classes.count(HENNEBERG_I), classes.count(HENNEBERG_II)) == split
 
 
 def test_catalog_cap():
     with pytest.raises(CapabilityError):
-        all_laman_graphs(9)
+        all_laman_graphs(10)
 
 
 def test_orientation_triangle():

@@ -11,9 +11,9 @@ from conftest import framework_for, random_fullmixed_instance, random_lattice_po
 from lamanmv.graphs import (
     Graph,
     all_laman_graphs,
+    canonical_form,
     check_laman,
     henneberg_apply,
-    is_isomorphic,
     henneberg_decompose,
     laman_oracle,
     random_henneberg_sequence,
@@ -39,6 +39,17 @@ def graphs(draw, max_n=7):
 @given(graphs())
 def test_pebble_game_matches_subset_oracle(g):
     assert check_laman(g)["laman"] == laman_oracle(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_canonical_form_ignores_labels(data):
+    # The catalog is built in the test body, outside the timed draws.
+    catalog = all_laman_graphs(data.draw(st.integers(2, 9)))
+    g = catalog[data.draw(st.integers(0, len(catalog) - 1))]
+    order = data.draw(st.permutations(range(1, g.n + 1)))
+    h = g.relabel({old: new for new, old in enumerate(order, start=1)})
+    assert canonical_form(h) == canonical_form(g)
 
 
 def test_pebble_game_matches_oracle_on_catalog():
@@ -74,7 +85,7 @@ def test_decompose_roundtrip_with_mixed_steps():
         seq = random_henneberg_sequence(7, seed=seed, step2_probability=0.5)
         g = henneberg_apply(seq)
         dec = henneberg_decompose(g)
-        assert is_isomorphic(henneberg_apply(dec.sequence), g)
+        assert canonical_form(henneberg_apply(dec.sequence)) == canonical_form(g)
 
 
 def test_enumeration_matches_oracle_small():
