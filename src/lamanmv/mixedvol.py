@@ -31,10 +31,14 @@ The mixed volume is the sum of |det| of the edge matrices over all
 mixed cells. Repeated polytopes are handled by replication with
 independent liftings. Coordinate-block products (one polytope group
 supported on its own coordinates) are split off beforehand, which is
-what makes the substituted vertex systems tractable.
+what makes the substituted vertex systems tractable. Identical blocks
+are solved once per system: numbered in construction order, a
+degree-2-built graph's substituted system splits into n + 4 blocks of
+which only 2 differ, six 1-dim ones and n - 2 copies of one 3-dim one.
 """
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -533,7 +537,9 @@ def mv_for_graph(framework, form=FORM_SUBSOE, seed=0, oracle=False, deadline=Non
 
     Pipeline: build the system, take Newton polytopes, split into
     coordinate blocks, enumerate mixed cells per block (or run the
-    inclusion-exclusion oracle when requested), multiply.
+    inclusion-exclusion oracle when requested), multiply. Blocks whose
+    projected polytopes have the same vertices are solved once per
+    call: the same vertices and seed give the same lifting and cells.
     """
     if form == FORM_SOE:
         system = build_soe(framework)
@@ -546,31 +552,19 @@ def mv_for_graph(framework, form=FORM_SUBSOE, seed=0, oracle=False, deadline=Non
 
 def _mv_for_system(system, seed=0, oracle=False, deadline=None):
     """`mv_for_graph` on a system already built."""
-    polys = newton_polytopes(system)
-    blocks = separation_split(polys)
-    value = Fraction(1)
+    blocks = separation_split(newton_polytopes(system))
+    solved = {}  # projected vertices -> (value, cells, lifting seed)
     out_blocks = []
-    all_cells = []
     for blk in blocks:
-        if oracle:
-            blk_value = mv_inclusion_exclusion(blk.projected, deadline)
-            out_blocks.append(
-                BlockResult(blk.polytope_indices, blk.coordinates, blk_value, (), None)
-            )
-        else:
-            sub = mixed_volume(blk.projected, seed=seed, deadline=deadline)
-            blk_value = sub.value
-            out_blocks.append(
-                BlockResult(
-                    blk.polytope_indices,
-                    blk.coordinates,
-                    blk_value,
-                    sub.cells,
-                    sub.lifting_seed,
-                )
-            )
-            all_cells.extend(sub.cells)
-        value *= blk_value
+        check_deadline(deadline, "coordinate blocks")
+        key = tuple(p.vertices for p in blk.projected)
+        if key not in solved:
+            if oracle:
+                solved[key] = (mv_inclusion_exclusion(blk.projected, deadline), (), None)
+            else:
+                sub = mixed_volume(blk.projected, seed=seed, deadline=deadline)
+                solved[key] = (sub.value, sub.cells, sub.lifting_seed)
+        out_blocks.append(BlockResult(blk.polytope_indices, blk.coordinates, *solved[key]))
     if oracle:
         method = METHOD_ORACLE
     elif len(blocks) > 1:
@@ -578,10 +572,10 @@ def _mv_for_system(system, seed=0, oracle=False, deadline=None):
     else:
         method = METHOD_ENUMERATION
     return MVResult(
-        value=value,
+        value=math.prod((b.value for b in out_blocks), start=Fraction(1)),
         method=method,
         lifting_seed=None if oracle else seed,
-        cells=tuple(all_cells),
+        cells=tuple(c for b in out_blocks for c in b.cells),
         blocks=tuple(out_blocks),
     )
 

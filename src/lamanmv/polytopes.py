@@ -122,25 +122,10 @@ class RationalPolytope:
             self._cache["edges"] = cached
         return cached
 
-    def translate(self, shift):
-        shift = tuple(map(rational, shift))
-        return RationalPolytope(
-            self.ambient_dim,
-            tuple(tuple(rational(v[c] + shift[c]) for c in range(self.ambient_dim))
-                  for v in self.vertices),
-        )
-
     def project(self, coords):
         """Orthogonal projection onto the listed coordinates (re-reduced)."""
         pts = [tuple(v[c] for c in coords) for v in self.vertices]
         return RationalPolytope.from_points(pts)
-
-    def scale(self, factor):
-        f = rational(factor)
-        return RationalPolytope(
-            self.ambient_dim,
-            tuple(tuple(rational(f * x) for x in v) for v in self.vertices),
-        )
 
     def support(self):
         """Coordinates on which some vertex is nonzero."""

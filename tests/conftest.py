@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -17,6 +18,16 @@ def framework_for(graph, start=2):
     return Framework.make(
         graph, {e: Fraction(i + start) for i, e in enumerate(sorted(graph.edges))}
     )
+
+
+def translate(p, shift):
+    """p + shift, vertex by vertex."""
+    return RationalPolytope(p.ambient_dim, tuple(tuple(map(add, v, shift)) for v in p.vertices))
+
+
+def scale(p, factor):
+    """factor * p, vertex by vertex."""
+    return RationalPolytope(p.ambient_dim, tuple(tuple(factor * x for x in v) for v in p.vertices))
 
 
 def random_lattice_polytope(rng, dim, max_points=6, coord_range=2):

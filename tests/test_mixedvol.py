@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 
@@ -15,6 +16,7 @@ from lamanmv import linprog, mixedvol
 from lamanmv.errors import CapabilityError, InputError, NonGenericLiftingError
 from lamanmv.graphs import (
     Framework,
+    StepII,
     all_laman_graphs,
     desargues_graph,
     henneberg_apply,
@@ -45,6 +47,8 @@ from lamanmv.linprog import feasible
 from lamanmv.polysys import (
     FORM_SOE,
     FORM_SUBSOE,
+    PolySystem,
+    Polynomial,
     build_soe,
     build_subsoe,
     newton_polytopes,
@@ -424,6 +428,117 @@ def test_mv_for_graph_oracle_capability():
         mv_for_graph(framework_for(k33_graph()), FORM_SUBSOE, oracle=True)
 
 
+def _degree2_graph(n, seed=0):
+    return henneberg_apply(random_henneberg_sequence(n, seed=seed))
+
+
+def _graphs_with_repeated_blocks():
+    """The catalog up to n = 7, and for n = 6..12 one degree-2-built graph
+    and one built with a degree-3 step. The latter is the first seed whose
+    blocks have at most 9 coordinates: a larger block takes seconds."""
+    out = [g for n in range(3, 8) for g in all_laman_graphs(n)]
+    for n in range(6, 13):
+        out.append(_degree2_graph(n, seed=n))
+        for seed in itertools.count():
+            seq = random_henneberg_sequence(n, seed=seed, step2_probability=0.2)
+            if not any(isinstance(step, StepII) for step in seq.steps):
+                continue
+            g = henneberg_apply(seq)
+            blocks = separation_split(newton_polytopes(build_subsoe(framework_for(g))))
+            if max(len(b.coordinates) for b in blocks) <= 9:
+                out.append(g)
+                break
+    return out
+
+
+def test_each_block_result_matches_a_fresh_solve():
+    # mv_for_graph solves identical blocks once; every block must still get
+    # what a search (or the oracle) on its own polytopes gives.
+    repeated = 0
+    for g in _graphs_with_repeated_blocks():
+        fw = framework_for(g)
+        blocks = separation_split(newton_polytopes(build_subsoe(fw)))
+        res = mv_for_graph(fw, FORM_SUBSOE, seed=0)
+        assert [b.coordinates for b in res.blocks] == [b.coordinates for b in blocks]
+        for got, blk in zip(res.blocks, blocks):
+            fresh = mixed_volume(blk.projected, seed=0)
+            assert (got.value, got.cells, got.seed_used) == (
+                fresh.value, fresh.cells, fresh.lifting_seed)
+        assert res.cells == tuple(c for b in res.blocks for c in b.cells)
+        repeated += len(blocks) - len({tuple(p.vertices for p in b.projected) for b in blocks})
+        if max(len(b.coordinates) for b in blocks) <= 6:
+            oracle = mv_for_graph(fw, FORM_SUBSOE, oracle=True)
+            assert [b.value for b in oracle.blocks] == [
+                mv_inclusion_exclusion(blk.projected) for blk in blocks]
+    assert repeated > 500
+
+
+@pytest.mark.parametrize("graph, blocks, searches", [
+    (lambda: _degree2_graph(12), 16, 2),
+    (k33_graph, 7, 2),
+    (desargues_graph, 8, 3),
+], ids=["degree2_n12", "k33", "prism"])
+def test_each_distinct_block_is_searched_once(monkeypatch, graph, blocks, searches):
+    # A degree-2-built graph's blocks are six copies of one segment and
+    # n - 2 copies of one 3-dim triple.
+    calls = []
+    search = mixedvol.enumerate_mixed_cells
+
+    def count(polys, lifting, deadline=None):
+        calls.append(polys)
+        return search(polys, lifting, deadline)
+
+    monkeypatch.setattr(mixedvol, "enumerate_mixed_cells", count)
+    res = mv_for_graph(framework_for(graph()), FORM_SUBSOE, seed=0)
+    assert (len(res.blocks), len(calls)) == (blocks, searches)
+
+
+def test_blocks_alike_in_part_are_solved_apart():
+    # Six polynomials in x0..x5, given by their exponents (coefficients 1):
+    # blocks {0} and {1} share a dimension, blocks {2, 3} and {4, 5} also
+    # their first polytope, and each needs its own solve.
+    supports = [
+        [(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)],
+        [(0, 0, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0)],
+        [(0, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0)],
+        [(0, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0)],
+        [(0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)],
+        [(0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 2, 0), (0, 0, 0, 0, 0, 2)],
+    ]
+    system = PolySystem(tuple(f"x{i}" for i in range(6)),
+                        tuple(Polynomial.make(6, dict.fromkeys(e, 1)) for e in supports))
+    expected = {(0,): 1, (1,): 2, (2, 3): 1, (4, 5): 2}
+    for oracle in (False, True):
+        res = mixedvol._mv_for_system(system, seed=0, oracle=oracle)
+        assert {b.polytope_indices: b.value for b in res.blocks} == expected
+        assert res.value == 4
+
+
+@pytest.mark.parametrize("oracle, solver", [
+    (False, "mixed_volume"),
+    (True, "mv_inclusion_exclusion"),
+], ids=["enumeration", "oracle"])
+def test_deadline_checked_before_each_block(monkeypatch, oracle, solver):
+    # The first block's solve outlasts the deadline and the next five
+    # blocks repeat it, so no solver runs there to check the deadline: the
+    # block loop must stop before the second block.
+    system = build_subsoe(framework_for(_degree2_graph(6)))
+    deadline = time.monotonic() + 0.5
+    calls = []
+    solve = getattr(mixedvol, solver)
+
+    def slow(*args, **kwargs):
+        calls.append(args[0])
+        out = solve(*args, **kwargs)
+        time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
+        return out
+
+    monkeypatch.setattr(mixedvol, solver, slow)
+    with pytest.raises(CapabilityError):
+        mixedvol._mv_for_system(system, seed=0, oracle=oracle, deadline=deadline)
+    assert len(calls) == 1
+
+
 def _search_outcome(enumerate_fn, polys, lifting):
     try:
         return "cells", enumerate_fn(polys, lifting)
@@ -621,8 +736,6 @@ def test_square_diagonal_is_never_a_strict_cell():
 
 
 def test_deadline_enforced(monkeypatch):
-    import time
-
     fw = framework_for(k33_graph())
     with pytest.raises(CapabilityError):
         mv_for_graph(fw, FORM_SUBSOE, seed=0, deadline=time.monotonic() - 1)

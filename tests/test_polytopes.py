@@ -4,7 +4,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from conftest import framework_for, random_lattice_polytope
+from conftest import framework_for, random_lattice_polytope, scale, translate
 from hypothesis import assume, given, settings, strategies as st
 from reference_hull import _facet_enumeration, reference_edges, reference_vertices, reference_volume
 
@@ -111,14 +111,14 @@ def test_minkowski_example_heptagon():
 def test_minkowski_point_translates():
     P, _ = example_pair()
     t = minkowski_sum(P, RP([(10, 20)]))
-    assert t.vertices == P.translate((10, 20)).vertices
+    assert t.vertices == translate(P, (10, 20)).vertices
 
 
 def test_volume_translation_and_scaling():
     cube = RP([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
     assert volume_exact(cube) == 1
-    assert volume_exact(cube.translate((F(1, 3), -7, 2))) == 1
-    assert volume_exact(cube.scale(F(3, 2))) == F(27, 8)
+    assert volume_exact(translate(cube, (F(1, 3), -7, 2))) == 1
+    assert volume_exact(scale(cube, F(3, 2))) == F(27, 8)
 
 
 def test_volume_lower_dimensional_is_zero():

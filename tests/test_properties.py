@@ -7,7 +7,13 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import framework_for, random_fullmixed_instance, random_lattice_polytope
+from conftest import (
+    framework_for,
+    random_fullmixed_instance,
+    random_lattice_polytope,
+    scale,
+    translate,
+)
 from lamanmv.graphs import (
     Graph,
     all_laman_graphs,
@@ -65,9 +71,9 @@ def test_volume_translation_and_dilation(seed, dim):
     p = random_lattice_polytope(rng, dim, max_points=6, coord_range=3)
     v = volume_exact(p)
     shift = tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(dim))
-    assert volume_exact(p.translate(shift)) == v
+    assert volume_exact(translate(p, shift)) == v
     lam = F(rng.randint(1, 4), rng.randint(1, 4))
-    assert volume_exact(p.scale(lam)) == lam**dim * v
+    assert volume_exact(scale(p, lam)) == lam**dim * v
 
 
 @settings(max_examples=10, deadline=None)
