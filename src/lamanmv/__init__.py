@@ -80,6 +80,6 @@ from .polytopes import (
     minkowski_sum,
     volume_exact,
 )
-from .reporting import Report, borcea_streinu_bound, build_report, parse_graph_file
+from .reporting import borcea_streinu_bound, build_report, parse_graph_file
 
 __version__ = "0.1.0"

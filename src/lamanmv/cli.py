@@ -237,8 +237,9 @@ def _embed(args, fw):
 
 
 def _report(args, fw):
-    rep = reporting.build_report(fw, seed=args.seed, tight=args.tight, deadline=_deadline(args))
-    payload = rep.to_dict(include_timings=not args.no_timings)
+    payload = reporting.build_report(fw, args.seed, args.tight, _deadline(args))
+    if args.no_timings:
+        del payload["timings"]
 
     def text(p):
         keys = ("laman", "class", "bezout_soe", "bezout_subsoe",

@@ -23,8 +23,10 @@ functional with a strictly positive margin; a zero margin, found at the
 leaf or carried down from the node that fixed it, means the lifting is
 non-generic and the caller re-seeds. Each accepted cell is checked again
 by `is_mixed_cell`, which lifts the points afresh, solves its edge
-equalities on their own and shares no elimination with the search. The
-search runs in one thread: its exact Python arithmetic holds the GIL,
+equalities on their own and shares no elimination with the search. Its
+touching test (`_touching`, one face per polytope) also decides which
+face combinations are cells of the 2-D subdivision oracle. The search
+runs in one thread: its exact Python arithmetic holds the GIL,
 so threads cannot speed it up.
 
 The mixed volume is the sum of |det| of the edge matrices over all
@@ -135,34 +137,45 @@ def _lifted(vertices, mu):
 
 
 def is_mixed_cell(cell, polys, lifting):
-    """Direct edge-matrix test of the mixed-cell criterion.
+    """Direct edge-matrix test of the mixed-cell criterion: `_touching` on the cell's edges.
 
-    Solves the edge equalities, differences of lifted points, for the
-    unique touching functional alpha = X/den (a singular edge matrix
-    fails at once), sharing no elimination with the search, and tests
-    every non-edge vertex u by the sign of its integer slack
-    (<mu - alpha, u> - <mu - alpha, a>) * den*E*D.
+    It shares no elimination with the search; a singular edge matrix gives NO.
     """
     k = polys[0].ambient_dim
     if len(polys) != k or len(cell.edges) != k:
         raise InputError("cell/polytope count must equal the ambient dimension")
+    return _touching(polys, lifting, cell.edges)
+
+
+def _touching(polys, lifting, faces):
+    """NO, YES_TIE or YES_STRICT: how a functional touches the lifted sum along `faces`.
+
+    `faces` holds one face per polytope, as a vertex tuple. The face
+    equalities <alpha, f0 - v> = <mu, f0 - v>, differences of lifted
+    points, fix alpha = X/den by the first k independent ones, and all
+    must hold at it. Each vertex u off the faces then has the integer
+    slack (<mu - alpha, u> - <mu - alpha, f0>) * den*E*D: a negative one
+    gives NO and a zero one a tie.
+    """
+    k = polys[0].ambient_dim
     tables = [
-        _lifted((a, b, *(u for u in poly.vertices if u != a and u != b)), mu)[0]
-        for poly, (a, b), mu in zip(polys, cell.edges, lifting.vectors, strict=True)
+        (len(face), _lifted((*face, *(u for u in poly.vertices if u not in face)), mu)[0])
+        for face, poly, mu in zip(faces, polys, lifting.vectors, strict=True)
     ]
-    sol = solve([tuple(map(sub, pts[0], pts[1])) for pts in tables])
+    eqs = [tuple(map(sub, pts[0], p)) for size, pts in tables for p in pts[1:size]]
+    sol = next(filter(None, map(solve, itertools.combinations(eqs, k))), None)
     if sol is None:
         return NO
     den, alpha = sol
-    strict = True
-    for pts in tables:
-        ga, _, *gus = [den * p[k] - sum(map(mul, alpha, p)) for p in pts]
-        for gu in gus:
-            if gu < ga:
-                return NO
-            if gu == ga:
-                strict = False
-    return YES_STRICT if strict else YES_TIE
+    verdict = YES_STRICT
+    for size, pts in tables:
+        # Each slack is g - g0: an equality holds where it is zero.
+        g0, *gs = [den * p[k] - sum(map(mul, alpha, p)) for p in pts]
+        if any(g != g0 for g in gs[:size - 1]) or any(g < g0 for g in gs[size - 1:]):
+            return NO
+        if g0 in gs[size - 1:]:
+            verdict = YES_TIE
+    return verdict
 
 
 class _Enumerator:
@@ -379,7 +392,7 @@ class Block:
     projected: tuple  # projected polytopes, aligned with polytope_indices
 
 
-def separation_split(polys):
+def separation_split(polys, deadline=None):
     """Finest factorization into coordinate-supported blocks.
 
     Finds a perfect matching between polytopes and coordinates through
@@ -387,7 +400,9 @@ def separation_split(polys):
     components of the dependency digraph: a component's polytopes use no
     coordinates matched outside blocks below it, so the mixed volume is
     the product over blocks of the projected sub-volumes. Returns a
-    single block when nothing separates.
+    single block when nothing separates. Raises CapabilityError once
+    `deadline` (a time.monotonic() value) has passed, checked before
+    each projection.
     """
     polys = list(polys)
     k = polys[0].ambient_dim if polys else 0
@@ -419,8 +434,11 @@ def separation_split(polys):
     for ci in sorted(range(len(comps)), key=heights.__getitem__):
         members = comps[ci]
         coords = tuple(sorted(match[i] for i in members))
-        projected = tuple(polys[i].project(coords) for i in members)
-        blocks.append(Block(tuple(members), coords, projected))
+        projected = []
+        for i in members:
+            check_deadline(deadline, "coordinate blocks")
+            projected.append(polys[i].project(coords))
+        blocks.append(Block(tuple(members), coords, tuple(projected)))
     return blocks
 
 
@@ -552,7 +570,7 @@ def mv_for_graph(framework, form=FORM_SUBSOE, seed=0, oracle=False, deadline=Non
 
 def _mv_for_system(system, seed=0, oracle=False, deadline=None):
     """`mv_for_graph` on a system already built."""
-    blocks = separation_split(newton_polytopes(system))
+    blocks = separation_split(newton_polytopes(system, deadline), deadline)
     solved = {}  # projected vertices -> (value, cells, lifting seed)
     out_blocks = []
     for blk in blocks:
@@ -639,7 +657,8 @@ def full_subdivision_2d(polys, lifting):
 
     Returns a list of (face_tuple, area) where face_tuple holds one face
     (as a vertex tuple) per polytope and the face dimensions sum to 2.
-    The areas of all cells sum to the area of the Minkowski sum.
+    The areas of all cells sum to the area of the Minkowski sum. A face
+    combination is a cell when it spans area and `_touching` accepts it.
     """
     polys = list(polys)
     if any(p.ambient_dim != 2 for p in polys):
@@ -656,17 +675,16 @@ def full_subdivision_2d(polys, lifting):
     for combo in itertools.product(*face_sets):
         if sum(d for d, _ in combo) != 2:
             continue
-        outcome = _touching_margin(polys, lifting, [f for _, f in combo])
-        if outcome is None:
+        verdict = _touching(polys, lifting, [f for _, f in combo])
+        if verdict == NO:
             continue
-        margin = outcome
         piece, *rest = (polytopes.RationalPolytope.from_points(f) for _, f in combo)
         for q in rest:
             piece = polytopes.minkowski_sum(piece, q)
         area = polytopes.volume_exact(piece)
         if area == 0:
             continue
-        if margin == 0:
+        if verdict == YES_TIE:
             ties.append(combo)
             continue
         cells.append((tuple(f for _, f in combo), area))
@@ -674,30 +692,3 @@ def full_subdivision_2d(polys, lifting):
         raise NonGenericLiftingError("subdivision has tie cells; re-seed")
     return cells
 
-
-def _touching_margin(polys, lifting, faces):
-    """Margin of the functional pinned to the given faces, or None.
-
-    The face equalities <alpha, f0 - v> = <mu, f0 - v>, differences of
-    lifted points, fix alpha = X/den by the first two independent ones;
-    without two, the faces span no area and the answer is None. The
-    others hold as well: two independent ones come from a single polygon
-    face or from two edges, and a polygon face's equalities all hold at
-    alpha = mu, as the lifting is linear. The margin is the smallest
-    slack <alpha - mu, f0 - u> over the vertices u off the faces (an
-    integer over den and the scale), capped at 1; negative gives None.
-    """
-    eqs, offs = [], []
-    for face, poly, mu in zip(faces, polys, lifting.vectors, strict=True):
-        pts, scale = _lifted((*face, *(u for u in poly.vertices if u not in face)), mu)
-        f0 = pts[0]
-        eqs.extend(tuple(map(sub, f0, p)) for p in pts[1:len(face)])
-        offs.extend((tuple(map(sub, f0, p)), scale) for p in pts[len(face):])
-    sol = next(filter(None, map(solve, itertools.combinations(eqs, 2))), None)
-    if sol is None:
-        return None
-    den, alpha = sol
-    margin = min([Fraction(1)] + [
-        Fraction(sum(map(mul, alpha, r)) - den * r[-1], den * scale) for r, scale in offs
-    ])
-    return None if margin < 0 else margin

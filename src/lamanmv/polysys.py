@@ -18,7 +18,7 @@ from operator import mul
 
 from . import polytopes
 from ._linalg import rational
-from .errors import InputError
+from .errors import InputError, check_deadline
 from .graphs import default_base, edge_key, orient_two_in, relabel_with_base
 
 FORM_SOE = "soe"
@@ -273,14 +273,19 @@ def build_subsoe(framework):
     return PolySystem(variables, tuple(polys), form=FORM_SUBSOE)
 
 
-def newton_polytopes(system):
-    """Vertex-form Newton polytope of every polynomial, in system order."""
+def newton_polytopes(system, deadline=None):
+    """Vertex-form Newton polytope of every polynomial, in system order.
+
+    Raises CapabilityError once `deadline` (a time.monotonic() value)
+    has passed, checked before each hull and passed to `from_points`.
+    """
     out = []
     for p in system.polys:
         support = p.support()
         if not support:
             raise InputError("zero polynomial has no Newton polytope")
-        out.append(polytopes.RationalPolytope.from_points(support))
+        check_deadline(deadline, "Newton polytopes")
+        out.append(polytopes.RationalPolytope.from_points(support, deadline))
     return out
 
 

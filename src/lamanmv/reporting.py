@@ -12,9 +12,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from . import embeddings, mixedvol, polysys
 from .errors import CapabilityError, InputError, InternalError, check_deadline
@@ -123,55 +121,19 @@ def borcea_streinu_bound(n):
     CapabilityError when it has more digits than the int-to-str limit
     lets either output format print.
     """
-    bound = math.comb(2 * n - 4, n - 2)
-    if 0 < (limit := _int_str_digits()) and bound >= 10**limit:
-        raise CapabilityError(f"comparison bound C({2 * n - 4}, {n - 2}) exceeds {limit} digits")
+    m, limit = n - 2, _int_str_digits()
+    # C(2m, m), the largest of the 2m + 1 terms summing to 4^m = 2^(2m), lies
+    # in [4^m / (2m + 1), 2^(2m)): below 2m = 3 limit it has fewer digits than
+    # the limit, and where the lower end reaches 10^limit (2^(2m) exceeds x
+    # once 2m >= x.bit_length()) it is refused without being computed.
+    checked = 0 < limit and 3 * limit <= 2 * m
+    if checked and 2 * m >= ((2 * m + 1) * 10**limit).bit_length():
+        bound = None
+    else:
+        bound = math.comb(2 * m, m)
+    if bound is None or checked and bound >= 10**limit:
+        raise CapabilityError(f"comparison bound C({2 * m}, {m}) exceeds {limit} digits")
     return bound
-
-
-@dataclass
-class Report:
-    n: int
-    edges: list
-    laman: bool
-    laman_witness: Optional[list]
-    henneberg_class: Optional[str]
-    bezout_soe: Optional[int]
-    bezout_subsoe: Optional[int]
-    mv_soe: Optional[dict]
-    mv_subsoe: Optional[dict]
-    borcea_streinu: Optional[int]
-    embedding_count: Optional[int]
-    witness_degenerate: Optional[bool]
-    seed: int
-    timings: dict = field(default_factory=dict)
-
-    def validate(self):
-        if self.mv_soe is not None and self.bezout_soe is not None:
-            if self.mv_soe["value"] > self.bezout_soe:
-                raise InternalError("mv exceeds degree product for the distance system")
-        if self.mv_subsoe is not None and self.bezout_subsoe is not None:
-            if self.mv_subsoe["value"] > self.bezout_subsoe:
-                raise InternalError("mv exceeds degree product for the substituted system")
-
-    def to_dict(self, include_timings=True):
-        out = {
-            "graph": {"n": self.n, "edges": [list(e) for e in self.edges]},
-            "laman": self.laman,
-            "laman_witness": self.laman_witness,
-            "class": self.henneberg_class,
-            "bezout_soe": self.bezout_soe,
-            "bezout_subsoe": self.bezout_subsoe,
-            "mv_soe": self.mv_soe,
-            "mv_subsoe": self.mv_subsoe,
-            "borcea_streinu_bound": self.borcea_streinu,
-            "embedding_count": self.embedding_count,
-            "witness_degenerate": self.witness_degenerate,
-            "seed": self.seed,
-        }
-        if include_timings:
-            out["timings"] = {k: round(v, 6) for k, v in self.timings.items()}
-        return out
 
 
 def mv_result_dict(res):
@@ -210,63 +172,65 @@ def cells_dict(res):
 
 
 def build_report(framework, seed=0, tight=False, deadline=None):
-    """Assemble the full report for a framework."""
+    """The report that `lamanmv report` prints, as a dict of its JSON keys.
+
+    For a non-Laman graph the values filled from the Laman stages stay
+    null and the timings empty.
+    """
     g = framework.graph
-    timings = {}
     t0 = time.monotonic()
     lam = check_laman(g)
-    timings["laman_check"] = time.monotonic() - t0
-    report = Report(
-        n=g.n,
-        edges=g.sorted_edges(),
-        laman=lam["laman"],
-        laman_witness=lam["witness"],
-        henneberg_class=None,
-        bezout_soe=None,
-        bezout_subsoe=None,
-        mv_soe=None,
-        mv_subsoe=None,
-        borcea_streinu=borcea_streinu_bound(g.n) if g.n >= 2 else None,
-        embedding_count=None,
-        witness_degenerate=None,
-        seed=seed,
-    )
+    timings = {"laman_check": time.monotonic() - t0}
+    report = {
+        "graph": {"n": g.n, "edges": [list(e) for e in g.sorted_edges()]},
+        "laman": lam["laman"],
+        "laman_witness": lam["witness"],
+        "borcea_streinu_bound": borcea_streinu_bound(g.n) if g.n >= 2 else None,
+        "seed": seed,
+        "timings": {},
+        # Filled below for a Laman graph only.
+        **dict.fromkeys(("class", "bezout_soe", "bezout_subsoe", "mv_soe", "mv_subsoe",
+                         "embedding_count", "witness_degenerate")),
+    }
     if not lam["laman"]:
         return report
     check_deadline(deadline, "report")
     t0 = time.monotonic()
     dec = _h1_decomposition(g)
-    report.henneberg_class = henneberg_class(g, dec)
+    report["class"] = henneberg_class(g, dec)
     timings["classify"] = time.monotonic() - t0
 
     soe = polysys.build_soe(framework)
     subsoe = polysys.build_subsoe(framework)
-    report.bezout_soe = polysys.bezout(soe)
-    report.bezout_subsoe = polysys.bezout(subsoe)
+    report["bezout_soe"] = polysys.bezout(soe)
+    report["bezout_subsoe"] = polysys.bezout(subsoe)
 
     t0 = time.monotonic()
     cert = mixedvol.certify_general_bound(soe, deadline)
-    report.mv_soe = mv_result_dict(cert)
+    if cert.value > report["bezout_soe"]:
+        raise InternalError("mv exceeds degree product for the distance system")
+    report["mv_soe"] = mv_result_dict(cert)
     timings["mv_soe_certificate"] = time.monotonic() - t0
 
     t0 = time.monotonic()
     sub = mixedvol._mv_for_system(subsoe, seed=seed, deadline=deadline)
-    report.mv_subsoe = mv_result_dict(sub)
+    if sub.value > report["bezout_subsoe"]:
+        raise InternalError("mv exceeds degree product for the substituted system")
+    report["mv_subsoe"] = mv_result_dict(sub)
     timings["mv_subsoe"] = time.monotonic() - t0
 
     check_deadline(deadline, "report")
     t0 = time.monotonic()
-    report.witness_degenerate = polysys.witness_check(soe)
+    report["witness_degenerate"] = polysys.witness_check(soe)
     timings["witness_check"] = time.monotonic() - t0
 
     if dec is not None:
         t0 = time.monotonic()
-        report.embedding_count = sum(1 for _ in h1_embeddings(framework, dec, tight, deadline))
-        if tight and report.embedding_count != 2 ** (g.n - 2):
+        report["embedding_count"] = sum(1 for _ in h1_embeddings(framework, dec, tight, deadline))
+        if tight and report["embedding_count"] != 2 ** (g.n - 2):
             raise InputError("tight lengths failed to realize the full count")
         timings["embeddings"] = time.monotonic() - t0
-    report.timings = timings
-    report.validate()
+    report["timings"] = {k: round(v, 6) for k, v in timings.items()}
     return report
 
 

@@ -32,7 +32,7 @@ from lamanmv.mixedvol import (
     YES_STRICT,
     YES_TIE,
     Lifting,
-    _touching_margin,
+    _touching,
     certify_general_bound,
     enumerate_mixed_cells,
     full_subdivision_2d,
@@ -370,9 +370,9 @@ def _touching_margin_lp(polys, lifting, faces):
 def test_touching_margin_matches_lp_reference():
     # Random polygons, segments and points with small integer liftings, so
     # zero margins, negative margins and parallel edges all occur; every
-    # face combination of full_subdivision_2d is compared. Where the
-    # equalities leave alpha free the faces span no area, and the Cramer
-    # solve answers None without an LP.
+    # face combination of full_subdivision_2d is compared with the sign of
+    # the LP's margin. Where the equalities leave alpha free the faces
+    # span no area, and the exact test answers NO without an LP.
     rng = random.Random(95)
     seen = Counter()
     for _ in range(60):
@@ -392,15 +392,16 @@ def test_touching_margin_matches_lp_reference():
             if sum(d for d, _ in combo) != 2:
                 continue
             faces = [f for _, f in combo]
-            got = _touching_margin(polys, lifting, faces)
-            expected = _touching_margin_lp(polys, lifting, faces)
-            if got is None and expected is not None:
+            got = _touching(polys, lifting, faces)
+            margin = _touching_margin_lp(polys, lifting, faces)
+            if got == NO and margin is not None:
                 piece = functools.reduce(minkowski_sum, [RP(f) for f in faces])
                 assert volume_exact(piece) == 0, (faces, lifting)
                 seen["no area"] += 1
             else:
+                expected = NO if margin is None else YES_TIE if margin == 0 else YES_STRICT
                 assert got == expected, (faces, lifting)
-                seen["none" if got is None else "zero" if got == 0 else "positive"] += 1
+                seen[{NO: "none", YES_TIE: "zero", YES_STRICT: "positive"}[got]] += 1
     assert min(seen[k] for k in ("no area", "none", "zero", "positive")) >= 10, seen
 
 
@@ -537,6 +538,40 @@ def test_deadline_checked_before_each_block(monkeypatch, oracle, solver):
     with pytest.raises(CapabilityError):
         mixedvol._mv_for_system(system, seed=0, oracle=oracle, deadline=deadline)
     assert len(calls) == 1
+
+
+def test_hulls_check_deadline_before_each_polytope(monkeypatch):
+    # Simplex hulls compute no facets, so `from_points` alone would never
+    # see the deadline: the Newton polytopes check it before each hull.
+    built = []
+    from_points = RationalPolytope.from_points
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return from_points(*args, **kwargs)
+
+    monkeypatch.setattr(RationalPolytope, "from_points", staticmethod(counting))
+    fw = framework_for(k33_graph())
+    for form in (FORM_SOE, FORM_SUBSOE):
+        with pytest.raises(CapabilityError):
+            mv_for_graph(fw, form, seed=0, deadline=time.monotonic() - 1)
+    assert built == []
+
+
+def test_separation_checks_deadline_before_each_projection(monkeypatch):
+    polys = newton_polytopes(build_subsoe(framework_for(k33_graph())))
+    projected = []
+    project = RationalPolytope.project
+
+    def counting(self, coords):
+        projected.append(coords)
+        return project(self, coords)
+
+    monkeypatch.setattr(RationalPolytope, "project", counting)
+    with pytest.raises(CapabilityError):
+        separation_split(polys, deadline=time.monotonic() - 1)
+    assert projected == []
+    assert len(separation_split(polys)) > 1 and projected
 
 
 def _search_outcome(enumerate_fn, polys, lifting):

@@ -11,7 +11,7 @@ import pytest
 
 from lamanmv import cli, mixedvol, polysys
 from lamanmv.embeddings import tight_lengths
-from lamanmv.errors import InputError, InternalError
+from lamanmv.errors import CapabilityError, InputError, InternalError
 from lamanmv.graphs import henneberg_apply, k33_graph, random_henneberg_sequence
 from lamanmv.reporting import (
     borcea_streinu_bound,
@@ -93,18 +93,29 @@ def test_borcea_streinu_values():
     assert borcea_streinu_bound(6) == 70
 
 
+def test_borcea_streinu_bound_refused_before_it_is_computed():
+    # C(2 000 000 - 4, 999 998) alone takes about 40 s; its lower bound
+    # 4^m / (2m + 1) already has too many digits, so it is never built.
+    if not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 10**5:
+        pytest.skip("this Python has no or a very large int-to-str limit")
+    start = time.process_time()
+    with pytest.raises(CapabilityError, match="digits"):
+        borcea_streinu_bound(10**6)
+    assert time.process_time() - start < 1
+
+
 def test_report_triangle_invariants():
     fw = parse_graph_file(TRIANGLE)
     rep = build_report(fw, seed=0)
-    assert rep.laman
-    assert rep.henneberg_class == "HennebergI"
-    assert rep.bezout_soe == 4 and rep.bezout_subsoe == 32
-    assert rep.mv_soe["value"] == 4 and rep.mv_subsoe["value"] == 2
-    assert rep.mv_soe["value"] <= rep.bezout_soe
-    assert rep.mv_subsoe["value"] <= rep.bezout_subsoe
-    assert rep.borcea_streinu == 2
-    assert rep.embedding_count == 2
-    assert rep.witness_degenerate is True
+    assert rep["laman"]
+    assert rep["class"] == "HennebergI"
+    assert rep["bezout_soe"] == 4 and rep["bezout_subsoe"] == 32
+    assert rep["mv_soe"]["value"] == 4 and rep["mv_subsoe"]["value"] == 2
+    assert rep["mv_soe"]["value"] <= rep["bezout_soe"]
+    assert rep["mv_subsoe"]["value"] <= rep["bezout_subsoe"]
+    assert rep["borcea_streinu_bound"] == 2
+    assert rep["embedding_count"] == 2
+    assert rep["witness_degenerate"] is True
 
 
 def test_report_counts_embeddings_without_holding_them():
@@ -117,14 +128,14 @@ def test_report_counts_embeddings_without_holding_them():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.embedding_count == 2**12
+    assert rep["embedding_count"] == 2**12
     assert peak < 2 * 2**20
 
 
 def test_report_non_laman_short_circuit():
     rep = build_report(parse_graph_file("n 4\ne 1 2 1\ne 2 3 1\ne 3 4 1"))
-    assert not rep.laman
-    assert rep.mv_soe is None
+    assert not rep["laman"]
+    assert rep["mv_soe"] is None
 
 
 def run_cli(tmp_path, content, *argv):
