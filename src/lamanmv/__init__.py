@@ -44,7 +44,6 @@ from .graphs import (
 )
 from .linprog import LPOutcome, feasible
 from .mixedvol import (
-    Lifting,
     MixedCellRecord,
     MVResult,
     certify_general_bound,
@@ -60,7 +59,6 @@ from .mixedvol import (
 from .polysys import (
     FORM_SOE,
     FORM_SUBSOE,
-    Constants,
     GaussianRational,
     Polynomial,
     PolySystem,
@@ -73,7 +71,6 @@ from .polysys import (
     witness_check,
 )
 from .polytopes import (
-    EdgeCell,
     RationalPolytope,
     edge_matrix_det,
     is_edge,

@@ -44,13 +44,12 @@ def tight_lengths(seq):
         edge_key(1, 3): Fraction(4),
         edge_key(2, 3): Fraction(5),
     }
-    new_vertex = 3
-    for step in seq.steps:
-        new_vertex += 1
-        total = sum(lengths.values())
+    total = sum(lengths.values())
+    for new_vertex, step in enumerate(seq.steps, start=4):
         a, b = sorted((step.a, step.b))
         lengths[edge_key(a, new_vertex)] = total + 1
         lengths[edge_key(b, new_vertex)] = total + 2
+        total += (total + 1) + (total + 2)
     return Framework.make(g, lengths)
 
 

@@ -11,6 +11,7 @@ theorem the first candidate vertex never needs undoing. The catalog of
 Laman graphs up to isomorphism grows from the single edge by the same steps.
 """
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass
@@ -127,9 +128,6 @@ class HennebergDecomposition:
     sequence: HennebergSequence
     relabeling: dict  # replay label -> original label
 
-    def to_original(self, replay_label):
-        return self.relabeling[replay_label]
-
 
 @dataclass(frozen=True)
 class Orientation:
@@ -179,14 +177,18 @@ def _pebble_game(g, order):
 
     Returns (witness, out). The witness is None when every edge was
     accepted, else the sorted reachable closure of the first edge that
-    was not. out maps each vertex to the far ends of the accepted edges
-    it pays for: one pebble per edge, two per vertex.
+    was not. out maps each vertex that carries an edge to the far ends
+    of the accepted edges it pays for: one pebble per edge, two per vertex.
     """
-    pebbles = {v: 2 for v in range(1, g.n + 1)}
-    out = {v: set() for v in range(1, g.n + 1)}
+    touched = sorted({x for e in order for x in e})
+    pebbles = dict.fromkeys(touched, 2)
+    out = {v: set() for v in touched}
 
     def find_pebble(root, forbidden):
-        """Directed path from root to a vertex with a free pebble."""
+        """Directed path from root to a vertex with a free pebble.
+
+        Returns (path, None), or (None, the vertices reached) when there is none.
+        """
         stack = [root]
         parent = {root: None}
         while stack:
@@ -200,38 +202,28 @@ def _pebble_game(g, order):
                     while parent[path[-1]] is not None:
                         path.append(parent[path[-1]])
                     path.reverse()
-                    return path
+                    return path, None
                 stack.append(y)
-        return None
-
-    def reachable(u, v):
-        seen = {u, v}
-        stack = [u, v]
-        while stack:
-            x = stack.pop()
-            for y in out[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
+        return None, parent
 
     for u, v in order:
         while pebbles[u] + pebbles[v] < 4:
-            moved = False
+            reached = set()
             for root in (u, v):
-                path = find_pebble(root, {u, v})
+                path, seen = find_pebble(root, {u, v})
                 if path is not None:
                     for x, y in zip(path, path[1:]):
                         out[x].discard(y)
                         out[y].add(x)
                     pebbles[path[-1]] -= 1
                     pebbles[root] += 1
-                    moved = True
                     break
-            if not moved:
-                # The reachable closure spans too many edges once (u, v)
-                # is counted, so it violates the subset condition.
-                return sorted(reachable(u, v)), out
+                reached.update(seen)
+            else:
+                # Both failed searches together reached the closure of
+                # {u, v}; it spans too many edges once (u, v) is counted,
+                # so it violates the subset condition.
+                return sorted(reached), out
         payer, other = (u, v) if pebbles[u] > 0 else (v, u)
         pebbles[payer] -= 1
         out[payer].add(other)
@@ -550,17 +542,21 @@ def random_henneberg_sequence(n, seed, step2_probability=0.0):
         raise InputError("need at least three vertices")
     rng = random.Random(seed)
     steps = []
-    g = triangle()
+    edges = sorted(triangle().edges)  # the graph built so far, kept sorted
     for new in range(4, n + 1):
-        existing = list(range(1, new))
-        use_step2 = new >= 5 and rng.random() < step2_probability
-        if use_step2:
-            r, s = rng.choice(sorted(g.edges))
-            c = rng.choice([v for v in existing if v not in (r, s)])
-            step = StepII(r, s, c, removed=(r, s))
+        if new >= 5 and rng.random() < step2_probability:
+            r, s = rng.choice(edges)
+            # The draw of a choice from the vertices 1..new-1 other than
+            # r < s: the entry at index i is i + 1, moved up past r, then s.
+            c = rng.choice(range(1, new - 2))
+            c += c >= r
+            c += c >= s
+            del edges[bisect.bisect_left(edges, (r, s))]
+            anchors, step = (r, s, c), StepII(r, s, c, removed=(r, s))
         else:
-            a, b = rng.sample(existing, 2)
-            step = StepI(a, b)
+            anchors = rng.sample(range(1, new), 2)
+            step = StepI(*anchors)
         steps.append(step)
-        g = henneberg_apply(HennebergSequence(tuple(steps)))
+        for v in anchors:
+            bisect.insort(edges, (v, new))
     return HennebergSequence(tuple(steps))

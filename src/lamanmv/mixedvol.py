@@ -76,15 +76,8 @@ NO = "no"
 
 
 @dataclass(frozen=True)
-class Lifting:
-    """One rational lifting vector per polytope (integral entries as ints)."""
-
-    vectors: tuple
-
-
-@dataclass(frozen=True)
 class MixedCellRecord:
-    cell: polytopes.EdgeCell
+    cell: tuple  # one edge (a, b) per polytope, as ordered vertex pairs
     det: Fraction
     strict: bool
 
@@ -116,13 +109,12 @@ class MVResult:
 def random_lifting(polys, seed):
     """Deterministic pseudorandom lifting, reproducible from the seed.
 
-    Entries are ints in [0, 2**16], which keep the downstream exact
-    pivots small.
+    A lifting is one vector per polytope. Entries are ints in [0, 2**16],
+    which keep the downstream exact pivots small.
     """
     rng = random.Random(seed)
     dim = polys[0].ambient_dim if polys else 0
-    vectors = tuple(tuple(rng.randint(0, 2**16) for _ in range(dim)) for _ in polys)
-    return Lifting(vectors=vectors)
+    return tuple(tuple(rng.randint(0, 2**16) for _ in range(dim)) for _ in polys)
 
 
 def _lifted(vertices, mu):
@@ -142,9 +134,9 @@ def is_mixed_cell(cell, polys, lifting):
     It shares no elimination with the search; a singular edge matrix gives NO.
     """
     k = polys[0].ambient_dim
-    if len(polys) != k or len(cell.edges) != k:
+    if len(polys) != k or len(cell) != k:
         raise InputError("cell/polytope count must equal the ambient dimension")
-    return _touching(polys, lifting, cell.edges)
+    return _touching(polys, lifting, cell)
 
 
 def _touching(polys, lifting, faces):
@@ -160,7 +152,7 @@ def _touching(polys, lifting, faces):
     k = polys[0].ambient_dim
     tables = [
         (len(face), _lifted((*face, *(u for u in poly.vertices if u not in face)), mu)[0])
-        for face, poly, mu in zip(faces, polys, lifting.vectors, strict=True)
+        for face, poly, mu in zip(faces, polys, lifting, strict=True)
     ]
     eqs = [tuple(map(sub, pts[0], p)) for size, pts in tables for p in pts[1:size]]
     sol = next(filter(None, map(solve, itertools.combinations(eqs, k))), None)
@@ -209,7 +201,7 @@ class _Enumerator:
         # (a, b) as the indices of its two vertices there.
         self.lifted = []
         self.edge_ids = []
-        for poly, edges, mu in zip(self.polys, self.edge_lists, lifting.vectors, strict=True):
+        for poly, edges, mu in zip(self.polys, self.edge_lists, lifting, strict=True):
             self.lifted.append(_lifted(poly.vertices, mu)[0])
             index = {v: i for i, v in enumerate(poly.vertices)}
             self.edge_ids.append([(index[a], index[b]) for a, b in edges])
@@ -243,7 +235,7 @@ class _Enumerator:
             raise NonGenericLiftingError(
                 "lifting produced tie cells; re-seed", cells=tuple(ties)
             )
-        cells.sort(key=lambda r: r.cell.edges)
+        cells.sort(key=lambda r: r.cell)
         return tuple(cells)
 
     def _reduced(self, poly_idx, pivots):
@@ -317,22 +309,16 @@ class _Enumerator:
 
     def _finish(self, chosen, tie, cells, ties):
         # Reassemble the cell in original polytope order.
-        by_poly = dict(chosen)
-        edges = tuple(
-            self.edge_lists[i][by_poly[i]] for i in range(self.k)
-        )
-        cell = polytopes.EdgeCell(edges=edges)
+        cell = tuple(self.edge_lists[i][j] for i, j in sorted(chosen))
         det = polytopes.edge_matrix_det(cell)
         if det == 0:
             raise InternalError("leaf cell has singular edge matrix")
         if tie:
             ties.append(MixedCellRecord(cell=cell, det=det, strict=False))
             return
-        record = MixedCellRecord(cell=cell, det=det, strict=True)
-        check = is_mixed_cell(cell, self.polys, self.lifting)
-        if check != YES_STRICT:
+        if is_mixed_cell(cell, self.polys, self.lifting) != YES_STRICT:
             raise InternalError("enumerated cell failed the direct criterion")
-        cells.append(record)
+        cells.append(MixedCellRecord(cell=cell, det=det, strict=True))
 
 
 def enumerate_mixed_cells(polys, lifting, deadline=None):
@@ -620,8 +606,7 @@ def certify_general_bound(system, deadline=None):
     n = system.nvars // 2
     k = 2 * n
     supports = [polytopes.RationalPolytope(k, tuple(p.support())) for p in system.polys]
-    mu = [tuple(1 if c == j else 4 * n for c in range(k)) for j in range(k)]
-    lifting = Lifting(vectors=tuple(mu))
+    lifting = tuple(tuple(1 if c == j else 4 * n for c in range(k)) for j in range(k))
     zero = (0,) * k
     edges = []
     for j in range(k):
@@ -630,7 +615,7 @@ def certify_general_bound(system, deadline=None):
         if vertex not in supports[j].vertices or zero not in supports[j].vertices:
             raise InternalError("expected cell points missing from a support")
         edges.append((vertex, zero))
-    cell = polytopes.EdgeCell(edges=tuple(edges))
+    cell = tuple(edges)
     status = is_mixed_cell(cell, supports, lifting)
     if status != YES_STRICT:
         raise InternalError(f"certificate cell rejected: {status}")
@@ -639,12 +624,11 @@ def certify_general_bound(system, deadline=None):
     expected = Fraction(4) ** (n - 2)
     if value != expected or Fraction(bezout(system)) != expected:
         raise InternalError("certificate value mismatch")
-    record = MixedCellRecord(cell=cell, det=det, strict=True)
     return MVResult(
         value=value,
         method=METHOD_CERTIFICATE,
         lifting_seed=None,
-        cells=(record,),
+        cells=(MixedCellRecord(cell=cell, det=det, strict=True),),
     )
 
 

@@ -3,9 +3,10 @@
 Two systems per framework: the plain distance system ("soe", 2n quadratic
 and pinning equations over x1,y1,..,xn,yn) and the substituted system
 ("subsoe", 3n equations with one extra variable per vertex replacing the
-squared norm x_i^2 + y_i^2). Pinning fixes vertex 1 at (c1, c2), the x
-coordinate of vertex 2 at l12 - c1 and its y coordinate at c3, which
-removes rigid motions. The builders choose the pinned edge themselves:
+squared norm x_i^2 + y_i^2). Pinning fixes vertex 1 at (c1, 2), the x
+coordinate of vertex 2 at l12 - c1 and its y coordinate at 3, which
+removes rigid motions; c1 is 1, or 2 when l12 = 1, so no pinning
+constant is zero. The builders choose the pinned edge themselves:
 they relabel any framework so that its `graphs.default_base` edge
 becomes (1,2). All coefficients are rational and evaluation is exact
 over Gaussian rationals.
@@ -19,7 +20,7 @@ from operator import mul
 from . import polytopes
 from ._linalg import rational
 from .errors import InputError, check_deadline
-from .graphs import default_base, edge_key, orient_two_in, relabel_with_base
+from .graphs import check_laman, default_base, edge_key, orient_two_in, relabel_with_base
 
 FORM_SOE = "soe"
 FORM_SUBSOE = "subsoe"
@@ -60,23 +61,6 @@ class GaussianRational:
 GR_ZERO = GaussianRational.of(0)
 GR_ONE = GaussianRational.of(1)
 GR_I = GaussianRational.of(0, 1)
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Pinning constants; nonzero, with c1 distinct from the base length."""
-
-    c1: Fraction = Fraction(1)
-    c2: Fraction = Fraction(2)
-    c3: Fraction = Fraction(3)
-
-    @staticmethod
-    def generic_for(l12):
-        """Default constants, with c1 bumped when it equals the base length."""
-        c = Constants()
-        if c.c1 == Fraction(l12):
-            c = Constants(c1=Fraction(l12) + 1, c2=c.c2, c3=c.c3)
-        return c
 
 
 @dataclass(frozen=True)
@@ -168,13 +152,13 @@ def _expo(nvars, pairs):
 
 
 def _pinning_polys(nvars, x1, y1, x2, y2, l12):
-    consts = Constants.generic_for(l12)
+    c1 = 2 if l12 == 1 else 1
     mk = Polynomial.make
     return [
-        mk(nvars, {_expo(nvars, [(x1, 1)]): 1, _expo(nvars, []): -consts.c1}),
-        mk(nvars, {_expo(nvars, [(y1, 1)]): 1, _expo(nvars, []): -consts.c2}),
-        mk(nvars, {_expo(nvars, [(x2, 1)]): 1, _expo(nvars, []): -(l12 - consts.c1)}),
-        mk(nvars, {_expo(nvars, [(y2, 1)]): 1, _expo(nvars, []): -consts.c3}),
+        mk(nvars, {_expo(nvars, [(x1, 1)]): 1, _expo(nvars, []): -c1}),
+        mk(nvars, {_expo(nvars, [(y1, 1)]): 1, _expo(nvars, []): -2}),
+        mk(nvars, {_expo(nvars, [(x2, 1)]): 1, _expo(nvars, []): -(l12 - c1)}),
+        mk(nvars, {_expo(nvars, [(y2, 1)]): 1, _expo(nvars, []): -3}),
     ]
 
 
@@ -234,7 +218,10 @@ def build_subsoe(framework):
     """Substituted system: pinning, edge equations in s_i, circle equations.
 
     The pinned edge is chosen and relabelled to (1,2) as in `build_soe`.
+    Raises InputError when the graph is not Laman, as `build_soe` does.
     """
+    if not check_laman(framework.graph)["laman"]:
+        raise InputError("graph is not Laman")
     framework, l12 = _pinned(framework)
     g = framework.graph
     n = g.n

@@ -132,16 +132,6 @@ class RationalPolytope:
         return frozenset(c for c, column in enumerate(zip(*self.vertices)) if any(column))
 
 
-@dataclass(frozen=True)
-class EdgeCell:
-    """One chosen edge per polytope, as ordered vertex pairs."""
-
-    edges: tuple  # tuple of ((point, point), ...) aligned with the polytope list
-
-    def directions(self):
-        return [tuple(map(sub, a, b)) for a, b in self.edges]
-
-
 def is_edge(p, a, b):
     """True when conv{a, b} is an edge of p: a lookup in `p.edges()`."""
     a = tuple(map(rational, a))
@@ -168,11 +158,12 @@ def minkowski_sum(p, q, deadline=None):
 def edge_matrix_det(cell):
     """Determinant of the matrix with one edge direction per column.
 
-    The directions, scaled to integers by the lcm D of their
+    `cell` holds one edge (a, b) per polytope; its direction is a - b. The
+    directions, scaled to integers by the lcm D of their
     denominators, are the rows of the transposed matrix; its integer
     determinant is divided by D^k once.
     """
-    dirs = cell.directions()
+    dirs = [tuple(map(sub, a, b)) for a, b in cell]
     k = len(dirs[0]) if dirs else 0
     if len(dirs) != k:
         raise InputError("edge count must equal the ambient dimension")

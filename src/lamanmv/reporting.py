@@ -29,8 +29,7 @@ from .graphs import (
 def parse_graph_file(text):
     """Framework from the line-oriented graph format."""
     n = None
-    edges = []
-    lengths = {}
+    edges = {}  # edge key -> length, None when the line gives none
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -55,7 +54,7 @@ def parse_graph_file(text):
             if i == j:
                 raise InputError(f"line {lineno}: loop edge ({i},{j})")
             key = edge_key(i, j)
-            if key in (e for e, _ in edges):
+            if key in edges:
                 raise InputError(f"line {lineno}: duplicate edge {key}")
             length = None
             if len(parts) == 4:
@@ -69,20 +68,18 @@ def parse_graph_file(text):
                     raise InputError(f"line {lineno}: bad length {parts[3]!r}")
                 if length <= 0:
                     raise InputError(f"line {lineno}: non-positive length")
-            edges.append((key, lineno))
-            if length is not None:
-                lengths[key] = length
+            edges[key] = length
         else:
             raise InputError(f"line {lineno}: unknown directive {parts[0]!r}")
     if n is None:
         raise InputError("missing 'n <count>' line")
-    graph = Graph.make(n, [e for e, _ in edges])
-    if lengths and len(lengths) != len(edges):
-        missing = next(e for e, _ in edges if e not in lengths)
-        raise InputError(f"edge {missing} has no length but others do")
-    if not lengths:
-        lengths = default_lengths(graph)
-    return Framework.make(graph, lengths)
+    graph = Graph.make(n, edges)
+    missing = [e for e, length in edges.items() if length is None]
+    if not missing:
+        return Framework.make(graph, edges)
+    if len(missing) != len(edges):
+        raise InputError(f"edge {missing[0]} has no length but others do")
+    return Framework.make(graph, default_lengths(graph))
 
 
 def _int_str_digits():
@@ -96,7 +93,7 @@ def default_lengths(graph):
     if dec is not None:
         tight = embeddings.tight_lengths(dec.sequence)
         return {
-            edge_key(dec.to_original(a), dec.to_original(b)): l
+            edge_key(dec.relabeling[a], dec.relabeling[b]): l
             for (a, b), l in tight.lengths.items()
         }
     return {e: Fraction(i + 1) for i, e in enumerate(sorted(graph.edges))}
@@ -163,7 +160,7 @@ def cells_dict(res):
     """Full cell certificate listing for JSON output."""
     return [
         {
-            "edges": [[[str(x) for x in a], [str(x) for x in b]] for a, b in r.cell.edges],
+            "edges": [[[str(x) for x in a], [str(x) for x in b]] for a, b in r.cell],
             "det": str(r.det),
             "strict": r.strict,
         }
@@ -234,5 +231,5 @@ def build_report(framework, seed=0, tight=False, deadline=None):
     return report
 
 
-def to_json(payload, indent=2):
-    return json.dumps(payload, indent=indent, sort_keys=True)
+def to_json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True)

@@ -25,7 +25,7 @@ def _dot(a, b):
 def lifting_value(lifting, j, point):
     """<mu_j, point> over Fractions: the lifting that the library's integer
     lifted points stand for."""
-    return _dot(lifting.vectors[j], point)
+    return _dot(lifting[j], point)
 
 
 class AffineEliminator:
@@ -155,7 +155,7 @@ class ReferenceEnumerator:
             raise NonGenericLiftingError(
                 "lifting produced tie cells; re-seed", cells=tuple(ties)
             )
-        cells.sort(key=lambda r: r.cell.edges)
+        cells.sort(key=lambda r: r.cell)
         return tuple(cells)
 
     def _descend(self, depth, pending, elim, cells, ties):
@@ -225,8 +225,7 @@ class ReferenceEnumerator:
             if margin < 0:
                 return
         by_poly = dict(pending)
-        edges = tuple(self.edge_lists[i][by_poly[i]] for i in range(self.k))
-        cell = polytopes.EdgeCell(edges=edges)
+        cell = tuple(self.edge_lists[i][by_poly[i]] for i in range(self.k))
         det = polytopes.edge_matrix_det(cell)
         if det == 0:
             raise InternalError("leaf cell has singular edge matrix")

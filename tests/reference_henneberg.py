@@ -8,12 +8,26 @@ degree class in place; `graphs.canonical_form` refines colours instead
 and must split graphs into the same isomorphism classes.
 `brute_force_catalog` tries every set of 2n-3 edges;
 `graphs.all_laman_graphs` grows the catalog by Henneberg steps and must
-give the same classes.
+give the same classes. `random_henneberg_sequence` rebuilds the graph
+from the whole sequence after every step; `graphs.random_henneberg_sequence`
+updates one edge list and must draw the same sequences.
 """
 
 import itertools
+import random
 
-from lamanmv.graphs import Graph, _degree_map, _edges_laman, check_laman, edge_key
+from lamanmv.graphs import (
+    Graph,
+    HennebergSequence,
+    StepI,
+    StepII,
+    _degree_map,
+    _edges_laman,
+    check_laman,
+    edge_key,
+    henneberg_apply,
+    triangle,
+)
 
 
 def peel_search(edges, vertices, only_step1, _failed=None):
@@ -90,3 +104,20 @@ def brute_force_catalog(n):
         if check_laman(g)["laman"]:
             forms.add(canonical_form(g))
     return forms
+
+
+def random_henneberg_sequence(n, seed, step2_probability=0.0):
+    """Seeded random construction sequence, replayed from the triangle at every step."""
+    rng = random.Random(seed)
+    steps = []
+    g = triangle()
+    for new in range(4, n + 1):
+        existing = list(range(1, new))
+        if new >= 5 and rng.random() < step2_probability:
+            r, s = rng.choice(sorted(g.edges))
+            c = rng.choice([v for v in existing if v not in (r, s)])
+            steps.append(StepII(r, s, c, removed=(r, s)))
+        else:
+            steps.append(StepI(*rng.sample(existing, 2)))
+        g = henneberg_apply(HennebergSequence(tuple(steps)))
+    return HennebergSequence(tuple(steps))

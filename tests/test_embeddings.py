@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -34,6 +35,19 @@ def test_tight_lengths_first_step():
     fw = tight_lengths(HennebergSequence((StepI(1, 3),)))
     assert fw.lengths[(1, 4)] == 13
     assert fw.lengths[(3, 4)] == 14
+
+
+def test_tight_lengths_match_the_summing_recipe():
+    # The recipe as stated: each step's two lengths exceed the sum of all
+    # lengths assigned before, by 1 and 2.
+    for n, seed in itertools.product((3, 4, 9, 25), range(4)):
+        seq = random_henneberg_sequence(n, seed=seed)
+        lengths = {(1, 2): 3, (1, 3): 4, (2, 3): 5}
+        for v, step in enumerate(seq.steps, start=4):
+            total = sum(lengths.values())
+            a, b = sorted((step.a, step.b))
+            lengths[(a, v)], lengths[(b, v)] = total + 1, total + 2
+        assert tight_lengths(seq).lengths == lengths
 
 
 def test_tight_lengths_rejects_degree3_steps():

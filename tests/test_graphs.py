@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 import reference_henneberg
@@ -124,6 +125,20 @@ def test_every_prefix_is_laman():
     for t in range(len(seq.steps) + 1):
         prefix = HennebergSequence(seq.steps[:t])
         assert check_laman(henneberg_apply(prefix))["laman"]
+
+
+def test_random_sequence_matches_replaying_reference():
+    for n, seed, p in itertools.product((3, 4, 5, 12, 40), range(6), (0, 0.5, 0.9)):
+        expected = reference_henneberg.random_henneberg_sequence(n, seed, p)
+        assert random_henneberg_sequence(n, seed, p) == expected
+
+
+def test_random_sequence_is_not_replayed_per_step():
+    # Replaying the sequence at every step took seconds at n = 3,000.
+    start = time.process_time()
+    seq = random_henneberg_sequence(3000, seed=1, step2_probability=0.5)
+    assert time.process_time() - start < 1
+    assert len(henneberg_apply(seq).edges) == 2 * 3000 - 3
 
 
 def test_decompose_triangle_empty():

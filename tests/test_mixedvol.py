@@ -5,6 +5,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction as F
+from operator import sub
 
 import pytest
 import reference_simplex as simplex
@@ -31,7 +32,6 @@ from lamanmv.mixedvol import (
     NO,
     YES_STRICT,
     YES_TIE,
-    Lifting,
     _touching,
     certify_general_bound,
     enumerate_mixed_cells,
@@ -55,7 +55,6 @@ from lamanmv.polysys import (
     witness_check,
 )
 from lamanmv.polytopes import (
-    EdgeCell,
     RationalPolytope,
     edge_matrix_det,
     is_edge,
@@ -90,7 +89,7 @@ def test_random_lifting_deterministic():
     polys = unit_segments(3)
     assert random_lifting(polys, 7) == random_lifting(polys, 7)
     assert random_lifting(polys, 0) != random_lifting(polys, 1)
-    for vec in random_lifting(polys, 0).vectors:
+    for vec in random_lifting(polys, 0):
         for entry in vec:
             assert entry.denominator <= 10**6 and abs(entry.numerator) <= 10**7
 
@@ -131,7 +130,7 @@ def test_enumerated_cells_reverify():
 def test_parallel_edges_rejected_by_criterion():
     segs = [RP([(0, 0), (1, 0)]), RP([(0, 0), (2, 0)])]
     lifting = random_lifting(segs, 0)
-    cell = EdgeCell((segs[0].edges()[0], segs[1].edges()[0]))
+    cell = (segs[0].edges()[0], segs[1].edges()[0])
     assert is_mixed_cell(cell, segs, lifting) == "no"
 
 
@@ -170,7 +169,7 @@ def test_certificate_and_witness_on_the_frameworks_own_lengths():
 def test_non_generic_lifting_raises():
     # Two identical squares with identical liftings tie everywhere.
     sq = RP([(0, 0), (1, 0), (0, 1), (1, 1)])
-    zero_lift = Lifting(vectors=((F(0), F(0)), (F(0), F(0))))
+    zero_lift = ((F(0), F(0)), (F(0), F(0)))
     with pytest.raises(NonGenericLiftingError):
         enumerate_mixed_cells([sq, sq], zero_lift)
 
@@ -380,9 +379,9 @@ def test_touching_margin_matches_lp_reference():
             RP([(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(rng.randint(1, 5))])
             for _ in range(rng.randint(2, 3))
         ]
-        lifting = Lifting(tuple(
+        lifting = tuple(
             (F(rng.randint(0, 3)), F(rng.randint(0, 3), rng.choice((1, 2)))) for _ in polys
-        ))
+        )
         face_sets = [
             [(0, (v,)) for v in p.vertices] + [(1, e) for e in p.edges()]
             + ([(2, p.vertices)] if p.dim() == 2 else [])
@@ -600,7 +599,7 @@ def _random_search_instance(rng):
         polys.append(RP(sorted(pts)))
         hi = rng.choice((0, 2, 50, 10**4))
         vectors.append(tuple(F(rng.randint(0, hi), rng.choice((1, 2, 7))) for _ in range(dim)))
-    return polys, Lifting(tuple(vectors))
+    return polys, tuple(vectors)
 
 
 def test_search_matches_reference_enumerator():
@@ -653,22 +652,22 @@ def test_tie_fixed_above_the_leaf_rejects_the_cell():
     simplex = RP([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     zero = (F(0), F(0), F(0))
     polys = [tri, tri, simplex]
-    lifting = Lifting((zero, zero, (F(3), F(7), F(11))))
+    lifting = (zero, zero, (F(3), F(7), F(11)))
     kind, ties = _search_outcome(enumerate_mixed_cells, polys, lifting)
     assert kind == "ties" and ties
-    assert all(rec.cell.edges[2] == ((0, 0, 0), (0, 0, 1)) for rec in ties)
+    assert all(rec.cell[2] == ((0, 0, 0), (0, 0, 1)) for rec in ties)
     assert (kind, ties) == _search_outcome(reference_enumerate_mixed_cells, polys, lifting)
 
 
 def _fraction_leaf_check(cell, polys, lifting):
     """The leaf criterion with alpha from Fraction Gaussian elimination."""
-    dirs = cell.directions()
+    dirs = [tuple(map(sub, a, b)) for a, b in cell]
     alpha = mat_solve(dirs, [lifting_value(lifting, j, d) for j, d in enumerate(dirs)])
     if alpha is None:
         return NO
     verdict = YES_STRICT
     for j, poly in enumerate(polys):
-        a, b = cell.edges[j]
+        a, b = cell[j]
         for u in poly.vertices:
             if u not in (a, b):
                 slack = lifting_value(lifting, j, u) - lifting_value(lifting, j, a) - sum(
@@ -695,7 +694,7 @@ def test_integer_det_and_leaf_check_match_fraction_reference():
             coeffs = [rational() for _ in dirs[:-1]]
             dirs[-1] = [sum(f * r[c] for f, r in zip(coeffs, dirs)) for c in range(k)]
         zero = (F(0),) * k
-        cell = EdgeCell(tuple((tuple(d), zero) for d in dirs))
+        cell = tuple((tuple(d), zero) for d in dirs)
         det = edge_matrix_det(cell)
         assert det == mat_det([list(col) for col in zip(*dirs)])
         dets.append(det)
@@ -716,12 +715,12 @@ def test_integer_det_and_leaf_check_match_fraction_reference():
             edges = [rng.choice(p.edges()) for p in polys]
             if trial % 4 == 0:  # one edge twice: a singular edge matrix
                 polys[1], edges[1] = polys[0], edges[0]
-            lifting = Lifting(tuple(
+            lifting = tuple(
                 tuple(F(rng.randint(0, 2), rng.randint(1, 3) if rational_lifting else 1)
                       for _ in range(k))
                 for _ in polys
-            ))
-            cell = EdgeCell(tuple(edges))
+            )
+            cell = tuple(edges)
             verdict = is_mixed_cell(cell, polys, lifting)
             assert verdict == _fraction_leaf_check(cell, polys, lifting)
             verdicts.append(verdict)
@@ -746,7 +745,7 @@ def test_strict_cell_on_raw_supports_chooses_edges():
             hulls = [RP(s) for s in supports]
             lifting = random_lifting(raw, seed)
             for pairs in itertools.product(*(itertools.combinations(s, 2) for s in supports)):
-                if is_mixed_cell(EdgeCell(edges=pairs), raw, lifting) == YES_STRICT:
+                if is_mixed_cell(pairs, raw, lifting) == YES_STRICT:
                     strict += 1
                     assert all(is_edge(h, a, b) for h, (a, b) in zip(hulls, pairs))
     assert strict >= 40
@@ -764,7 +763,7 @@ def test_square_diagonal_is_never_a_strict_cell():
         for diagonal in diagonals:
             for other in itertools.combinations(square, 2):
                 for edges in ((diagonal, other), (other, diagonal)):
-                    status = is_mixed_cell(EdgeCell(edges=edges), raw, lifting)
+                    status = is_mixed_cell(edges, raw, lifting)
                     assert status != YES_STRICT
                     seen[status] += 1
     assert seen[NO] > 0

@@ -9,6 +9,7 @@ from conftest import framework_for
 from lamanmv.errors import InputError
 from lamanmv.graphs import (
     Framework,
+    Graph,
     all_laman_graphs,
     default_base,
     desargues_graph,
@@ -21,7 +22,6 @@ from lamanmv.graphs import (
 from lamanmv.polysys import (
     FORM_SOE,
     FORM_SUBSOE,
-    Constants,
     GaussianRational,
     GR_I,
     GR_ONE,
@@ -47,10 +47,9 @@ def test_soe_shape_and_pinning():
     assert soe.form == FORM_SOE
     assert len(soe.polys) == 6
     assert soe.variables == ("x1", "y1", "x2", "y2", "x3", "y3")
-    consts = Constants()
-    # h1 = x1 - c1, h3 = x2 - (l12 - c1)
-    assert soe.polys[0].coefficient((0, 0, 0, 0, 0, 0)) == -consts.c1
-    assert soe.polys[2].coefficient((0, 0, 0, 0, 0, 0)) == -(3 - consts.c1)
+    # h1 = x1 - c1, h2 = y1 - 2, h3 = x2 - (l12 - c1), h4 = y2 - 3, with c1 = 1
+    zero = (0, 0, 0, 0, 0, 0)
+    assert [p.coefficient(zero) for p in soe.polys[:4]] == [-1, -2, -(3 - 1), -3]
 
 
 def test_soe_edge_polynomial_expansion():
@@ -269,5 +268,18 @@ def test_bezout_values():
         assert bezout(build_subsoe(fw)) == 2 ** (3 * n - 4)
 
 
-def test_constants_validation():
-    assert Constants.generic_for(F(1)).c1 != F(1)
+def test_unit_base_length_moves_c1():
+    # c1 = 1 would pin vertex 2 at x2 = l12 - c1 = 0, so a unit base gets c1 = 2.
+    fw = Framework.make(triangle(), {(1, 2): 1, (1, 3): 1, (2, 3): 1})
+    for system in (build_soe(fw), build_subsoe(fw)):
+        zero = (0,) * system.nvars
+        assert [p.coefficient(zero) for p in system.polys[:4]] == [-2, -2, 1, -3]
+
+
+def test_builders_refuse_non_laman_graphs():
+    # K4 on {2, 3, 4, 5} plus the edge (1, 2): 2n - 3 edges, not Laman.
+    k4 = [(a, b) for a in range(2, 6) for b in range(a + 1, 6)]
+    fw = framework_for(Graph.make(5, [(1, 2)] + k4))
+    for build in (build_soe, build_subsoe):
+        with pytest.raises(InputError, match="not Laman"):
+            build(fw)

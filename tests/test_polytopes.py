@@ -15,7 +15,6 @@ from lamanmv.graphs import henneberg_apply, random_henneberg_sequence
 from lamanmv.mixedvol import mixed_volume
 from lamanmv.polysys import Polynomial, PolySystem, build_subsoe, newton_polytopes
 from lamanmv.polytopes import (
-    EdgeCell,
     RationalPolytope,
     edge_matrix_det,
     is_edge,
@@ -165,7 +164,7 @@ def test_volume_matches_shoelace_on_random_polygons():
 
 def test_edge_matrix_det_identity():
     k = 5
-    cell = EdgeCell(tuple((unit(j, k), tuple([F(0)] * k)) for j in range(k)))
+    cell = tuple((unit(j, k), tuple([F(0)] * k)) for j in range(k))
     assert abs(edge_matrix_det(cell)) == 1
 
 
@@ -174,13 +173,11 @@ def test_edge_matrix_det_certificate_cell():
         k = 2 * n
         edges = [(unit(j, k), tuple([F(0)] * k)) for j in range(4)]
         edges += [(unit(j, k, 2), tuple([F(0)] * k)) for j in range(4, k)]
-        assert abs(edge_matrix_det(EdgeCell(tuple(edges)))) == 4 ** (n - 2)
+        assert abs(edge_matrix_det(edges)) == 4 ** (n - 2)
 
 
 def test_edge_matrix_det_parallel_zero():
-    cell = EdgeCell(
-        (((F(1), F(0)), (F(0), F(0))), ((F(2), F(0)), (F(0), F(0))))
-    )
+    cell = (((F(1), F(0)), (F(0), F(0))), ((F(2), F(0)), (F(0), F(0))))
     assert edge_matrix_det(cell) == 0
 
 

@@ -83,6 +83,28 @@ def test_parse_rejects_huge_decimal_exponent():
     assert parse_graph_file("n 3\ne 1 2 1e3\ne 1 3 1\ne 2 3 1").lengths[(1, 2)] == 1000
 
 
+def test_parse_is_linear_in_the_edge_count():
+    # 5,997 edges with lengths: a scan of the earlier edges per line took 1.45 s.
+    g = henneberg_apply(random_henneberg_sequence(3000, seed=2))
+    text = "n 3000\n" + "".join(f"e {a} {b} {a + b}/7\n" for a, b in sorted(g.edges))
+    start = time.process_time()
+    fw = parse_graph_file(text)
+    assert time.process_time() - start < 0.5
+    assert fw.lengths[(1, 2)] == F(3, 7) and len(fw.lengths) == 5997
+
+
+@pytest.mark.parametrize("command", ["check", "report"])
+def test_cli_huge_vertex_count_without_edges_is_quick(tmp_path, capsys, command):
+    # The Laman check holds state only for the vertices that carry an edge;
+    # `report` then refuses the comparison bound, which has too many digits.
+    if command == "report" and not getattr(sys, "get_int_max_str_digits", int)():
+        pytest.skip("this Python has no int-to-str limit")
+    start = time.process_time()
+    code = run_cli(tmp_path, "n 1000000\n", command, "--timeout", "0.1")
+    assert time.process_time() - start < 1
+    assert code == (cli.EXIT_OK if command == "check" else cli.EXIT_CAPABILITY)
+
+
 def test_default_lengths_tight_for_h1():
     fw = parse_graph_file("n 3\ne 1 2\ne 1 3\ne 2 3")
     assert sorted(fw.lengths.values()) == [3, 4, 5]
@@ -388,6 +410,20 @@ def test_cli_report_bound_beyond_digit_limit_is_capability(tmp_path, capsys, fmt
 def test_cli_mv_rejects_non_laman(tmp_path, capsys):
     assert run_cli(tmp_path, K4, "mv") == cli.EXIT_INPUT
     assert capsys.readouterr().err == "error: graph is not Laman\n"
+
+
+# K4 on {2, 3, 4, 5} plus the edge (1, 2): 2n - 3 edges, but not Laman.
+NOT_LAMAN = "n 5\ne 1 2\n" + "\n".join(f"e {a} {b}" for a in range(2, 6) for b in range(a + 1, 6))
+
+
+@pytest.mark.parametrize("argv", [
+    ["mv"], ["certify"], ["system", "--form", "soe"], ["system", "--form", "subsoe"],
+    ["oracle", "--form", "subsoe"],
+], ids=" ".join)
+def test_cli_system_commands_refuse_non_laman(tmp_path, capsys, argv):
+    assert run_cli(tmp_path, NOT_LAMAN, *argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: graph is not Laman\n")
 
 
 def test_cli_internal_error_exit(tmp_path, capsys, monkeypatch):
