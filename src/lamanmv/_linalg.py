@@ -13,6 +13,8 @@ import math
 from fractions import Fraction
 from itertools import chain, repeat
 
+from .errors import check_deadline
+
 
 def rational(x):
     """x as an int when it is integral, else as a Fraction."""
@@ -70,11 +72,16 @@ def scaled(points):
     return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
 
 
-def _forward(a):
-    """Bareiss elimination in place, right-hand sides included; the row-swap sign, 0 if singular."""
+def _forward(a, deadline=None):
+    """Bareiss elimination in place, right-hand sides included; the row-swap sign, 0 if singular.
+
+    Raises CapabilityError once `deadline` (a time.monotonic() value) has
+    passed, checked before each pivot step.
+    """
     n = len(a)
     sign, prev = 1, 1
     for k in range(n - 1):
+        check_deadline(deadline, "exact elimination")
         if not a[k][k]:
             swap = next((r for r in range(k + 1, n) if a[r][k]), None)
             if swap is None:
@@ -90,21 +97,25 @@ def _forward(a):
     return sign
 
 
-def int_det(rows):
-    """Determinant of a square integer matrix by Bareiss elimination."""
+def int_det(rows, deadline=None):
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    `deadline` is passed to the elimination.
+    """
     a = [list(r) for r in rows]
-    return _forward(a) * a[-1][-1] if a else 1
+    return _forward(a, deadline) * a[-1][-1] if a else 1
 
 
-def solve(rows):
+def solve(rows, deadline=None):
     """(D, X) with D > 0 and x = X/D solving n integer rows (coeffs..., rhs), or None if singular.
 
     D is |det| and X the Cramer numerators, integers, so each back
-    substitution step divides exactly.
+    substitution step divides exactly. `deadline` is passed to the
+    elimination.
     """
     a = [list(r) for r in rows]
     n = len(a)
-    den = abs(_forward(a) * a[-1][n - 1]) if a else 1
+    den = abs(_forward(a, deadline) * a[-1][n - 1]) if a else 1
     if not den:
         return None
     x = [0] * n

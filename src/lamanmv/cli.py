@@ -14,7 +14,7 @@ import functools
 import sys
 import time
 
-from . import mixedvol, polysys, reporting
+from . import embeddings, mixedvol, polysys, reporting
 from .errors import CapabilityError, InputError, InternalError
 from .graphs import (
     StepI,
@@ -213,7 +213,8 @@ def _embed(args, fw):
     dec = h1_decomposition(fw.graph)
     if dec is None:
         raise InputError("embedding enumeration needs a degree-2-constructible graph")
-    embs = list(reporting.h1_embeddings(fw, dec, args.tight, _deadline(args)))
+    h1 = reporting.h1_framework(fw, dec, args.tight)
+    embs = list(embeddings.enumerate_h1(h1, dec.sequence, _deadline(args)))
     payload = {
         "embedding_count": len(embs),
         "max_residual": max((e.residual for e in embs), default=0.0),

@@ -3,9 +3,11 @@
 Every vertex added with two edges sits on the intersection of two
 circles, so a framework built purely from such steps has at most two
 choices per vertex and all embeddings are streamed, in canonical order,
-out of a depth-first product over those choices. Reflections across the
-pinned axis count as distinct embeddings (the pinning kills translations
-and rotations only), which is why the triangle has exactly two.
+out of a depth-first product over those choices (`enumerate_h1`).
+`count_h1` walks the same product and only counts its leaves, which is
+all that `report` needs. Reflections across the pinned axis count as
+distinct embeddings (the pinning kills translations and rotations
+only), which is why the triangle has exactly two.
 
 Edge lengths from tight_lengths make every intersection real and
 transversal, so the 2^(n-2) bound is attained.
@@ -81,17 +83,12 @@ def _circle_intersections(c1, r1, c2, r2):
     return [((bx - h * nx, by - h * ny), -1), ((bx + h * nx, by + h * ny), +1)], False
 
 
-def enumerate_h1(framework, seq, deadline=None):
-    """All embeddings of a degree-2-step framework, as a generator.
+def _placements(framework, seq):
+    """Validated set-up of both walks: the pinned positions and the placements.
 
-    The first two vertices are pinned at (0,0) and (l12, 0); the apex and
-    every added vertex contribute at most two intersection points each.
-    Inputs are validated before this returns. The depth-first search
-    visits the -1 intersection first, so embeddings come in the canonical
-    order of their choices; a residual is the worst relative edge error,
-    each edge measured when its later endpoint is placed. Iterating raises
-    CapabilityError once `deadline` (a time.monotonic() value) has passed,
-    checked once per placed vertex.
+    Vertices 1 and 2 sit at (0,0) and (l12, 0). Each placement is
+    (a, b, v, |av|, |bv|), lengths as floats: vertex v goes on the circles
+    about its anchors a and b, the apex 3 first, then every added vertex.
     """
     if not seq.is_step1_only():
         raise InputError("enumeration needs a degree-2-only sequence")
@@ -105,32 +102,68 @@ def enumerate_h1(framework, seq, deadline=None):
     if 0.0 in lengths.values():
         raise InputError("an edge length is below the floating-point range")
     anchors = [(1, 2, 3)] + [(s.a, s.b, 4 + i) for i, s in enumerate(seq.steps)]
-    pos = {1: (0.0, 0.0), 2: (lengths[edge_key(1, 2)], 0.0)}
+    placements = [
+        (a, b, v, lengths[edge_key(a, v)], lengths[edge_key(b, v)]) for a, b, v in anchors
+    ]
+    return {1: (0.0, 0.0), 2: (lengths[edge_key(1, 2)], 0.0)}, placements
 
-    def error(u, v):
-        (i, j) = key = edge_key(u, v)
-        dx = pos[i][0] - pos[j][0]
-        dy = pos[i][1] - pos[j][1]
-        return abs(math.hypot(dx, dy) - lengths[key]) / lengths[key]
+
+def enumerate_h1(framework, seq, deadline=None):
+    """All embeddings of a degree-2-step framework, as a generator.
+
+    The apex and every added vertex contribute at most two intersection
+    points each (`_placements`). Inputs are validated before this
+    returns. The depth-first search visits the -1 intersection first, so
+    embeddings come in the canonical order of their choices; a residual
+    is the worst relative edge error, each edge measured when its later
+    endpoint is placed. Iterating raises CapabilityError once `deadline`
+    (a time.monotonic() value) has passed, checked once per placed vertex.
+    """
+    pos, placements = _placements(framework, seq)
+
+    def error(u, v, length):
+        (ux, uy), (vx, vy) = pos[u], pos[v]
+        return abs(math.hypot(ux - vx, uy - vy) - length) / length
 
     def place(idx, choices, tangent_seen, residual):
         check_deadline(deadline, "embedding enumeration")
-        if idx == len(anchors):
+        if idx == len(placements):
             yield Embedding(
                 points=dict(pos), residual=residual, choices=choices, tangent=tangent_seen
             )
             return
-        a, b, v = anchors[idx]
-        pts, tangent = _circle_intersections(
-            pos[a], lengths[edge_key(a, v)], pos[b], lengths[edge_key(b, v)]
-        )
+        a, b, v, ra, rb = placements[idx]
+        pts, tangent = _circle_intersections(pos[a], ra, pos[b], rb)
         for pt, sign in pts:
             pos[v] = pt
-            worst = max(residual, error(a, v), error(b, v))
+            worst = max(residual, error(a, v, ra), error(b, v, rb))
             yield from place(idx + 1, choices + (sign,), tangent_seen or tangent, worst)
             del pos[v]
 
     return place(0, (), False, 0.0)
+
+
+def count_h1(framework, seq, deadline=None):
+    """How many embeddings `enumerate_h1` yields, without building them.
+
+    The same validation, errors and deadline checks, and the same
+    depth-first walk over the circle intersections, but it only counts
+    the leaves: no Embedding, point copy or residual.
+    """
+    pos, placements = _placements(framework, seq)
+
+    def count(idx):
+        check_deadline(deadline, "embedding enumeration")
+        if idx == len(placements):
+            return 1
+        a, b, v, ra, rb = placements[idx]
+        total = 0
+        for pt, _ in _circle_intersections(pos[a], ra, pos[b], rb)[0]:
+            pos[v] = pt
+            total += count(idx + 1)
+        return total
+
+    return count(0)
 
 
 def verify_embedding(framework, embedding, tol=Fraction(1, 10**9)):

@@ -12,6 +12,7 @@ Laman graphs up to isomorphism grows from the single edge by the same steps.
 """
 
 import bisect
+import heapq
 import itertools
 import random
 from dataclasses import dataclass
@@ -284,14 +285,6 @@ def henneberg_apply(seq):
     return Graph.make(n, edges)
 
 
-def _degree_map(edges, vertices):
-    deg = {v: 0 for v in vertices}
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-    return deg
-
-
 def _edges_laman(edges, vertices):
     mapping = {v: i + 1 for i, v in enumerate(sorted(vertices))}
     g = Graph.make(len(vertices), [(mapping[a], mapping[b]) for a, b in edges])
@@ -307,28 +300,45 @@ def _peel_search(edges, vertices, only_step1):
     leaves a Laman graph. By Laman's theorem that choice never needs
     undoing: deleting a degree-2 vertex keeps a graph Laman (and
     degree-2-built when it was), and every degree-3 vertex has such a pair.
+    Neighbour sets are kept up to date as vertices go, and the smallest
+    candidate comes off a heap of (degree, vertex) entries; an entry
+    whose vertex has gone or changed degree since it was pushed is stale.
     """
-    edges, vertices = set(edges), set(vertices)
+    edges = set(edges)
+    adj = {v: set() for v in vertices}  # the remaining vertices' neighbours
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
     degrees = (2,) if only_step1 else (2, 3)
+    heap = [(len(nb), v) for v, nb in adj.items() if len(nb) in degrees]
+    heapq.heapify(heap)
     peels = []
-    while len(vertices) > 3:
-        deg = _degree_map(edges, vertices)
-        candidates = [v for v in vertices if deg[v] in degrees]
-        if not candidates:
+    while len(adj) > 3:
+        while heap and (heap[0][1] not in adj or len(adj[heap[0][1]]) != heap[0][0]):
+            heapq.heappop(heap)
+        if not heap:
             return None
-        v = min(candidates, key=lambda v: (deg[v], v))
-        nbrs = tuple(sorted(a if b == v else b for a, b in edges if v in (a, b)))
-        edges = {e for e in edges if v not in e}
-        vertices.remove(v)
-        if deg[v] == 2:
-            peels.append(("I", v, nbrs, None))
-            continue
-        joins = (edge_key(x, y) for x, y in itertools.combinations(nbrs, 2))
-        ins = next((e for e in joins if e not in edges and _edges_laman(edges | {e}, vertices)), None)
-        if ins is None:
-            raise InternalError(f"no neighbour pair of degree-3 vertex {v} leaves a Laman graph")
-        edges.add(ins)
-        peels.append(("II", v, nbrs, ins))
+        deg, v = heapq.heappop(heap)
+        nbrs = tuple(sorted(adj.pop(v)))
+        edges.difference_update(edge_key(v, u) for u in nbrs)
+        for u in nbrs:
+            adj[u].remove(v)
+        ins = None
+        if deg == 3:
+            joins = (edge_key(x, y) for x, y in itertools.combinations(nbrs, 2))
+            fits = (e for e in joins if e not in edges and _edges_laman(edges | {e}, adj))
+            ins = next(fits, None)
+            if ins is None:
+                raise InternalError(
+                    f"no neighbour pair of degree-3 vertex {v} leaves a Laman graph"
+                )
+            edges.add(ins)
+            adj[ins[0]].add(ins[1])
+            adj[ins[1]].add(ins[0])
+        for u in nbrs:
+            if len(adj[u]) in degrees:
+                heapq.heappush(heap, (len(adj[u]), u))
+        peels.append(("I" if deg == 2 else "II", v, nbrs, ins))
     return peels
 
 

@@ -128,18 +128,19 @@ def _lifted(vertices, mu):
     return [(*(e * x for x in p), sum(map(mul, m, p))) for p in pts], d * e
 
 
-def is_mixed_cell(cell, polys, lifting):
+def is_mixed_cell(cell, polys, lifting, deadline=None):
     """Direct edge-matrix test of the mixed-cell criterion: `_touching` on the cell's edges.
 
-    It shares no elimination with the search; a singular edge matrix gives NO.
+    It shares no elimination with the search; a singular edge matrix gives
+    NO. `deadline` is passed to the elimination.
     """
     k = polys[0].ambient_dim
     if len(polys) != k or len(cell) != k:
         raise InputError("cell/polytope count must equal the ambient dimension")
-    return _touching(polys, lifting, cell)
+    return _touching(polys, lifting, cell, deadline)
 
 
-def _touching(polys, lifting, faces):
+def _touching(polys, lifting, faces, deadline=None):
     """NO, YES_TIE or YES_STRICT: how a functional touches the lifted sum along `faces`.
 
     `faces` holds one face per polytope, as a vertex tuple. The face
@@ -147,7 +148,7 @@ def _touching(polys, lifting, faces):
     points, fix alpha = X/den by the first k independent ones, and all
     must hold at it. Each vertex u off the faces then has the integer
     slack (<mu - alpha, u> - <mu - alpha, f0>) * den*E*D: a negative one
-    gives NO and a zero one a tie.
+    gives NO and a zero one a tie. `deadline` is passed to `solve`.
     """
     k = polys[0].ambient_dim
     tables = [
@@ -155,7 +156,8 @@ def _touching(polys, lifting, faces):
         for face, poly, mu in zip(faces, polys, lifting, strict=True)
     ]
     eqs = [tuple(map(sub, pts[0], p)) for size, pts in tables for p in pts[1:size]]
-    sol = next(filter(None, map(solve, itertools.combinations(eqs, k))), None)
+    systems = itertools.combinations(eqs, k)
+    sol = next(filter(None, (solve(rows, deadline) for rows in systems)), None)
     if sol is None:
         return NO
     den, alpha = sol
@@ -598,7 +600,8 @@ def certify_general_bound(system, deadline=None):
     lengths: they and the pinning constants are nonzero, so every support
     holds the constant term and the cell and value do not depend on them.
     Raises InputError for any other form of system and CapabilityError
-    once `deadline` (a time.monotonic() value) has passed, checked first.
+    once `deadline` (a time.monotonic() value) has passed, checked first
+    and in both eliminations on the 2n x 2n edge matrix.
     """
     if system.form != FORM_SOE:
         raise InputError("the certificate needs a distance system")
@@ -616,10 +619,10 @@ def certify_general_bound(system, deadline=None):
             raise InternalError("expected cell points missing from a support")
         edges.append((vertex, zero))
     cell = tuple(edges)
-    status = is_mixed_cell(cell, supports, lifting)
+    status = is_mixed_cell(cell, supports, lifting, deadline)
     if status != YES_STRICT:
         raise InternalError(f"certificate cell rejected: {status}")
-    det = polytopes.edge_matrix_det(cell)
+    det = polytopes.edge_matrix_det(cell, deadline)
     value = abs(det)
     expected = Fraction(4) ** (n - 2)
     if value != expected or Fraction(bezout(system)) != expected:

@@ -8,8 +8,8 @@ coordinate of vertex 2 at l12 - c1 and its y coordinate at 3, which
 removes rigid motions; c1 is 1, or 2 when l12 = 1, so no pinning
 constant is zero. The builders choose the pinned edge themselves:
 they relabel any framework so that its `graphs.default_base` edge
-becomes (1,2). All coefficients are rational and evaluation is exact
-over Gaussian rationals.
+becomes (1,2). All coefficients are rational, ints where integral, and
+evaluation is exact over Gaussian rationals.
 """
 
 from dataclasses import dataclass
@@ -65,16 +65,20 @@ GR_I = GaussianRational.of(0, 1)
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Sparse polynomial: exponent tuple -> nonzero rational coefficient."""
+    """Sparse polynomial: exponent tuple -> nonzero rational coefficient.
+
+    `make` keeps an integral coefficient as an int (`_linalg.rational`),
+    so a system with integral lengths is evaluated in int arithmetic.
+    """
 
     nvars: int
-    terms: tuple  # sorted tuple of (exponent tuple, Fraction)
+    terms: tuple  # sorted tuple of (exponent tuple, int or Fraction)
 
     @staticmethod
     def make(nvars, coeffs):
         terms = []
         for expo, c in coeffs.items():
-            c = Fraction(c)
+            c = rational(c)
             if len(expo) != nvars:
                 raise InputError("exponent length mismatch")
             if not (all(map(isinstance, expo, repeat(int))) and min(expo, default=0) >= 0):
@@ -94,7 +98,7 @@ class Polynomial:
         for e, c in self.terms:
             if e == tuple(expo):
                 return c
-        return Fraction(0)
+        return 0
 
     def evaluate(self, point):
         """Exact value at a Gaussian rational point."""

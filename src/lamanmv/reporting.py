@@ -6,6 +6,11 @@ decimals ("2.5", parsed exactly). Either every edge carries a length or
 none does; in the latter case lengths default to the tight construction
 recipe for degree-2-constructible graphs and to 1, 2, 3, ... in sorted
 edge order otherwise.
+
+A report's `embedding_count` comes from `embeddings.count_h1`, which
+counts the embeddings without building them; `lamanmv embed` streams
+the same walk out of `embeddings.enumerate_h1`. Both walk the framework
+that `h1_framework` picks.
 """
 
 import json
@@ -99,17 +104,15 @@ def default_lengths(graph):
     return {e: Fraction(i + 1) for i, e in enumerate(sorted(graph.edges))}
 
 
-def h1_embeddings(framework, dec, tight=False, deadline=None):
-    """All embeddings along a degree-2-only decomposition, as a generator.
+def h1_framework(framework, dec, tight=False):
+    """The framework that a degree-2-only decomposition's sequence walks.
 
-    With `tight`, the lengths are the tight recipe instead of the
-    framework's own. `deadline` is passed to `embeddings.enumerate_h1`.
+    The tight recipe's lengths with `tight`, else the framework's own,
+    relabelled to the sequence's vertex labels.
     """
     if tight:
-        fw = embeddings.tight_lengths(dec.sequence)
-    else:
-        fw = framework.relabel({orig: rep for rep, orig in dec.relabeling.items()})
-    return embeddings.enumerate_h1(fw, dec.sequence, deadline)
+        return embeddings.tight_lengths(dec.sequence)
+    return framework.relabel({orig: rep for rep, orig in dec.relabeling.items()})
 
 
 def borcea_streinu_bound(n):
@@ -223,7 +226,8 @@ def build_report(framework, seed=0, tight=False, deadline=None):
 
     if dec is not None:
         t0 = time.monotonic()
-        report["embedding_count"] = sum(1 for _ in h1_embeddings(framework, dec, tight, deadline))
+        fw = h1_framework(framework, dec, tight)
+        report["embedding_count"] = embeddings.count_h1(fw, dec.sequence, deadline)
         if tight and report["embedding_count"] != 2 ** (g.n - 2):
             raise InputError("tight lengths failed to realize the full count")
         timings["embeddings"] = time.monotonic() - t0

@@ -21,13 +21,20 @@ from lamanmv.graphs import (
     HennebergSequence,
     StepI,
     StepII,
-    _degree_map,
     _edges_laman,
     check_laman,
     edge_key,
     henneberg_apply,
     triangle,
 )
+
+
+def _degree_map(edges, vertices):
+    deg = {v: 0 for v in vertices}
+    for a, b in edges:
+        deg[a] += 1
+        deg[b] += 1
+    return deg
 
 
 def peel_search(edges, vertices, only_step1, _failed=None):

@@ -5,16 +5,18 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lamanmv.embeddings import (
     Embedding,
     _circle_intersections,
+    count_h1,
     enumerate_h1,
     reflect,
     tight_lengths,
     verify_embedding,
 )
-from lamanmv.errors import CapabilityError, DegenerateInputError, InputError
+from lamanmv.errors import CapabilityError, DegenerateInputError, InputError, LamanMVError
 from lamanmv.graphs import (
     Framework,
     HennebergSequence,
@@ -220,7 +222,7 @@ def eager_reference(framework, seq):
 
 
 def test_stream_matches_eager_reference():
-    """Points, choices, tangent flags, residuals and order, exactly."""
+    """Points, choices, tangent flags, residuals and order, exactly; and the count."""
     frameworks = []
     for n in range(3, 10):
         for seed in range(6):
@@ -239,6 +241,68 @@ def test_stream_matches_eager_reference():
     for fw, seq in frameworks:
         expected = eager_reference(fw, seq)
         assert list(enumerate_h1(fw, seq)) == expected
+        assert count_h1(fw, seq) == len(expected)
         total += len(expected)
         empty += not expected
     assert total > 1500 and empty > 30
+
+
+def outcome(walk):
+    """The walk's result, or the type and message of the error it raised."""
+    try:
+        return walk()
+    except LamanMVError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def h1_frameworks(draw):
+    """A degree-2-built framework with random rational lengths, and its sequence.
+
+    Thirds between 3 and 9: of 200 draws, about a quarter count some but
+    not all 2^(n-2) embeddings and another quarter none.
+    """
+    n = draw(st.integers(3, 10))
+    seq = random_henneberg_sequence(n, seed=draw(st.integers(0, 2**16)))
+    g = henneberg_apply(seq)
+    length = st.builds(F, st.integers(9, 27), st.just(3))
+    lengths = {e: draw(length) for e in sorted(g.edges)}
+    return Framework.make(g, lengths), seq
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(h1_frameworks())
+def test_count_matches_enumeration(case):
+    fw, seq = case
+    expected = outcome(lambda: len(list(enumerate_h1(fw, seq))))
+    assert outcome(lambda: count_h1(fw, seq)) == expected
+
+
+def test_count_tight_tangent_coincident_and_deadline():
+    for n in range(3, 12):
+        seq = random_henneberg_sequence(n, seed=n)
+        assert count_h1(tight_lengths(seq), seq) == 2 ** (n - 2)
+    # Anchors at distance 3 with radii 1 and 2: one tangency point per apex branch.
+    seq = HennebergSequence((StepI(1, 2),))
+    tangent = {(1, 2): 3, (1, 3): 4, (2, 3): 5, (1, 4): 1, (2, 4): 2}
+    assert count_h1(Framework.make(henneberg_apply(seq), tangent), seq) == 2
+    # Vertex 4 duplicates vertex 3 on one branch: vertex 5 sees one circle twice.
+    seq = HennebergSequence((StepI(1, 2), StepI(3, 4)))
+    coincident = {(1, 2): 3, (1, 3): 4, (2, 3): 5, (1, 4): 4, (2, 4): 5, (3, 5): 2, (4, 5): 2}
+    with pytest.raises(DegenerateInputError):
+        count_h1(Framework.make(henneberg_apply(seq), coincident), seq)
+    seq = random_henneberg_sequence(5, seed=0)
+    with pytest.raises(CapabilityError, match="timed out"):
+        count_h1(tight_lengths(seq), seq, deadline=time.monotonic() - 1)
+
+
+def test_count_validates_like_enumeration():
+    seq = HennebergSequence((StepI(1, 2),))
+    g = henneberg_apply(seq)
+    other = tight_lengths(HennebergSequence((StepI(1, 3),)))
+    step2 = HennebergSequence((StepI(1, 2), StepII(1, 2, 3, removed=(1, 2))))
+    huge = Framework.make(g, {e: F(10) ** 400 for e in g.edges})
+    for fw, s in ((other, seq), (tight_lengths(seq), step2), (huge, seq)):
+        expected = outcome(lambda: enumerate_h1(fw, s))  # raised before the first embedding
+        assert expected[0] is InputError
+        assert outcome(lambda: count_h1(fw, s)) == expected

@@ -231,6 +231,18 @@ def test_make_rejects_non_integer_exponents():
     assert Polynomial.make(2, {(2, 0): 1, (0, 2): 2}).terms == (((0, 2), 2), ((2, 0), 1))
 
 
+def test_make_keeps_integral_coefficients_as_ints():
+    p = Polynomial.make(3, {(1, 0, 0): F(4, 2), (0, 1, 0): F(3, 2), (0, 0, 1): -7, (0, 0, 0): 2.0})
+    assert [(c, type(c)) for _, c in p.terms] == [(2, int), (-7, int), (F(3, 2), F), (2, int)]
+    assert p.coefficient((0, 1, 0)) == F(3, 2) and type(p.coefficient((1, 1, 1))) is int
+    # Integral lengths give int coefficients throughout both systems.
+    fw = framework_for(k33_graph(), start=1)
+    for system in (build_soe(fw), build_subsoe(fw)):
+        assert all(type(c) is int for p in system.polys for _, c in p.terms)
+    half = Framework.make(fw.graph, {e: l / 2 for e, l in fw.lengths.items()})
+    assert any(type(c) is F for p in build_soe(half).polys for _, c in p.terms)
+
+
 def test_evaluate_poly_minus_itself():
     rng = random.Random(7)
     soe = build_soe(triangle_framework())

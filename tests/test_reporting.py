@@ -311,14 +311,27 @@ def test_cli_timeout_exit(tmp_path, capsys):
 
 
 def test_cli_report_timeout_reaches_every_stage(tmp_path, capsys):
-    # 2^20 embeddings take about 10 s to enumerate; the deadline must stop
+    # Counting 2^23 embeddings takes about 10 s; the deadline must stop
     # the report there as well as in the mixed-cell search.
-    g = henneberg_apply(random_henneberg_sequence(22, seed=1))
+    g = henneberg_apply(random_henneberg_sequence(25, seed=1))
     text = f"n {g.n}\n" + "\n".join(f"e {a} {b}" for a, b in sorted(g.edges))
     start = time.monotonic()
     code = run_cli(tmp_path, text, "report", "--timeout", "3", "--no-timings")
     assert code == cli.EXIT_CAPABILITY
     assert time.monotonic() - start < 6
+    err = capsys.readouterr().err
+    assert "timed out" in err and "Traceback" not in err
+
+
+def test_cli_report_timeout_reaches_the_certificate(tmp_path, capsys):
+    # At n = 400 each elimination on the 800 x 800 edge matrix of the
+    # general-bound certificate takes over 10 s; the deadline must stop it.
+    g = henneberg_apply(random_henneberg_sequence(400, seed=5))
+    text = f"n {g.n}\n" + "\n".join(f"e {a} {b}" for a, b in sorted(g.edges))
+    start = time.monotonic()
+    code = run_cli(tmp_path, text, "report", "--timeout", "2")
+    assert code == cli.EXIT_CAPABILITY
+    assert time.monotonic() - start < 5
     err = capsys.readouterr().err
     assert "timed out" in err and "Traceback" not in err
 
