@@ -74,10 +74,15 @@ def _parser():
 
 def _load(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return reporting.parse_graph_file(fh.read())
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
+    return reporting.parse_graph_file(text)
 
 
 def _deadline(args):

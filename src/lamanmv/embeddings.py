@@ -121,26 +121,31 @@ def enumerate_h1(framework, seq, deadline=None):
     """
     pos, placements = _placements(framework, seq)
 
-    def error(u, v, length):
-        (ux, uy), (vx, vy) = pos[u], pos[v]
+    def error(anchor, pt, length):
+        (ux, uy), (vx, vy) = pos[anchor], pt
         return abs(math.hypot(ux - vx, uy - vy) - length) / length
 
-    def place(idx, choices, tangent_seen, residual):
-        check_deadline(deadline, "embedding enumeration")
-        if idx == len(placements):
-            yield Embedding(
-                points=dict(pos), residual=residual, choices=choices, tangent=tangent_seen
-            )
-            return
-        a, b, v, ra, rb = placements[idx]
-        pts, tangent = _circle_intersections(pos[a], ra, pos[b], rb)
-        for pt, sign in pts:
+    def walk():
+        # Each entry places vertex v at pt, then visits placement idx; the
+        # root re-places vertex 1 at the origin. Children are pushed in
+        # reverse, so the -1 intersection comes off the stack first.
+        stack = [(0, 1, pos[1], (), False, 0.0)]
+        while stack:
+            idx, v, pt, choices, tangent_seen, residual = stack.pop()
+            check_deadline(deadline, "embedding enumeration")
             pos[v] = pt
-            worst = max(residual, error(a, v, ra), error(b, v, rb))
-            yield from place(idx + 1, choices + (sign,), tangent_seen or tangent, worst)
-            del pos[v]
+            if idx == len(placements):
+                yield Embedding(
+                    points=dict(pos), residual=residual, choices=choices, tangent=tangent_seen
+                )
+                continue
+            a, b, w, ra, rb = placements[idx]
+            pts, tangent = _circle_intersections(pos[a], ra, pos[b], rb)
+            for pt, sign in reversed(pts):
+                worst = max(residual, error(a, pt, ra), error(b, pt, rb))
+                stack.append((idx + 1, w, pt, choices + (sign,), tangent_seen or tangent, worst))
 
-    return place(0, (), False, 0.0)
+    return walk()
 
 
 def count_h1(framework, seq, deadline=None):
@@ -151,19 +156,19 @@ def count_h1(framework, seq, deadline=None):
     the leaves: no Embedding, point copy or residual.
     """
     pos, placements = _placements(framework, seq)
-
-    def count(idx):
+    total = 0
+    stack = [(0, 1, pos[1])]  # as in `enumerate_h1`
+    while stack:
+        idx, v, pt = stack.pop()
         check_deadline(deadline, "embedding enumeration")
+        pos[v] = pt
         if idx == len(placements):
-            return 1
-        a, b, v, ra, rb = placements[idx]
-        total = 0
-        for pt, _ in _circle_intersections(pos[a], ra, pos[b], rb)[0]:
-            pos[v] = pt
-            total += count(idx + 1)
-        return total
-
-    return count(0)
+            total += 1
+            continue
+        a, b, w, ra, rb = placements[idx]
+        for pt, _ in reversed(_circle_intersections(pos[a], ra, pos[b], rb)[0]):
+            stack.append((idx + 1, w, pt))
+    return total
 
 
 def verify_embedding(framework, embedding, tol=Fraction(1, 10**9)):

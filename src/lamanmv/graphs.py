@@ -3,6 +3,8 @@
 A graph on n vertices with 2n-3 edges is Laman when every k-subset of
 vertices spans at most 2k-3 edges. The fast check is a (2,3)-pebble game;
 the subset definition is kept as a brute-force oracle for cross checks.
+Each graph decides its Laman verdict and its degree-2 decomposition once,
+on first use, and keeps both for its lifetime.
 The same game, played with the pinned base edge last, also yields the
 edge orientation with in-degree 2 everywhere outside the two base
 vertices. Construction sequences (vertex additions of degree 2, or
@@ -17,7 +19,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import CapabilityError, InputError, InternalError, NoSequenceError, SequenceError
 
@@ -56,6 +58,27 @@ class Graph:
     def relabel(self, mapping):
         """New graph under a vertex bijection old -> new."""
         return Graph.make(self.n, [(mapping[a], mapping[b]) for a, b in self.edges])
+
+    # The memos below live in the instance __dict__; eq, hash and repr read
+    # only the fields.
+
+    @cached_property
+    def _verdict(self):
+        """(laman, witness tuple or None) from one pebble game over the sorted edges."""
+        if self.n < 2:
+            return False, None
+        witness, _ = _pebble_game(self, sorted(self.edges))
+        if witness is not None:
+            return False, tuple(witness)
+        return len(self.edges) == 2 * self.n - 3, None
+
+    @cached_property
+    def _degree2(self):
+        """The degree-2-only decomposition, or None; InputError when not Laman."""
+        try:
+            return henneberg_decompose(self, True)
+        except NoSequenceError:
+            return None
 
 
 @dataclass(frozen=True)
@@ -165,12 +188,8 @@ def check_laman(g):
     The witness, when present, is a vertex subset spanning more than
     2k-3 edges (including the edge whose insertion failed).
     """
-    if g.n < 2:
-        return {"laman": False, "witness": None}
-    witness, _ = _pebble_game(g, sorted(g.edges))
-    if witness is not None:
-        return {"laman": False, "witness": witness}
-    return {"laman": len(g.edges) == 2 * g.n - 3, "witness": None}
+    laman, witness = g._verdict
+    return {"laman": laman, "witness": None if witness is None else list(witness)}
 
 
 def _pebble_game(g, order):
@@ -351,11 +370,6 @@ def henneberg_decompose(g, only_step1=False):
     """
     if not check_laman(g)["laman"]:
         raise InputError("graph is not Laman")
-    return _henneberg_decompose(g, only_step1)
-
-
-def _henneberg_decompose(g, only_step1):
-    """`henneberg_decompose` for a graph known to be Laman."""
     if g.n < 3:
         raise NoSequenceError("no construction sequence: sequences start at the triangle")
     vertices = set(range(1, g.n + 1))
@@ -390,19 +404,13 @@ HENNEBERG_II = "HennebergII"
 def h1_decomposition(g):
     """henneberg_decompose(g, only_step1=True), or None when g has none.
 
-    Raises InputError when g is not Laman.
+    Raises InputError when g is not Laman. The relabeling is a fresh copy
+    of the one the graph keeps.
     """
-    if not check_laman(g)["laman"]:
-        raise InputError("graph is not Laman")
-    return _h1_decomposition(g)
-
-
-def _h1_decomposition(g):
-    """`h1_decomposition` for a graph known to be Laman."""
-    try:
-        return _henneberg_decompose(g, True)
-    except NoSequenceError:
+    dec = g._degree2
+    if dec is None:
         return None
+    return HennebergDecomposition(dec.sequence, dict(dec.relabeling))
 
 
 def classify(g):
@@ -410,12 +418,7 @@ def classify(g):
 
     None for the single edge: every construction starts at the triangle.
     """
-    return henneberg_class(g, h1_decomposition(g))
-
-
-def henneberg_class(g, dec):
-    """classify(g), given g's h1_decomposition `dec`."""
-    if dec is not None:
+    if g._degree2 is not None:
         return HENNEBERG_I
     return HENNEBERG_II if g.n >= 3 else None
 

@@ -10,7 +10,8 @@ edge order otherwise.
 A report's `embedding_count` comes from `embeddings.count_h1`, which
 counts the embeddings without building them; `lamanmv embed` streams
 the same walk out of `embeddings.enumerate_h1`. Both walk the framework
-that `h1_framework` picks.
+that `h1_framework` picks. Each graph decides its Laman verdict and
+degree-2 decomposition once, however many stages read them.
 """
 
 import json
@@ -21,14 +22,7 @@ from fractions import Fraction
 
 from . import embeddings, mixedvol, polysys
 from .errors import CapabilityError, InputError, InternalError, check_deadline
-from .graphs import (
-    Framework,
-    Graph,
-    _h1_decomposition,
-    check_laman,
-    edge_key,
-    henneberg_class,
-)
+from .graphs import Framework, Graph, check_laman, classify, edge_key, h1_decomposition
 
 
 def parse_graph_file(text):
@@ -94,7 +88,7 @@ def _int_str_digits():
 
 def default_lengths(graph):
     """Deterministic lengths: tight recipe when possible, else 1,2,3,..."""
-    dec = _h1_decomposition(graph) if check_laman(graph)["laman"] else None
+    dec = h1_decomposition(graph) if check_laman(graph)["laman"] else None
     if dec is not None:
         tight = embeddings.tight_lengths(dec.sequence)
         return {
@@ -196,8 +190,8 @@ def build_report(framework, seed=0, tight=False, deadline=None):
         return report
     check_deadline(deadline, "report")
     t0 = time.monotonic()
-    dec = _h1_decomposition(g)
-    report["class"] = henneberg_class(g, dec)
+    dec = h1_decomposition(g)
+    report["class"] = classify(g)
     timings["classify"] = time.monotonic() - t0
 
     soe = polysys.build_soe(framework)

@@ -6,6 +6,7 @@ Graphs stay at n <= 5 and every run carries --timeout, so no example is
 long; the examples are derandomized, so a failure reproduces.
 """
 
+import codecs
 import contextlib
 import io
 
@@ -65,3 +66,19 @@ def test_every_command_ends_in_a_documented_exit_code(tmp_path_factory, text, co
         code = cli.run(argv)
     assert code in (0, 1, 2), (argv, text, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+@pytest.mark.parametrize(
+    "data",
+    [b"n 3\ne 1 2\xff\ne 1 3\ne 2 3\n", codecs.BOM_UTF16_LE + "n 2\ne 1 2\n".encode("utf-16-le")],
+    ids=["invalid-utf-8", "utf-16-bom"],
+)
+def test_undecodable_file_is_an_input_error(tmp_path, command, data):
+    path = tmp_path / "raw.graph"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(command + ["--timeout", "2", str(path)])
+    assert (code, out.getvalue()) == (cli.EXIT_INPUT, "")
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -1,15 +1,18 @@
+import gc
 import itertools
 import random
 import time
+import weakref
 
 import pytest
 import reference_henneberg
 
-from lamanmv import graphs
+from lamanmv import graphs, polysys
 from lamanmv.errors import CapabilityError, InputError, SequenceError
 from lamanmv.graphs import (
     HENNEBERG_I,
     HENNEBERG_II,
+    Framework,
     Graph,
     HennebergSequence,
     StepI,
@@ -20,6 +23,7 @@ from lamanmv.graphs import (
     check_laman,
     classify,
     desargues_graph,
+    h1_decomposition,
     henneberg_apply,
     henneberg_decompose,
     k33_graph,
@@ -47,6 +51,28 @@ def test_k4_witness_is_whole_vertex_set():
     out = check_laman(k4())
     assert not out["laman"]
     assert out["witness"] == [1, 2, 3, 4]
+
+
+def test_graph_facts_are_kept_per_graph_and_handed_out_as_copies():
+    g = k4()
+    out = check_laman(g)
+    out["laman"] = True
+    out["witness"].append(9)
+    assert check_laman(g) == {"laman": False, "witness": [1, 2, 3, 4]}
+    seq = random_henneberg_sequence(7, seed=3)
+    h = henneberg_apply(seq)
+    h1_decomposition(h).relabeling.clear()
+    assert len(h1_decomposition(h).relabeling) == 7
+    for make in (k4, k33_graph, lambda: henneberg_apply(seq)):
+        a, b = make(), make()
+        assert check_laman(a) == check_laman(b)
+        # The memos stay out of equality, hashing and repr.
+        assert (a, hash(a), repr(a)) == (b, hash(b), repr(b))
+    # No cache outside the graph keeps it alive.
+    ref = weakref.ref(h)
+    del h
+    gc.collect()
+    assert ref() is None
 
 
 def test_witness_actually_violates():
@@ -175,8 +201,14 @@ def test_decompose_k33_contains_step2():
 
 
 def test_decompose_rejects_non_laman():
-    with pytest.raises(InputError):
-        henneberg_decompose(k4())
+    g = k4()
+    fw = Framework.make(g, dict.fromkeys(g.edges, 1))
+    # A failed memo is not kept: the second call raises as the first did.
+    for _ in range(2):
+        for call in (lambda: henneberg_decompose(g), lambda: h1_decomposition(g),
+                     lambda: polysys.build_subsoe(fw)):
+            with pytest.raises(InputError, match="graph is not Laman"):
+                call()
 
 
 def _greedy_degree2_peel(g):

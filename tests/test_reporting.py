@@ -9,14 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from lamanmv import cli, mixedvol, polysys
-from lamanmv.embeddings import tight_lengths
+from lamanmv import cli, graphs, mixedvol, polysys
+from lamanmv.embeddings import count_h1, tight_lengths
 from lamanmv.errors import CapabilityError, InputError, InternalError
-from lamanmv.graphs import henneberg_apply, k33_graph, random_henneberg_sequence
+from lamanmv.graphs import h1_decomposition, henneberg_apply, k33_graph, random_henneberg_sequence
 from lamanmv.reporting import (
     borcea_streinu_bound,
     build_report,
     default_lengths,
+    h1_framework,
     parse_graph_file,
 )
 
@@ -357,6 +358,36 @@ def test_cli_peel_needs_no_backtracking_on_pendant_vertices(tmp_path):
             assert payload["laman"] is True
         else:
             assert payload["class"] == "HennebergII"
+
+
+def test_cli_decides_each_graph_fact_once(monkeypatch, capsys):
+    counts = dict.fromkeys(("_pebble_game", "_peel_search"), 0)
+    for name in counts:
+        def counted(*args, name=name, original=getattr(graphs, name)):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(graphs, name, counted)
+    h6 = str(Path(__file__).resolve().parent / "golden" / "h6.graph")
+    # The Laman verdict and the orientation's game; one degree-2 peel.
+    assert cli.run(["report", "--no-timings", h6]) == 0
+    assert counts == {"_pebble_game": 2, "_peel_search": 1}
+    counts.update(_pebble_game=0)
+    assert cli.run(["henneberg", h6]) == 0
+    assert counts["_pebble_game"] == 1
+
+
+def test_cli_embed_walks_a_deep_degree2_chain(tmp_path, capsys):
+    # Vertex v sits at distance v-2 from vertex 1 and 1 from vertex v-1: all
+    # 1,100 vertices on one line, every intersection tangent, one embedding.
+    lines = ["n 1100", "e 1 2 2", "e 1 3 1", "e 2 3 1"]
+    lines += [f"e {a} {v} {l}" for v in range(4, 1101) for a, l in ((1, v - 2), (v - 1, 1))]
+    text = "\n".join(lines) + "\n"
+    assert run_cli(tmp_path, text, "embed", "--format", "text") == 0
+    assert capsys.readouterr().out.startswith("embeddings: 1 ")
+    fw = parse_graph_file(text)
+    dec = h1_decomposition(fw.graph)
+    assert count_h1(h1_framework(fw, dec), dec.sequence) == 1
 
 
 def test_cli_system_text(tmp_path, capsys):
