@@ -6,14 +6,14 @@ become integers there, in one place, and no Fraction is built inside an
 elimination. All elimination is fraction-free (Bareiss, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination", Math.
 Comp. 1968); `int_det` and `solve` share one forward elimination. The
-dimensions in this package stay below ~40.
+dimensions in this package stay below ~40, so an elimination takes no
+deadline: the certificate of order 2n is read off in closed form
+(`mixedvol.certify_general_bound`).
 """
 
 import math
 from fractions import Fraction
 from itertools import chain, repeat
-
-from .errors import check_deadline
 
 
 def rational(x):
@@ -72,16 +72,11 @@ def scaled(points):
     return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
 
 
-def _forward(a, deadline=None):
-    """Bareiss elimination in place, right-hand sides included; the row-swap sign, 0 if singular.
-
-    Raises CapabilityError once `deadline` (a time.monotonic() value) has
-    passed, checked before each pivot step.
-    """
+def _forward(a):
+    """Bareiss elimination in place, right-hand sides included; the row-swap sign, 0 if singular."""
     n = len(a)
     sign, prev = 1, 1
     for k in range(n - 1):
-        check_deadline(deadline, "exact elimination")
         if not a[k][k]:
             swap = next((r for r in range(k + 1, n) if a[r][k]), None)
             if swap is None:
@@ -97,25 +92,21 @@ def _forward(a, deadline=None):
     return sign
 
 
-def int_det(rows, deadline=None):
-    """Determinant of a square integer matrix by Bareiss elimination.
-
-    `deadline` is passed to the elimination.
-    """
+def int_det(rows):
+    """Determinant of a square integer matrix by Bareiss elimination."""
     a = [list(r) for r in rows]
-    return _forward(a, deadline) * a[-1][-1] if a else 1
+    return _forward(a) * a[-1][-1] if a else 1
 
 
-def solve(rows, deadline=None):
+def solve(rows):
     """(D, X) with D > 0 and x = X/D solving n integer rows (coeffs..., rhs), or None if singular.
 
     D is |det| and X the Cramer numerators, integers, so each back
-    substitution step divides exactly. `deadline` is passed to the
-    elimination.
+    substitution step divides exactly.
     """
     a = [list(r) for r in rows]
     n = len(a)
-    den = abs(_forward(a, deadline) * a[-1][n - 1]) if a else 1
+    den = abs(_forward(a) * a[-1][n - 1]) if a else 1
     if not den:
         return None
     x = [0] * n

@@ -17,9 +17,10 @@ import time
 from . import embeddings, mixedvol, polysys, reporting
 from .errors import CapabilityError, InputError, InternalError
 from .graphs import (
+    HENNEBERG_I,
+    HENNEBERG_II,
     StepI,
     check_laman,
-    classify,
     default_base,
     edge_key,
     h1_decomposition,
@@ -118,7 +119,9 @@ def _check(args, fw):
 
 
 def _henneberg(args, fw):
-    dec = henneberg_decompose(fw.graph)
+    # Both peels take the smallest degree-2 vertex first, so the graph's
+    # degree-2 decomposition, when it has one, is the general peel's too.
+    dec = h1_decomposition(fw.graph) or henneberg_decompose(fw.graph)
     steps = []
     for i, s in enumerate(dec.sequence.steps):
         if isinstance(s, StepI):
@@ -127,7 +130,7 @@ def _henneberg(args, fw):
             steps.append({"kind": "II", "vertex": i + 4, "anchors": [s.a, s.b, s.c],
                           "removed": list(s.removed)})
     payload = {
-        "class": classify(fw.graph),
+        "class": HENNEBERG_I if dec.sequence.is_step1_only() else HENNEBERG_II,
         "steps": steps,
         "relabeling": {str(k): v for k, v in sorted(dec.relabeling.items())},
     }

@@ -128,19 +128,19 @@ def _lifted(vertices, mu):
     return [(*(e * x for x in p), sum(map(mul, m, p))) for p in pts], d * e
 
 
-def is_mixed_cell(cell, polys, lifting, deadline=None):
+def is_mixed_cell(cell, polys, lifting):
     """Direct edge-matrix test of the mixed-cell criterion: `_touching` on the cell's edges.
 
     It shares no elimination with the search; a singular edge matrix gives
-    NO. `deadline` is passed to the elimination.
+    NO.
     """
     k = polys[0].ambient_dim
     if len(polys) != k or len(cell) != k:
         raise InputError("cell/polytope count must equal the ambient dimension")
-    return _touching(polys, lifting, cell, deadline)
+    return _touching(polys, lifting, cell)
 
 
-def _touching(polys, lifting, faces, deadline=None):
+def _touching(polys, lifting, faces):
     """NO, YES_TIE or YES_STRICT: how a functional touches the lifted sum along `faces`.
 
     `faces` holds one face per polytope, as a vertex tuple. The face
@@ -148,7 +148,7 @@ def _touching(polys, lifting, faces, deadline=None):
     points, fix alpha = X/den by the first k independent ones, and all
     must hold at it. Each vertex u off the faces then has the integer
     slack (<mu - alpha, u> - <mu - alpha, f0>) * den*E*D: a negative one
-    gives NO and a zero one a tie. `deadline` is passed to `solve`.
+    gives NO and a zero one a tie.
     """
     k = polys[0].ambient_dim
     tables = [
@@ -157,7 +157,7 @@ def _touching(polys, lifting, faces, deadline=None):
     ]
     eqs = [tuple(map(sub, pts[0], p)) for size, pts in tables for p in pts[1:size]]
     systems = itertools.combinations(eqs, k)
-    sol = next(filter(None, (solve(rows, deadline) for rows in systems)), None)
+    sol = next(filter(None, (solve(rows) for rows in systems)), None)
     if sol is None:
         return NO
     den, alpha = sol
@@ -589,49 +589,49 @@ def _mv_for_system(system, seed=0, oracle=False, deadline=None):
 def certify_general_bound(system, deadline=None):
     """Exact mixed volume of a distance system from one verified cell.
 
-    The degree product bounds the mixed volume from above; the explicit
-    lifting whose j-th vector dips only in coordinate j certifies the
-    diagonal cell [xi_1,0]+..+[xi_4,0]+[2 xi_5,0]+..+[2 xi_2n,0] as
-    mixed, so both bounds meet at 4^(n-2). No enumeration is needed, and
-    no hull either: `is_mixed_cell` runs over every point of each raw
-    support, and a strict answer makes each chosen pair the unique
-    minimizer of mu_j - alpha over its support, hence an edge of its
-    Newton polytope. `system` is a `build_soe` output with any edge
-    lengths: they and the pinning constants are nonzero, so every support
-    holds the constant term and the cell and value do not depend on them.
-    Raises InputError for any other form of system and CapabilityError
-    once `deadline` (a time.monotonic() value) has passed, checked first
-    and in both eliminations on the 2n x 2n edge matrix.
+    The degree product bounds the mixed volume from above; the diagonal
+    cell [xi_1,0]+..+[xi_4,0]+[2 xi_5,0]+..+[2 xi_2n,0] bounds it from
+    below by the product of its diagonal, so both meet at 4^(n-2). The
+    cell is mixed under the lifting mu_j that is 1 in coordinate j and 4n
+    elsewhere: its face equalities fix the touching functional at
+    alpha = (1, .., 1), where a point u of support j has the slack
+    <mu_j - alpha, u> = (4n - 1) * (sum(u) - u_j), exponents being
+    nonnegative ints. So the cell is strictly mixed iff no other point of
+    support j lies on axis j, which is checked exactly for every point of
+    every raw support; no hull is needed, as each chosen pair is then the
+    unique minimizer of mu_j - alpha over its support, hence an edge of
+    its Newton polytope (`is_mixed_cell` gives the same verdict). `system`
+    is a `build_soe` output with any edge lengths: they and the pinning
+    constants are nonzero, so every support holds the constant term and
+    the cell and value do not depend on them. Raises InputError for any
+    other form of system and CapabilityError once `deadline` (a
+    time.monotonic() value) has passed, checked before each support.
     """
-    if system.form != FORM_SOE:
+    k = system.nvars
+    if system.form != FORM_SOE or len(system.polys) != k:
         raise InputError("the certificate needs a distance system")
-    check_deadline(deadline, "general-bound certificate")
-    n = system.nvars // 2
-    k = 2 * n
-    supports = [polytopes.RationalPolytope(k, tuple(p.support())) for p in system.polys]
-    lifting = tuple(tuple(1 if c == j else 4 * n for c in range(k)) for j in range(k))
     zero = (0,) * k
     edges = []
-    for j in range(k):
+    det = Fraction(1)
+    for j, poly in enumerate(system.polys):
+        check_deadline(deadline, "general-bound certificate")
+        support = poly.support()
         scale = 1 if j < 4 else 2
         vertex = tuple(scale if c == j else 0 for c in range(k))
-        if vertex not in supports[j].vertices or zero not in supports[j].vertices:
+        if vertex not in support or zero not in support:
             raise InternalError("expected cell points missing from a support")
+        if any(sum(u) == u[j] for u in support if u != vertex and u != zero):
+            raise InternalError(f"certificate cell rejected: {YES_TIE}")
         edges.append((vertex, zero))
-    cell = tuple(edges)
-    status = is_mixed_cell(cell, supports, lifting, deadline)
-    if status != YES_STRICT:
-        raise InternalError(f"certificate cell rejected: {status}")
-    det = polytopes.edge_matrix_det(cell, deadline)
-    value = abs(det)
-    expected = Fraction(4) ** (n - 2)
-    if value != expected or Fraction(bezout(system)) != expected:
+        det *= scale
+    expected = Fraction(4) ** (k // 2 - 2)
+    if det != expected or Fraction(bezout(system)) != expected:
         raise InternalError("certificate value mismatch")
     return MVResult(
-        value=value,
+        value=det,
         method=METHOD_CERTIFICATE,
         lifting_seed=None,
-        cells=(MixedCellRecord(cell=cell, det=det, strict=True),),
+        cells=(MixedCellRecord(cell=tuple(edges), det=det, strict=True),),
     )
 
 

@@ -155,20 +155,20 @@ def minkowski_sum(p, q, deadline=None):
     return RationalPolytope.from_points(sums, deadline)
 
 
-def edge_matrix_det(cell, deadline=None):
+def edge_matrix_det(cell):
     """Determinant of the matrix with one edge direction per column.
 
     `cell` holds one edge (a, b) per polytope; its direction is a - b. The
     directions, scaled to integers by the lcm D of their
     denominators, are the rows of the transposed matrix; its integer
-    determinant is divided by D^k once. `deadline` is passed to `int_det`.
+    determinant is divided by D^k once.
     """
     dirs = [tuple(map(sub, a, b)) for a, b in cell]
     k = len(dirs[0]) if dirs else 0
     if len(dirs) != k:
         raise InputError("edge count must equal the ambient dimension")
     rows, den = scaled(dirs)
-    return Fraction(int_det(rows, deadline), den ** k)
+    return Fraction(int_det(rows), den ** k)
 
 
 def volume_exact(p, deadline=None):

@@ -244,6 +244,10 @@ def test_classify():
         cls = classify(g)
         assert cls == (HENNEBERG_I if peels is not None else HENNEBERG_II)
         assert (cls == HENNEBERG_I) == _greedy_degree2_peel(g)
+        # Both peels take the smallest degree-2 vertex first, so they agree.
+        general = henneberg_decompose(g)
+        assert (cls == HENNEBERG_I) == general.sequence.is_step1_only()
+        assert general == (h1_decomposition(g) or general)
         classes.append(cls)
     assert min(classes.count(HENNEBERG_I), classes.count(HENNEBERG_II)) >= 30
 

@@ -14,7 +14,7 @@ from conftest import framework_for, random_fullmixed_instance
 from reference_enumerator import lifting_value, reference_enumerate_mixed_cells
 from reference_linalg import mat_det, mat_solve
 from lamanmv import linprog, mixedvol
-from lamanmv.errors import CapabilityError, InputError, NonGenericLiftingError
+from lamanmv.errors import CapabilityError, InputError, InternalError, NonGenericLiftingError
 from lamanmv.graphs import (
     Framework,
     StepII,
@@ -144,6 +144,15 @@ def test_certificate_cell_verifies_under_constructed_lifting():
         assert abs(res.cells[0].det) == 4 ** (n - 2)
 
 
+def certificate_lifting(k):
+    """The certificate's lifting: mu_j is 1 in coordinate j and 2k elsewhere."""
+    return [tuple(1 if c == j else 2 * k for c in range(k)) for j in range(k)]
+
+
+def raw_supports(system):
+    return [RationalPolytope(system.nvars, tuple(p.support())) for p in system.polys]
+
+
 def test_certificate_and_witness_on_the_frameworks_own_lengths():
     # Both take the distance system with the framework's own lengths: every
     # constant term stays nonzero, as lengths are positive and the pinning
@@ -156,7 +165,13 @@ def test_certificate_and_witness_on_the_frameworks_own_lengths():
         own = Framework.make(g, {e: F(rng.randint(1, 40), rng.randint(1, 6)) for e in g.edges})
         expected = certify_general_bound(build_soe(unit))
         assert expected.value == 4 ** (g.n - 2)
-        assert certify_general_bound(build_soe(own)).cells == expected.cells
+        soe = build_soe(own)
+        assert certify_general_bound(soe).cells == expected.cells
+        # The generic criterion and elimination agree with the closed form.
+        (rec,) = expected.cells
+        lifting = certificate_lifting(soe.nvars)
+        assert is_mixed_cell(rec.cell, raw_supports(soe), lifting) == YES_STRICT
+        assert edge_matrix_det(rec.cell) == rec.det
         for fw in (unit, own):
             assert witness_check(build_soe(fw)) == (g.n >= 3)
     # Both read the distance system's layout, so they refuse any other form.
@@ -164,6 +179,38 @@ def test_certificate_and_witness_on_the_frameworks_own_lengths():
         certify_general_bound(build_subsoe(own))
     with pytest.raises(InputError):
         witness_check(build_subsoe(own))
+
+
+def test_certificate_rejects_an_on_axis_point_and_a_missing_constant():
+    soe = build_soe(framework_for(henneberg_apply(random_henneberg_sequence(5, seed=3))))
+    (rec,) = certify_general_bound(soe).cells
+    k = soe.nvars
+
+    def mutant(j, change):
+        terms = dict(soe.polys[j].terms)
+        change(terms)
+        polys = list(soe.polys)
+        polys[j] = Polynomial.make(k, terms)
+        return PolySystem(soe.variables, tuple(polys), form=FORM_SOE)
+
+    # x_3 beside x_3^2 in the first quadratic: a second point on axis 4.
+    on_axis = mutant(4, lambda t: t.update({tuple(int(c == 4) for c in range(k)): 3}))
+    with pytest.raises(InternalError, match="rejected"):
+        certify_general_bound(on_axis)
+    assert is_mixed_cell(rec.cell, raw_supports(on_axis), certificate_lifting(k)) == YES_TIE
+    # A quadratic without its constant term lacks the cell's point 0.
+    with pytest.raises(InternalError, match="missing"):
+        certify_general_bound(mutant(5, lambda t: t.pop((0,) * k)))
+
+
+def test_certificate_scales_to_four_hundred_vertices():
+    # One pass over 800 supports; the generic cell check and determinant,
+    # two dense eliminations of order 800, took tens of seconds.
+    soe = build_soe(framework_for(henneberg_apply(random_henneberg_sequence(400, seed=5))))
+    start = time.process_time()
+    res = certify_general_bound(soe)
+    assert time.process_time() - start < 1
+    assert res.value == 4 ** 398
 
 
 def test_non_generic_lifting_raises():
@@ -777,16 +824,16 @@ def test_deadline_enforced(monkeypatch):
     with pytest.raises(CapabilityError):
         certify_general_bound(build_soe(fw), deadline=time.monotonic() - 1)
     # The caller builds the system and the certificate checks the deadline
-    # when it starts, so a build that outlasts the deadline stops the
-    # certificate before its cell check.
+    # before each support, so a build that outlasts the deadline stops the
+    # certificate before it reads a support.
     deadline = time.monotonic() + 0.1
     soe = build_soe(fw)
     time.sleep(0.2)
 
-    def cell_check(*args):
-        raise AssertionError("cell check ran past the deadline")
+    def support(*args):
+        raise AssertionError("support read past the deadline")
 
-    monkeypatch.setattr(mixedvol, "is_mixed_cell", cell_check)
+    monkeypatch.setattr(Polynomial, "support", support)
     with pytest.raises(CapabilityError):
         certify_general_bound(soe, deadline=deadline)
     monkeypatch.undo()
