@@ -17,10 +17,9 @@ import time
 from . import embeddings, mixedvol, polysys, reporting
 from .errors import CapabilityError, InputError, InternalError
 from .graphs import (
-    HENNEBERG_I,
-    HENNEBERG_II,
     StepI,
     check_laman,
+    classify,
     default_base,
     edge_key,
     h1_decomposition,
@@ -32,6 +31,14 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CAPABILITY = 2
 EXIT_INTERNAL = 3
+
+
+def seconds(text):
+    """The type of --timeout: a float other than NaN, which no clock reading is ever past."""
+    value = float(text)
+    if value != value:
+        raise ValueError(text)
+    return value
 
 
 @functools.cache
@@ -47,7 +54,7 @@ def _parser():
         sp.add_argument("file", help="graph file")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.add_argument("--timeout", type=float, default=None, help="seconds")
+        sp.add_argument("--timeout", type=seconds, default=None, help="seconds")
         if form:
             sp.add_argument(
                 "--form", choices=(polysys.FORM_SOE, polysys.FORM_SUBSOE),
@@ -119,9 +126,7 @@ def _check(args, fw):
 
 
 def _henneberg(args, fw):
-    # Both peels take the smallest degree-2 vertex first, so the graph's
-    # degree-2 decomposition, when it has one, is the general peel's too.
-    dec = h1_decomposition(fw.graph) or henneberg_decompose(fw.graph)
+    dec = henneberg_decompose(fw.graph)
     steps = []
     for i, s in enumerate(dec.sequence.steps):
         if isinstance(s, StepI):
@@ -130,7 +135,7 @@ def _henneberg(args, fw):
             steps.append({"kind": "II", "vertex": i + 4, "anchors": [s.a, s.b, s.c],
                           "removed": list(s.removed)})
     payload = {
-        "class": HENNEBERG_I if dec.sequence.is_step1_only() else HENNEBERG_II,
+        "class": classify(fw.graph),
         "steps": steps,
         "relabeling": {str(k): v for k, v in sorted(dec.relabeling.items())},
     }

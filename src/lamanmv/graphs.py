@@ -3,14 +3,17 @@
 A graph on n vertices with 2n-3 edges is Laman when every k-subset of
 vertices spans at most 2k-3 edges. The fast check is a (2,3)-pebble game;
 the subset definition is kept as a brute-force oracle for cross checks.
-Each graph decides its Laman verdict and its degree-2 decomposition once,
+Each graph decides its Laman verdict and its construction sequence once,
 on first use, and keeps both for its lifetime.
 The same game, played with the pinned base edge last, also yields the
 edge orientation with in-degree 2 everywhere outside the two base
 vertices. Construction sequences (vertex additions of degree 2, or
-degree 3 with one edge removal) are peeled off greedily: by Laman's
-theorem the first candidate vertex never needs undoing. The catalog of
-Laman graphs up to isomorphism grows from the single edge by the same steps.
+degree 3 with one edge removal) come from one greedy peel: by Laman's
+theorem the first candidate vertex never needs undoing. It tests each
+degree-3 join on the verdict game's pebbles, carried down the peel, and
+the graph is degree-2-built exactly when its sequence has no degree-3
+step. The catalog of Laman graphs up to isomorphism grows from the
+single edge by the same steps.
 """
 
 import bisect
@@ -64,21 +67,36 @@ class Graph:
 
     @cached_property
     def _verdict(self):
-        """(laman, witness tuple or None) from one pebble game over the sorted edges."""
+        """(laman, witness tuple or None, the game's `out` for a Laman graph, else None)."""
         if self.n < 2:
-            return False, None
-        witness, _ = _pebble_game(self, sorted(self.edges))
+            return False, None, None
+        witness, out = _pebble_game(sorted(self.edges))
         if witness is not None:
-            return False, tuple(witness)
-        return len(self.edges) == 2 * self.n - 3, None
+            return False, tuple(witness), None
+        laman = len(self.edges) == 2 * self.n - 3
+        return laman, None, out if laman else None
 
     @cached_property
-    def _degree2(self):
-        """The degree-2-only decomposition, or None; InputError when not Laman."""
-        try:
-            return henneberg_decompose(self, True)
-        except NoSequenceError:
+    def _decomposition(self):
+        """The greedy peel's decomposition, None below the triangle.
+
+        InputError when not Laman; a failed memo is not kept.
+        """
+        if not self._verdict[0]:
+            raise InputError("graph is not Laman")
+        if self.n < 3:
             return None
+        peels = _peel_search(self)
+        surviving = set(range(1, self.n + 1)) - {p[1] for p in peels}
+        orig_to_replay = {v: i + 1 for i, v in enumerate(sorted(surviving))}
+        steps = []
+        for label, (kind, v, anchors, inserted) in enumerate(reversed(peels), start=4):
+            orig_to_replay[v] = label
+            anchors = [orig_to_replay[x] for x in anchors]
+            steps.append(StepI(*anchors) if kind == "I" else
+                         StepII(*anchors, removed=tuple(orig_to_replay[x] for x in inserted)))
+        relabeling = {r: o for o, r in orig_to_replay.items()}
+        return HennebergDecomposition(HennebergSequence(tuple(steps)), relabeling)
 
 
 @dataclass(frozen=True)
@@ -188,27 +206,36 @@ def check_laman(g):
     The witness, when present, is a vertex subset spanning more than
     2k-3 edges (including the edge whose insertion failed).
     """
-    laman, witness = g._verdict
+    laman, witness, _ = g._verdict
     return {"laman": laman, "witness": None if witness is None else list(witness)}
 
 
-def _pebble_game(g, order):
-    """(2,3)-pebble game inserting the edges of g in `order`.
+def _pebble_game(order):
+    """(2,3)-pebble game inserting the edges in `order`.
 
     Returns (witness, out). The witness is None when every edge was
-    accepted, else the sorted reachable closure of the first edge that
-    was not. out maps each vertex that carries an edge to the far ends
-    of the accepted edges it pays for: one pebble per edge, two per vertex.
+    accepted, else that of the first edge that was not. out maps each
+    vertex that carries an edge to the far ends of the accepted edges it
+    pays for: one pebble per edge, two per vertex.
     """
-    touched = sorted({x for e in order for x in e})
-    pebbles = dict.fromkeys(touched, 2)
-    out = {v: set() for v in touched}
+    out = {v: set() for v in sorted({x for e in order for x in e})}
+    for u, v in order:
+        if (witness := _insert_edge(out, u, v)) is not None:
+            return witness, out
+    return None, out
 
-    def find_pebble(root, forbidden):
-        """Directed path from root to a vertex with a free pebble.
 
-        Returns (path, None), or (None, the vertices reached) when there is none.
-        """
+def _insert_edge(out, u, v):
+    """One pebble-game step: accept (u, v) into `out`, or return its witness.
+
+    A vertex x has 2 - len(out[x]) free pebbles; the edge is accepted once
+    u and v hold all four. Otherwise the witness is the sorted closure the
+    failed searches reached, which spans too many edges once (u, v) is
+    counted, and `out` is a valid state of the same accepted edges.
+    """
+
+    def gather(root):
+        """Reverse a path from root to a free pebble off {u, v}; else the vertices reached."""
         stack = [root]
         parent = {root: None}
         while stack:
@@ -217,37 +244,21 @@ def _pebble_game(g, order):
                 if y in parent:
                     continue
                 parent[y] = x
-                if y not in forbidden and pebbles[y] > 0:
-                    path = [y]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path, None
-                stack.append(y)
-        return None, parent
-
-    for u, v in order:
-        while pebbles[u] + pebbles[v] < 4:
-            reached = set()
-            for root in (u, v):
-                path, seen = find_pebble(root, {u, v})
-                if path is not None:
-                    for x, y in zip(path, path[1:]):
+                if y != u and y != v and len(out[y]) < 2:
+                    while y != root:
+                        x = parent[y]
                         out[x].discard(y)
                         out[y].add(x)
-                    pebbles[path[-1]] -= 1
-                    pebbles[root] += 1
-                    break
-                reached.update(seen)
-            else:
-                # Both failed searches together reached the closure of
-                # {u, v}; it spans too many edges once (u, v) is counted,
-                # so it violates the subset condition.
-                return sorted(reached), out
-        payer, other = (u, v) if pebbles[u] > 0 else (v, u)
-        pebbles[payer] -= 1
-        out[payer].add(other)
-    return None, out
+                        y = x
+                    return None
+                stack.append(y)
+        return parent
+
+    while out[u] or out[v]:
+        if (seen := gather(u)) is not None and (more := gather(v)) is not None:
+            return sorted(seen.keys() | more.keys())
+    out[u].add(v)
+    return None
 
 
 def laman_oracle(g):
@@ -304,97 +315,69 @@ def henneberg_apply(seq):
     return Graph.make(n, edges)
 
 
-def _edges_laman(edges, vertices):
-    mapping = {v: i + 1 for i, v in enumerate(sorted(vertices))}
-    g = Graph.make(len(vertices), [(mapping[a], mapping[b]) for a, b in edges])
-    return check_laman(g)["laman"]
+def _peel_search(g):
+    """Reverse construction of the Laman graph g down to a triangle, with no backtracking.
 
-
-def _peel_search(edges, vertices, only_step1):
-    """Reverse construction down to a triangle, with no backtracking.
-
-    Returns peel records (kind, vertex, anchors, inserted) in peel order,
-    or None. Each step peels the smallest degree-2 vertex, else the
-    smallest degree-3 vertex with the first neighbour pair whose join
-    leaves a Laman graph. By Laman's theorem that choice never needs
-    undoing: deleting a degree-2 vertex keeps a graph Laman (and
-    degree-2-built when it was), and every degree-3 vertex has such a pair.
-    Neighbour sets are kept up to date as vertices go, and the smallest
-    candidate comes off a heap of (degree, vertex) entries; an entry
-    whose vertex has gone or changed degree since it was pushed is stale.
+    Returns peel records (kind, vertex, anchors, inserted) in peel order.
+    Each step peels the smallest degree-2 vertex, else the smallest
+    degree-3 vertex with the first neighbour pair whose join leaves a
+    Laman graph. By Laman's theorem that choice never needs undoing:
+    deleting a degree-2 vertex keeps a graph Laman (and degree-2-built
+    when it was), and every degree-3 vertex has such a pair. So g is
+    degree-2-built exactly when no record is of kind II.
+    The verdict game's pebbles are carried down the peel: a peeled
+    vertex's edges leave them, and a join fits exactly when the game
+    accepts it. Neighbour sets are kept up to date as vertices go, and
+    the smallest candidate comes off a heap of (degree, vertex) entries;
+    an entry whose vertex has gone or changed degree since it was pushed
+    is stale.
     """
-    edges = set(edges)
-    adj = {v: set() for v in vertices}  # the remaining vertices' neighbours
-    for a, b in edges:
+    out = {v: set(heads) for v, heads in g._verdict[2].items()}
+    adj = {v: set() for v in out}  # the remaining vertices' neighbours
+    for a, b in g.edges:
         adj[a].add(b)
         adj[b].add(a)
-    degrees = (2,) if only_step1 else (2, 3)
-    heap = [(len(nb), v) for v, nb in adj.items() if len(nb) in degrees]
+    heap = [(len(nb), v) for v, nb in adj.items() if len(nb) in (2, 3)]
     heapq.heapify(heap)
     peels = []
     while len(adj) > 3:
-        while heap and (heap[0][1] not in adj or len(adj[heap[0][1]]) != heap[0][0]):
+        while heap[0][1] not in adj or len(adj[heap[0][1]]) != heap[0][0]:
             heapq.heappop(heap)
-        if not heap:
-            return None
         deg, v = heapq.heappop(heap)
         nbrs = tuple(sorted(adj.pop(v)))
-        edges.difference_update(edge_key(v, u) for u in nbrs)
+        del out[v]
         for u in nbrs:
             adj[u].remove(v)
+            out[u].discard(v)
         ins = None
         if deg == 3:
             joins = (edge_key(x, y) for x, y in itertools.combinations(nbrs, 2))
-            fits = (e for e in joins if e not in edges and _edges_laman(edges | {e}, adj))
+            fits = (e for e in joins if e[1] not in adj[e[0]] and _insert_edge(out, *e) is None)
             ins = next(fits, None)
             if ins is None:
                 raise InternalError(
                     f"no neighbour pair of degree-3 vertex {v} leaves a Laman graph"
                 )
-            edges.add(ins)
             adj[ins[0]].add(ins[1])
             adj[ins[1]].add(ins[0])
         for u in nbrs:
-            if len(adj[u]) in degrees:
+            if len(adj[u]) in (2, 3):
                 heapq.heappush(heap, (len(adj[u]), u))
         peels.append(("I" if deg == 2 else "II", v, nbrs, ins))
     return peels
 
 
-def henneberg_decompose(g, only_step1=False):
+def henneberg_decompose(g):
     """Construction sequence plus explicit relabeling for a Laman graph.
 
     Replaying the returned sequence gives a graph isomorphic to g; the
-    relabeling maps replay labels to the original ones. Raises
-    NoSequenceError when no peel order reaches a triangle.
+    relabeling, a fresh copy of the one the graph keeps, maps replay
+    labels to the original ones. Raises NoSequenceError below the triangle.
     """
-    if not check_laman(g)["laman"]:
-        raise InputError("graph is not Laman")
-    if g.n < 3:
+    dec = g._decomposition
+    if dec is None:
         raise NoSequenceError("no construction sequence: sequences start at the triangle")
-    vertices = set(range(1, g.n + 1))
-    peels = _peel_search(set(g.edges), vertices, only_step1)
-    if peels is None:
-        raise NoSequenceError(
-            "no construction sequence found"
-            + (" with only degree-2 additions" if only_step1 else "")
-        )
-    surviving = vertices - {p[1] for p in peels}
-    orig_to_replay = {v: i + 1 for i, v in enumerate(sorted(surviving))}
-    steps = []
-    label = 3
-    for kind, v, anchors, inserted in reversed(peels):
-        label += 1
-        orig_to_replay[v] = label
-        if kind == "I":
-            a, b = (orig_to_replay[x] for x in anchors)
-            steps.append(StepI(a, b))
-        else:
-            a, b, c = (orig_to_replay[x] for x in anchors)
-            rx, ry = (orig_to_replay[x] for x in inserted)
-            steps.append(StepII(a, b, c, removed=edge_key(rx, ry)))
-    relabeling = {r: o for o, r in orig_to_replay.items()}
-    return HennebergDecomposition(HennebergSequence(tuple(steps)), relabeling)
+    return HennebergDecomposition(dec.sequence, dict(dec.relabeling))
 
 
 HENNEBERG_I = "HennebergI"
@@ -402,25 +385,22 @@ HENNEBERG_II = "HennebergII"
 
 
 def h1_decomposition(g):
-    """henneberg_decompose(g, only_step1=True), or None when g has none.
+    """henneberg_decompose(g) when its steps are all degree-2, else None.
 
-    Raises InputError when g is not Laman. The relabeling is a fresh copy
-    of the one the graph keeps.
+    Raises InputError when g is not Laman.
     """
-    dec = g._degree2
-    if dec is None:
-        return None
-    return HennebergDecomposition(dec.sequence, dict(dec.relabeling))
+    return henneberg_decompose(g) if classify(g) == HENNEBERG_I else None
 
 
 def classify(g):
-    """HennebergI iff some all-degree-2 peel order reaches the triangle.
+    """HennebergI iff the peel's sequence has only degree-2 steps.
 
     None for the single edge: every construction starts at the triangle.
     """
-    if g._degree2 is not None:
-        return HENNEBERG_I
-    return HENNEBERG_II if g.n >= 3 else None
+    dec = g._decomposition
+    if dec is None:
+        return None
+    return HENNEBERG_I if dec.sequence.is_step1_only() else HENNEBERG_II
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +441,7 @@ def orient_two_in(g, base):
     base = edge_key(*base)
     if base not in g.edges:
         raise InputError(f"base {base} is not an edge")
-    witness, out = _pebble_game(g, sorted(g.edges - {base}) + [base])
+    witness, out = _pebble_game(sorted(g.edges - {base}) + [base])
     if witness is not None or len(g.edges) != 2 * g.n - 3:
         raise InputError("graph is not Laman")
     heads = {edge_key(x, y): x for x in out for y in out[x]}

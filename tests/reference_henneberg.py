@@ -1,11 +1,14 @@
 """Exhaustive references for the Henneberg machinery in `lamanmv.graphs`.
 
 `peel_search` is the backtracking reverse construction with a memo of
-failed edge sets; `graphs._peel_search` peels greedily and must return
-the same records, because Laman's theorem says the first candidate
-never fails. `canonical_form` tries every relabelling that keeps each
-degree class in place; `graphs.canonical_form` refines colours instead
-and must split graphs into the same isomorphism classes.
+failed edge sets; it tests each join with a fresh pebble game on the
+relabelled remainder. `graphs._peel_search` peels greedily on one carried
+pebble state and must return the same records, because Laman's theorem
+says the first candidate never fails. With `only_step1` it decides
+whether a graph is degree-2-built. `canonical_form` tries every
+relabelling that keeps each degree class in place; `graphs.canonical_form`
+refines colours instead and must split graphs into the same isomorphism
+classes.
 `brute_force_catalog` tries every set of 2n-3 edges;
 `graphs.all_laman_graphs` grows the catalog by Henneberg steps and must
 give the same classes. `random_henneberg_sequence` rebuilds the graph
@@ -21,7 +24,6 @@ from lamanmv.graphs import (
     HennebergSequence,
     StepI,
     StepII,
-    _edges_laman,
     check_laman,
     edge_key,
     henneberg_apply,
@@ -35,6 +37,12 @@ def _degree_map(edges, vertices):
         deg[a] += 1
         deg[b] += 1
     return deg
+
+
+def _edges_laman(edges, vertices):
+    mapping = {v: i + 1 for i, v in enumerate(sorted(vertices))}
+    g = Graph.make(len(vertices), [(mapping[a], mapping[b]) for a, b in edges])
+    return check_laman(g)["laman"]
 
 
 def peel_search(edges, vertices, only_step1, _failed=None):

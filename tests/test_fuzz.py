@@ -9,6 +9,7 @@ long; the examples are derandomized, so a failure reproduces.
 import codecs
 import contextlib
 import io
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -66,6 +67,18 @@ def test_every_command_ends_in_a_documented_exit_code(tmp_path_factory, text, co
         code = cli.run(argv)
     assert code in (0, 1, 2), (argv, text, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_nan_timeout_is_an_input_error(command):
+    # No clock reading is ever past a NaN deadline, so the run would be unbounded.
+    k33 = str(Path(__file__).resolve().parent / "golden" / "k33.graph")
+    for spelling in ("nan", "NaN", "-nan", "+NAN"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(command + [f"--timeout={spelling}", k33])
+        assert (code, out.getvalue()) == (cli.EXIT_INPUT, "")
+        assert f"argument --timeout: invalid seconds value: '{spelling}'" in err.getvalue()
 
 
 @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)

@@ -62,7 +62,8 @@ def test_graph_facts_are_kept_per_graph_and_handed_out_as_copies():
     seq = random_henneberg_sequence(7, seed=3)
     h = henneberg_apply(seq)
     h1_decomposition(h).relabeling.clear()
-    assert len(h1_decomposition(h).relabeling) == 7
+    henneberg_decompose(h).relabeling.clear()
+    assert len(h1_decomposition(h).relabeling) == len(henneberg_decompose(h).relabeling) == 7
     for make in (k4, k33_graph, lambda: henneberg_apply(seq)):
         a, b = make(), make()
         assert check_laman(a) == check_laman(b)
@@ -170,10 +171,22 @@ def test_random_sequence_is_not_replayed_per_step():
 def test_degree2_peel_is_linear():
     # Recounting every degree at each peel took 1.5 s at n = 2,000.
     g = henneberg_apply(random_henneberg_sequence(2000, seed=1))
+    assert check_laman(g)["laman"]  # the verdict's game, outside the timing
     start = time.process_time()
-    peels = _peel_search(set(g.edges), set(range(1, 2001)), True)
+    peels = _peel_search(g)
     assert time.process_time() - start < 0.3
     assert len(peels) == 1997 and all(kind == "I" for kind, *_ in peels)
+
+
+def test_peel_tests_joins_on_the_carried_pebbles():
+    # A whole pebble game on a relabelled copy per join candidate took
+    # 8.1 s at n = 4,000.
+    g = henneberg_apply(random_henneberg_sequence(4000, seed=5, step2_probability=0.3))
+    start = time.process_time()
+    dec = henneberg_decompose(g)
+    assert time.process_time() - start < 1.5
+    assert not dec.sequence.is_step1_only()
+    assert henneberg_apply(dec.sequence).relabel(dec.relabeling).edges == g.edges
 
 
 def test_decompose_triangle_empty():
@@ -244,7 +257,8 @@ def test_classify():
         cls = classify(g)
         assert cls == (HENNEBERG_I if peels is not None else HENNEBERG_II)
         assert (cls == HENNEBERG_I) == _greedy_degree2_peel(g)
-        # Both peels take the smallest degree-2 vertex first, so they agree.
+        # The class is read off the one peel's sequence, which is the
+        # degree-2 decomposition exactly when it has no degree-3 step.
         general = henneberg_decompose(g)
         assert (cls == HENNEBERG_I) == general.sequence.is_step1_only()
         assert general == (h1_decomposition(g) or general)
@@ -260,25 +274,53 @@ def test_first_henneberg2_graphs_arise_on_six_vertices():
     assert classes.count(HENNEBERG_II) == 2
 
 
-def test_greedy_peel_matches_backtracking_reference():
+# The one n = 8 catalog graph whose greedy peel rejects neighbour joins.
+JOINS8 = Graph.make(8, [(1, 2), (1, 5), (1, 6), (1, 7), (1, 8), (2, 3), (2, 4),
+                        (3, 5), (3, 7), (4, 6), (4, 8), (5, 7), (6, 8)])
+
+
+def _shuffled(g, rng):
+    return g.relabel(dict(zip(range(1, g.n + 1), rng.sample(range(1, g.n + 1), g.n))))
+
+
+def test_greedy_peel_matches_backtracking_reference(monkeypatch):
     # Laman's theorem: the first candidate the backtracking search tries
-    # always succeeds, so the greedy peel returns the same records.
+    # always succeeds, so the greedy peel returns the same records. A
+    # rejected join has already moved pebbles of the carried state when
+    # the next pair is tried; the reference plays a fresh game per pair.
+    rejected = 0
+
+    def counted(out, u, v, insert=graphs._insert_edge):
+        nonlocal rejected
+        witness = insert(out, u, v)
+        rejected += witness is not None
+        return witness
+
+    monkeypatch.setattr(graphs, "_insert_edge", counted)
     rng = random.Random(15)
-    graphs = [g for n in range(3, 8) for g in all_laman_graphs(n)]
+    small = [g for n in range(3, 8) for g in all_laman_graphs(n)]
     for seed in range(300):
         g = henneberg_apply(random_henneberg_sequence(4 + seed % 10, seed, step2_probability=rng.random()))
-        graphs.append(g.relabel(dict(zip(range(1, g.n + 1), rng.sample(range(1, g.n + 1), g.n)))))
+        small.append(_shuffled(g, rng))
+    small += [JOINS8] + [_shuffled(JOINS8, rng) for _ in range(4)]
+    large = [
+        henneberg_apply(random_henneberg_sequence(n, seed, step2_probability=0.3))
+        for n in (30, 60, 100)
+        for seed in range(10)
+    ]
     no_h1 = with_step2 = 0
-    for g in graphs:
-        for only_step1 in (True, False):
-            args = (set(g.edges), set(range(1, g.n + 1)), only_step1)
-            peels = _peel_search(*args)
-            assert peels == reference_henneberg.peel_search(*args)
-            if only_step1:
-                no_h1 += peels is None
-            else:
-                with_step2 += any(kind == "II" for kind, *_ in peels)
-    assert no_h1 >= 30 and with_step2 >= 30
+    for g in small + large:
+        args = (set(g.edges), set(range(1, g.n + 1)))
+        peels = _peel_search(g)
+        assert peels == reference_henneberg.peel_search(*args, False)
+        step1_only = all(kind == "I" for kind, *_ in peels)
+        with_step2 += not step1_only
+        # The degree-2-only reference backtracks over removal orders, so
+        # it decides the class on the small graphs only.
+        if g.n < 15:
+            assert reference_henneberg.peel_search(*args, True) == (peels if step1_only else None)
+            no_h1 += not step1_only
+    assert no_h1 >= 30 and with_step2 >= 60 and rejected >= 10
 
 
 def test_canonical_form_splits_like_the_degree_class_reference():

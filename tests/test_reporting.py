@@ -369,14 +369,16 @@ def test_cli_decides_each_graph_fact_once(monkeypatch, capsys):
             return original(*args)
 
         monkeypatch.setattr(graphs, name, counted)
-    h6 = str(Path(__file__).resolve().parent / "golden" / "h6.graph")
-    # The Laman verdict and the orientation's game; one degree-2 peel.
-    assert cli.run(["report", "--no-timings", h6]) == 0
+    golden = Path(__file__).resolve().parent / "golden"
+    # The Laman verdict and the orientation's game; one peel.
+    assert cli.run(["report", "--no-timings", str(golden / "h6.graph")]) == 0
     assert counts == {"_pebble_game": 2, "_peel_search": 1}
-    # The Laman verdict; one peel, whose sequence also gives the class.
-    counts.update(_pebble_game=0, _peel_search=0)
-    assert cli.run(["henneberg", h6]) == 0
-    assert counts == {"_pebble_game": 1, "_peel_search": 1}
+    # The Laman verdict; one peel, whose sequence also gives the class. On
+    # K33 the peel tests its joins on the verdict's pebbles.
+    for name in ("h6.graph", "k33.graph"):
+        counts.update(_pebble_game=0, _peel_search=0)
+        assert cli.run(["henneberg", str(golden / name)]) == 0
+        assert counts == {"_pebble_game": 1, "_peel_search": 1}
 
 
 def test_cli_embed_walks_a_deep_degree2_chain(tmp_path, capsys):
