@@ -5,17 +5,24 @@ by per-polytope linear liftings. A cell is one edge per polytope; it
 belongs to the subdivision iff some linear functional touches the lifted
 sum exactly along those edges. Enumeration is a depth-first search over
 edge choices, pruned by (a) linear independence of the chosen edge
-directions and (b) exact LP feasibility of the touching functional.
+directions and (b) exact infeasibility of the touching functional.
 Every constraint row is the difference of two integer lifted points
 (`_lifted`), eliminated fraction-free against the chosen edge
 equalities. A node reduces the differences of the next polytope's lifted
 points against its pivots once, and its children, one per edge of that
 polytope, share the table: each reads its edge direction and off-edge
 rows from it and reduces them, with the rows carried down from the node,
-by its own new pivot only. An exact LP runs only where the particular
-solution violates a row. That pruning test (`linprog.feasible`, phase 1
-on the Farkas system of the rows, with one tableau row per free column
-plus one) is the only LP in the engine: the edges come from the
+by its own new pivot only. A node keeps one row per direction, the
+coefficient part divided by its gcd: of two parallel rows only the
+tighter one, with the larger rhs/gcd, since parallel rows stay parallel
+under every later elimination and the looser one is implied for good.
+Only where the particular solution violates a row is infeasibility
+tested: first against the row of the opposite direction, if any, which
+together with it may sum to 0 >= a positive number (the pairwise test of
+the relation table of MixedVol, Gao, Li & Wu, ACM TOMS 31, 2005), then
+by an exact LP. That LP (`linprog.feasible`, phase 1 on the Farkas
+system of the rows, with one tableau row per free column plus one) is
+the only one in the engine: the edges come from the
 certified face lattices of `polytopes`, and the cell checks here solve
 by `_linalg.solve`.
 Complete cells are accepted only when every non-edge vertex clears the
@@ -128,14 +135,26 @@ def _lifted(vertices, mu):
     return [(*(e * x for x in p), sum(map(mul, m, p))) for p in pts], d * e
 
 
+def _dimension(polys, lifting=None):
+    """k for k polytopes in k-space, each with a k-vector lifting when one is given.
+
+    Anything else, no polytopes included, raises InputError.
+    """
+    k = polys[0].ambient_dim if polys else 0
+    if not k or len(polys) != k or any(p.ambient_dim != k for p in polys):
+        raise InputError("need exactly one polytope per dimension")
+    if lifting is not None and (len(lifting) != k or any(len(mu) != k for mu in lifting)):
+        raise InputError("need one lifting vector per polytope, one entry per dimension")
+    return k
+
+
 def is_mixed_cell(cell, polys, lifting):
     """Direct edge-matrix test of the mixed-cell criterion: `_touching` on the cell's edges.
 
     It shares no elimination with the search; a singular edge matrix gives
     NO.
     """
-    k = polys[0].ambient_dim
-    if len(polys) != k or len(cell) != k:
+    if len(cell) != _dimension(polys, lifting):
         raise InputError("cell/polytope count must equal the ambient dimension")
     return _touching(polys, lifting, cell)
 
@@ -180,7 +199,11 @@ class _Enumerator:
     chosen edge equalities as pivot rows in integer echelon form, the
     off-edge rows `<coeff, alpha> >= rhs` of the chosen edges reduced
     against those pivots (so each row is zero on the pivot columns and
-    stands for a constraint on the free columns), and a tie flag. A node
+    stands for a constraint on the free columns), and a tie flag. The
+    rows are a dict from direction (coeff divided by its gcd g) to
+    (g, row), one row per direction: the tightest, with the largest
+    rhs/g, which implies the others there and at every descendant. A
+    row the new pivot leaves alone keeps its direction and g. A node
     reduces the differences of the next polytope's lifted points against
     its pivots once (`_reduced`), and its children share that table: the
     child for edge (a, b) takes its direction a - b and its off-edge rows
@@ -191,11 +214,7 @@ class _Enumerator:
     def __init__(self, polys, lifting, deadline=None):
         self.polys = list(polys)
         self.lifting = lifting
-        self.k = polys[0].ambient_dim
-        if len(polys) != self.k:
-            raise InputError("need exactly one polytope per dimension")
-        if any(p.ambient_dim != self.k for p in polys):
-            raise InputError("inconsistent ambient dimensions")
+        self.k = _dimension(self.polys, lifting)
         self.deadline = deadline
         self.order = self._search_order()
         self.edge_lists = [p.edges() for p in self.polys]
@@ -232,7 +251,7 @@ class _Enumerator:
 
     def run(self):
         cells, ties = [], []
-        self._branch((), (), (), False, cells, ties)
+        self._branch((), (), {}, False, cells, ties)
         if ties:
             raise NonGenericLiftingError(
                 "lifting produced tie cells; re-seed", cells=tuple(ties)
@@ -275,19 +294,27 @@ class _Enumerator:
         if v[col] < 0:
             v = [-x for x in v]
         pivots = pivots + ((col, v),)
-        fresh = (r for u, r in enumerate(table[a]) if u != a and u != b)
-        rows = []
+        carried = ((key, g, r) for key, (g, r) in active.items())
+        fresh = ((None, 0, r) for u, r in enumerate(table[a]) if u != a and u != b)
+        rows = {}
         violated = False
-        for r in itertools.chain(active, fresh):
+        for key, g, r in itertools.chain(carried, fresh):
             if r[col]:
                 r = eliminate(r, col, v)
-            if any(r[:k]):
-                rows.append(r)
+                key = None  # a row the new pivot leaves alone keeps its key and g
+            if key is None:
+                g = math.gcd(*r[:k])
+                if not g:
+                    if r[k] > 0:
+                        return  # fully determined and violated
+                    tie = tie or r[k] == 0  # fully determined with zero margin
+                    continue
+                key = tuple(r[:k]) if g == 1 else tuple(x // g for x in r[:k])
+            # One row per direction: the tighter one, with the larger r[k]/g.
+            kept = rows.get(key)
+            if kept is None or r[k] * kept[0] > kept[1][k] * g:
+                rows[key] = g, r
                 violated = violated or r[k] > 0
-            elif r[k] > 0:
-                return  # fully determined and violated
-            elif r[k] == 0:
-                tie = True  # fully determined with zero margin
         if len(chosen) == k:
             # Every row is now fully determined; none is violated.
             self._finish(chosen, tie, cells, ties)
@@ -300,13 +327,24 @@ class _Enumerator:
         """True when no touching functional satisfies the chosen edges.
 
         Only called when some row is violated at the particular solution
-        (all free columns zero). Exactness contract: a subtree is pruned
-        only on an int Farkas vector over the free columns, which
-        `linprog.feasible` verifies exactly before it answers.
+        (all free columns zero). `rows` maps a direction to (g, row), one
+        row per direction. A violated row g1*d >= b1 whose opposite
+        direction holds -g2*d >= b2 with b1*g2 + b2*g1 > 0 prunes on the
+        Farkas vector (g2, g1) alone; otherwise the rows go to the LP.
+        Exactness contract: a subtree is pruned only on an int Farkas
+        vector, checked by `linprog.verify_farkas` either way.
         """
+        k = self.k
+        for key, (g, r) in rows.items():
+            if r[k] > 0 and (opposite := rows.get(tuple(-x for x in key))) is not None:
+                g2, r2 = opposite
+                if r[k] * g2 + r2[k] * g > 0:
+                    if not linprog.verify_farkas((r, r2), k, (g2, g)):
+                        raise InternalError("invalid Farkas certificate for an opposite pair")
+                    return True
         bound = {c for c, _ in pivots}
-        free = [c for c in range(self.k) if c not in bound]
-        cons = [[r[c] for c in free] + [r[self.k]] for r in rows]
+        free = [c for c in range(k) if c not in bound]
+        cons = [[r[c] for c in free] + [r[k]] for _, r in rows.values()]
         return linprog.feasible(cons, len(free)).status == linprog.INFEASIBLE
 
     def _finish(self, chosen, tie, cells, ties):
@@ -344,8 +382,7 @@ def mixed_volume(polys, multiplicities=None, seed=0, deadline=None):
         if d < 1:
             raise InputError("multiplicities must be positive")
         replicated.extend([p] * d)
-    k = replicated[0].ambient_dim
-    if len(replicated) != k:
+    if not replicated or len(replicated) != replicated[0].ambient_dim:
         raise InputError("multiplicities must sum to the ambient dimension")
     last = None
     for attempt in range(MAX_LIFTING_RETRIES):
@@ -512,9 +549,7 @@ def mv_inclusion_exclusion(polys, deadline=None):
     has passed, checked per subset and inside each hull.
     """
     polys = list(polys)
-    k = polys[0].ambient_dim
-    if len(polys) != k:
-        raise InputError("need exactly one polytope per dimension")
+    k = _dimension(polys)
     if k > polytopes.VOLUME_DIM_CAP:
         raise CapabilityError(
             f"inclusion-exclusion oracle capped at dimension {polytopes.VOLUME_DIM_CAP}"

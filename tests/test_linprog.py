@@ -10,7 +10,7 @@ from reference_simplex import solve as reference_solve
 
 from lamanmv import linprog
 from lamanmv.errors import InputError, InternalError
-from lamanmv.graphs import desargues_graph
+from lamanmv.graphs import desargues_graph, k33_graph
 from lamanmv.linprog import FEASIBLE, INFEASIBLE, feasible, verify_farkas
 from lamanmv.mixedvol import mixed_volume, separation_split
 from lamanmv.polysys import build_subsoe, newton_polytopes
@@ -179,12 +179,11 @@ def test_matches_reference_simplex():
 
 
 def test_matches_reference_on_search_lps(monkeypatch):
-    # The first 200 pruning LPs of the mixed-cell search on the prism's
-    # 9-dim substituted block, as the search builds them: integer rows
-    # over the columns its chosen edge equalities leave free.
-    fw = framework_for(desargues_graph())
-    block = next(b for b in separation_split(newton_polytopes(build_subsoe(fw)))
-                 if len(b.coordinates) == 9)
+    # Every pruning LP of the mixed-cell search on the prism's 9-dim and
+    # K33's 12-dim substituted blocks, as the search builds them: integer
+    # rows over the columns its chosen edge equalities leave free. The
+    # nodes that two opposite rows prune never reach an LP, so neither
+    # block alone hands over 50 infeasible ones.
     recorded = []
 
     def record(rows, nvars):
@@ -192,17 +191,21 @@ def test_matches_reference_on_search_lps(monkeypatch):
         return feasible(rows, nvars)
 
     monkeypatch.setattr(linprog, "feasible", record)
-    mixed_volume(block.projected, seed=0)
+    for graph, dim in ((desargues_graph, 9), (k33_graph, 12)):
+        fw = framework_for(graph())
+        block = next(b for b in separation_split(newton_polytopes(build_subsoe(fw)))
+                     if len(b.coordinates) == dim)
+        mixed_volume(block.projected, seed=0)
     monkeypatch.undo()
     statuses = Counter()
-    for rows, nvars in recorded[:200]:
+    for rows, nvars in recorded:
         out = feasible(rows, nvars)
         ref = reference_solve(
             LinearProgram.make([0] * nvars, [(r[:-1], GE, r[-1]) for r in rows])
         )
         assert (out.status == INFEASIBLE) == (ref.status == REF_INFEASIBLE), rows
         statuses[out.status] += 1
-    assert sum(statuses.values()) == 200 and min(statuses[s] for s in (FEASIBLE, INFEASIBLE)) > 50
+    assert min(statuses[s] for s in (FEASIBLE, INFEASIBLE)) > 50, statuses
 
 
 def test_forged_farkas_vector_is_rejected(monkeypatch):

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -649,7 +650,74 @@ def _random_search_instance(rng):
     return polys, tuple(vectors)
 
 
-def test_search_matches_reference_enumerator():
+def _primitive(coeffs, rhs):
+    """The half-space <coeffs, x> >= rhs as (coprime int direction, bound)."""
+    den = math.lcm(*(x.denominator for x in coeffs))
+    ints = [int(x * den) for x in coeffs]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints), rhs * den / g
+
+
+def _check_one_row_per_direction(enum, chosen, pivots, active):
+    """The carried rows are the tightest reduced off-edge row of each direction.
+
+    Every off-edge row of the chosen edges is reduced against the pivots
+    here over Fractions. Returns how many rows a tighter parallel row
+    made redundant.
+    """
+    k = enum.k
+    tightest, total = {}, 0
+    for i, idx in chosen:
+        a, b = enum.edge_ids[i][idx]
+        pts = enum.lifted[i]
+        for u, pt in enumerate(pts):
+            if u in (a, b):
+                continue
+            r = [F(x - y) for x, y in zip(pts[a], pt)]
+            for c, p in pivots:
+                f = r[c] / p[c]
+                r = [x - f * y for x, y in zip(r, p)]
+            if any(r[:k]):
+                total += 1
+                key, bound = _primitive(r[:k], r[k])
+                tightest[key] = max(bound, tightest.get(key, bound))
+    assert {key: F(r[k], g) for key, (g, r) in active.items()} == tightest
+    assert all(list(r[:k]) == [g * x for x in key] for key, (g, r) in active.items())
+    return total - len(tightest)
+
+
+def _count_pair_prunes(monkeypatch, counts):
+    """Count LPs, infeasible LPs and exact Farkas checks; pair prunes are the checks no LP made."""
+    real_verify, real_feasible = linprog.verify_farkas, linprog.feasible
+
+    def verify(rows, nvars, y):
+        counts["verified"] += 1
+        return real_verify(rows, nvars, y)
+
+    def lp(rows, nvars):
+        out = real_feasible(rows, nvars)
+        counts["lps"] += 1
+        counts["infeasible"] += out.status == linprog.INFEASIBLE
+        return out
+
+    monkeypatch.setattr(linprog, "verify_farkas", verify)
+    monkeypatch.setattr(linprog, "feasible", lp)
+
+
+def test_search_matches_reference_enumerator(monkeypatch):
+    # Each node of the search is also checked to carry one row per
+    # direction, the tightest; both the dedupe and the pair prune must
+    # occur, so the comparison exercises them.
+    counts = Counter()
+    real_branch = mixedvol._Enumerator._branch
+
+    def branch(self, chosen, pivots, active, *rest):
+        if chosen:
+            counts["dedupe"] += _check_one_row_per_direction(self, chosen, pivots, active)
+        return real_branch(self, chosen, pivots, active, *rest)
+
+    monkeypatch.setattr(mixedvol._Enumerator, "_branch", branch)
+    _count_pair_prunes(monkeypatch, counts)
     rng = random.Random(20)
     kinds = {"cells": 0, "ties": 0}
     for _ in range(300):
@@ -658,35 +726,58 @@ def test_search_matches_reference_enumerator():
         assert got == _search_outcome(reference_enumerate_mixed_cells, polys, lifting)
         kinds[got[0]] += bool(got[1])
     assert kinds["cells"] >= 100 and kinds["ties"] >= 30
+    pair_prunes = counts["verified"] - counts["infeasible"]
+    assert counts["dedupe"] > 0 and pair_prunes > 0, counts
 
 
-@pytest.mark.parametrize("graph, dim, lps, infeasible, digest", [
-    (k33_graph, 12, 1158, 520,
-     "ca1d7ac3a2efb0a5c464caba6a43f4b49f9d20e5601b0bb20144bf20189526fb"),
-    (desargues_graph, 9, 951, 461,
-     "ab58e4f233602e5933c4728422b856849ba9aedbdca64bbcab37062df5398a81"),
+def _subsoe_block(graph, dim):
+    """The block of that dimension of the graph's substituted system."""
+    system = build_subsoe(framework_for(graph))
+    return next(b for b in separation_split(newton_polytopes(system)) if len(b.coordinates) == dim)
+
+
+@pytest.mark.parametrize("graph, dim, lps, infeasible, pairs, digest", [
+    (k33_graph, 12, 688, 50, 470,
+     "2242589c8b08e87508eafae0ffc3b30373f2ede5789b8fa8da42360971a15b43"),
+    (desargues_graph, 9, 534, 44, 417,
+     "fcd59ceb3f292b511631a9486e249c0ecbd67cef40d9f71f9bad1a3fed1997c6"),
 ], ids=["k33", "prism"])
-def test_search_lps_are_pinned(monkeypatch, graph, dim, lps, infeasible, digest):
+def test_search_lps_are_pinned(monkeypatch, graph, dim, lps, infeasible, pairs, digest):
     # Every pruning LP of the deep substituted blocks of K33 and the prism
-    # at lifting seed 0, as the search hands it to linprog.feasible: a
-    # change to the search's elimination shows up in these rows.
-    fw = framework_for(graph())
-    block = next(b for b in separation_split(newton_polytopes(build_subsoe(fw)))
-                 if len(b.coordinates) == dim)
-    recorded, statuses = [], Counter()
+    # at lifting seed 0, as the search hands it to linprog.feasible, and
+    # the number of nodes pruned on an opposite pair of rows without an
+    # LP: a change to the search's elimination shows up in these.
+    block = _subsoe_block(graph(), dim)
+    recorded, counts = [], Counter()
+    _count_pair_prunes(monkeypatch, counts)
+    real_feasible = linprog.feasible
 
     def record(rows, nvars):
         recorded.append((tuple(map(tuple, rows)), nvars))
-        out = feasible(rows, nvars)
-        statuses[out.status] += 1
-        return out
+        return real_feasible(rows, nvars)
 
     monkeypatch.setattr(linprog, "feasible", record)
     res = mixed_volume(block.projected, seed=0)
     monkeypatch.undo()
     assert res.lifting_seed == 0 and len(res.cells) == 4
-    assert (len(recorded), statuses[linprog.INFEASIBLE]) == (lps, infeasible)
+    assert (counts["lps"], counts["infeasible"]) == (lps, infeasible)
+    assert counts["verified"] - counts["infeasible"] == pairs
     assert hashlib.sha256(repr(recorded).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("graph, dim, value", [(k33_graph, 12, 32), (desargues_graph, 9, 16)],
+                         ids=["k33", "prism"])
+def test_deep_block_agrees_across_lifting_seeds(graph, dim, value):
+    # The inclusion-exclusion oracle stops at dimension 6, so the deep
+    # substituted blocks are checked against other liftings: each seed
+    # gives its own cells and must give the same value.
+    block = _subsoe_block(graph(), dim)
+    cell_sets = set()
+    for seed in range(3):
+        res = mixed_volume(block.projected, seed=seed)
+        assert res.lifting_seed == seed and res.value == value
+        cell_sets.add(tuple(r.cell for r in res.cells))
+    assert len(cell_sets) > 1
 
 
 def test_tie_fixed_above_the_leaf_rejects_the_cell():
@@ -846,3 +937,22 @@ def test_mismatched_multiplicities_rejected():
         mixed_volume([P, Q], multiplicities=[1], seed=0)
     with pytest.raises(InputError):
         mixed_volume([P, Q], multiplicities=[2, 2], seed=0)
+
+
+def test_malformed_inputs_raise_input_error():
+    T, S = step_triple()
+    polys = [T, S, S]
+    lifting = random_lifting(polys, 0)
+    calls = [
+        lambda: mixed_volume([]),
+        lambda: enumerate_mixed_cells([], ()),
+        lambda: is_mixed_cell((), [], ()),
+        lambda: mv_inclusion_exclusion([]),
+        lambda: enumerate_mixed_cells(polys, lifting[:2]),
+        lambda: enumerate_mixed_cells(polys, (*lifting[:2], lifting[2][:2])),
+        lambda: enumerate_mixed_cells([T, S, RP([(0, 0), (1, 0)])], lifting),
+        lambda: is_mixed_cell(enumerate_mixed_cells(polys, lifting)[0].cell, polys, lifting[:2]),
+    ]
+    for call in calls:
+        with pytest.raises(InputError):
+            call()
