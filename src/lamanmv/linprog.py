@@ -20,6 +20,7 @@ it is returned. There are no tolerances anywhere.
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from ._linalg import all_int
@@ -123,5 +124,5 @@ def verify_farkas(rows, nvars, y):
     """Exact check that y >= 0, y^T A = 0 and y^T b > 0, so no x satisfies A x >= b."""
     if len(y) != len(rows) or any(v < 0 for v in y):
         return False
-    combo = [sum(v * r[j] for v, r in zip(y, rows) if v) for j in range(nvars + 1)]
-    return not any(combo[:nvars]) and combo[nvars] > 0
+    combo = [sum(map(mul, y, column)) for column in zip(*rows)]
+    return len(combo) > nvars and not any(combo[:nvars]) and combo[nvars] > 0

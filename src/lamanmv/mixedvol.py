@@ -17,12 +17,14 @@ coefficient part divided by its gcd: of two parallel rows only the
 tighter one, with the larger rhs/gcd, since parallel rows stay parallel
 under every later elimination and the looser one is implied for good.
 Only where the particular solution violates a row is infeasibility
-tested: first against the row of the opposite direction, if any, which
-together with it may sum to 0 >= a positive number (the pairwise test of
-the relation table of MixedVol, Gao, Li & Wu, ACM TOMS 31, 2005), then
-by an exact LP. That LP (`linprog.feasible`, phase 1 on the Farkas
-system of the rows, with one tableau row per free column plus one) is
-the only one in the engine: the edges come from the
+tested, in three steps: first against the row of the opposite direction,
+if any, which together with it may sum to 0 >= a positive number (the
+pairwise test of the relation table of MixedVol, Gao, Li & Wu, ACM TOMS
+31, 2005); then along one ray, the sum of the violated rows' directions,
+on which some point may satisfy every row (`_ray_point`), and the node
+is feasible; only then by an exact LP. That LP (`linprog.feasible`,
+phase 1 on the Farkas system of the rows, with one tableau row per free
+column plus one) is the only one in the engine: the edges come from the
 certified face lattices of `polytopes`, and the cell checks here solve
 by `_linalg.solve`.
 Complete cells are accepted only when every non-edge vertex clears the
@@ -51,7 +53,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Optional
 
 from . import linprog, polytopes
@@ -191,6 +193,33 @@ def _touching(polys, lifting, faces):
     return verdict
 
 
+def _ray_point(rows, d, k):
+    """A point t*d, t >= 0, that satisfies every row, as (x, q) for x/q; or None.
+
+    `rows` maps a direction to (g, row) as in `_Enumerator`, a row
+    (coeffs..., rhs) standing for <coeffs, x> >= rhs. With s = <coeffs, d>,
+    a row with rhs > 0 needs s > 0 and t >= rhs/s, one with rhs <= 0 and
+    s < 0 needs t <= rhs/s, and the rest hold for every t >= 0. t is the
+    largest lower bound, if no upper bound lies below it; the bounds are
+    compared by cross-multiplying, so the answer is exact.
+    """
+    lo, lo_s = 0, 1  # t >= lo/lo_s
+    hi = hi_s = None  # t <= hi/hi_s
+    for _, r in rows.values():
+        s = sum(map(mul, r, d))
+        b = r[k]
+        if b > 0:
+            if s <= 0:
+                return None
+            if b * lo_s > lo * s:
+                lo, lo_s = b, s
+        elif s < 0 and (hi is None or b * hi_s > hi * s):
+            hi, hi_s = -b, -s
+    if hi is not None and lo * hi_s > hi * lo_s:
+        return None
+    return [lo * x for x in d], lo_s
+
+
 class _Enumerator:
     """Branch-and-prune search for all mixed cells under one lifting.
 
@@ -328,20 +357,30 @@ class _Enumerator:
 
         Only called when some row is violated at the particular solution
         (all free columns zero). `rows` maps a direction to (g, row), one
-        row per direction. A violated row g1*d >= b1 whose opposite
-        direction holds -g2*d >= b2 with b1*g2 + b2*g1 > 0 prunes on the
-        Farkas vector (g2, g1) alone; otherwise the rows go to the LP.
+        row per direction. The tests run in this order. A violated row
+        g1*u >= b1 whose opposite direction holds -g2*u >= b2 with
+        b1*g2 + b2*g1 > 0 prunes on the Farkas vector (g2, g1) alone.
+        Otherwise a point of `_ray_point` on the ray through d, the sum
+        of the violated rows' directions, that satisfies every row keeps
+        the node without an LP; only the nodes left go to the LP.
         Exactness contract: a subtree is pruned only on an int Farkas
-        vector, checked by `linprog.verify_farkas` either way.
+        vector, checked by `linprog.verify_farkas` either way; the ray
+        only ever answers "feasible".
         """
         k = self.k
+        d = [0] * k
         for key, (g, r) in rows.items():
-            if r[k] > 0 and (opposite := rows.get(tuple(-x for x in key))) is not None:
+            if r[k] <= 0:
+                continue
+            d = list(map(add, d, key))
+            if (opposite := rows.get(tuple(-x for x in key))) is not None:
                 g2, r2 = opposite
                 if r[k] * g2 + r2[k] * g > 0:
                     if not linprog.verify_farkas((r, r2), k, (g2, g)):
                         raise InternalError("invalid Farkas certificate for an opposite pair")
                     return True
+        if _ray_point(rows, d, k) is not None:
+            return False
         bound = {c for c, _ in pivots}
         free = [c for c in range(k) if c not in bound]
         cons = [[r[c] for c in free] + [r[k]] for _, r in rows.values()]
@@ -681,10 +720,14 @@ def full_subdivision_2d(polys, lifting):
     (as a vertex tuple) per polytope and the face dimensions sum to 2.
     The areas of all cells sum to the area of the Minkowski sum. A face
     combination is a cell when it spans area and `_touching` accepts it.
+    The lifting needs one 2-entry vector per polytope; anything else
+    raises InputError.
     """
     polys = list(polys)
     if any(p.ambient_dim != 2 for p in polys):
         raise InputError("full subdivision recovery is implemented in 2D only")
+    if len(lifting) != len(polys) or any(len(mu) != 2 for mu in lifting):
+        raise InputError("need one lifting vector of 2 entries per polytope")
     face_sets = []
     for p in polys:
         faces = [(0, (v,)) for v in p.vertices]

@@ -6,10 +6,11 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction as F
-from operator import sub
+from operator import mul, sub
 
 import pytest
 import reference_simplex as simplex
+from hypothesis import event, given, settings, strategies as st
 
 from conftest import framework_for, random_fullmixed_instance
 from reference_enumerator import lifting_value, reference_enumerate_mixed_cells
@@ -393,6 +394,17 @@ def test_full_subdivision_example_covers_sum():
     assert mixed_area == 15
 
 
+def test_full_subdivision_refuses_a_malformed_lifting():
+    # One 2-entry lifting vector per polytope: too few vectors used to end
+    # in zip's ValueError, and 1-entry vectors were cut short without a word.
+    tri, quad = RP([(0, 0), (2, 0), (0, 1)]), RP([(0, 0), (1, 0), (1, 1), (0, 2)])
+    lifting = random_lifting([tri, quad], 3)
+    assert full_subdivision_2d([tri, quad], lifting)
+    for bad in (lifting[:1], tuple(mu[:1] for mu in lifting)):
+        with pytest.raises(InputError):
+            full_subdivision_2d([tri, quad], bad)
+
+
 def _touching_margin_lp(polys, lifting, faces):
     """The margin as an LP: maximize t <= 1 over alpha and t subject to
     the face equalities and <alpha, f0 - u> - t >= <mu, f0 - u> for the
@@ -736,20 +748,39 @@ def _subsoe_block(graph, dim):
     return next(b for b in separation_split(newton_polytopes(system)) if len(b.coordinates) == dim)
 
 
-@pytest.mark.parametrize("graph, dim, lps, infeasible, pairs, digest", [
-    (k33_graph, 12, 688, 50, 470,
-     "2242589c8b08e87508eafae0ffc3b30373f2ede5789b8fa8da42360971a15b43"),
-    (desargues_graph, 9, 534, 44, 417,
-     "fcd59ceb3f292b511631a9486e249c0ecbd67cef40d9f71f9bad1a3fed1997c6"),
+def _n7_graph():
+    """The n=7 graph of minimum degree 3; its substituted system has a 12-dim block."""
+    return henneberg_apply(random_henneberg_sequence(7, seed=4, step2_probability=0.9))
+
+
+def _count_ray_points(monkeypatch, counts):
+    """Count the nodes that `_ray_point` keeps without an LP."""
+    real_ray = mixedvol._ray_point
+
+    def ray(rows, d, k):
+        point = real_ray(rows, d, k)
+        counts["rays"] += point is not None
+        return point
+
+    monkeypatch.setattr(mixedvol, "_ray_point", ray)
+
+
+@pytest.mark.parametrize("graph, dim, lps, infeasible, pairs, rays, digest", [
+    (k33_graph, 12, 129, 50, 470, 559,
+     "6fe7d9e71e27ef49a095fe8c7f4455162d0a3ab8d0e750916d9cb6c32dbda4df"),
+    (desargues_graph, 9, 137, 44, 417, 397,
+     "556c2b5c9d8e2874b777f35e72601cb2dda70888da84765427675db38df5e670"),
 ], ids=["k33", "prism"])
-def test_search_lps_are_pinned(monkeypatch, graph, dim, lps, infeasible, pairs, digest):
+def test_search_lps_are_pinned(monkeypatch, graph, dim, lps, infeasible, pairs, rays, digest):
     # Every pruning LP of the deep substituted blocks of K33 and the prism
-    # at lifting seed 0, as the search hands it to linprog.feasible, and
-    # the number of nodes pruned on an opposite pair of rows without an
-    # LP: a change to the search's elimination shows up in these.
+    # at lifting seed 0, as the search hands it to linprog.feasible, the
+    # number of nodes pruned on an opposite pair of rows without an LP
+    # and the number kept on a ray point without an LP: a change to the
+    # search's elimination or to the ray's verdict shows up in these.
     block = _subsoe_block(graph(), dim)
     recorded, counts = [], Counter()
     _count_pair_prunes(monkeypatch, counts)
+    _count_ray_points(monkeypatch, counts)
     real_feasible = linprog.feasible
 
     def record(rows, nvars):
@@ -762,11 +793,93 @@ def test_search_lps_are_pinned(monkeypatch, graph, dim, lps, infeasible, pairs, 
     assert res.lifting_seed == 0 and len(res.cells) == 4
     assert (counts["lps"], counts["infeasible"]) == (lps, infeasible)
     assert counts["verified"] - counts["infeasible"] == pairs
+    assert counts["rays"] == rays
     assert hashlib.sha256(repr(recorded).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("graph, dim, value", [(k33_graph, 12, 32), (desargues_graph, 9, 16)],
-                         ids=["k33", "prism"])
+def _row_systems():
+    """Small int systems as the search holds them: direction -> (g, row), rows (coeffs..., rhs)."""
+    def build(k, raw):
+        rows = {}
+        for *coeffs, rhs in raw:
+            g = math.gcd(*coeffs)
+            if g:
+                rows[tuple(x // g for x in coeffs)] = g, (*coeffs, rhs)
+        return k, rows
+
+    return st.integers(1, 4).flatmap(lambda k: st.builds(
+        build, st.just(k),
+        st.lists(st.lists(st.integers(-4, 4), min_size=k + 1, max_size=k + 1), max_size=8),
+    ))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_row_systems())
+def test_ray_point_satisfies_every_row(system):
+    # The ray only ever answers "feasible": its point must satisfy every
+    # row exactly, and the LP must agree.
+    k, rows = system
+    violated = [key for key, (_, r) in rows.items() if r[k] > 0]
+    point = mixedvol._ray_point(rows, [sum(c) for c in zip(*violated, [0] * k)], k)
+    event(f"violated rows: {bool(violated)}, ray point: {point is not None}")
+    if point is not None:
+        x, q = point
+        assert q > 0 and len(x) == k
+        assert all(sum(map(mul, r, x)) >= r[k] * q for _, r in rows.values())
+        assert feasible([r for _, r in rows.values()], k).status == linprog.FEASIBLE
+
+
+def test_ray_point_finds_and_refuses():
+    # x >= 1 and y >= 1 meet on the ray through (1, 1); adding x + y <= 1
+    # leaves no point anywhere, and x + y <= 2 only t = 1 on that ray.
+    rows = {(1, 0): (1, (1, 0, 1)), (0, 1): (1, (0, 1, 1))}
+    d = [1, 1]
+    assert mixedvol._ray_point(rows, d, 2) == ([1, 1], 1)
+    assert mixedvol._ray_point({**rows, (-1, -1): (1, (-1, -1, -1))}, d, 2) is None
+    assert mixedvol._ray_point({**rows, (-1, -1): (1, (-1, -1, -2))}, d, 2) == ([1, 1], 1)
+    # With x >= y + 3 as well the system is still feasible, at (4, 1),
+    # but not on the ray through (2, 0), the sum of the three directions:
+    # that node goes to the LP.
+    rows[(1, -1)] = 1, (1, -1, 3)
+    assert mixedvol._ray_point(rows, [2, 0], 2) is None
+    assert feasible([r for _, r in rows.values()], 2).status == linprog.FEASIBLE
+
+
+DEEP_BLOCKS = [(k33_graph, 12, 32), (desargues_graph, 9, 16), (_n7_graph, 12, 32)]
+
+
+@pytest.mark.parametrize("graph, dim, value", DEEP_BLOCKS, ids=["k33", "prism", "n7"])
+def test_ray_loses_no_prune(monkeypatch, graph, dim, value):
+    # With every violated node sent to the LP instead, each of lifting
+    # seeds 0-2 visits the same nodes, prunes the same ones and finds the
+    # same cells.
+    block = _subsoe_block(graph(), dim)
+    counts = Counter()
+    real_descend, real_prunable = mixedvol._Enumerator._descend, mixedvol._Enumerator._prunable
+
+    def descend(self, *args):
+        counts[label, "nodes"] += 1
+        return real_descend(self, *args)
+
+    def prunable(self, pivots, rows):
+        pruned = real_prunable(self, pivots, rows)
+        counts[label, "pruned"] += pruned
+        return pruned
+
+    monkeypatch.setattr(mixedvol._Enumerator, "_descend", descend)
+    monkeypatch.setattr(mixedvol._Enumerator, "_prunable", prunable)
+    cells = {}
+    for label in ("ray", "lp"):
+        if label == "lp":
+            monkeypatch.setattr(mixedvol, "_ray_point", lambda rows, d, k: None)
+        cells[label] = [mixed_volume(block.projected, seed=seed).cells for seed in range(3)]
+    assert cells["ray"] == cells["lp"]
+    assert all(sum(abs(r.det) for r in c) == value for c in cells["ray"])
+    for what in ("nodes", "pruned"):
+        assert counts["ray", what] == counts["lp", what] > 0, counts
+
+
+@pytest.mark.parametrize("graph, dim, value", DEEP_BLOCKS, ids=["k33", "prism", "n7"])
 def test_deep_block_agrees_across_lifting_seeds(graph, dim, value):
     # The inclusion-exclusion oracle stops at dimension 6, so the deep
     # substituted blocks are checked against other liftings: each seed
