@@ -182,13 +182,17 @@ def _orient(args, fw):
 def _system(args, fw):
     build = polysys.build_soe if args.form == polysys.FORM_SOE else polysys.build_subsoe
     system = build(fw)
+    try:
+        polynomials = [
+            {"terms": [{"exponents": list(e), "coefficient": str(c)} for e, c in p.terms]}
+            for p in system.polys
+        ]
+    except ValueError:  # str() of a squared length past the int-to-str digit limit
+        raise CapabilityError("a coefficient exceeds Python's int-to-str digit limit")
     payload = {
         "form": system.form,
         "variables": list(system.variables),
-        "polynomials": [
-            {"terms": [{"exponents": list(e), "coefficient": str(c)} for e, c in p.terms]}
-            for p in system.polys
-        ],
+        "polynomials": polynomials,
         "bezout": polysys.bezout(system),
     }
 

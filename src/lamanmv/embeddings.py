@@ -7,7 +7,10 @@ out of a depth-first product over those choices (`enumerate_h1`).
 `count_h1` walks the same product and only counts its leaves, which is
 all that `report` needs. Reflections across the pinned axis count as
 distinct embeddings (the pinning kills translations and rotations
-only), which is why the triangle has exactly two.
+only), which is why the triangle has exactly two. Vertices 1 and 2 sit
+on that axis, so the whole subtree under the apex's second point is the
+mirror image of the subtree under its first, bit for bit, and
+`count_h1` walks the first only and doubles its count.
 
 Edge lengths from tight_lengths make every intersection real and
 transversal, so the 2^(n-2) bound is attained.
@@ -153,10 +156,15 @@ def count_h1(framework, seq, deadline=None):
 
     The same validation, errors and deadline checks, and the same
     depth-first walk over the circle intersections, but it only counts
-    the leaves: no Embedding, point copy or residual.
+    the leaves: no Embedding, point copy or residual. When the apex has
+    two points, only the subtree under the first is walked and its count
+    doubled: the second subtree is its mirror image across the pinned
+    axis, exactly in floating point (`_circle_intersections` on mirrored
+    centres negates every y and swaps the two points, and its tangency
+    and emptiness tests read squares only).
     """
     pos, placements = _placements(framework, seq)
-    total = 0
+    total, weight = 0, 1
     stack = [(0, 1, pos[1])]  # as in `enumerate_h1`
     while stack:
         idx, v, pt = stack.pop()
@@ -166,9 +174,12 @@ def count_h1(framework, seq, deadline=None):
             total += 1
             continue
         a, b, w, ra, rb = placements[idx]
-        for pt, _ in reversed(_circle_intersections(pos[a], ra, pos[b], rb)[0]):
+        pts = _circle_intersections(pos[a], ra, pos[b], rb)[0]
+        if idx == 0 and len(pts) == 2:
+            pts, weight = pts[:1], 2
+        for pt, _ in reversed(pts):
             stack.append((idx + 1, w, pt))
-    return total
+    return weight * total
 
 
 def verify_embedding(framework, embedding, tol=Fraction(1, 10**9)):
@@ -182,13 +193,3 @@ def verify_embedding(framework, embedding, tol=Fraction(1, 10**9)):
             return False
     return True
 
-
-def reflect(embedding):
-    """Mirror image across the pinned axis."""
-    pts = {v: (x, -y) for v, (x, y) in embedding.points.items()}
-    return Embedding(
-        points=pts,
-        residual=embedding.residual,
-        choices=tuple(-c for c in embedding.choices),
-        tangent=embedding.tangent,
-    )

@@ -42,10 +42,13 @@ The mixed volume is the sum of |det| of the edge matrices over all
 mixed cells. Repeated polytopes are handled by replication with
 independent liftings. Coordinate-block products (one polytope group
 supported on its own coordinates) are split off beforehand, which is
-what makes the substituted vertex systems tractable. Identical blocks
-are solved once per system: numbered in construction order, a
-degree-2-built graph's substituted system splits into n + 4 blocks of
-which only 2 differ, six 1-dim ones and n - 2 copies of one 3-dim one.
+what makes the substituted vertex systems tractable. The split reads
+the polynomials' raw supports, so no hull is built in the full 2n- or
+3n-dim space, and it hulls each distinct projected point set once.
+Identical blocks are also solved once per system: numbered in
+construction order, a degree-2-built graph's substituted system splits
+into n + 4 blocks of which only 2 differ, six 1-dim ones and n - 2
+copies of one 3-dim one, so the split builds no more hulls as n grows.
 """
 
 import itertools
@@ -65,7 +68,7 @@ from .errors import (
     NonGenericLiftingError,
     check_deadline,
 )
-from .polysys import FORM_SOE, FORM_SUBSOE, bezout, build_soe, build_subsoe, newton_polytopes
+from .polysys import FORM_SOE, FORM_SUBSOE, bezout, build_soe, build_subsoe, supports
 
 # The search runs no float LP. The benchmark tracer (perfbench/tracing.py)
 # still looks this name up for its "mixedvol.highs" span and skips it
@@ -459,27 +462,45 @@ class Block:
 def separation_split(polys, deadline=None):
     """Finest factorization into coordinate-supported blocks.
 
+    `polys` holds one point set per polytope: a raw support, or a
+    `RationalPolytope`, read as its vertices. Both give the same blocks,
+    since a point set's nonzero coordinates are those of its hull and
+    the hull of a projected point set is the projection of its hull.
     Finds a perfect matching between polytopes and coordinates through
     the support relation, then splits along the strongly connected
     components of the dependency digraph: a component's polytopes use no
     coordinates matched outside blocks below it, so the mixed volume is
     the product over blocks of the projected sub-volumes. Returns a
-    single block when nothing separates. Raises CapabilityError once
-    `deadline` (a time.monotonic() value) has passed, checked before
-    each projection.
+    single block when nothing separates. Every projected point set is
+    hulled (`from_points`) once per call, so each `Block.projected` is
+    a certified vertex-form polytope and identical projections share one.
+    Raises CapabilityError once `deadline` (a time.monotonic() value)
+    has passed, checked before each projection.
     """
-    polys = list(polys)
-    k = polys[0].ambient_dim if polys else 0
-    if len(polys) != k:
+    sets = [p.vertices if isinstance(p, polytopes.RationalPolytope) else p for p in polys]
+    if not all(sets):
+        raise InputError("empty point set")
+    k = len(sets[0][0]) if sets else 0
+    if len(sets) != k:
         raise InputError("need exactly one polytope per dimension")
-    supports = [sorted(p.support()) for p in polys]
-    match = _perfect_matching(supports, k)
+    hulls = {}  # projected point set -> its hull
+
+    def projected(i, coords):
+        check_deadline(deadline, "coordinate blocks")
+        pts = frozenset(tuple(v[c] for c in coords) for v in sets[i])
+        if pts not in hulls:
+            hulls[pts] = polytopes.RationalPolytope.from_points(pts, deadline)
+        return hulls[pts]
+
+    uses = [[c for c, column in enumerate(zip(*s)) if any(column)] for s in sets]
+    match = _perfect_matching(uses, k)
     if match is None:
-        return [Block(tuple(range(k)), tuple(range(k)), tuple(polys))]
+        return [Block(tuple(range(k)), tuple(range(k)),
+                      tuple(projected(i, range(k)) for i in range(k)))]
     coord_owner = {match[i]: i for i in range(k)}
     adj = {i: set() for i in range(k)}
     for i in range(k):
-        for c in supports[i]:
+        for c in uses[i]:
             j = coord_owner[c]
             if j != i:
                 adj[i].add(j)
@@ -498,11 +519,7 @@ def separation_split(polys, deadline=None):
     for ci in sorted(range(len(comps)), key=heights.__getitem__):
         members = comps[ci]
         coords = tuple(sorted(match[i] for i in members))
-        projected = []
-        for i in members:
-            check_deadline(deadline, "coordinate blocks")
-            projected.append(polys[i].project(coords))
-        blocks.append(Block(tuple(members), coords, tuple(projected)))
+        blocks.append(Block(tuple(members), coords, tuple(projected(i, coords) for i in members)))
     return blocks
 
 
@@ -615,11 +632,12 @@ def mv_inclusion_exclusion(polys, deadline=None):
 def mv_for_graph(framework, form=FORM_SUBSOE, seed=0, oracle=False, deadline=None):
     """Mixed volume of a framework's polynomial system.
 
-    Pipeline: build the system, take Newton polytopes, split into
-    coordinate blocks, enumerate mixed cells per block (or run the
-    inclusion-exclusion oracle when requested), multiply. Blocks whose
-    projected polytopes have the same vertices are solved once per
-    call: the same vertices and seed give the same lifting and cells.
+    Pipeline: build the system, split its raw supports into coordinate
+    blocks with one hull per distinct projected point set, enumerate
+    mixed cells per block (or run the inclusion-exclusion oracle when
+    requested), multiply. Blocks whose projected polytopes have the same
+    vertices are solved once per call: the same vertices and seed give
+    the same lifting and cells.
     """
     if form == FORM_SOE:
         system = build_soe(framework)
@@ -632,7 +650,7 @@ def mv_for_graph(framework, form=FORM_SUBSOE, seed=0, oracle=False, deadline=Non
 
 def _mv_for_system(system, seed=0, oracle=False, deadline=None):
     """`mv_for_graph` on a system already built."""
-    blocks = separation_split(newton_polytopes(system, deadline), deadline)
+    blocks = separation_split(supports(system), deadline)
     solved = {}  # projected vertices -> (value, cells, lifting seed)
     out_blocks = []
     for blk in blocks:

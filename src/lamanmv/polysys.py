@@ -167,7 +167,13 @@ def _pinning_polys(nvars, x1, y1, x2, y2, l12):
 
 
 def _pinned(framework):
-    """The framework relabelled so its default base edge is (1,2), and its length."""
+    """The framework relabelled so its default base edge is (1,2), and its length.
+
+    Raises InputError when the graph is not Laman, before anything is
+    built per vertex: a graph file may name any vertex count.
+    """
+    if not check_laman(framework.graph)["laman"]:
+        raise InputError("graph is not Laman")
     base = default_base(framework.graph)
     if base != (1, 2):
         framework = framework.relabel(relabel_with_base(framework.graph, base)[1])
@@ -177,11 +183,12 @@ def _pinned(framework):
 def build_soe(framework):
     """Distance system: four pinning equations, one quadratic per edge.
 
-    Any framework will do: the edge `graphs.default_base` picks is
-    relabelled to (1,2) and pinned. Quadratics are ordered by the
-    two-incoming-edges orientation, so the equations at positions 2i-1,
-    2i (1-based) are the in-edges of vertex i for every i >= 3. That
-    ordering is what the volume certificate consumes.
+    Any Laman framework will do (InputError otherwise): the edge
+    `graphs.default_base` picks is relabelled to (1,2) and pinned.
+    Quadratics are ordered by the two-incoming-edges orientation, so the
+    equations at positions 2i-1, 2i (1-based) are the in-edges of vertex
+    i for every i >= 3. That ordering is what the volume certificate
+    consumes.
     """
     framework, l12 = _pinned(framework)
     g = framework.graph
@@ -224,8 +231,6 @@ def build_subsoe(framework):
     The pinned edge is chosen and relabelled to (1,2) as in `build_soe`.
     Raises InputError when the graph is not Laman, as `build_soe` does.
     """
-    if not check_laman(framework.graph)["laman"]:
-        raise InputError("graph is not Laman")
     framework, l12 = _pinned(framework)
     g = framework.graph
     n = g.n
@@ -264,17 +269,28 @@ def build_subsoe(framework):
     return PolySystem(variables, tuple(polys), form=FORM_SUBSOE)
 
 
+def supports(system):
+    """Every polynomial's support, in system order.
+
+    A polynomial's Newton polytope is the hull of its support. Raises
+    InputError for a zero polynomial, which has neither.
+    """
+    out = [p.support() for p in system.polys]
+    if not all(out):
+        raise InputError("zero polynomial has no Newton polytope")
+    return out
+
+
 def newton_polytopes(system, deadline=None):
     """Vertex-form Newton polytope of every polynomial, in system order.
 
+    Not on the `mv`/`report` path: `mixedvol.separation_split` splits
+    the raw supports and hulls each distinct block projection once.
     Raises CapabilityError once `deadline` (a time.monotonic() value)
     has passed, checked before each hull and passed to `from_points`.
     """
     out = []
-    for p in system.polys:
-        support = p.support()
-        if not support:
-            raise InputError("zero polynomial has no Newton polytope")
+    for support in supports(system):
         check_deadline(deadline, "Newton polytopes")
         out.append(polytopes.RationalPolytope.from_points(support, deadline))
     return out

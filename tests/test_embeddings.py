@@ -12,7 +12,6 @@ from lamanmv.embeddings import (
     _circle_intersections,
     count_h1,
     enumerate_h1,
-    reflect,
     tight_lengths,
     verify_embedding,
 )
@@ -26,6 +25,17 @@ from lamanmv.graphs import (
     henneberg_apply,
     random_henneberg_sequence,
 )
+
+
+def reflect(embedding):
+    """Mirror image across the pinned axis."""
+    pts = {v: (x, -y) for v, (x, y) in embedding.points.items()}
+    return Embedding(
+        points=pts,
+        residual=embedding.residual,
+        choices=tuple(-c for c in embedding.choices),
+        tangent=embedding.tangent,
+    )
 
 
 def test_tight_lengths_base_triangle():
@@ -278,6 +288,24 @@ def test_count_matches_enumeration(case):
     assert outcome(lambda: count_h1(fw, seq)) == expected
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(h1_frameworks())
+def test_second_apex_subtree_mirrors_the_first(case):
+    # The premise of the halving in `count_h1`, bit for bit: the embeddings
+    # under the apex's second point are those under its first, reflected.
+    fw, seq = case
+
+    def key(e):
+        return e.choices, tuple(sorted(e.points.items())), e.residual, e.tangent
+
+    try:
+        embs = list(enumerate_h1(fw, seq))
+    except DegenerateInputError:
+        return
+    first = {key(reflect(e)) for e in embs if e.choices[0] == -1}
+    assert first == {key(e) for e in embs if e.choices[0] == +1}
+
+
 def test_count_tight_tangent_coincident_and_deadline():
     for n in range(3, 12):
         seq = random_henneberg_sequence(n, seed=n)
@@ -286,6 +314,18 @@ def test_count_tight_tangent_coincident_and_deadline():
     seq = HennebergSequence((StepI(1, 2),))
     tangent = {(1, 2): 3, (1, 3): 4, (2, 3): 5, (1, 4): 1, (2, 4): 2}
     assert count_h1(Framework.make(henneberg_apply(seq), tangent), seq) == 2
+    # An apex with one point (tangent) or none is walked whole.
+    for step, lengths, count in [
+        ((), {(1, 2): 3, (1, 3): 1, (2, 3): 2}, 1),
+        ((StepI(1, 2),), {(1, 2): 3, (1, 3): 1, (2, 3): 2, (1, 4): 4, (2, 4): 5}, 2),
+        ((), {(1, 2): 3, (1, 3): 1, (2, 3): 1}, 0),
+        ((StepI(1, 2),), {(1, 2): 3, (1, 3): 1, (2, 3): 1, (1, 4): 4, (2, 4): 5}, 0),
+    ]:
+        seq = HennebergSequence(step)
+        fw = Framework.make(henneberg_apply(seq), lengths)
+        assert count_h1(fw, seq) == len(list(enumerate_h1(fw, seq))) == count
+        with pytest.raises(CapabilityError, match="timed out"):
+            count_h1(fw, seq, deadline=time.monotonic() - 1)
     # Vertex 4 duplicates vertex 3 on one branch: vertex 5 sees one circle twice.
     seq = HennebergSequence((StepI(1, 2), StepI(3, 4)))
     coincident = {(1, 2): 3, (1, 3): 4, (2, 3): 5, (1, 4): 4, (2, 4): 5, (3, 5): 2, (4, 5): 2}

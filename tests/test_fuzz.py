@@ -69,6 +69,49 @@ def test_every_command_ends_in_a_documented_exit_code(tmp_path_factory, text, co
     assert "Traceback" not in err.getvalue()
 
 
+# Near the grammar: directives, labels and lengths of every kind, among
+# them Unicode digits (which int() reads), too many digits to print
+# squared, a vertex count no per-vertex table could hold, and junk.
+TOKENS = st.sampled_from(
+    ["n", "e", "#", "0", "1", "2", "3", "4", "5", "-1", "7/2", "2.5", "1e-4300", "1e2200",
+     "99999999999999999999", "\u0663", "\u00bd", "nan", "inf", "0x10", "1_0", "e1", "n2"]
+)
+TEXT_LINES = st.one_of(st.text(max_size=12), st.lists(TOKENS, max_size=5).map(" ".join))
+
+
+@st.composite
+def text_files(draw):
+    """Any text: arbitrary lines, or a graph file with a few words or lines changed."""
+    lines = draw(graph_files()).splitlines() if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        if at < len(lines) and draw(st.booleans()):
+            words = lines[at].split() or [""]
+            words[draw(st.integers(0, len(words) - 1))] = draw(TOKENS)
+            lines[at] = " ".join(words)
+        else:
+            lines[at:at + draw(st.integers(0, 1))] = [draw(TEXT_LINES)]
+    return draw(st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\u2028"])).join(lines)
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(text=text_files())
+# Found by this test: a per-vertex table for an unbounded vertex count, and
+# a squared length that `system` could not print.
+@example(text="n 99999999999999999999\ne 1 2")
+@example(text="n 3\ne 1 2 1e-4300\ne 1 3 1\ne 2 3 1")
+def test_arbitrary_text_ends_in_a_documented_exit_code(tmp_path_factory, text, command):
+    path = tmp_path_factory.getbasetemp() / "fuzz-text.graph"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    argv = command + ["--timeout", "0.5", str(path)]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 1, 2), (argv, text, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
 @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
 def test_nan_timeout_is_an_input_error(command):
     # No clock reading is ever past a NaN deadline, so the run would be unbounded.

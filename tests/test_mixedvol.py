@@ -15,7 +15,7 @@ from hypothesis import event, given, settings, strategies as st
 from conftest import framework_for, random_fullmixed_instance
 from reference_enumerator import lifting_value, reference_enumerate_mixed_cells
 from reference_linalg import mat_det, mat_solve
-from lamanmv import linprog, mixedvol
+from lamanmv import linprog, mixedvol, reporting
 from lamanmv.errors import CapabilityError, InputError, InternalError, NonGenericLiftingError
 from lamanmv.graphs import (
     Framework,
@@ -54,6 +54,7 @@ from lamanmv.polysys import (
     build_soe,
     build_subsoe,
     newton_polytopes,
+    supports,
     witness_check,
 )
 from lamanmv.polytopes import (
@@ -617,20 +618,66 @@ def test_hulls_check_deadline_before_each_polytope(monkeypatch):
     assert built == []
 
 
+def _count_hulls(monkeypatch):
+    """The point sets handed to `RationalPolytope.from_points` from now on."""
+    built = []
+    from_points = RationalPolytope.from_points
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return from_points(*args, **kwargs)
+
+    monkeypatch.setattr(RationalPolytope, "from_points", staticmethod(counting))
+    return built
+
+
 def test_separation_checks_deadline_before_each_projection(monkeypatch):
     polys = newton_polytopes(build_subsoe(framework_for(k33_graph())))
-    projected = []
-    project = RationalPolytope.project
-
-    def counting(self, coords):
-        projected.append(coords)
-        return project(self, coords)
-
-    monkeypatch.setattr(RationalPolytope, "project", counting)
+    built = _count_hulls(monkeypatch)
     with pytest.raises(CapabilityError):
         separation_split(polys, deadline=time.monotonic() - 1)
-    assert projected == []
-    assert len(separation_split(polys)) > 1 and projected
+    assert built == []
+    assert len(separation_split(polys)) > 1 and built
+
+
+def test_report_hulls_each_distinct_block_once(monkeypatch):
+    # A degree-2-built graph's substituted system splits into n + 4 blocks
+    # of only two kinds, so a report builds three hulls whatever n is: one
+    # segment, the edge equations' 3-dim projection and the circle's.
+    hulls = {}
+    for n in (8, 12):
+        fw = framework_for(_degree2_graph(n))
+        built = _count_hulls(monkeypatch)
+        assert reporting.build_report(fw)["mv_subsoe"]["value"] == 2 ** (n - 2)
+        hulls[n] = len(built)
+        blocks = separation_split(supports(build_subsoe(fw)))
+        assert len(built) - hulls[n] == len({id(p) for b in blocks for p in b.projected})
+    assert hulls[8] == hulls[12] == 3, hulls
+
+
+def test_split_on_raw_supports_matches_split_on_newton_polytopes():
+    def shape(blocks):
+        return [(b.polytope_indices, b.coordinates, [p.vertices for p in b.projected])
+                for b in blocks]
+
+    for g in (g for n in range(3, 7) for g in all_laman_graphs(n)):
+        for build in (build_soe, build_subsoe):
+            system = build(framework_for(g))
+            raw = separation_split(supports(system))
+            assert shape(raw) == shape(separation_split(newton_polytopes(system)))
+            assert all(p._cache.get("hull") for b in raw for p in b.projected)
+    # Both polynomials live on x0 alone: no perfect matching, one block,
+    # and the non-vertex point (1, 0) of the first support is reduced away.
+    system = PolySystem(("x0", "x1"), (
+        Polynomial.make(2, {(0, 0): 1, (1, 0): 1, (2, 0): 1}),
+        Polynomial.make(2, {(0, 0): 1, (1, 0): 1}),
+    ))
+    (block,) = separation_split(supports(system))
+    assert (block.polytope_indices, block.coordinates) == ((0, 1), (0, 1))
+    assert [p.vertices for p in block.projected] == [((0, 0), (2, 0)), ((0, 0), (1, 0))]
+    assert shape([block]) == shape(separation_split(newton_polytopes(system)))
+    with pytest.raises(InputError):
+        separation_split(supports(system)[:1] + [[]])
 
 
 def _search_outcome(enumerate_fn, polys, lifting):

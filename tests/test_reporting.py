@@ -474,6 +474,28 @@ def test_cli_system_commands_refuse_non_laman(tmp_path, capsys, argv):
     assert (captured.out, captured.err) == ("", "error: graph is not Laman\n")
 
 
+@pytest.mark.parametrize("argv", [["certify"], ["mv", "--form", "soe"], ["system", "--form", "soe"]],
+                         ids=" ".join)
+def test_cli_distance_system_refuses_a_huge_non_laman_graph_at_once(tmp_path, capsys, argv):
+    # The distance system was built per vertex before its Laman check:
+    # 10^20 vertices ran out of memory.
+    start = time.process_time()
+    assert run_cli(tmp_path, "n 99999999999999999999\ne 1 2\n", *argv) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: graph is not Laman\n"
+    assert time.process_time() - start < 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cli_system_coefficient_beyond_digit_limit_is_capability(tmp_path, capsys, fmt):
+    # A length of 10^-4300 parses, but its square's denominator has 8,601 digits.
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300:
+        pytest.skip("this Python has no or a non-default int-to-str limit")
+    text = "n 3\ne 1 2 1e-4300\ne 1 3 1\ne 2 3 1\n"
+    assert run_cli(tmp_path, text, "system", "--format", fmt) == cli.EXIT_CAPABILITY
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and "digit limit" in captured.err
+
+
 def test_cli_internal_error_exit(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise InternalError("self-check failed")
