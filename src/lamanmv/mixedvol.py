@@ -38,6 +38,17 @@ face combinations are cells of the 2-D subdivision oracle. The search
 runs in one thread: its exact Python arithmetic holds the GIL,
 so threads cannot speed it up.
 
+Given an upper bound on the mixed volume (`_mv_for_system` passes each
+block's `polysys.block_bezout`), the search stops as soon as its strict
+cells' |det| sum meets the bound, and a sum above it raises
+InternalError. The output cannot change: the accepted cells are
+distinct fine mixed cells, so their sum is at most the mixed volume,
+itself at most the bound, and at equality no further cell exists. Nor
+does a tie: the mixed volume sums, over the cells of the lifted
+subdivision, the mixed volumes of their faces, and a tie cell's faces
+contain its edges, so it would add at least its |det|. The full search
+would have returned the same sorted cells, without a re-seed.
+
 The mixed volume is the sum of |det| of the edge matrices over all
 mixed cells. Repeated polytopes are handled by replication with
 independent liftings. Coordinate-block products (one polytope group
@@ -59,7 +70,7 @@ from fractions import Fraction
 from operator import add, mul, sub
 from typing import Optional
 
-from . import linprog, polytopes
+from . import linprog, polysys, polytopes
 from ._linalg import eliminate, scaled, solve
 from .errors import (
     CapabilityError,
@@ -243,11 +254,12 @@ class _Enumerator:
     new pivot only.
     """
 
-    def __init__(self, polys, lifting, deadline=None):
+    def __init__(self, polys, lifting, deadline=None, bound=None):
         self.polys = list(polys)
         self.lifting = lifting
         self.k = _dimension(self.polys, lifting)
         self.deadline = deadline
+        self.left = bound  # what more strict cells may add to the |det| sum
         self.order = self._search_order()
         self.edge_lists = [p.edges() for p in self.polys]
         # Per polytope, its lifted points in vertex order, and each edge
@@ -283,7 +295,10 @@ class _Enumerator:
 
     def run(self):
         cells, ties = [], []
-        self._branch((), (), {}, False, cells, ties)
+        try:
+            self._branch((), (), {}, False, cells, ties)
+        except _Complete:
+            pass
         if ties:
             raise NonGenericLiftingError(
                 "lifting produced tie cells; re-seed", cells=tuple(ties)
@@ -401,19 +416,30 @@ class _Enumerator:
         if is_mixed_cell(cell, self.polys, self.lifting) != YES_STRICT:
             raise InternalError("enumerated cell failed the direct criterion")
         cells.append(MixedCellRecord(cell=cell, det=det, strict=True))
+        if self.left is not None:
+            self.left -= abs(det)
+            if self.left < 0:
+                raise InternalError("mixed cells exceed the Bezout bound")
+            if not self.left:
+                raise _Complete
 
 
-def enumerate_mixed_cells(polys, lifting, deadline=None):
+class _Complete(Exception):
+    """The strict cells found add up to the bound: no other cell exists."""
+
+
+def enumerate_mixed_cells(polys, lifting, deadline=None, bound=None):
     """All mixed cells of the induced subdivision, canonically sorted.
 
     Raises NonGenericLiftingError when some complete cell only touches
-    the lifted sum with a zero margin.
+    the lifted sum with a zero margin. An upper `bound` on the mixed
+    volume stops the search early, with the same cells (module docstring).
     """
-    return _Enumerator(polys, lifting, deadline=deadline).run()
+    return _Enumerator(polys, lifting, deadline=deadline, bound=bound).run()
 
 
-def mixed_volume(polys, multiplicities=None, seed=0, deadline=None):
-    """Mixed volume by enumeration, with automatic lifting re-seeding."""
+def mixed_volume(polys, multiplicities=None, seed=0, deadline=None, bound=None):
+    """Mixed volume by enumeration, with automatic lifting re-seeding and an optional bound."""
     polys = list(polys)
     if multiplicities is None:
         multiplicities = [1] * len(polys)
@@ -431,7 +457,7 @@ def mixed_volume(polys, multiplicities=None, seed=0, deadline=None):
         use_seed = seed + attempt
         lifting = random_lifting(replicated, use_seed)
         try:
-            cells = enumerate_mixed_cells(replicated, lifting, deadline=deadline)
+            cells = enumerate_mixed_cells(replicated, lifting, deadline=deadline, bound=bound)
         except NonGenericLiftingError as exc:
             last = exc
             continue
@@ -660,7 +686,9 @@ def _mv_for_system(system, seed=0, oracle=False, deadline=None):
             if oracle:
                 solved[key] = (mv_inclusion_exclusion(blk.projected, deadline), (), None)
             else:
-                sub = mixed_volume(blk.projected, seed=seed, deadline=deadline)
+                vertices = [p.vertices for p in blk.projected]
+                bound = polysys.block_bezout(system, blk.coordinates, vertices, deadline)
+                sub = mixed_volume(blk.projected, seed=seed, deadline=deadline, bound=bound)
                 solved[key] = (sub.value, sub.cells, sub.lifting_seed)
         out_blocks.append(BlockResult(blk.polytope_indices, blk.coordinates, *solved[key]))
     if oracle:

@@ -122,11 +122,6 @@ class RationalPolytope:
             self._cache["edges"] = cached
         return cached
 
-    def project(self, coords):
-        """Orthogonal projection onto the listed coordinates (re-reduced)."""
-        pts = [tuple(v[c] for c in coords) for v in self.vertices]
-        return RationalPolytope.from_points(pts)
-
     def support(self):
         """Coordinates on which some vertex is nonzero."""
         return frozenset(c for c, column in enumerate(zip(*self.vertices)) if any(column))

@@ -15,16 +15,18 @@ from hypothesis import event, given, settings, strategies as st
 from conftest import framework_for, random_fullmixed_instance
 from reference_enumerator import lifting_value, reference_enumerate_mixed_cells
 from reference_linalg import mat_det, mat_solve
-from lamanmv import linprog, mixedvol, reporting
+from lamanmv import linprog, mixedvol, polysys, reporting
 from lamanmv.errors import CapabilityError, InputError, InternalError, NonGenericLiftingError
 from lamanmv.graphs import (
     Framework,
+    Graph,
     StepII,
     all_laman_graphs,
     desargues_graph,
     henneberg_apply,
     k33_graph,
     random_henneberg_sequence,
+    relabel_with_base,
     triangle,
 )
 from lamanmv.mixedvol import (
@@ -51,6 +53,7 @@ from lamanmv.polysys import (
     FORM_SUBSOE,
     PolySystem,
     Polynomial,
+    block_bezout,
     build_soe,
     build_subsoe,
     newton_polytopes,
@@ -545,9 +548,9 @@ def test_each_distinct_block_is_searched_once(monkeypatch, graph, blocks, search
     calls = []
     search = mixedvol.enumerate_mixed_cells
 
-    def count(polys, lifting, deadline=None):
+    def count(polys, lifting, deadline=None, bound=None):
         calls.append(polys)
-        return search(polys, lifting, deadline)
+        return search(polys, lifting, deadline, bound)
 
     monkeypatch.setattr(mixedvol, "enumerate_mixed_cells", count)
     res = mv_for_graph(framework_for(graph()), FORM_SUBSOE, seed=0)
@@ -938,6 +941,200 @@ def test_deep_block_agrees_across_lifting_seeds(graph, dim, value):
         assert res.lifting_seed == seed and res.value == value
         cell_sets.add(tuple(r.cell for r in res.cells))
     assert len(cell_sets) > 1
+
+
+def _laman_pinnings(max_n):
+    """Every Laman graph with 3 <= n <= max_n up to isomorphism, once pinned at each edge.
+
+    Each comes relabelled so that its pinned edge is (1, 2).
+    """
+    for n in range(3, max_n + 1):
+        for g in all_laman_graphs(n):
+            for base in sorted(g.edges):
+                yield relabel_with_base(g, base)[0]
+
+
+def _two_in_orientations(g):
+    """Orientations of the edges but (1, 2) giving vertices 3..n two in-edges each, by brute force."""
+    edges = sorted(g.edges - {(1, 2)})
+    want = Counter(dict.fromkeys(range(3, g.n + 1), 2))
+    return sum(Counter(e[head] for e, head in zip(edges, heads)) == want
+               for heads in itertools.product((0, 1), repeat=len(edges)))
+
+
+def _block_bounds(system):
+    """The multihomogeneous Bezout count of each coordinate block, in block order."""
+    return [block_bezout(system, blk.coordinates, [p.vertices for p in blk.projected])
+            for blk in separation_split(supports(system))]
+
+
+def test_block_bounds_count_two_in_orientations():
+    # Bartzos, Emiris & Schicho (2020): over the per-vertex partition the
+    # substituted system's Bezout number is 2^(n-2) times the number of
+    # two-in orientations, here the product over its coordinate blocks.
+    graphs = list(_laman_pinnings(6))
+    assert len(graphs) == 146
+    for g in graphs:
+        bounds = _block_bounds(build_subsoe(framework_for(g)))
+        assert math.prod(bounds) == 2 ** (g.n - 2) * _two_in_orientations(g), sorted(g.edges)
+
+
+def _unbounded(monkeypatch):
+    """Make `_mv_for_system` drop the bound it passes; returns the bounds it passed."""
+    passed = []
+    solve = mixedvol.mixed_volume
+
+    def without_bound(polys, seed, deadline, bound):
+        passed.append(bound)
+        return solve(polys, seed=seed, deadline=deadline)
+
+    monkeypatch.setattr(mixedvol, "mixed_volume", without_bound)
+    return passed
+
+
+def test_bounded_search_returns_the_full_search(monkeypatch):
+    # At every pinning with n <= 6, in both forms, the stop changes
+    # neither the value nor the cells nor the lifting seed, and every
+    # searched block's value stays within its bound.
+    graphs = list(_laman_pinnings(6))
+    bounded = {}
+    for form, g in itertools.product((FORM_SOE, FORM_SUBSOE), graphs):
+        bounded[form, g] = mv_for_graph(framework_for(g), form, seed=0)
+    passed = _unbounded(monkeypatch)
+    for (form, g), res in bounded.items():
+        start = len(passed)
+        full = mv_for_graph(framework_for(g), form, seed=0)
+        assert (res.value, res.cells, res.blocks) == (full.value, full.cells, full.blocks)
+        distinct = {tuple(b.cells): b.value for b in full.blocks}
+        assert len(passed) - start == len(distinct)
+        assert all(v <= bound for v, bound in zip(distinct.values(), passed[start:]))
+
+
+def _count_nodes(monkeypatch):
+    """`_descend` calls per search from now on: a new search appends a 0."""
+    nodes = []
+    descend = mixedvol._Enumerator._descend
+    init = mixedvol._Enumerator.__init__
+
+    def starting(self, *args, **kwargs):
+        nodes.append(0)
+        init(self, *args, **kwargs)
+
+    def counting(self, *args):
+        nodes[-1] += 1
+        return descend(self, *args)
+
+    monkeypatch.setattr(mixedvol._Enumerator, "__init__", starting)
+    monkeypatch.setattr(mixedvol._Enumerator, "_descend", counting)
+    return nodes
+
+
+@pytest.mark.parametrize("graph, dim, value, nodes", [
+    (k33_graph, 12, 32, [3475, 4109]),
+    (desargues_graph, 9, 16, [2065, 3265]),
+], ids=["k33", "prism"])
+def test_bounded_search_stops_at_the_last_cell(monkeypatch, graph, dim, value, nodes):
+    # At lifting seed 0 the deep block's cells reach its Bezout count
+    # before the search ends: stopped there, it visits fewer nodes.
+    system = build_subsoe(framework_for(graph()))
+    block = next(b for b in separation_split(supports(system)) if len(b.coordinates) == dim)
+    bound = block_bezout(system, block.coordinates, [p.vertices for p in block.projected])
+    assert bound == value
+    counted = _count_nodes(monkeypatch)
+    results = [mixed_volume(block.projected, seed=0, bound=b) for b in (bound, None)]
+    assert counted == nodes
+    assert results[0] == results[1] and results[0].value == value
+
+
+def test_a_count_below_the_cells_raises(monkeypatch):
+    # K33's 12-dim block has cells of |det| sum 32; a count of 31 is a bug.
+    count = polysys.block_bezout
+
+    def one_below(system, coords, point_sets, deadline=None):
+        return count(system, coords, point_sets, deadline) - (len(coords) == 12)
+
+    monkeypatch.setattr(polysys, "block_bezout", one_below)
+    with pytest.raises(InternalError, match="exceed the Bezout bound"):
+        mv_for_graph(framework_for(k33_graph()), FORM_SUBSOE, seed=0)
+
+
+def test_a_bound_above_the_mixed_volume_runs_the_whole_search(monkeypatch):
+    # Two unit triangles: count 2 with the parts {x}, {y}, mixed area 1.
+    tri = RP([(0, 0), (1, 0), (0, 1)])
+    counted = _count_nodes(monkeypatch)
+    results = [mixed_volume([tri, tri], seed=0, bound=b) for b in (2, None)]
+    assert results[0] == results[1] and results[0].value == 1
+    assert counted[0] == counted[1] > 0
+
+
+def test_gap_case_bound_is_above_its_mixed_volume():
+    # Pinned at its gap edge, this degree-2-built n = 7 graph has one
+    # 15-dim block whose count, 192, its mixed volume 176 never meets
+    # (CI runs the whole search), so no stop can cut it short.
+    g = Graph.make(7, [(1, 2), (1, 3), (1, 4), (2, 5), (3, 6), (3, 7), (4, 6), (4, 7),
+                       (5, 6), (5, 7), (6, 7)])
+    system = build_subsoe(framework_for(g))
+    bounds = {len(b.coordinates): bound
+              for b, bound in zip(separation_split(supports(system)), _block_bounds(system))}
+    assert bounds == {1: 1, 15: 192}
+    assert 2 ** 5 * _two_in_orientations(g) == 192
+
+
+def _sheared(polys, seed):
+    """The polytopes under a seeded unimodular map, then coordinates and polytopes shuffled.
+
+    The map is unit upper triangular with two +-1 entries above the
+    diagonal in each row that has room for them.
+    """
+    rng = random.Random(seed)
+    k = len(polys)
+    rows = []
+    for i in range(k):
+        row = [int(c == i) for c in range(k)]
+        for c in rng.sample(range(i + 1, k), min(2, k - 1 - i)):
+            row[c] = rng.choice((-1, 1))
+        rows.append(row)
+    perm = rng.sample(range(k), k)
+
+    def image(v):
+        w = [sum(map(mul, row, v)) for row in rows]
+        return tuple(w[c] for c in perm)
+
+    out = [RP([image(v) for v in p.vertices]) for p in polys]
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("graph, dim, value", DEEP_BLOCKS, ids=["k33", "prism", "n7"])
+def test_deep_block_value_survives_a_unimodular_map(graph, dim, value):
+    # The mixed volume is invariant under unimodular maps and symmetric in
+    # its polytopes; the sheared block leaves the orthant, so no bound
+    # applies and the whole search runs on a new cell set.
+    block = _subsoe_block(graph(), dim)
+    res = mixed_volume(_sheared(block.projected, seed=dim), seed=0)
+    assert res.value == value
+    assert res.cells != mixed_volume(block.projected, seed=0).cells
+
+
+def _swap_xy(system):
+    """The substituted system with every x_i and y_i exchanged."""
+    n = system.nvars // 3
+    swap = [c ^ 1 if c < 2 * n else c for c in range(system.nvars)]
+    polys = tuple(Polynomial.make(p.nvars, {tuple(e[c] for c in swap): coeff for e, coeff in p.terms})
+                  for p in system.polys)
+    return PolySystem(system.variables, polys, form=system.form)
+
+
+@pytest.mark.parametrize("graph", [k33_graph, desargues_graph], ids=["k33", "prism"])
+def test_swapping_x_and_y_keeps_value_and_cell_counts(graph):
+    system = build_subsoe(framework_for(graph()))
+    swapped = _swap_xy(system)
+    assert swapped != system
+    res = mixedvol._mv_for_system(system, seed=0)
+    out = mixedvol._mv_for_system(swapped, seed=0)
+    assert out.value == res.value == 32
+    assert ({b.polytope_indices: len(b.cells) for b in out.blocks}
+            == {b.polytope_indices: len(b.cells) for b in res.blocks})
 
 
 def test_tie_fixed_above_the_leaf_rejects_the_cell():

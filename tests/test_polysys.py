@@ -1,12 +1,15 @@
 import itertools
 import random
+import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import framework_for
-from lamanmv.errors import InputError
+from lamanmv import cli, polysys
+from lamanmv.errors import CapabilityError, InputError
 from lamanmv.graphs import (
     Framework,
     Graph,
@@ -27,15 +30,20 @@ from lamanmv.polysys import (
     GR_ONE,
     Polynomial,
     bezout,
+    block_bezout,
     build_soe,
     build_subsoe,
     degeneracy_direction,
     degeneracy_witness_point,
     evaluate,
     face_system,
+    multihomogeneous_bezout,
     newton_polytopes,
+    supports,
+    variable_parts,
     witness_check,
 )
+from lamanmv.mixedvol import separation_split
 
 
 def triangle_framework():
@@ -278,6 +286,97 @@ def test_bezout_values():
         fw = framework_for(g)
         assert bezout(build_soe(fw)) == 4 ** (n - 2)
         assert bezout(build_subsoe(fw)) == 2 ** (3 * n - 4)
+
+
+def _expanded_bezout(degrees, sizes):
+    """Coefficient of prod_g z_g^sizes[g] in prod_P sum_g degrees[P][g] z_g, by expanding the product."""
+    product = Counter({(0,) * len(sizes): 1})
+    for row in degrees:
+        expanded = Counter()
+        for e, c in product.items():
+            for g, d in enumerate(row):
+                expanded[e[:g] + (e[g] + 1,) + e[g + 1:]] += c * d
+        product = expanded
+    return product[tuple(sizes)]
+
+
+@st.composite
+def _bezout_cases(draw):
+    """Part sizes and a degree table, usually with one polytope per slot.
+
+    Sometimes one polytope more or fewer, whose count is 0.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    slots = sum(sizes)
+    count = draw(st.sampled_from([slots, slots, slots, slots - 1, slots + 1]))
+    row = st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=len(sizes), max_size=len(sizes))
+    return draw(st.lists(row, min_size=count, max_size=count)), sizes
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_bezout_cases())
+def test_multihomogeneous_bezout_matches_the_expanded_product(case):
+    degrees, sizes = case
+    assert multihomogeneous_bezout(degrees, sizes) == _expanded_bezout(degrees, sizes)
+
+
+def test_variable_parts_group_each_vertex():
+    system = build_subsoe(framework_for(k33_graph()))
+    # x1 y1 x2 y2 x3 s1 s3 s6: positions 0-7.
+    coords = (0, 1, 2, 3, 4, 12, 14, 17)
+    assert variable_parts(system, coords) == [[0, 1, 5], [2, 3], [4, 6], [7]]
+    assert list(variable_parts(build_soe(framework_for(k33_graph())), coords)) == [range(8)]
+
+
+def test_block_bezout_reads_degrees_per_vertex():
+    # Two unit triangles: (z0 + z1)^2 has z0 z1 coefficient 2 with the
+    # parts {x}, {y} of two vertices, and one part gives z^2 coefficient 1;
+    # a mixed area of 1 lies below both.
+    assert multihomogeneous_bezout([[1, 1], [1, 1]], [1, 1]) == 2
+    triangle_points = [(0, 0), (1, 0), (0, 1)]
+    soe = build_soe(framework_for(k33_graph()))
+    assert block_bezout(soe, (0, 2), [triangle_points] * 2) == 1
+    # In the substituted system coordinates 0 and 2 are x1 and x2.
+    subsoe = build_subsoe(framework_for(k33_graph()))
+    assert block_bezout(subsoe, (0, 2), [triangle_points] * 2) == 2
+    assert block_bezout(subsoe, (0, 1), [triangle_points] * 2) == 1
+    assert block_bezout(subsoe, (0, 1), [triangle_points] * 3) == 0
+
+
+def test_a_passed_deadline_stops_the_count_with_exit_2(monkeypatch, tmp_path, capsys):
+    with pytest.raises(CapabilityError, match="Bezout count"):
+        multihomogeneous_bezout([[1, 1], [1, 1]], [1, 1], deadline=time.monotonic() - 1)
+    # Through `mv`: the deadline passes just before the first block's count.
+    parts = polysys.variable_parts
+
+    def late(system, coords):
+        time.sleep(0.6)
+        return parts(system, coords)
+
+    monkeypatch.setattr(polysys, "variable_parts", late)
+    g = k33_graph()
+    path = tmp_path / "k33.graph"
+    path.write_text(f"n {g.n}\n" + "".join(f"e {a} {b}\n" for a, b in sorted(g.edges)))
+    assert cli.run(["mv", "--form", "subsoe", "--timeout", "0.5", str(path)]) == cli.EXIT_CAPABILITY
+    assert capsys.readouterr().err == "error: Bezout count timed out\n"
+
+
+def test_bezout_count_is_fast_up_to_thirty_vertices():
+    # The count for every block of the substituted system of the
+    # minimum-degree-3 graphs, split not included; the best of three
+    # runs, so that one pause of the process does not count.
+    for n in range(3, 31):
+        g = henneberg_apply(random_henneberg_sequence(n, seed=4, step2_probability=0.9))
+        system = build_subsoe(framework_for(g))
+        point_sets = [(blk.coordinates, [p.vertices for p in blk.projected])
+                      for blk in separation_split(supports(system))]
+        times = []
+        for _ in range(3):
+            start = time.process_time()
+            for coords, vertices in point_sets:
+                block_bezout(system, coords, vertices)
+            times.append(time.process_time() - start)
+        assert min(times) < 0.1, (n, times)
 
 
 def test_unit_base_length_moves_c1():
