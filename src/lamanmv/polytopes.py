@@ -7,22 +7,23 @@ given (only when some coordinate is not an int already), so a polytope
 built directly from integral Fractions holds ints too. Vertex
 reduction, edges and volumes share one certified face lattice on Python
 ints: the points are scaled by the lcm of their denominators and
-projected onto integer coordinates of their affine hull. Affinely independent points are all vertices and collinear points
-reduce to their endpoints. A polygon's edges come from the monotone
-chain (Andrew, IPL 1979); a face of dimension >= 3 is gift-wrapped
-(Chand & Kapur, JACM 1970): a facet of a projection gives the first
-facet, and one turn of the hyperplane about a ridge that lies in only
-one facet found so far gives a new one, until every ridge lies in two;
-the facet graph is connected, so the list is complete by construction.
-Every facet is certified on integers (no point above its hyperplane, and
-every point on it listed); a failed certificate is an InternalError. So
-the vertices (the vertices of the facets), the edges (every vertex pair
-of a simplex face) and the volume (a pyramid triangulation with integer
-determinants, divided by D^k * k! at the end) are exact, with no LP and
-no floating point. Each face is certified once per hull, however many
-facets it lies in; `from_points` keeps the lattice on its vertices, and
-a polytope built otherwise builds it on first use. Volumes are capped at
-dimension 6.
+projected onto integer coordinates of their affine hull. Affinely
+independent points are all vertices and collinear points reduce to their
+endpoints. A face of dimension >= 3 is gift-wrapped (Chand & Kapur, JACM
+1970): a facet of a projection gives the first facet, and one turn of the
+hyperplane about a ridge that lies in only one facet found so far gives a
+new one, until every ridge lies in two; the facet graph is connected, so
+the list is complete by construction. A polygon is a leaf: its monotone
+chain (Andrew, IPL 1979) is one cycle of corners, and its edges are the
+ridges turned about. Every facet and polygon edge is certified on
+integers (no point above it); a failed certificate is an InternalError.
+So the vertices (the polygons' corners), the edges (the polygons' edges
+and every vertex pair of a simplex face) and the volume (pyramids over
+the facets down to each polygon's fan, with integer determinants divided
+by D^k * k! at the end) are exact, with no LP and no floating point. Each
+face is certified once per hull, however many facets it lies in;
+`from_points` keeps the lattice, and a polytope built otherwise builds
+it on first use. Volumes are capped at dimension 6.
 """
 
 import itertools
@@ -47,7 +48,7 @@ class RationalPolytope:
     ambient_dim: int
     vertices: tuple
 
-    # "hull": (sorted distinct vertices, certified face lattice on them),
+    # "hull": (sorted distinct points, certified face lattice on them),
     # set by from_points or built on first use; "edges": the edge list.
     _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
@@ -60,10 +61,10 @@ class RationalPolytope:
     def from_points(points, deadline=None):
         """Reduce an arbitrary point list to its extreme points, sorted.
 
-        The certified face lattice on the vertices is kept with the
-        result for `edges` and `volume_exact`. Raises CapabilityError once
+        The certified face lattice on the points is kept with the result
+        for `edges` and `volume_exact`. Raises CapabilityError once
         `deadline` (a time.monotonic() value) has passed, checked before
-        each facet computation.
+        each facet computation and each polygon.
         """
         pts = list(map(tuple, points))
         if not pts:
@@ -77,16 +78,14 @@ class RationalPolytope:
         # (a positive scale keeps the order); int points are their own keys.
         point_of = dict(zip(scaled(pts)[0], pts))
         keys = sorted(point_of)
-        root = _Face(tuple(range(len(keys))), _affine(keys), _Hull(deadline))
-        keep = sorted(root.vertices())
-        poly = RationalPolytope(
-            ambient_dim=dim, vertices=tuple(point_of[keys[i]] for i in keep)
-        )
-        poly._cache["hull"] = (poly.vertices, root.restrict({i: n for n, i in enumerate(keep)}, {}))
+        points = tuple(point_of[k] for k in keys)
+        root = _Face(tuple(range(len(keys))), _affine(keys), {}, deadline)
+        poly = RationalPolytope(dim, tuple(points[i] for i in sorted(root.vertices())))
+        poly._cache["hull"] = (points, root)
         return poly
 
     def _lattice(self, deadline=None):
-        """(vertices, certified face lattice on them); the lattice's ids index the vertices."""
+        """(distinct points, certified face lattice on them); the lattice's ids index the points."""
         hull = self._cache.get("hull")
         if hull is None:
             hull = RationalPolytope.from_points(self.vertices, deadline)._cache["hull"]
@@ -104,16 +103,15 @@ class RationalPolytope:
     def edges(self):
         """All vertex pairs forming edges, in pair order, computed once and memoized.
 
-        The edges are the 1-faces of the face lattice: every vertex pair
-        of a simplex face.
+        The edges are the 1-faces of the face lattice: the polygons'
+        edges and every vertex pair of a simplex face.
         """
         cached = self._cache.get("edges")
         if cached is None:
-            verts, root = self._lattice()
+            points, root = self._lattice()
             ids = root.edge_ids()
-            # The lattice id of each listed vertex (-1 for a non-vertex).
-            pos = dict(zip(verts, itertools.count()))
-            key = [pos.get(v, -1) for v in self.vertices]
+            pos = dict(zip(points, itertools.count()))
+            key = [pos[v] for v in self.vertices]
             cached = tuple(
                 (a, b)
                 for (i, a), (j, b) in itertools.combinations(zip(key, self.vertices), 2)
@@ -169,12 +167,12 @@ def edge_matrix_det(cell):
 def volume_exact(p, deadline=None):
     """Exact k-dimensional volume; 0 when not full-dimensional.
 
-    The vertices are scaled to integers by the lcm D of their
-    denominators, the certified face lattice is triangulated by pyramids,
-    and the integer simplex determinants are summed and divided by
-    D^k * k!. Raises CapabilityError once `deadline` (a time.monotonic()
-    value) has passed, checked on entry and before each facet
-    computation.
+    The lattice's points are scaled to integers by the lcm D of their
+    denominators, the certified face lattice is triangulated by pyramids
+    and fans, and the integer simplex determinants are summed and divided
+    by D^k * k!. Raises CapabilityError once `deadline` (a
+    time.monotonic() value) has passed, checked on entry and before each
+    facet computation and each polygon.
     """
     k = p.ambient_dim
     if k > VOLUME_DIM_CAP:
@@ -182,10 +180,10 @@ def volume_exact(p, deadline=None):
     if k == 0:
         return Fraction(0)
     check_deadline(deadline, "hull computation")
-    verts, root = p._lattice(deadline)
+    points, root = p._lattice(deadline)
     if root.d < k:
         return Fraction(0)
-    pts, den = scaled(verts)
+    pts, den = scaled(points)
     total = 0
     for simplex in root.simplices():
         a = pts[simplex[0]]
@@ -205,32 +203,16 @@ def _affine(pts):
     return [tuple(p[c] for c in cols) for p in pts]
 
 
-class _Hull:
-    """What the faces of one hull share.
-
-    `faces` maps the ids of every face built so far (an increasing
-    tuple) to its `_Face`, so a face lying in several facets is built
-    and certified once; `deadline` is checked before each facet
-    computation.
-    """
-
-    def __init__(self, deadline):
-        self.deadline = deadline
-        self.faces = {}
-
-    def face(self, ids, pts):
-        found = self.faces.get(ids)
-        if found is None:
-            found = self.faces[ids] = _Face(ids, pts, self)
-        return found
-
-
 class _Face:
     """Distinct integer points spanning Z^d, with their facets certified on demand.
 
-    `ids` names each point for the caller, in increasing order. A facet
-    is a `_Face` of the points on it, in the coordinates left after
-    dropping the last coordinate on which its normal is nonzero, a
+    `ids` names each point for the caller, in increasing order. `faces`
+    maps the ids of every face of the hull built so far to its `_Face`, so
+    a face lying in several facets is built and certified once, and
+    `deadline` is checked before each facet computation and each polygon.
+    A face of dimension <= 2 is a leaf, with corners in place of facets.
+    A facet is a `_Face` of the points on it, in the coordinates left
+    after dropping the last coordinate on which its normal is nonzero, a
     bijection of its hyperplane. The coordinates kept are then the
     lexicographically first ones that parametrize the facet, so they do
     not depend on which parent builds a shared face, and a normal in a
@@ -238,36 +220,66 @@ class _Face:
     position.
     """
 
-    def __init__(self, ids, pts, hull, d=None):
+    def __init__(self, ids, pts, faces, deadline):
         self.ids = ids
         self.pts = pts
-        self.hull = hull
-        self.d = len(pts[0]) if d is None else d
+        self.faces = faces
+        self.deadline = deadline
+        self.d = len(pts[0])
+        self.simplex = len(ids) == self.d + 1
         self._facets = None
+        self._corners = None
         self._planes = None  # (outer normal, offset) of each facet, in these coordinates
         self._vertices = None
 
-    def is_simplex(self):
-        return len(self.ids) == self.d + 1
-
     def facets(self):
+        """The facets of a face of dimension >= 3, gift-wrapped."""
         if self._facets is None:
-            check_deadline(self.hull.deadline, "hull computation")
-            if self.d == 1:
-                ends = (min(range(len(self.pts)), key=self.pts.__getitem__),
-                        max(range(len(self.pts)), key=self.pts.__getitem__))
-                self._facets = [self.hull.face((self.ids[i],), [()]) for i in ends]
-            else:
-                found = _facets(self)
-                p = self.pts[0]
-                self._planes = [(n, sum(map(mul, n, p)) - h[0]) for n, h, _ in found]
-                self._facets = [f for _, _, f in found]
+            check_deadline(self.deadline, "hull computation")
+            found = _facets(self)
+            p = self.pts[0]
+            self._planes = [(n, sum(map(mul, n, p)) - h[0]) for n, h, _ in found]
+            self._facets = [f for _, _, f in found]
         return self._facets
 
+    def corners(self):
+        """Corner ids of a face of dimension <= 2 in cycle order: a segment's ends, or a polygon's chain.
+
+        Certificate: each edge's line has both its corners on it and no
+        point above it, and the lines at a corner are not parallel, so the
+        corners are vertices joined by edges, and a cycle of distinct ones
+        is all of them.
+        """
+        if self._corners is None:
+            check_deadline(self.deadline, "hull computation")
+            pts = self.pts
+            if self.d == 1:
+                cycle = [pts.index(min(pts)), pts.index(max(pts))]
+            else:
+                chain = _chain(pts)
+                cycle = [u for u, _, _ in chain]
+                if len(set(cycle)) < len(cycle):
+                    raise InternalError("a polygon's chain repeats a corner")
+                px, py = chain[-1][1]
+                for (u, (nx, ny), off), v in zip(chain, cycle[1:] + cycle[:1]):
+                    heights = [nx * x + ny * y - off for x, y in pts]
+                    if max(heights) > 0 or heights[u] or heights[v] or px * ny == py * nx:
+                        raise InternalError("a polygon edge is not certified")
+                    px, py = nx, ny
+                self._planes = [(n, off) for _, n, off in chain]
+            self._corners = [self.ids[i] for i in cycle]
+        return self._corners
+
     def ridges(self):
-        """The ids of each facet, for a face of dimension >= 2; a simplex builds no facets."""
-        if self.is_simplex():
+        """The ids of each facet, for a face of dimension >= 2; a simplex builds no facets.
+
+        A polygon's j-th ridge is the edge leaving its j-th corner, named by its corners.
+        """
+        if self.simplex:
             return [self.ids[:v] + self.ids[v + 1:] for v in range(len(self.ids))]
+        if self.d <= 2:
+            c = self.corners()
+            return [(min(u, v), max(u, v)) for u, v in zip(c, c[1:] + c[:1])]
         return [f.ids for f in self.facets()]
 
     def plane(self, j):
@@ -277,7 +289,7 @@ class _Face:
         the normal of the facet opposite p_j solves R x = -e_j (j >= 1),
         and that of the facet opposite p_0 solves R x = 1.
         """
-        if not self.is_simplex():
+        if not self.simplex:
             return self._planes[j]
         p0 = self.pts[0]
         rhs = [-(i == j - 1) for i in range(self.d)] if j else [1] * self.d
@@ -287,36 +299,24 @@ class _Face:
         # p_0 lies on every facet but the one opposite it, which holds p_1.
         return normal, sum(map(mul, normal, self.pts[0 if j else 1]))
 
-    def restrict(self, index, memo):
-        """This face on the points named in `index` only, renamed by it.
-
-        With `index` on the vertices (old id -> new id, increasing), a
-        face of a certified hull keeps its facets, so the lattice carries
-        over without new checks; the coordinates are dropped, as only
-        `simplices` and `edge_ids` read the copy. `memo` shares faces
-        between parents.
-        """
-        ids = tuple(index[i] for i in self.ids if i in index)
-        out = memo.get(ids)
-        if out is None:
-            out = memo[ids] = _Face(ids, None, None, self.d)
-            if not out.is_simplex():
-                out._facets = [f.restrict(index, memo) for f in self.facets()]
-        return out
-
     def vertices(self):
-        """Ids of the extreme points: the vertices of the facets."""
+        """Ids of the extreme points: the corners, or the vertices of the facets."""
         if self._vertices is None:
-            if self.is_simplex():
+            if self.simplex:
                 self._vertices = frozenset(self.ids)
+            elif self.d <= 2:
+                self._vertices = frozenset(self.corners())
             else:
                 self._vertices = frozenset().union(*(f.vertices() for f in self.facets()))
         return self._vertices
 
     def simplices(self):
-        """Pyramids from the first point over the facets avoiding it, recursively."""
-        if self.is_simplex():
+        """Pyramids from the first point over the facets avoiding it, down to fans from first corners."""
+        if self.simplex:
             return [self.ids]
+        if self.d <= 2:
+            c = self.corners()
+            return [(c[0], *c[j:j + self.d]) for j in range(1, len(c) - self.d + 1)]
         apex = self.ids[0]
         return [
             (apex,) + s
@@ -326,38 +326,32 @@ class _Face:
         ]
 
     def edge_ids(self):
-        """Id pairs of the 1-faces: every pair of each simplex face."""
+        """Id pairs of the 1-faces: every pair of each simplex face, and the polygons' edges."""
         pairs, seen, stack = set(), set(), [self]
         while stack:
             face = stack.pop()
             if face.ids in seen:
                 continue
             seen.add(face.ids)
-            if face.is_simplex():
+            if face.simplex:
                 pairs.update(itertools.combinations(face.ids, 2))
+            elif face.d <= 2:
+                pairs.update(face.ridges())
             else:
                 stack.extend(face.facets())
         return pairs
 
 
 def _facets(face):
-    """(outer normal, heights, facet) of every facet of a face of dimension >= 2.
+    """(outer normal, heights, facet) of every facet of a face of dimension >= 3.
 
-    A polygon's edges come from the monotone chain (Andrew 1979); a face
-    of dimension >= 3 is gift-wrapped (Chand & Kapur 1970): a first facet
-    from `_first_plane`, then one turn about each ridge that lies in only
-    one facet found so far, with the ridge's normal read off that facet
-    (`_Face.plane`) and lifted. The facet graph is connected, so no facet
-    is missed. Heights are normal.p - offset, one per point; `_facet`
-    certifies each plane.
+    Gift wrapping (Chand & Kapur 1970): a first facet from `_first_plane`,
+    then one turn about each ridge that lies in only one facet found so
+    far, with the ridge's normal read off that facet (`_Face.plane`) and
+    lifted. The facet graph is connected, so no facet is missed. Heights
+    are normal.p - offset, one per point; `_facet` certifies each plane.
     """
     pts = face.pts
-    if face.d == 2:
-        found = []
-        for normal, off in _chain(pts):
-            heights = [normal[0] * x + normal[1] * y - off for x, y in pts]
-            found.append((normal, heights, _facet(face, normal, heights)))
-        return found
     normal, heights = _first_plane(pts)
     found = [(normal, heights, _facet(face, normal, heights))]
     known = {found[0][2]}
@@ -388,11 +382,13 @@ def _facet(face, normal, heights):
     if max(heights) > 0:
         raise InternalError("a facet plane leaves points on both sides")
     onset = [i for i, h in enumerate(heights) if not h]
-    drop = _drop(normal)
-    return face.hull.face(
-        tuple(face.ids[i] for i in onset),
-        [face.pts[i][:drop] + face.pts[i][drop + 1:] for i in onset],
-    )
+    ids = tuple(face.ids[i] for i in onset)
+    found = face.faces.get(ids)
+    if found is None:
+        drop = _drop(normal)
+        pts = [face.pts[i][:drop] + face.pts[i][drop + 1:] for i in onset]
+        found = face.faces[ids] = _Face(ids, pts, face.faces, face.deadline)
+    return found
 
 
 def _drop(normal):
@@ -401,10 +397,10 @@ def _drop(normal):
 
 
 def _chain(pts):
-    """(outer primitive normal, offset) of each edge of the hull of points spanning Z^2.
+    """(corner, outer primitive normal, offset of the edge to the next corner) of points spanning Z^2.
 
-    The lower and upper chains keep only strict left turns, so every
-    vertex is a corner and no edge is listed twice.
+    The corners come in cycle order. The lower and upper chains keep only
+    strict left turns, so every vertex is a corner and no edge is listed twice.
     """
     order = sorted(range(len(pts)), key=pts.__getitem__)
     cycle = []
@@ -419,13 +415,13 @@ def _chain(pts):
                 half.pop()
             half.append(i)
         cycle += half[:-1]
-    planes = []
+    chain = []
     for u, v in zip(cycle, cycle[1:] + cycle[:1]):
         (x0, y0), (x1, y1) = pts[u], pts[v]
         g = gcd(y1 - y0, x1 - x0)
         nx, ny = (y1 - y0) // g, (x0 - x1) // g
-        planes.append(((nx, ny), nx * x0 + ny * y0))
-    return planes
+        chain.append((u, (nx, ny), nx * x0 + ny * y0))
+    return chain
 
 
 def _first_plane(pts):

@@ -2,9 +2,10 @@ import itertools
 import random
 import time
 from fractions import Fraction as F
+from operator import add, mul
 
 import pytest
-from conftest import framework_for, random_lattice_polytope, scale, translate
+from conftest import framework_for, random_fullmixed_instance, random_lattice_polytope, scale, translate
 from hypothesis import assume, given, settings, strategies as st
 from reference_hull import _facet_enumeration, reference_edges, reference_vertices, reference_volume
 
@@ -12,7 +13,7 @@ from lamanmv import polytopes
 from lamanmv._linalg import scaled
 from lamanmv.errors import CapabilityError, InputError, InternalError
 from lamanmv.graphs import henneberg_apply, random_henneberg_sequence
-from lamanmv.mixedvol import mixed_volume
+from lamanmv.mixedvol import mixed_volume, mv_inclusion_exclusion
 from lamanmv.polysys import Polynomial, PolySystem, build_subsoe, newton_polytopes
 from lamanmv.polytopes import (
     RationalPolytope,
@@ -295,17 +296,26 @@ def _wrap_input(rng, k):
 def test_facets_match_reference_in_dimensions_2_to_6():
     # The facets of the root face (each with every point on it), the
     # vertices, the edges and the volume, against the LP and Fraction
-    # reference.
+    # reference. A polygon root's facets are the points on the lines of
+    # its certified chain, and each is named by its two extreme points.
     rng = random.Random(31)
     for trial in range(30):
         k = 2 + trial % 5
         pts = _wrap_input(rng, k)
         ints = sorted(set(scaled(pts)[0]))
-        face = polytopes._Face(tuple(range(len(ints))), polytopes._affine(ints), polytopes._Hull(None))
+        face = polytopes._Face(tuple(range(len(ints))), polytopes._affine(ints), {}, None)
         if face.d >= 2:
-            got = {frozenset(f.ids) for _, _, f in polytopes._facets(face)}
-            want = {frozenset(o) for o in _facet_enumeration([tuple(map(F, q)) for q in face.pts], face.d)}
-            assert got == want, pts
+            want = [sorted(o) for o in _facet_enumeration([tuple(map(F, q)) for q in face.pts], face.d)]
+            if face.d == 2:
+                ridges = face.ridges()
+                got = {
+                    frozenset(i for i, q in enumerate(face.pts) if sum(map(mul, n, q)) == off)
+                    for n, off in map(face.plane, range(len(ridges)))
+                }
+                assert set(ridges) == {(o[0], o[-1]) for o in want}, pts
+            else:
+                got = {frozenset(f.ids) for _, _, f in polytopes._facets(face)}
+            assert got == {frozenset(o) for o in want}, pts
         p = RP(pts)
         assert p.vertices == reference_vertices(pts), pts
         assert volume_exact(p) == reference_volume(p), pts
@@ -323,6 +333,119 @@ def test_forged_turn_raises_internal_error(monkeypatch):
     )
     with pytest.raises(InternalError):
         RP(itertools.product(range(2), repeat=3))
+
+
+def _midpoint_corner(pts, chain):
+    # The point halfway along the first edge, listed as one more corner.
+    (u, normal, off), (v, _, _) = chain[:2]
+    mid = pts.index(tuple((a + b) // 2 for a, b in zip(pts[u], pts[v])))
+    return [chain[0], (mid, normal, off)] + chain[1:]
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda pts, chain: chain[1:],
+        lambda pts, chain: chain[:1] + chain[2:],
+        lambda pts, chain: [chain[0][:1] + chain[1][1:]] + chain[2:],
+        lambda pts, chain: chain + chain,
+        lambda pts, chain: chain[:1] + [(chain[1][0], tuple(-x for x in chain[1][1]), -chain[1][2])] + chain[2:],
+        lambda pts, chain: chain[:1] + [chain[1][:2] + (chain[1][2] + 1,)] + chain[2:],
+        _midpoint_corner,
+    ],
+    ids=[
+        "drops-first-corner",
+        "drops-inner-corner",
+        "drops-a-corner-for-the-next-line",
+        "goes-round-twice",
+        "flips-a-normal",
+        "moves-a-line-outward",
+        "lists-a-midpoint",
+    ],
+)
+@pytest.mark.parametrize(
+    "pts",
+    [list(itertools.product(range(3), repeat=2)) + [(3, 1)], list(itertools.product(range(3), repeat=3))],
+    ids=["pentagon", "box"],
+)
+def test_forged_chain_raises_internal_error(monkeypatch, forge, pts):
+    # Every polygon edge is certified before a vertex, edge or volume is
+    # read from it: a chain that misses or repeats a corner, points an
+    # edge's normal inward, moves its line off its corners or lists a point
+    # inside an edge is refused, for a pentagon and for the square facets
+    # of a box.
+    chain = polytopes._chain
+    monkeypatch.setattr(polytopes, "_chain", lambda face_pts: forge(face_pts, chain(face_pts)))
+    with pytest.raises(InternalError):
+        RP(pts)
+
+
+def _prism_with_midpoints():
+    # A triangular prism with the midpoints of its edges (the vertex pairs
+    # at one height or above each other) and the centre of each square
+    # facet: three points on each edge, nine on each square.
+    base = [(0, 0), (4, 0), (0, 4)]
+    verts = [(x, y, z) for x, y in base for z in (0, 4)]
+    pts = list(verts)
+    for a, b in itertools.combinations(verts, 2):
+        if a[2] == b[2] or a[:2] == b[:2]:
+            pts.append(tuple((x + y) // 2 for x, y in zip(a, b)))
+    pts += [(2, 0, 2), (0, 2, 2), (2, 2, 2)]
+    return pts
+
+
+def _assert_hull_matches_reference(pts):
+    # Against the reference's exact facets of the distinct points: in
+    # dimension 3 a point is a vertex when it lies on three facets or more,
+    # and two vertices span an edge when they share two facets. An edge
+    # that holds points between its corners must be matched across its
+    # two facets by its corners alone.
+    p = RP(pts)
+    if p.dim() < 3:
+        assert p.vertices == reference_vertices(pts), pts
+        _assert_edges_match_reference(p)
+        return
+    points = sorted(set(pts))
+    facets = [set(f) for f in _facet_enumeration([tuple(map(F, q)) for q in points], 3)]
+    on = [sum(i in f for f in facets) for i in range(len(points))]
+    assert p.vertices == tuple(q for q, m in zip(points, on) if m >= 3), pts
+    edges = {
+        frozenset((points[i], points[j]))
+        for i, j in itertools.combinations(range(len(points)), 2)
+        if min(on[i], on[j]) >= 3 and sum(i in f and j in f for f in facets) >= 2
+    }
+    assert p.edges() == tuple(e for e in itertools.combinations(p.vertices, 2) if frozenset(e) in edges)
+    assert volume_exact(p) == reference_volume(p), pts
+    # Built directly on every point, the lattice is built on first use and
+    # also indexes the points that are not vertices.
+    q = RationalPolytope(3, tuple(dict.fromkeys(reversed(pts))))
+    assert q.edges() == tuple(e for e in itertools.combinations(q.vertices, 2) if frozenset(e) in edges)
+    assert volume_exact(q) == volume_exact(p)
+
+
+@pytest.mark.parametrize(
+    "pts", [list(itertools.product(range(3), repeat=3)), _prism_with_midpoints()], ids=["box", "prism"]
+)
+def test_hulls_with_points_inside_edges_and_facets_match_reference(pts):
+    _assert_hull_matches_reference(pts)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_oracle_minkowski_sums_match_reference(monkeypatch, seed):
+    # Every Minkowski sum the inclusion-exclusion oracle builds for a
+    # seeded dim-3 triple, on the vertex sums it reduces.
+    made = []
+    real = polytopes.minkowski_sum
+
+    def spy(p, q, deadline=None):
+        made.append([tuple(map(add, a, b)) for a in p.vertices for b in q.vertices])
+        return real(p, q, deadline)
+
+    monkeypatch.setattr(polytopes, "minkowski_sum", spy)
+    mv_inclusion_exclusion(random_fullmixed_instance(seed, 3))
+    assert len(made) == 4
+    for pts in made:
+        _assert_hull_matches_reference(pts)
 
 
 def test_hull_is_independent_of_point_order_and_repeats():
@@ -350,15 +473,17 @@ def test_volume_and_reduction_honour_deadline():
 
 def test_each_face_is_certified_once(monkeypatch):
     # Every lattice point of the box [0, 2]^6. The 6-cube has 3^6 faces,
-    # 473 of them of dimension >= 2, which need one facet computation
-    # each; a face reached through several facets is certified once, and
-    # the volume reads the lattice that from_points kept.
-    facets = polytopes._facets
+    # 473 of them of dimension >= 2: 233 of dimension >= 3, which need one
+    # facet computation each, and 240 squares, which need one certified
+    # chain each. A face reached through several facets is certified
+    # once, and the volume reads the lattice that from_points kept.
+    facets, chain = polytopes._facets, polytopes._chain
     calls = []
     monkeypatch.setattr(polytopes, "_facets", lambda face: calls.append(face.d) or facets(face))
+    monkeypatch.setattr(polytopes, "_chain", lambda pts: calls.append(2) or chain(pts))
     p = RationalPolytope.from_points(itertools.product(range(3), repeat=6))
     assert p.vertices == tuple(itertools.product((F(0), F(2)), repeat=6))
-    assert len(calls) == 473
+    assert len(calls) == 473 and calls.count(2) == 240
     assert volume_exact(p) == 64
     assert len(calls) == 473
 
