@@ -8,25 +8,27 @@ edge choices, pruned by (a) linear independence of the chosen edge
 directions and (b) exact infeasibility of the touching functional.
 Every constraint row is the difference of two integer lifted points
 (`_lifted`), eliminated fraction-free against the chosen edge
-equalities. A node reduces the differences of the next polytope's lifted
-points against its pivots once, and its children, one per edge of that
-polytope, share the table: each reads its edge direction and off-edge
-rows from it and reduces them, with the rows carried down from the node,
-by its own new pivot only. A node keeps one row per direction, the
-coefficient part divided by its gcd: of two parallel rows only the
-tighter one, with the larger rhs/gcd, since parallel rows stay parallel
-under every later elimination and the looser one is implied for good.
+equalities. Each pivot deletes its column once it is eliminated, so a
+row holds only the free columns and its rhs, and each pivot is kept in
+the coordinates of its depth. A node's differences of a polytope's
+lifted points are its parent's reduced by its one pivot, built once
+and shared by its whole subtree (MixedVol, Gao, Li & Wu, ACM TOMS 31,
+2005, likewise works in the variables each level leaves). A node keeps
+one row per direction, the coefficient part divided by its gcd: of two
+parallel rows only the tighter one, with the larger rhs/gcd, since
+parallel rows stay parallel under every later elimination and the
+looser one is implied for good.
 Only where the particular solution violates a row is infeasibility
 tested, in three steps: first against the row of the opposite direction,
 if any, which together with it may sum to 0 >= a positive number (the
-pairwise test of the relation table of MixedVol, Gao, Li & Wu, ACM TOMS
-31, 2005); then along one ray, the sum of the violated rows' directions,
-on which some point may satisfy every row (`_ray_point`), and the node
-is feasible; only then by an exact LP. That LP (`linprog.feasible`,
-phase 1 on the Farkas system of the rows, with one tableau row per free
-column plus one) is the only one in the engine: the edges come from the
-certified face lattices of `polytopes`, and the cell checks here solve
-by `_linalg.solve`.
+pairwise test of MixedVol's relation table); then along one ray, the
+sum of the violated rows' directions, on which some point may satisfy
+every row (`_ray_point`), and the node is feasible; only then by an
+exact LP. That LP (`linprog.feasible` on the rows as they are, phase 1
+on their Farkas system, with one tableau row per free column plus one)
+is the only one in the engine: the edges come from the certified face
+lattices of `polytopes`, and the cell checks here solve by
+`_linalg.solve`.
 Complete cells are accepted only when every non-edge vertex clears the
 functional with a strictly positive margin; a zero margin, found at the
 leaf or carried down from the node that fixed it, means the lifting is
@@ -211,9 +213,10 @@ def _ray_point(rows, d, k):
     """A point t*d, t >= 0, that satisfies every row, as (x, q) for x/q; or None.
 
     `rows` maps a direction to (g, row) as in `_Enumerator`, a row
-    (coeffs..., rhs) standing for <coeffs, x> >= rhs. With s = <coeffs, d>,
-    a row with rhs > 0 needs s > 0 and t >= rhs/s, one with rhs <= 0 and
-    s < 0 needs t <= rhs/s, and the rest hold for every t >= 0. t is the
+    (coeffs..., rhs) on k free columns standing for <coeffs, x> >= rhs.
+    With s = <coeffs, d>, a row with rhs > 0 needs s > 0 and t >= rhs/s,
+    one with rhs <= 0 and s < 0 needs t <= rhs/s, and the rest hold for
+    every t >= 0. t is the
     largest lower bound, if no upper bound lies below it; the bounds are
     compared by cross-multiplying, so the answer is exact.
     """
@@ -237,21 +240,20 @@ def _ray_point(rows, d, k):
 class _Enumerator:
     """Branch-and-prune search for all mixed cells under one lifting.
 
-    Every row is an integer tuple (coeffs..., rhs), the difference of two
-    lifted points. A node's state is passed down the recursion: the
-    chosen edge equalities as pivot rows in integer echelon form, the
-    off-edge rows `<coeff, alpha> >= rhs` of the chosen edges reduced
-    against those pivots (so each row is zero on the pivot columns and
-    stands for a constraint on the free columns), and a tie flag. The
-    rows are a dict from direction (coeff divided by its gcd g) to
-    (g, row), one row per direction: the tightest, with the largest
-    rhs/g, which implies the others there and at every descendant. A
-    row the new pivot leaves alone keeps its direction and g. A node
-    reduces the differences of the next polytope's lifted points against
-    its pivots once (`_reduced`), and its children share that table: the
-    child for edge (a, b) takes its direction a - b and its off-edge rows
-    a - u from it, then reduces those and the carried rows by its one
-    new pivot only.
+    Every row is an integer list (coeffs..., rhs), a lifted point
+    difference reduced against the chosen edge equalities, standing for
+    <coeffs, alpha> >= rhs on the free columns only: each pivot
+    eliminates its column and then deletes it, so a row at depth d holds
+    k - d coefficients. A node's state is passed down the recursion: the
+    path, one level (col, pivot, cache) per chosen edge with its pivot in
+    the coordinates of its depth; the off-edge rows of the chosen edges;
+    and a tie flag. The rows are a dict from direction (coeffs divided by
+    their gcd g) to (g, row), one row per direction: the tightest, with
+    the largest rhs/g, which implies the others there and at every
+    descendant. A row the new pivot leaves alone keeps its g. The child
+    for edge (a, b) takes its direction a - b and its off-edge rows a - u
+    from its node's reduced differences (`_reduced`, shared down the
+    path) and reduces those and the carried rows by its one new pivot.
     """
 
     def __init__(self, polys, lifting, deadline=None, bound=None):
@@ -262,12 +264,14 @@ class _Enumerator:
         self.left = bound  # what more strict cells may add to the |det| sum
         self.order = self._search_order()
         self.edge_lists = [p.edges() for p in self.polys]
-        # Per polytope, its lifted points in vertex order, and each edge
-        # (a, b) as the indices of its two vertices there.
-        self.lifted = []
+        # Per polytope, its lifted point differences i - j for i < j
+        # (`_reduced` at the root), and each edge (a, b) as the indices of
+        # its two vertices.
+        self.differences = []
         self.edge_ids = []
         for poly, edges, mu in zip(self.polys, self.edge_lists, lifting, strict=True):
-            self.lifted.append(_lifted(poly.vertices, mu)[0])
+            pts = _lifted(poly.vertices, mu)[0]
+            self.differences.append([list(map(sub, p, q)) for p, q in itertools.combinations(pts, 2)])
             index = {v: i for i, v in enumerate(poly.vertices)}
             self.edge_ids.append([(index[a], index[b]) for a, b in edges])
 
@@ -306,76 +310,98 @@ class _Enumerator:
         cells.sort(key=lambda r: r.cell)
         return tuple(cells)
 
-    def _reduced(self, poly_idx, pivots):
-        """table[i][j]: lifted point i minus lifted point j, reduced against the pivots.
+    def _reduced(self, path, poly):
+        """Lifted point i minus lifted point j of `poly`, for each pair i < j, reduced down the path.
 
-        Each pair i < j is reduced once; (j, i) is its negation, since
-        eliminating commutes with negating the row.
+        A level caches the lists it reduces, each the level above's with
+        each row eliminated by the level's pivot and its column deleted,
+        built the first time a descendant needs it and dropped with it.
         """
-        pts = self.lifted[poly_idx]
-        table = [[None] * len(pts) for _ in pts]
-        for i, j in itertools.combinations(range(len(pts)), 2):
-            r = tuple(map(sub, pts[i], pts[j]))
-            for c, p in pivots:
-                if r[c]:
-                    r = eliminate(r, c, p)
+        depth = len(path)
+        while depth and poly not in path[depth - 1][2]:
+            depth -= 1
+        pairs = path[depth - 1][2][poly] if depth else self.differences[poly]
+        for col, v, cache in path[depth:]:
+            pairs = cache[poly] = [eliminate(r, col, v) if r[col] else r.copy() for r in pairs]
+            for r in pairs:
+                del r[col]
+        return pairs
+
+    def _branch(self, chosen, path, active, tie, cells, ties):
+        """One child per edge of the next polytope in the search order.
+
+        They share table[i][j], point i minus point j reduced; (j, i) negates (i, j).
+        """
+        nxt = self.order[len(chosen)]
+        n = len(self.polys[nxt].vertices)
+        table = [[None] * n for _ in range(n)]
+        for (i, j), r in zip(itertools.combinations(range(n), 2), self._reduced(path, nxt)):
             table[i][j] = r
             table[j][i] = [-x for x in r]
-        return table
-
-    def _branch(self, chosen, pivots, active, tie, cells, ties):
-        """One child per edge of the next polytope in the search order."""
-        nxt = self.order[len(chosen)]
-        table = self._reduced(nxt, pivots)
         for idx, (a, b) in enumerate(self.edge_ids[nxt]):
-            self._descend(chosen + ((nxt, idx),), a, b, table, pivots, active, tie, cells, ties)
+            self._descend(chosen + ((nxt, idx),), a, b, table, path, active, tie, cells, ties)
 
-    def _descend(self, chosen, a, b, table, pivots, active, tie, cells, ties):
+    def _descend(self, chosen, a, b, table, path, active, tie, cells, ties):
         check_deadline(self.deadline, "mixed-cell enumeration")
-        k = self.k
         v = table[a][b]
-        col = next((c for c in range(k) if v[c]), None)
-        if col is None:
+        free = len(v) - 2  # the free columns left once the pivot's is deleted
+        for col in range(free + 1):
+            if v[col]:
+                break
+        else:
             # Either no touching functional or a forced singular matrix.
             return
         if v[col] < 0:
             v = [-x for x in v]
-        pivots = pivots + ((col, v),)
-        carried = ((key, g, r) for key, (g, r) in active.items())
-        fresh = ((None, 0, r) for u, r in enumerate(table[a]) if u != a and u != b)
+        p = v[col]
+        fresh = ((None, (0, r)) for u, r in enumerate(table[a]) if u != a and u != b)
         rows = {}
         violated = False
-        for key, g, r in itertools.chain(carried, fresh):
-            if r[col]:
-                r = eliminate(r, col, v)
-                key = None  # a row the new pivot leaves alone keeps its key and g
+        for key, (g, r) in itertools.chain(active.items(), fresh):
+            if f := r[col]:
+                # Fraction-free elimination: g is the direction's gcd, and
+                # its gcd with the rhs divides the whole row.
+                r = [p * x - f * y for x, y in zip(r, v)]
+                del r[col]
+                g = math.gcd(*r[:-1])
+                if (h := math.gcd(g, r[-1])) > 1:
+                    r = [x // h for x in r]
+                    g //= h
+                key = None
+            else:
+                r = r.copy()
+                del r[col]
+                if key is None:
+                    g = math.gcd(*r[:-1])
+                else:  # a row the new pivot leaves alone keeps its g
+                    key = key[:col] + key[col + 1:]
+            if not g:
+                if r[-1] > 0:
+                    return  # fully determined and violated
+                tie = tie or r[-1] == 0  # fully determined with zero margin
+                continue
             if key is None:
-                g = math.gcd(*r[:k])
-                if not g:
-                    if r[k] > 0:
-                        return  # fully determined and violated
-                    tie = tie or r[k] == 0  # fully determined with zero margin
-                    continue
-                key = tuple(r[:k]) if g == 1 else tuple(x // g for x in r[:k])
-            # One row per direction: the tighter one, with the larger r[k]/g.
+                key = tuple(r[:-1]) if g == 1 else tuple([x // g for x in r[:-1]])
+            # One row per direction: the tighter one, with the larger rhs/g.
             kept = rows.get(key)
-            if kept is None or r[k] * kept[0] > kept[1][k] * g:
+            if kept is None or r[-1] * kept[0] > kept[1][-1] * g:
                 rows[key] = g, r
-                violated = violated or r[k] > 0
-        if len(chosen) == k:
+                violated = violated or r[-1] > 0
+        if not free:
             # Every row is now fully determined; none is violated.
             self._finish(chosen, tie, cells, ties)
             return
-        if violated and self._prunable(pivots, rows):
+        if violated and self._prunable(rows, free):
             return
-        self._branch(chosen, pivots, rows, tie, cells, ties)
+        self._branch(chosen, path + ((col, v, {}),), rows, tie, cells, ties)
 
-    def _prunable(self, pivots, rows):
+    def _prunable(self, rows, n):
         """True when no touching functional satisfies the chosen edges.
 
         Only called when some row is violated at the particular solution
         (all free columns zero). `rows` maps a direction to (g, row), one
-        row per direction. The tests run in this order. A violated row
+        row per direction, each on the n free columns, so they go to the
+        LP as they are. The tests run in this order. A violated row
         g1*u >= b1 whose opposite direction holds -g2*u >= b2 with
         b1*g2 + b2*g1 > 0 prunes on the Farkas vector (g2, g1) alone.
         Otherwise a point of `_ray_point` on the ray through d, the sum
@@ -385,24 +411,20 @@ class _Enumerator:
         vector, checked by `linprog.verify_farkas` either way; the ray
         only ever answers "feasible".
         """
-        k = self.k
-        d = [0] * k
+        d = [0] * n
         for key, (g, r) in rows.items():
-            if r[k] <= 0:
+            if r[n] <= 0:
                 continue
             d = list(map(add, d, key))
-            if (opposite := rows.get(tuple(-x for x in key))) is not None:
+            if (opposite := rows.get(tuple([-x for x in key]))) is not None:
                 g2, r2 = opposite
-                if r[k] * g2 + r2[k] * g > 0:
-                    if not linprog.verify_farkas((r, r2), k, (g2, g)):
+                if r[n] * g2 + r2[n] * g > 0:
+                    if not linprog.verify_farkas((r, r2), n, (g2, g)):
                         raise InternalError("invalid Farkas certificate for an opposite pair")
                     return True
-        if _ray_point(rows, d, k) is not None:
+        if _ray_point(rows, d, n) is not None:
             return False
-        bound = {c for c, _ in pivots}
-        free = [c for c in range(k) if c not in bound]
-        cons = [[r[c] for c in free] + [r[k]] for _, r in rows.values()]
-        return linprog.feasible(cons, len(free)).status == linprog.INFEASIBLE
+        return linprog.feasible([r for _, r in rows.values()], n).status == linprog.INFEASIBLE
 
     def _finish(self, chosen, tie, cells, ties):
         # Reassemble the cell in original polytope order.
@@ -706,7 +728,7 @@ def _mv_for_system(system, seed=0, oracle=False, deadline=None):
     )
 
 
-def certify_general_bound(system, deadline=None):
+def certify_general_bound(system, deadline=None, degree_product=None):
     """Exact mixed volume of a distance system from one verified cell.
 
     The degree product bounds the mixed volume from above; the diagonal
@@ -723,9 +745,11 @@ def certify_general_bound(system, deadline=None):
     its Newton polytope (`is_mixed_cell` gives the same verdict). `system`
     is a `build_soe` output with any edge lengths: they and the pinning
     constants are nonzero, so every support holds the constant term and
-    the cell and value do not depend on them. Raises InputError for any
-    other form of system and CapabilityError once `deadline` (a
-    time.monotonic() value) has passed, checked before each support.
+    the cell and value do not depend on them. `degree_product` is the
+    system's `polysys.bezout`, counted here unless the caller passes it.
+    Raises InputError for any other form of system and CapabilityError
+    once `deadline` (a time.monotonic() value) has passed, checked before
+    each support.
     """
     k = system.nvars
     if system.form != FORM_SOE or len(system.polys) != k:
@@ -745,7 +769,10 @@ def certify_general_bound(system, deadline=None):
         edges.append((vertex, zero))
         det *= scale
     expected = Fraction(4) ** (k // 2 - 2)
-    if det != expected or Fraction(bezout(system)) != expected:
+    degree_product = bezout(system) if degree_product is None else degree_product
+    if det > degree_product:
+        raise InternalError("mv exceeds degree product for the distance system")
+    if det != expected or degree_product != expected:
         raise InternalError("certificate value mismatch")
     return MVResult(
         value=det,

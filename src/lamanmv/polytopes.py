@@ -229,6 +229,7 @@ class _Face:
         self.simplex = len(ids) == self.d + 1
         self._facets = None
         self._corners = None
+        self._ridges = None
         self._planes = None  # (outer normal, offset) of each facet, in these coordinates
         self._vertices = None
 
@@ -271,16 +272,19 @@ class _Face:
         return self._corners
 
     def ridges(self):
-        """The ids of each facet, for a face of dimension >= 2; a simplex builds no facets.
+        """The ids of each facet, for a face of dimension >= 2, listed once; a simplex builds no facets.
 
         A polygon's j-th ridge is the edge leaving its j-th corner, named by its corners.
         """
-        if self.simplex:
-            return [self.ids[:v] + self.ids[v + 1:] for v in range(len(self.ids))]
-        if self.d <= 2:
-            c = self.corners()
-            return [(min(u, v), max(u, v)) for u, v in zip(c, c[1:] + c[:1])]
-        return [f.ids for f in self.facets()]
+        if self._ridges is None:
+            if self.simplex:
+                self._ridges = [self.ids[:v] + self.ids[v + 1:] for v in range(len(self.ids))]
+            elif self.d <= 2:
+                c = self.corners()
+                self._ridges = [(min(u, v), max(u, v)) for u, v in zip(c, c[1:] + c[:1])]
+            else:
+                self._ridges = [f.ids for f in self.facets()]
+        return self._ridges
 
     def plane(self, j):
         """(outer normal, offset) of the facet listed j-th by `ridges`.

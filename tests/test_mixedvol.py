@@ -209,6 +209,17 @@ def test_certificate_rejects_an_on_axis_point_and_a_missing_constant():
         certify_general_bound(mutant(5, lambda t: t.pop((0,) * k)))
 
 
+def test_certificate_compares_a_passed_degree_product_exactly():
+    # A passed degree product replaces the count; one off is rejected.
+    soe = build_soe(framework_for(henneberg_apply(random_henneberg_sequence(5, seed=3))))
+    count = polysys.bezout(soe)
+    assert certify_general_bound(soe, degree_product=count) == certify_general_bound(soe)
+    with pytest.raises(InternalError, match="exceeds degree product"):
+        certify_general_bound(soe, degree_product=count - 1)
+    with pytest.raises(InternalError, match="mismatch"):
+        certify_general_bound(soe, degree_product=count + 1)
+
+
 def test_certificate_scales_to_four_hundred_vertices():
     # One pass over 800 supports; the generic cell check and determinant,
     # two dense eliminations of order 800, took tens of seconds.
@@ -720,31 +731,34 @@ def _primitive(coeffs, rhs):
     return tuple(x // g for x in ints), rhs * den / g
 
 
-def _check_one_row_per_direction(enum, chosen, pivots, active):
+def _check_one_row_per_direction(enum, chosen, path, active):
     """The carried rows are the tightest reduced off-edge row of each direction.
 
-    Every off-edge row of the chosen edges is reduced against the pivots
-    here over Fractions. Returns how many rows a tighter parallel row
-    made redundant.
+    Every off-edge row of the chosen edges is reduced here over Fractions
+    against each pivot of the path, in the coordinates of its depth, and
+    loses that pivot's column, so it compares on the k - depth free
+    columns. Returns how many rows a tighter parallel row made redundant.
     """
-    k = enum.k
+    free = enum.k - len(path)
     tightest, total = {}, 0
     for i, idx in chosen:
         a, b = enum.edge_ids[i][idx]
-        pts = enum.lifted[i]
+        pts = mixedvol._lifted(enum.polys[i].vertices, enum.lifting[i])[0]
         for u, pt in enumerate(pts):
             if u in (a, b):
                 continue
             r = [F(x - y) for x, y in zip(pts[a], pt)]
-            for c, p in pivots:
+            for c, p, _ in path:
                 f = r[c] / p[c]
                 r = [x - f * y for x, y in zip(r, p)]
-            if any(r[:k]):
+                assert r.pop(c) == 0
+            if any(r[:free]):
                 total += 1
-                key, bound = _primitive(r[:k], r[k])
+                key, bound = _primitive(r[:free], r[free])
                 tightest[key] = max(bound, tightest.get(key, bound))
-    assert {key: F(r[k], g) for key, (g, r) in active.items()} == tightest
-    assert all(list(r[:k]) == [g * x for x in key] for key, (g, r) in active.items())
+    assert {key: F(r[free], g) for key, (g, r) in active.items()} == tightest
+    assert all(list(r[:free]) == [g * x for x in key] for key, (g, r) in active.items())
+    assert all(len(r) == free + 1 for _, r in active.values())
     return total - len(tightest)
 
 
@@ -773,10 +787,10 @@ def test_search_matches_reference_enumerator(monkeypatch):
     counts = Counter()
     real_branch = mixedvol._Enumerator._branch
 
-    def branch(self, chosen, pivots, active, *rest):
+    def branch(self, chosen, path, active, *rest):
         if chosen:
-            counts["dedupe"] += _check_one_row_per_direction(self, chosen, pivots, active)
-        return real_branch(self, chosen, pivots, active, *rest)
+            counts["dedupe"] += _check_one_row_per_direction(self, chosen, path, active)
+        return real_branch(self, chosen, path, active, *rest)
 
     monkeypatch.setattr(mixedvol._Enumerator, "_branch", branch)
     _count_pair_prunes(monkeypatch, counts)
@@ -790,6 +804,51 @@ def test_search_matches_reference_enumerator(monkeypatch):
     assert kinds["cells"] >= 100 and kinds["ties"] >= 30
     pair_prunes = counts["verified"] - counts["infeasible"]
     assert counts["dedupe"] > 0 and pair_prunes > 0, counts
+
+
+def _direction(row):
+    """A row of ints or Fractions up to a positive factor: primitive ints, or zeros."""
+    ints = [x * math.lcm(*(F(y).denominator for y in row)) for x in row]
+    g = math.gcd(*map(int, ints)) or 1
+    return tuple(int(x) // g for x in ints)
+
+
+def test_shared_tables_match_a_fresh_reduction(monkeypatch):
+    # The child for edge (a, b) reads row a of its node's table, point a
+    # minus each other point u, its node's parent's reduced by the node's
+    # one pivot. Each such row must match, up to a positive factor, the
+    # lifted point difference reduced over Fractions against each compact
+    # pivot of the node's path, that pivot's column then deleted: on
+    # random draws, repeats and ties included, and on the deep
+    # substituted blocks of K33 and the prism, at every depth.
+    checked = Counter()
+    real_descend = mixedvol._Enumerator._descend
+
+    def descend(self, chosen, a, b, table, path, *rest):
+        poly = chosen[-1][0]
+        pts = mixedvol._lifted(self.polys[poly].vertices, self.lifting[poly])[0]
+        for u, pt in enumerate(pts):
+            if u == a:
+                continue
+            r = [F(x - y) for x, y in zip(pts[a], pt)]
+            for c, p, _ in path:
+                f = r[c] / p[c]
+                r = [x - f * y for x, y in zip(r, p)]
+                del r[c]
+            assert len(table[a][u]) == len(r) == self.k - len(path) + 1
+            assert _direction(table[a][u]) == _direction(r), (chosen, a, u)
+        checked[len(path)] += 1
+        return real_descend(self, chosen, a, b, table, path, *rest)
+
+    monkeypatch.setattr(mixedvol._Enumerator, "_descend", descend)
+    rng = random.Random(29)
+    for _ in range(100):
+        _search_outcome(enumerate_mixed_cells, *_random_search_instance(rng))
+    assert set(checked) == set(range(5)), checked
+    for graph, dim in ((k33_graph, 12), (desargues_graph, 9)):
+        checked.clear()
+        mixed_volume(_subsoe_block(graph(), dim).projected, seed=0)
+        assert set(checked) == set(range(dim)), checked
 
 
 def _subsoe_block(graph, dim):

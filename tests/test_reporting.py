@@ -155,6 +155,16 @@ def test_report_counts_embeddings_without_holding_them():
     assert peak < 2 * 2**20
 
 
+def test_report_counts_each_degree_product_once(monkeypatch):
+    # One count per system, the distance system's passed on to its certificate.
+    calls = []
+    count = polysys.bezout
+    monkeypatch.setattr(polysys, "bezout", lambda system: calls.append(system.form) or count(system))
+    rep = build_report(parse_graph_file(TRIANGLE), seed=0)
+    assert sorted(calls) == sorted([polysys.FORM_SOE, polysys.FORM_SUBSOE])
+    assert rep["bezout_soe"] == rep["mv_soe"]["value"] == 4
+
+
 def test_report_non_laman_short_circuit():
     rep = build_report(parse_graph_file("n 4\ne 1 2 1\ne 2 3 1\ne 3 4 1"))
     assert not rep["laman"]

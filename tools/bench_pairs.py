@@ -1,0 +1,149 @@
+"""Alternating parent/change pairs of perfbench/run.py, summarized as BENCH_<label>.json.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . --label search \
+        --workload subsoe-swap --seeds 41 42 43 --seconds 25 \
+        --change-note "what the change does" --deep 8 9
+
+`--parent` and `--change` are two source checkouts, for example a copy of
+the parent commit made with `git archive` or `git worktree add`. For each
+workload and seed the two sides run `perfbench/run.py --seconds S
+--trace 0` one after the other, each from its own checkout; which side
+runs first alternates from pair to pair. The JSON object that run.py
+prints last gives the gated metrics, `correct` and `failed`. The output
+keeps the layout of BENCH_hull.json: per workload and metric the median
+and quartiles of each side, the median change in percent and the number
+of pairs where the change read lower.
+
+`--deep N...` also times `mv --form subsoe` on the minimum-degree-3 graph
+`random_henneberg_sequence(N, seed=4, step2_probability=0.9)` with its
+default lengths, once per side and size, in alternating order, with the
+search's node count (`_Enumerator._descend` calls) and its pruning LPs
+(`linprog.feasible` calls). Times are process CPU seconds on this
+machine, not scaled to a reference speed.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+DEEP = """
+import json, sys, time
+sys.path.insert(0, "src")
+N = int(sys.argv[1])
+from lamanmv import graphs, linprog, mixedvol, reporting
+counts = {"nodes": 0, "lps": 0}
+descend, feasible = mixedvol._Enumerator._descend, linprog.feasible
+def counted(self, *args):
+    counts["nodes"] += 1
+    return descend(self, *args)
+def lp(*args):
+    counts["lps"] += 1
+    return feasible(*args)
+mixedvol._Enumerator._descend, linprog.feasible = counted, lp
+g = graphs.henneberg_apply(graphs.random_henneberg_sequence(N, seed=4, step2_probability=0.9))
+text = "n %d\\n" % g.n + "".join("e %d %d\\n" % e for e in g.sorted_edges())
+start = time.process_time()
+res = mixedvol.mv_for_graph(reporting.parse_graph_file(text), "subsoe", seed=0)
+print(json.dumps({"cpu_s": round(time.process_time() - start, 2), "value": int(res.value),
+                  "cells": len(res.cells), **counts}))
+"""
+
+
+def run_json(cmd, cwd):
+    """Run cmd in cwd and return the JSON object on the last line of its output."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def summary(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def bench_pairs(dirs, workloads, seeds, seconds):
+    """runs, end_to_end: the two BENCH_*.json sections, from one pair per workload and seed."""
+    runs, end_to_end = {}, {}
+    for workload in workloads:
+        got = {side: [] for side in SIDES}
+        for i, seed in enumerate(seeds):
+            cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+                   "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                got[side].append(run_json(cmd, dirs[side]))
+                print(workload, seed, side, got[side][-1]["metrics"], file=sys.stderr, flush=True)
+        runs[workload] = {
+            "pairs": len(seeds),
+            "seeds": list(seeds),
+            "correct_and_no_failures": all(r["correct"] and not r["failed"]
+                                           for side in SIDES for r in got[side]),
+        }
+        metrics = {}
+        for name in got["parent"][0]["metrics"]:
+            values = {side: [r["metrics"][name]["value"] for r in got[side]] for side in SIDES}
+            sides = {side: summary(values[side]) for side in SIDES}
+            before, after = sides["parent"]["median"], sides["change"]["median"]
+            metrics[name] = {
+                **sides,
+                "median_change_pct": round(100 * (after - before) / before, 1),
+                "change_lower_in_pairs": sum(map(lambda c, p: c < p, values["change"], values["parent"])),
+            }
+        end_to_end[workload] = metrics
+    return runs, end_to_end
+
+
+def deep_graphs(dirs, sizes):
+    """Per graph size, each side's deep-graph run, sides alternating from size to size."""
+    out = {}
+    for i, n in enumerate(sizes):
+        out[f"n={n}"] = {}
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            out[f"n={n}"][side] = run_json([sys.executable, "-c", DEEP, str(n)], dirs[side])
+            print(f"n={n}", side, out[f"n={n}"][side], file=sys.stderr, flush=True)
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    ap.add_argument("--change", required=True, type=Path, help="checkout of the change")
+    ap.add_argument("--label", required=True, help="writes BENCH_<label>.json here")
+    ap.add_argument("--workload", action="append", required=True, dest="workloads")
+    ap.add_argument("--seeds", nargs="+", type=int, required=True)
+    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--parent-commit", default="", help="recorded as parent_commit")
+    ap.add_argument("--change-note", default="", help="recorded as change")
+    ap.add_argument("--deep", nargs="*", type=int, default=[], metavar="N")
+    args = ap.parse_args(argv)
+    dirs = {side: getattr(args, side).resolve() for side in SIDES}
+    runs, end_to_end = bench_pairs(dirs, args.workloads, args.seeds, args.seconds)
+    result = {
+        "label": args.label,
+        "parent_commit": args.parent_commit,
+        "change": args.change_note,
+        "machine": f"{os.cpu_count()}-core {platform.machine()} {platform.system()}, "
+                   f"Python {platform.python_version()}, single process",
+        "command": "PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload W --seed N "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "protocol": "parent and change each run from its own checkout; one pair per seed, "
+                    "alternating which side runs first",
+        "runs": runs,
+        "end_to_end": end_to_end,
+    }
+    if args.deep:
+        result["deep_graphs"] = deep_graphs(dirs, args.deep)
+    path = Path(f"BENCH_{args.label}.json")
+    path.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
