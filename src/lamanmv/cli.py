@@ -32,6 +32,13 @@ EXIT_INPUT = 1
 EXIT_CAPABILITY = 2
 EXIT_INTERNAL = 3
 
+# `system` lists every exponent of every term densely, one entry per
+# variable; above this many entries it refuses with exit 2 before it
+# builds the listing. The JSON listing peaks at about 92 bytes per entry
+# (478 MB at 5.0 million), and the cap admits the distance system up to
+# n = 423 and the substituted one up to n = 358.
+SYSTEM_LISTING_CAP = 5_000_000
+
 
 def seconds(text):
     """The type of --timeout: a float other than NaN, which no clock reading is ever past."""
@@ -99,9 +106,11 @@ def _deadline(args):
 
 def _poly_text(poly, variables):
     parts = []
-    for expo, coeff in sorted(poly.terms, key=lambda t: (-sum(t[0]), t[0])):
+    # The terms are in dense exponent order, so a stable sort by degree
+    # orders them by (-degree, dense exponents).
+    for monomial, coeff in sorted(poly.terms, key=lambda t: -sum(e for _, e in t[0])):
         mono = "*".join(
-            f"{v}^{e}" if e > 1 else v for v, e in zip(variables, expo) if e > 0
+            f"{variables[v]}^{e}" if e > 1 else variables[v] for v, e in monomial
         )
         c = str(coeff)
         if mono:
@@ -182,9 +191,15 @@ def _orient(args, fw):
 def _system(args, fw):
     build = polysys.build_soe if args.form == polysys.FORM_SOE else polysys.build_subsoe
     system = build(fw)
+    entries = system.nvars * sum(len(p.terms) for p in system.polys)
+    if entries > SYSTEM_LISTING_CAP:
+        raise CapabilityError(
+            f"the listing holds {entries} exponents, above the cap of {SYSTEM_LISTING_CAP}"
+        )
+    dense = functools.partial(polysys.dense_exponents, system.nvars)
     try:
         polynomials = [
-            {"terms": [{"exponents": list(e), "coefficient": str(c)} for e, c in p.terms]}
+            {"terms": [{"exponents": list(dense(m)), "coefficient": str(c)} for m, c in p.terms]}
             for p in system.polys
         ]
     except ValueError:  # str() of a squared length past the int-to-str digit limit

@@ -510,10 +510,12 @@ class Block:
 def separation_split(polys, deadline=None):
     """Finest factorization into coordinate-supported blocks.
 
-    `polys` holds one point set per polytope: a raw support, or a
-    `RationalPolytope`, read as its vertices. Both give the same blocks,
-    since a point set's nonzero coordinates are those of its hull and
-    the hull of a projected point set is the projection of its hull.
+    `polys` holds one point set per polytope and per coordinate: a raw
+    support as sparse monomials (`polysys.Polynomial`), or a
+    `RationalPolytope`, read as its vertices' nonzero (coordinate,
+    value) pairs. Both give the same blocks, since a point set's nonzero
+    coordinates are those of its hull and the hull of a projected point
+    set is the projection of its hull.
     Finds a perfect matching between polytopes and coordinates through
     the support relation, then splits along the strongly connected
     components of the dependency digraph: a component's polytopes use no
@@ -523,28 +525,45 @@ def separation_split(polys, deadline=None):
     hulled (`from_points`) once per call, so each `Block.projected` is
     a certified vertex-form polytope and identical projections share one.
     Raises CapabilityError once `deadline` (a time.monotonic() value)
-    has passed, checked before each projection.
+    has passed, checked before each projection and, in the matching,
+    before each polytope.
     """
-    sets = [p.vertices if isinstance(p, polytopes.RationalPolytope) else p for p in polys]
+    k = len(polys)
+    sets = []
+    for p in polys:
+        if isinstance(p, polytopes.RationalPolytope):
+            if p.ambient_dim != k:
+                raise InputError("need exactly one polytope per dimension")
+            p = [tuple((c, x) for c, x in enumerate(v) if x) for v in p.vertices]
+        sets.append(p)
     if not all(sets):
         raise InputError("empty point set")
-    k = len(sets[0][0]) if sets else 0
-    if len(sets) != k:
+    uses = [sorted({c for point in s for c, _ in point}) for s in sets]
+    if any(u and not 0 <= u[0] <= u[-1] < k for u in uses):
         raise InputError("need exactly one polytope per dimension")
     hulls = {}  # projected point set -> its hull
 
-    def projected(i, coords):
+    def projected(i, position):
         check_deadline(deadline, "coordinate blocks")
-        pts = frozenset(tuple(v[c] for c in coords) for v in sets[i])
+        pts = set()
+        for point in sets[i]:
+            dense = [0] * len(position)
+            for c, x in point:
+                if c in position:
+                    dense[position[c]] = x
+            pts.add(tuple(dense))
+        pts = frozenset(pts)
         if pts not in hulls:
             hulls[pts] = polytopes.RationalPolytope.from_points(pts, deadline)
         return hulls[pts]
 
-    uses = [[c for c, column in enumerate(zip(*s)) if any(column)] for s in sets]
-    match = _perfect_matching(uses, k)
+    def block(members, coords):
+        position = {c: pos for pos, c in enumerate(coords)}
+        return Block(tuple(members), coords, tuple(projected(i, position) for i in members))
+
+    match = _perfect_matching(uses, k, deadline)
     if match is None:
-        return [Block(tuple(range(k)), tuple(range(k)),
-                      tuple(projected(i, range(k)) for i in range(k)))]
+        return [block(range(k), tuple(range(k)))]
     coord_owner = {match[i]: i for i in range(k)}
     adj = {i: set() for i in range(k)}
     for i in range(k):
@@ -566,30 +585,55 @@ def separation_split(polys, deadline=None):
     blocks = []
     for ci in sorted(range(len(comps)), key=heights.__getitem__):
         members = comps[ci]
-        coords = tuple(sorted(match[i] for i in members))
-        blocks.append(Block(tuple(members), coords, tuple(projected(i, coords) for i in members)))
+        blocks.append(block(members, tuple(sorted(match[i] for i in members))))
     return blocks
 
 
-def _perfect_matching(supports, k):
-    """Kuhn's algorithm on the polytope/coordinate support relation."""
+def _perfect_matching(supports, k, deadline=None):
+    """Kuhn's algorithm on the polytope/coordinate support relation.
+
+    Polytope i, in turn, takes its first free coordinate when it has
+    one, else searches depth first for an augmenting path: each step
+    tries the next coordinate of the path's last polytope not yet seen
+    in this search and, when another polytope holds it, goes on from
+    that one. The path lives on an explicit stack, which tries the
+    coordinates in the order the recursive formulation does, so the
+    matching is the same however long the path. Raises CapabilityError
+    once `deadline` (a time.monotonic() value) has passed, checked
+    before each polytope.
+    """
     match_coord = {}
     match_poly = [None] * k
-
-    def try_assign(i, seen):
-        for c in supports[i]:
-            if c in seen:
+    for i in range(k):
+        check_deadline(deadline, "coordinate blocks")
+        if supports[i] and supports[i][0] not in match_coord:
+            match_coord[supports[i][0]] = i
+            match_poly[i] = supports[i][0]
+            continue
+        seen, tried, stack = set(), [], []
+        options = iter(supports[i])
+        while True:
+            for c in options:
+                if c not in seen:
+                    break
+            else:  # the last polytope on the path is stuck: back up
+                if not stack:
+                    return None
+                options = stack.pop()
+                tried.pop()
                 continue
             seen.add(c)
-            if c not in match_coord or try_assign(match_coord[c], seen):
-                match_coord[c] = i
-                match_poly[i] = c
-                return True
-        return False
-
-    for i in range(k):
-        if not try_assign(i, set()):
-            return None
+            tried.append(c)
+            j = match_coord.get(c)
+            if j is None:
+                break
+            stack.append(options)
+            options = iter(supports[j])
+        # Augment: each polytope on the path takes the coordinate it tried.
+        taker = i
+        for c in tried:
+            match_poly[taker] = c
+            match_coord[c], taker = taker, match_coord.get(c)
     return match_poly
 
 
@@ -698,6 +742,8 @@ def mv_for_graph(framework, form=FORM_SUBSOE, seed=0, oracle=False, deadline=Non
 
 def _mv_for_system(system, seed=0, oracle=False, deadline=None):
     """`mv_for_graph` on a system already built."""
+    if len(system.polys) != system.nvars:
+        raise InputError("need exactly one polytope per dimension")
     blocks = separation_split(supports(system), deadline)
     solved = {}  # projected vertices -> (value, cells, lifting seed)
     out_blocks = []
@@ -761,12 +807,13 @@ def certify_general_bound(system, deadline=None, degree_product=None):
         check_deadline(deadline, "general-bound certificate")
         support = poly.support()
         scale = 1 if j < 4 else 2
-        vertex = tuple(scale if c == j else 0 for c in range(k))
-        if vertex not in support or zero not in support:
+        vertex = ((j, scale),)
+        if vertex not in support or () not in support:
             raise InternalError("expected cell points missing from a support")
-        if any(sum(u) == u[j] for u in support if u != vertex and u != zero):
+        # sum(u) == u_j for a nonzero u holding variable j alone
+        if any(len(u) == 1 and u[0][0] == j for u in support if u != vertex):
             raise InternalError(f"certificate cell rejected: {YES_TIE}")
-        edges.append((vertex, zero))
+        edges.append((zero[:j] + (scale,) + zero[j + 1:], zero))
         det *= scale
     expected = Fraction(4) ** (k // 2 - 2)
     degree_product = bezout(system) if degree_product is None else degree_product

@@ -22,12 +22,18 @@ in each endpoint's, so the product of the blocks' numbers is 2^(n-2)
 times the number of orientations of the graph minus the pinned edge
 that give every free vertex two in-edges and the pinned ones none
 (Bartzos, Emiris & Schicho, AAECC 31, 2020).
+
+Every equation of both systems touches at most two vertices, so a
+monomial is stored sparsely, as its (variable index, exponent) pairs
+with a positive exponent, in increasing variable order, and every
+reading of a polynomial visits only the variables its terms hold.
+Building and reading a system is linear in its terms; dense exponent
+tuples, one entry per variable, are built only where a format asks for
+them: the hulls of `newton_polytopes` and the `system` listings.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import mul
 
 from . import polytopes
 from ._linalg import rational
@@ -75,40 +81,85 @@ GR_ONE = GaussianRational.of(1)
 GR_I = GaussianRational.of(0, 1)
 
 
+def dense_exponents(nvars, monomial):
+    """The exponent tuple of a sparse monomial, one entry per variable."""
+    expo = [0] * nvars
+    for v, e in monomial:
+        expo[v] = e
+    return tuple(expo)
+
+
+def _sort_key(nvars, monomial):
+    """The order of a monomial's dense exponent tuple, after checking its form.
+
+    At the first variable where two monomials differ, the dense order
+    puts first the one without it, or with the smaller exponent there,
+    and lists of pairs (-variable, exponent) compare the same way.
+    Raises InputError unless the monomial is a tuple of (variable,
+    exponent) pairs, variables increasing below `nvars` and exponents
+    positive ints.
+    """
+    key, last = [], -1
+    try:
+        if type(monomial) is not tuple:
+            raise TypeError
+        for v, e in monomial:
+            if type(v) is not int or not last < v < nvars:
+                raise InputError(f"monomial variables must be increasing indices below {nvars}: "
+                                 f"{monomial!r}")
+            if type(e) is not int or e < 1:
+                raise InputError(f"exponents must be positive integers: {monomial!r}")
+            key.append((-v, e))
+            last = v
+    except (TypeError, ValueError):
+        raise InputError(f"a monomial is a tuple of (variable, exponent) pairs: {monomial!r}")
+    return key
+
+
 @dataclass(frozen=True)
 class Polynomial:
-    """Sparse polynomial: exponent tuple -> nonzero rational coefficient.
+    """Sparse polynomial: sparse monomial -> nonzero rational coefficient.
 
-    `make` keeps an integral coefficient as an int (`_linalg.rational`),
-    so a system with integral lengths is evaluated in int arithmetic.
+    A monomial is a tuple of (variable index, exponent) pairs, indices
+    strictly increasing and below `nvars`, exponents positive ints; the
+    constant monomial is (). `terms` lists the terms in the order of
+    their dense exponent tuples. `make` keeps an integral coefficient as
+    an int (`_linalg.rational`), so a system with integral lengths is
+    evaluated in int arithmetic.
     """
 
     nvars: int
-    terms: tuple  # sorted tuple of (exponent tuple, int or Fraction)
+    terms: tuple  # sorted tuple of (monomial, int or Fraction)
 
     @staticmethod
     def make(nvars, coeffs):
-        terms = []
-        for expo, c in coeffs.items():
+        keyed = []
+        for monomial, c in coeffs.items():
+            key = _sort_key(nvars, monomial)
             c = rational(c)
-            if len(expo) != nvars:
-                raise InputError("exponent length mismatch")
-            if not (all(map(isinstance, expo, repeat(int))) and min(expo, default=0) >= 0):
-                raise InputError(f"exponents must be nonnegative integers: {expo!r}")
             if c != 0:
-                terms.append((expo, c))
-        # A mapping holds each exponent once: nothing to merge.
-        return Polynomial(nvars=nvars, terms=tuple(sorted(terms)))
+                keyed.append((key, monomial, c))
+        # A mapping holds each monomial once: nothing to merge, and no two
+        # keys tie.
+        keyed.sort()
+        return Polynomial(nvars=nvars, terms=tuple([(m, c) for _, m, c in keyed]))
 
     def support(self):
-        return [e for e, _ in self.terms]
+        return [m for m, _ in self.terms]
 
     def total_degree(self):
-        return max((sum(e) for e, _ in self.terms), default=0)
+        top = 0
+        for monomial, _ in self.terms:
+            degree = 0
+            for _, e in monomial:
+                degree += e
+            top = max(top, degree)
+        return top
 
-    def coefficient(self, expo):
-        for e, c in self.terms:
-            if e == tuple(expo):
+    def coefficient(self, monomial):
+        monomial = tuple(monomial)
+        for m, c in self.terms:
+            if m == monomial:
                 return c
         return 0
 
@@ -117,21 +168,25 @@ class Polynomial:
         if len(point) != self.nvars:
             raise InputError("point length mismatch")
         total = GR_ZERO
-        for expo, coeff in self.terms:
-            # The monomial over the term's variables only (compress keeps
-            # point[i] where expo[i] != 0), then the coefficient.
-            val = GR_ONE
-            for x, e in zip(compress(point, expo), filter(None, expo)):
+        for monomial, coeff in self.terms:
+            val = GaussianRational(coeff)
+            for v, e in monomial:
+                x = point[v]
                 for _ in range(e):
                     val = val * x
-            total = total + val * GaussianRational(coeff)
+            total = total + val
         return total
 
     def face(self, w):
         """Terms minimal under the rational direction w (the w-face subpolynomial)."""
-        if all(x == 0 for x in w):
+        if not any(w):
             raise InputError("face direction must be nonzero")
-        vals = [sum(map(mul, w, expo)) for expo, _ in self.terms]
+        vals = []
+        for monomial, _ in self.terms:
+            val = 0
+            for v, e in monomial:
+                val += w[v] * e
+            vals.append(val)
         lo = min(vals)
         # A subsequence of sorted, nonzero terms needs no cleaning.
         return Polynomial(self.nvars, tuple(t for t, v in zip(self.terms, vals) if v == lo))
@@ -160,21 +215,11 @@ def _soe_variables(n):
     return tuple(names)
 
 
-def _expo(nvars, pairs):
-    e = [0] * nvars
-    for idx, p in pairs:
-        e[idx] += p
-    return tuple(e)
-
-
 def _pinning_polys(nvars, x1, y1, x2, y2, l12):
     c1 = 2 if l12 == 1 else 1
-    mk = Polynomial.make
     return [
-        mk(nvars, {_expo(nvars, [(x1, 1)]): 1, _expo(nvars, []): -c1}),
-        mk(nvars, {_expo(nvars, [(y1, 1)]): 1, _expo(nvars, []): -2}),
-        mk(nvars, {_expo(nvars, [(x2, 1)]): 1, _expo(nvars, []): -(l12 - c1)}),
-        mk(nvars, {_expo(nvars, [(y2, 1)]): 1, _expo(nvars, []): -3}),
+        Polynomial.make(nvars, {((v, 1),): 1, (): -c})
+        for v, c in ((x1, c1), (y1, 2), (x2, l12 - c1), (y2, 3))
     ]
 
 
@@ -220,17 +265,18 @@ def build_soe(framework):
             raise InputError("orientation must give exactly two in-edges")
         for i, j in pair:
             l = framework.lengths[edge_key(i, j)]
+            xi, xj, yi, yj = xs[i], xs[j], ys[i], ys[j]
             polys.append(
                 mk(
                     nvars,
                     {
-                        _expo(nvars, [(xs[i], 2)]): 1,
-                        _expo(nvars, [(xs[j], 2)]): 1,
-                        _expo(nvars, [(xs[i], 1), (xs[j], 1)]): -2,
-                        _expo(nvars, [(ys[i], 2)]): 1,
-                        _expo(nvars, [(ys[j], 2)]): 1,
-                        _expo(nvars, [(ys[i], 1), (ys[j], 1)]): -2,
-                        _expo(nvars, []): -(l * l),
+                        ((xi, 2),): 1,
+                        ((xj, 2),): 1,
+                        ((xi, 1), (xj, 1)): -2,
+                        ((yi, 2),): 1,
+                        ((yj, 2),): 1,
+                        ((yi, 1), (yj, 1)): -2,
+                        (): -(l * l),
                     },
                 )
             )
@@ -258,31 +304,22 @@ def build_subsoe(framework):
             mk(
                 nvars,
                 {
-                    _expo(nvars, [(ss[i], 1)]): 1,
-                    _expo(nvars, [(ss[j], 1)]): 1,
-                    _expo(nvars, [(xs[i], 1), (xs[j], 1)]): -2,
-                    _expo(nvars, [(ys[i], 1), (ys[j], 1)]): -2,
-                    _expo(nvars, []): -(l * l),
+                    ((ss[i], 1),): 1,
+                    ((ss[j], 1),): 1,
+                    ((xs[i], 1), (xs[j], 1)): -2,
+                    ((ys[i], 1), (ys[j], 1)): -2,
+                    (): -(l * l),
                 },
             )
         )
     for i in range(1, n + 1):
-        polys.append(
-            mk(
-                nvars,
-                {
-                    _expo(nvars, [(ss[i], 1)]): 1,
-                    _expo(nvars, [(xs[i], 2)]): -1,
-                    _expo(nvars, [(ys[i], 2)]): -1,
-                },
-            )
-        )
+        polys.append(mk(nvars, {((ss[i], 1),): 1, ((xs[i], 2),): -1, ((ys[i], 2),): -1}))
     variables = _soe_variables(n) + tuple(f"s{i}" for i in range(1, n + 1))
     return PolySystem(variables, tuple(polys), form=FORM_SUBSOE)
 
 
 def supports(system):
-    """Every polynomial's support, in system order.
+    """Every polynomial's support, in system order, as sparse monomials.
 
     A polynomial's Newton polytope is the hull of its support. Raises
     InputError for a zero polynomial, which has neither.
@@ -304,7 +341,8 @@ def newton_polytopes(system, deadline=None):
     out = []
     for support in supports(system):
         check_deadline(deadline, "Newton polytopes")
-        out.append(polytopes.RationalPolytope.from_points(support, deadline))
+        points = [dense_exponents(system.nvars, m) for m in support]
+        out.append(polytopes.RationalPolytope.from_points(points, deadline))
     return out
 
 
@@ -425,8 +463,7 @@ def degeneracy_witness_point(soe):
     Its pinned coordinates, read off the four pinning equations, then
     (1, i) for every free vertex.
     """
-    zero = (0,) * soe.nvars
-    pt = [GaussianRational.of(-p.coefficient(zero)) for p in soe.polys[:4]]
+    pt = [GaussianRational.of(-p.coefficient(())) for p in soe.polys[:4]]
     pt.extend((GR_ONE, GR_I) * (soe.nvars // 2 - 2))
     return tuple(pt)
 

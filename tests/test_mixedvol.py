@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction as F
@@ -15,6 +16,7 @@ from hypothesis import event, given, settings, strategies as st
 from conftest import framework_for, random_fullmixed_instance
 from reference_enumerator import lifting_value, reference_enumerate_mixed_cells
 from reference_linalg import mat_det, mat_solve
+from reference_polysys import dense, perfect_matching as reference_perfect_matching, sparse
 from lamanmv import linprog, mixedvol, polysys, reporting
 from lamanmv.errors import CapabilityError, InputError, InternalError, NonGenericLiftingError
 from lamanmv.graphs import (
@@ -156,7 +158,8 @@ def certificate_lifting(k):
 
 
 def raw_supports(system):
-    return [RationalPolytope(system.nvars, tuple(p.support())) for p in system.polys]
+    return [RationalPolytope(system.nvars, tuple(dense(system.nvars, m) for m in p.support()))
+            for p in system.polys]
 
 
 def test_certificate_and_witness_on_the_frameworks_own_lengths():
@@ -200,13 +203,13 @@ def test_certificate_rejects_an_on_axis_point_and_a_missing_constant():
         return PolySystem(soe.variables, tuple(polys), form=FORM_SOE)
 
     # x_3 beside x_3^2 in the first quadratic: a second point on axis 4.
-    on_axis = mutant(4, lambda t: t.update({tuple(int(c == 4) for c in range(k)): 3}))
+    on_axis = mutant(4, lambda t: t.update({((4, 1),): 3}))
     with pytest.raises(InternalError, match="rejected"):
         certify_general_bound(on_axis)
     assert is_mixed_cell(rec.cell, raw_supports(on_axis), certificate_lifting(k)) == YES_TIE
     # A quadratic without its constant term lacks the cell's point 0.
     with pytest.raises(InternalError, match="missing"):
-        certify_general_bound(mutant(5, lambda t: t.pop((0,) * k)))
+        certify_general_bound(mutant(5, lambda t: t.pop(())))
 
 
 def test_certificate_compares_a_passed_degree_product_exactly():
@@ -314,6 +317,34 @@ def test_block_order_matches_condensation_rule():
         shapes["many blocks" if len(blocks) >= 4 else "few blocks"] += 1
         shapes["reordered"] += blocks != [tuple(c) for c in comps]
     assert min(shapes.values()) >= 100, shapes
+
+
+def test_matching_follows_an_augmenting_path_past_the_recursion_limit():
+    # Polytope i < k - 1 uses coordinates i, i + 1 and takes i; the last
+    # uses coordinate 0 alone, so its augmenting path shifts every other
+    # polytope one coordinate up, k steps deep.
+    k = 3 * sys.getrecursionlimit()
+    uses = [[i, i + 1] for i in range(k - 1)] + [[0]]
+    assert mixedvol._perfect_matching(uses, k) == [*range(1, k), 0]
+    with pytest.raises(CapabilityError, match="coordinate blocks"):
+        mixedvol._perfect_matching(uses, k, deadline=time.monotonic() - 1)
+
+
+@st.composite
+def _relations(draw):
+    """A polytope/coordinate relation, each polytope's coordinates in a drawn order."""
+    k = draw(st.integers(1, 9))
+    coords = st.lists(st.integers(0, k - 1), unique=True, max_size=k)
+    return draw(st.lists(coords, min_size=k, max_size=k)), k
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_relations())
+def test_matching_agrees_with_the_recursive_one(relation):
+    uses, k = relation
+    match = mixedvol._perfect_matching(uses, k)
+    event("matched" if match else "no perfect matching")
+    assert match == reference_perfect_matching(uses, k)
 
 
 def test_separation_soundness_small():
@@ -581,7 +612,7 @@ def test_blocks_alike_in_part_are_solved_apart():
         [(0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 2, 0), (0, 0, 0, 0, 0, 2)],
     ]
     system = PolySystem(tuple(f"x{i}" for i in range(6)),
-                        tuple(Polynomial.make(6, dict.fromkeys(e, 1)) for e in supports))
+                        tuple(Polynomial.make(6, dict.fromkeys(map(sparse, e), 1)) for e in supports))
     expected = {(0,): 1, (1,): 2, (2, 3): 1, (4, 5): 2}
     for oracle in (False, True):
         res = mixedvol._mv_for_system(system, seed=0, oracle=oracle)
@@ -683,8 +714,8 @@ def test_split_on_raw_supports_matches_split_on_newton_polytopes():
     # Both polynomials live on x0 alone: no perfect matching, one block,
     # and the non-vertex point (1, 0) of the first support is reduced away.
     system = PolySystem(("x0", "x1"), (
-        Polynomial.make(2, {(0, 0): 1, (1, 0): 1, (2, 0): 1}),
-        Polynomial.make(2, {(0, 0): 1, (1, 0): 1}),
+        Polynomial.make(2, {(): 1, ((0, 1),): 1, ((0, 2),): 1}),
+        Polynomial.make(2, {(): 1, ((0, 1),): 1}),
     ))
     (block,) = separation_split(supports(system))
     assert (block.polytope_indices, block.coordinates) == ((0, 1), (0, 1))
@@ -692,6 +723,14 @@ def test_split_on_raw_supports_matches_split_on_newton_polytopes():
     assert shape([block]) == shape(separation_split(newton_polytopes(system)))
     with pytest.raises(InputError):
         separation_split(supports(system)[:1] + [[]])
+    # Sparse supports name no dimension: a coordinate off the polytope
+    # count, a polytope of another dimension and a system with more
+    # variables than polynomials are refused as before.
+    for polys in ([[((1, 1),)]], [[((-1, 1),)]], [RP([(0, 0), (1, 0)])]):
+        with pytest.raises(InputError, match="one polytope per dimension"):
+            separation_split(polys)
+    with pytest.raises(InputError, match="one polytope per dimension"):
+        mixedvol._mv_for_system(PolySystem(system.variables, system.polys[:1]))
 
 
 def _search_outcome(enumerate_fn, polys, lifting):
@@ -1179,7 +1218,8 @@ def _swap_xy(system):
     """The substituted system with every x_i and y_i exchanged."""
     n = system.nvars // 3
     swap = [c ^ 1 if c < 2 * n else c for c in range(system.nvars)]
-    polys = tuple(Polynomial.make(p.nvars, {tuple(e[c] for c in swap): coeff for e, coeff in p.terms})
+    polys = tuple(Polynomial.make(p.nvars, {tuple(sorted((swap[v], e) for v, e in m)): coeff
+                                            for m, coeff in p.terms})
                   for p in system.polys)
     return PolySystem(system.variables, polys, form=system.form)
 

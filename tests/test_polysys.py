@@ -7,7 +7,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_polysys
 from conftest import framework_for
+from reference_polysys import dense, sparse
 from lamanmv import cli, polysys
 from lamanmv.errors import CapabilityError, InputError
 from lamanmv.graphs import (
@@ -56,18 +58,17 @@ def test_soe_shape_and_pinning():
     assert len(soe.polys) == 6
     assert soe.variables == ("x1", "y1", "x2", "y2", "x3", "y3")
     # h1 = x1 - c1, h2 = y1 - 2, h3 = x2 - (l12 - c1), h4 = y2 - 3, with c1 = 1
-    zero = (0, 0, 0, 0, 0, 0)
-    assert [p.coefficient(zero) for p in soe.polys[:4]] == [-1, -2, -(3 - 1), -3]
+    assert [p.coefficient(()) for p in soe.polys[:4]] == [-1, -2, -(3 - 1), -3]
 
 
 def test_soe_edge_polynomial_expansion():
     soe = build_soe(triangle_framework())
     h5 = soe.polys[4]
     # (x1-x3)^2 + (y1-y3)^2 - 16 in the in-edge ordering
-    assert h5.coefficient((2, 0, 0, 0, 0, 0)) == 1
-    assert h5.coefficient((0, 0, 0, 0, 2, 0)) == 1
-    assert h5.coefficient((1, 0, 0, 0, 1, 0)) == -2
-    assert h5.coefficient((0, 0, 0, 0, 0, 0)) == -16
+    assert h5.coefficient(((0, 2),)) == 1  # x1^2
+    assert h5.coefficient(((4, 2),)) == 1  # x3^2
+    assert h5.coefficient(((0, 1), (4, 1))) == -2  # x1 x3
+    assert h5.coefficient(()) == -16
 
 
 def test_soe_counts_on_any_laman_graph():
@@ -121,11 +122,11 @@ def test_subsoe_edge_polynomial_support():
     edge13 = sub.polys[4]
     support = set(edge13.support())
     # s1 + s3 - 2 x1 x3 - 2 y1 y3 - l^2
-    assert (0, 0, 0, 0, 0, 0, 1, 0, 0) in support  # s1
-    assert (0, 0, 0, 0, 0, 0, 0, 0, 1) in support  # s3
-    assert (1, 0, 0, 0, 1, 0, 0, 0, 0) in support  # x1 x3
-    assert (0, 1, 0, 0, 0, 1, 0, 0, 0) in support  # y1 y3
-    assert (0, 0, 0, 0, 0, 0, 0, 0, 0) in support  # constant
+    assert ((6, 1),) in support  # s1
+    assert ((8, 1),) in support  # s3
+    assert ((0, 1), (4, 1)) in support  # x1 x3
+    assert ((1, 1), (5, 1)) in support  # y1 y3
+    assert () in support  # constant
     assert len(support) == 5
 
 
@@ -133,11 +134,7 @@ def test_subsoe_circle_polynomial_no_constant():
     sub = build_subsoe(triangle_framework())
     circle3 = sub.polys[-1]
     support = set(circle3.support())
-    assert support == {
-        (0, 0, 0, 0, 0, 0, 0, 0, 1),
-        (0, 0, 0, 0, 2, 0, 0, 0, 0),
-        (0, 0, 0, 0, 0, 2, 0, 0, 0),
-    }
+    assert support == {((8, 1),), ((4, 2),), ((5, 2),)}  # s3, x3^2, y3^2
 
 
 def test_zero_in_every_newton_polytope_except_circles():
@@ -145,10 +142,10 @@ def test_zero_in_every_newton_polytope_except_circles():
     n = fw.graph.n
     soe = build_soe(fw)
     for p in soe.polys:
-        assert (0,) * p.nvars in p.support()
+        assert () in p.support()
     sub = build_subsoe(fw)
     for i, p in enumerate(sub.polys):
-        has_zero = (0,) * p.nvars in p.support()
+        has_zero = () in p.support()
         is_circle = i >= len(sub.polys) - n
         assert has_zero != is_circle
 
@@ -161,9 +158,7 @@ def test_ordering_invariant_for_certificate():
         n = fw.graph.n
         for i in range(3, n + 1):
             for col in (2 * i - 2, 2 * i - 1):  # 0-based x_i, y_i
-                expo = [0] * (2 * n)
-                expo[col] = 2
-                assert soe.polys[col].coefficient(tuple(expo)) != 0
+                assert soe.polys[col].coefficient(((col, 2),)) != 0
 
 
 def test_newton_polytopes_vertex_reduction():
@@ -181,7 +176,7 @@ def test_face_system_minimality():
             continue
         faces = face_system(soe, w)
         for orig, f in zip(soe.polys, faces.polys):
-            vals = {e: sum(wc * x for wc, x in zip(w, e)) for e in orig.support()}
+            vals = {m: sum(w[v] * e for v, e in m) for m in orig.support()}
             lo = min(vals.values())
             kept = set(f.support())
             for e, v in vals.items():
@@ -193,10 +188,10 @@ def test_face_system_pinned_examples():
     # All-positive direction: the constant term is the unique minimizer.
     all_pos = face_system(soe, (1, 1, 1, 1, 1, 1))
     for p in all_pos.polys:
-        assert p.support() == [(0,) * 6]
+        assert p.support() == [()]
     # Direction e1 on h1 = x1 - c1 keeps the constant alone.
     e1 = face_system(soe, (1, 0, 0, 0, 0, 0))
-    assert e1.polys[0].terms == (((0, 0, 0, 0, 0, 0), F(-1)),)
+    assert e1.polys[0].terms == (((), F(-1)),)
 
 
 def test_circle_newton_polytope_is_triangle():
@@ -219,30 +214,97 @@ def test_degeneracy_face_system_shape():
     for i in range(4):
         assert faces.polys[i].terms == soe.polys[i].terms
     for p in faces.polys[4:]:
-        assert (0, 0, 0, 0, 0, 0) not in p.support()
+        assert () not in p.support()
 
 
 def test_evaluate_exact():
-    p = Polynomial.make(2, {(2, 0): 1, (0, 2): 1})
+    p = Polynomial.make(2, {((0, 2),): 1, ((1, 2),): 1})
     val = p.evaluate((GR_ONE, GR_I))
     assert val.is_zero()
-    diff = Polynomial.make(2, {(2, 0): 0})
+    diff = Polynomial.make(2, {((0, 2),): 0})
     assert diff.evaluate((GR_ONE, GR_I)).is_zero()
 
 
 def test_make_rejects_non_integer_exponents():
-    for expo in ((0.5,), ("1",), (None,), (F(1, 2),)):
+    for e in (0.5, "1", None, F(1, 2)):
         with pytest.raises(InputError):
-            Polynomial.make(1, {expo: 1})
+            Polynomial.make(1, {((0, e),): 1})
     with pytest.raises(InputError):
-        Polynomial.make(1, {(-1,): 1})
-    assert Polynomial.make(2, {(2, 0): 1, (0, 2): 2}).terms == (((0, 2), 2), ((2, 0), 1))
+        Polynomial.make(1, {((0, -1),): 1})
+    # y^2 before x^2, as (0, 2) before (2, 0).
+    assert Polynomial.make(2, {((0, 2),): 1, ((1, 2),): 2}).terms == ((((1, 2),), 2), (((0, 2),), 1))
+
+
+@st.composite
+def _dense_polynomials(draw):
+    """A variable count and distinct dense exponent tuples with nonzero coefficients."""
+    nvars = draw(st.integers(1, 5))
+    expos = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), unique=True, min_size=1, max_size=8))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+    return nvars, {e: draw(coeff) for e in expos}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_dense_polynomials())
+def test_make_lists_terms_in_dense_exponent_order(case):
+    nvars, coeffs = case
+    p = Polynomial.make(nvars, {sparse(e): c for e, c in coeffs.items()})
+    assert [(dense(nvars, m), c) for m, c in p.terms] == sorted(coeffs.items())
+
+
+def test_make_rejects_malformed_monomials():
+    bad = [
+        ((1, 1), (0, 1)),  # unsorted variables
+        ((0, 1), (0, 2)),  # a repeated variable
+        ((3, 1),), ((-1, 1),), ((True, 1),), ((1.0, 1),),  # variables off range(3)
+        ((0, 0),), ((0, -1),), ((0, True),), ((0, 1.0),), ((0, F(2)),),  # exponents
+        ((0,),), ((0, 1, 1),), (0,), "x", frozenset({(0, 1)}),  # not tuples of pairs
+    ]
+    for monomial in bad:
+        with pytest.raises(InputError):
+            Polynomial.make(3, {monomial: 1})
+        with pytest.raises(InputError):  # checked even when the term drops out
+            Polynomial.make(3, {monomial: 0})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_dense_polynomials(), st.data())
+def test_evaluate_and_face_agree_with_the_dense_reference(case, data):
+    nvars, coeffs = case
+    p = Polynomial.make(nvars, {sparse(e): c for e, c in coeffs.items()})
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    point = tuple(GaussianRational.of(data.draw(part), data.draw(part)) for _ in range(nvars))
+    assert p.evaluate(point) == reference_polysys.evaluate(p, point)
+    w = data.draw(st.tuples(*[st.integers(-3, 3)] * nvars).filter(any))
+    assert reference_polysys.dense_terms(p.face(w)) == reference_polysys.face(p, w)
+
+
+def test_evaluate_and_face_agree_with_the_dense_reference_on_built_systems():
+    rng = random.Random(3)
+    for g in (k33_graph(), desargues_graph(), triangle()):
+        for system in (build_soe(framework_for(g)), build_subsoe(framework_for(g))):
+            point = tuple(GaussianRational.of(F(rng.randint(-5, 5), rng.randint(1, 4)),
+                                              F(rng.randint(-5, 5), rng.randint(1, 4)))
+                          for _ in range(system.nvars))
+            w = tuple(rng.randint(-2, 2) for _ in range(system.nvars))
+            for p in system.polys:
+                assert p.evaluate(point) == reference_polysys.evaluate(p, point)
+                assert reference_polysys.dense_terms(p.face(w)) == reference_polysys.face(p, w)
+
+
+def test_every_built_term_holds_at_most_two_variables():
+    graphs = [g for n in range(2, 7) for g in all_laman_graphs(n)]
+    graphs.append(henneberg_apply(random_henneberg_sequence(200, seed=5, step2_probability=0.3)))
+    for g in graphs:
+        for build in (build_soe, build_subsoe):
+            assert max(len(m) for p in build(framework_for(g)).polys for m, _ in p.terms) <= 2
 
 
 def test_make_keeps_integral_coefficients_as_ints():
-    p = Polynomial.make(3, {(1, 0, 0): F(4, 2), (0, 1, 0): F(3, 2), (0, 0, 1): -7, (0, 0, 0): 2.0})
+    p = Polynomial.make(3, {((0, 1),): F(4, 2), ((1, 1),): F(3, 2), ((2, 1),): -7, (): 2.0})
     assert [(c, type(c)) for _, c in p.terms] == [(2, int), (-7, int), (F(3, 2), F), (2, int)]
-    assert p.coefficient((0, 1, 0)) == F(3, 2) and type(p.coefficient((1, 1, 1))) is int
+    assert p.coefficient(((1, 1),)) == F(3, 2)
+    assert type(p.coefficient(((0, 1), (1, 1), (2, 1)))) is int
     # Integral lengths give int coefficients throughout both systems.
     fw = framework_for(k33_graph(), start=1)
     for system in (build_soe(fw), build_subsoe(fw)):
@@ -383,8 +445,7 @@ def test_unit_base_length_moves_c1():
     # c1 = 1 would pin vertex 2 at x2 = l12 - c1 = 0, so a unit base gets c1 = 2.
     fw = Framework.make(triangle(), {(1, 2): 1, (1, 3): 1, (2, 3): 1})
     for system in (build_soe(fw), build_subsoe(fw)):
-        zero = (0,) * system.nvars
-        assert [p.coefficient(zero) for p in system.polys[:4]] == [-2, -2, 1, -3]
+        assert [p.coefficient(()) for p in system.polys[:4]] == [-2, -2, 1, -3]
 
 
 def test_builders_refuse_non_laman_graphs():

@@ -8,6 +8,7 @@ import pytest
 from conftest import framework_for, random_fullmixed_instance, random_lattice_polytope, scale, translate
 from hypothesis import assume, given, settings, strategies as st
 from reference_hull import _facet_enumeration, reference_edges, reference_vertices, reference_volume
+from reference_polysys import sparse
 
 from lamanmv import polytopes
 from lamanmv._linalg import scaled
@@ -526,7 +527,7 @@ def test_newton_polytopes_have_int_coordinates(supports):
     k = len(supports[0][0])
     system = PolySystem(
         tuple(f"x{i}" for i in range(k)),
-        tuple(Polynomial.make(k, {e: F(1, 2) for e in s}) for s in supports),
+        tuple(Polynomial.make(k, {sparse(e): F(1, 2) for e in s}) for s in supports),
     )
     for poly, support in zip(newton_polytopes(system), supports, strict=True):
         assert _coordinate_types(poly.vertices) == {int}

@@ -506,6 +506,44 @@ def test_cli_system_coefficient_beyond_digit_limit_is_capability(tmp_path, capsy
     assert captured.out == "" and captured.err.startswith("error: ") and "digit limit" in captured.err
 
 
+def _graph_file_text(g):
+    return f"n {g.n}\n" + "".join(f"e {a} {b}\n" for a, b in g.sorted_edges())
+
+
+@pytest.mark.parametrize("form, n", [("soe", 424), ("subsoe", 359)])
+def test_cli_system_refuses_a_listing_just_above_the_cap(tmp_path, capsys, form, n):
+    # A distance system holds 2n (14n - 20) dense entries, a substituted
+    # one 3n (13n - 12): n is the first size above the cap for its form.
+    build = polysys.build_soe if form == "soe" else polysys.build_subsoe
+
+    def graph_text(n):
+        return _graph_file_text(henneberg_apply(random_henneberg_sequence(n, seed=5, step2_probability=0.3)))
+
+    def entries(text):
+        system = build(parse_graph_file(text))
+        return system.nvars * sum(len(p.terms) for p in system.polys)
+
+    text = graph_text(n)
+    assert entries(graph_text(n - 1)) <= cli.SYSTEM_LISTING_CAP < entries(text)
+    start = time.process_time()
+    for fmt in ("json", "text"):
+        assert run_cli(tmp_path, text, "system", "--form", form, "--format", fmt) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: the listing holds ")
+    assert time.process_time() - start < 2
+
+
+def test_cli_mv_times_out_in_the_matching_of_a_large_graph(tmp_path, capsys):
+    # Its substituted supports' matching follows augmenting paths deeper
+    # than the recursion limit and takes about 3 s, so it must check the
+    # deadline itself.
+    g = henneberg_apply(random_henneberg_sequence(5000, seed=5, step2_probability=0.3))
+    start = time.monotonic()
+    assert run_cli(tmp_path, _graph_file_text(g), "mv", "--form", "subsoe", "--timeout", "1") == 2
+    assert capsys.readouterr().err == "error: coordinate blocks timed out\n"
+    assert time.monotonic() - start < 3
+
+
 def test_cli_internal_error_exit(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise InternalError("self-check failed")
