@@ -10,11 +10,9 @@ from fractions import Fraction
 
 from lamanmv import (
     RationalPolytope,
-    full_subdivision_2d,
     minkowski_sum,
     mixed_volume,
     mv_inclusion_exclusion,
-    random_lifting,
     volume_exact,
 )
 
@@ -31,11 +29,3 @@ res = mixed_volume([P, Q], seed=0)
 print("mixed area by cell enumeration:", res.value)
 for rec in res.cells:
     print("  mixed cell with |det| =", abs(rec.det))
-
-lifting = random_lifting([P, Q], seed=0)
-cells = full_subdivision_2d([P, Q], lifting)
-print("full subdivision:", len(cells), "cells, total area",
-      sum(area for _, area in cells))
-for faces, area in cells:
-    kind = tuple(len(f) - 1 if len(f) <= 2 else 2 for f in faces)
-    print("  cell of type", kind, "area", area)

@@ -7,7 +7,7 @@ mixed cells, and enumerates real embeddings of degree-2-constructible
 frameworks to show when the bounds are attained.
 """
 
-from .embeddings import Embedding, enumerate_h1, tight_lengths, verify_embedding
+from .embeddings import Embedding, enumerate_h1, tight_lengths
 from .errors import (
     CapabilityError,
     DegenerateInputError,
@@ -36,7 +36,6 @@ from .graphs import (
     henneberg_apply,
     henneberg_decompose,
     k33_graph,
-    laman_oracle,
     orient_two_in,
     random_henneberg_sequence,
     relabel_with_base,
@@ -48,7 +47,6 @@ from .mixedvol import (
     MVResult,
     certify_general_bound,
     enumerate_mixed_cells,
-    full_subdivision_2d,
     is_mixed_cell,
     mixed_volume,
     mv_for_graph,
@@ -59,14 +57,11 @@ from .mixedvol import (
 from .polysys import (
     FORM_SOE,
     FORM_SUBSOE,
-    GaussianRational,
     Polynomial,
     PolySystem,
     bezout,
     build_soe,
     build_subsoe,
-    evaluate,
-    face_system,
     newton_polytopes,
     witness_check,
 )

@@ -33,11 +33,13 @@ EXIT_CAPABILITY = 2
 EXIT_INTERNAL = 3
 
 # `system` lists every exponent of every term densely, one entry per
-# variable; above this many entries it refuses with exit 2 before it
-# builds the listing. The JSON listing peaks at about 92 bytes per entry
-# (478 MB at 5.0 million), and the cap admits the distance system up to
-# n = 423 and the substituted one up to n = 358.
-SYSTEM_LISTING_CAP = 5_000_000
+# variable, and `certify` lists its cell as 2 nvars dense points of nvars
+# entries each; above this many entries either refuses with exit 2 before
+# it builds the listing. The JSON listing peaks at about 92 bytes per
+# entry (478 MB at 5.0 million), and the cap admits `system` up to
+# n = 423 for the distance system and n = 358 for the substituted one,
+# and `certify` up to n = 790.
+LISTING_CAP = 5_000_000
 
 
 def seconds(text):
@@ -122,6 +124,11 @@ def _poly_text(poly, variables):
     return out or "0"
 
 
+def _refuse_listing(entries):
+    if entries > LISTING_CAP:
+        raise CapabilityError(f"the listing holds {entries} exponents, above the cap of {LISTING_CAP}")
+
+
 def _with_cells(res):
     payload = reporting.mv_result_dict(res)
     payload["cells"] = reporting.cells_dict(res)
@@ -191,11 +198,7 @@ def _orient(args, fw):
 def _system(args, fw):
     build = polysys.build_soe if args.form == polysys.FORM_SOE else polysys.build_subsoe
     system = build(fw)
-    entries = system.nvars * sum(len(p.terms) for p in system.polys)
-    if entries > SYSTEM_LISTING_CAP:
-        raise CapabilityError(
-            f"the listing holds {entries} exponents, above the cap of {SYSTEM_LISTING_CAP}"
-        )
+    _refuse_listing(system.nvars * sum(len(p.terms) for p in system.polys))
     dense = functools.partial(polysys.dense_exponents, system.nvars)
     try:
         polynomials = [
@@ -229,7 +232,9 @@ def _mv(args, fw):
 
 
 def _certify(args, fw):
-    res = mixedvol.certify_general_bound(polysys.build_soe(fw), deadline=_deadline(args))
+    soe = polysys.build_soe(fw)
+    _refuse_listing(2 * soe.nvars**2)
+    res = mixedvol.certify_general_bound(soe, deadline=_deadline(args))
     return _with_cells(res), lambda p: f"mixed volume: {p['value']} (certificate)"
 
 

@@ -180,16 +180,3 @@ def count_h1(framework, seq, deadline=None):
         for pt, _ in reversed(pts):
             stack.append((idx + 1, w, pt))
     return weight * total
-
-
-def verify_embedding(framework, embedding, tol=Fraction(1, 10**9)):
-    """True iff every edge length is met within relative tolerance."""
-    for (i, j), l in framework.lengths.items():
-        if i not in embedding.points or j not in embedding.points:
-            return False
-        dx = embedding.points[i][0] - embedding.points[j][0]
-        dy = embedding.points[i][1] - embedding.points[j][1]
-        if abs(math.hypot(dx, dy) - float(l)) / float(l) > float(tol):
-            return False
-    return True
-

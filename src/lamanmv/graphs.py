@@ -1,8 +1,7 @@
 """Graphs, frameworks and the constructive machinery around minimal rigidity.
 
 A graph on n vertices with 2n-3 edges is Laman when every k-subset of
-vertices spans at most 2k-3 edges. The fast check is a (2,3)-pebble game;
-the subset definition is kept as a brute-force oracle for cross checks.
+vertices spans at most 2k-3 edges. The check is a (2,3)-pebble game.
 Each graph decides its Laman verdict and its construction sequence once,
 on first use, and keeps both for its lifetime.
 The same game, played with the pinned base edge last, also yields the
@@ -26,7 +25,6 @@ from functools import cached_property, lru_cache
 
 from .errors import CapabilityError, InputError, InternalError, NoSequenceError, SequenceError
 
-ORACLE_VERTEX_CAP = 12
 ISO_VERTEX_CAP = 9
 
 
@@ -259,22 +257,6 @@ def _insert_edge(out, u, v):
             return sorted(seen.keys() | more.keys())
     out[u].add(v)
     return None
-
-
-def laman_oracle(g):
-    """Exhaustive subset check of the Laman counts (n <= 12)."""
-    if g.n > ORACLE_VERTEX_CAP:
-        raise CapabilityError(f"subset oracle capped at {ORACLE_VERTEX_CAP} vertices")
-    if g.n < 2 or len(g.edges) != 2 * g.n - 3:
-        return False
-    vertices = range(1, g.n + 1)
-    for k in range(2, g.n + 1):
-        for subset in itertools.combinations(vertices, k):
-            sub = set(subset)
-            spanned = sum(1 for a, b in g.edges if a in sub and b in sub)
-            if spanned > 2 * k - 3:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ coordinate of vertex 2 at l12 - c1 and its y coordinate at 3, which
 removes rigid motions; c1 is 1, or 2 when l12 = 1, so no pinning
 constant is zero. The builders choose the pinned edge themselves:
 they relabel any framework so that its `graphs.default_base` edge
-becomes (1,2). All coefficients are rational, ints where integral, and
-evaluation is exact over Gaussian rationals.
+becomes (1,2). All coefficients are rational, ints where integral.
 
 The mixed volume of a system is at most its multihomogeneous Bezout
 number for any partition of the variables (`multihomogeneous_bezout`).
@@ -33,7 +32,6 @@ them: the hulls of `newton_polytopes` and the `system` listings.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import polytopes
 from ._linalg import rational
@@ -42,43 +40,7 @@ from .graphs import check_laman, default_base, edge_key, orient_two_in, relabel_
 
 FORM_SOE = "soe"
 FORM_SUBSOE = "subsoe"
-FORM_FACE = "face"
 FORM_CUSTOM = "custom"
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """re + i*im with exact rational parts; `of` makes integral parts ints."""
-
-    re: Fraction
-    im: Fraction = 0
-
-    @staticmethod
-    def of(re, im=0):
-        return GaussianRational(rational(re), rational(im))
-
-    def __add__(self, other):
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def is_zero(self):
-        return self.re == 0 and self.im == 0
-
-
-GR_ZERO = GaussianRational.of(0)
-GR_ONE = GaussianRational.of(1)
-GR_I = GaussianRational.of(0, 1)
 
 
 def dense_exponents(nvars, monomial):
@@ -124,8 +86,8 @@ class Polynomial:
     strictly increasing and below `nvars`, exponents positive ints; the
     constant monomial is (). `terms` lists the terms in the order of
     their dense exponent tuples. `make` keeps an integral coefficient as
-    an int (`_linalg.rational`), so a system with integral lengths is
-    evaluated in int arithmetic.
+    an int (`_linalg.rational`), so a system with integral lengths holds
+    ints only.
     """
 
     nvars: int
@@ -162,34 +124,6 @@ class Polynomial:
             if m == monomial:
                 return c
         return 0
-
-    def evaluate(self, point):
-        """Exact value at a Gaussian rational point."""
-        if len(point) != self.nvars:
-            raise InputError("point length mismatch")
-        total = GR_ZERO
-        for monomial, coeff in self.terms:
-            val = GaussianRational(coeff)
-            for v, e in monomial:
-                x = point[v]
-                for _ in range(e):
-                    val = val * x
-            total = total + val
-        return total
-
-    def face(self, w):
-        """Terms minimal under the rational direction w (the w-face subpolynomial)."""
-        if not any(w):
-            raise InputError("face direction must be nonzero")
-        vals = []
-        for monomial, _ in self.terms:
-            val = 0
-            for v, e in monomial:
-                val += w[v] * e
-            vals.append(val)
-        lo = min(vals)
-        # A subsequence of sorted, nonzero terms needs no cleaning.
-        return Polynomial(self.nvars, tuple(t for t, v in zip(self.terms, vals) if v == lo))
 
 
 @dataclass(frozen=True)
@@ -346,23 +280,6 @@ def newton_polytopes(system, deadline=None):
     return out
 
 
-def face_system(system, w):
-    """Restrict every polynomial to its w-minimal face."""
-    if len(w) != system.nvars:
-        raise InputError("direction length mismatch")
-    if all(x == 0 for x in w):
-        raise InputError("face direction must be nonzero")
-    w = tuple(map(rational, w))
-    return PolySystem(
-        system.variables, tuple(p.face(w) for p in system.polys), form=FORM_FACE
-    )
-
-
-def evaluate(system, point):
-    """Exact values of all polynomials at a Gaussian rational point."""
-    return tuple(p.evaluate(point) for p in system.polys)
-
-
 def bezout(system):
     """Product of the total degrees: the one-part `multihomogeneous_bezout`."""
     return multihomogeneous_bezout([[p.total_degree()] for p in system.polys], [system.nvars])
@@ -452,38 +369,43 @@ def multihomogeneous_bezout(degrees, sizes, deadline=None):
     return counts.get((), 0)
 
 
-def degeneracy_direction(n):
-    """Direction that keeps pinning terms and drops edge constants."""
-    return (0,) * 4 + (-1,) * (2 * n - 4)
-
-
-def degeneracy_witness_point(soe):
-    """The witness point of the distance system `soe`.
-
-    Its pinned coordinates, read off the four pinning equations, then
-    (1, i) for every free vertex.
-    """
-    pt = [GaussianRational.of(-p.coefficient(())) for p in soe.polys[:4]]
-    pt.extend((GR_ONE, GR_I) * (soe.nvars // 2 - 2))
-    return tuple(pt)
-
-
 def witness_check(soe):
     """Certify that the distance system `soe` is degenerate for face counting.
 
-    Builds the face system along (0,0,0,0,-1,..,-1) and evaluates it at
-    the explicit point with nonzero complex entries; returns True iff
-    every equation vanishes exactly, which makes the mixed volume a
-    strict upper bound on the embedding count. A two-vertex framework
-    has no free vertex and gives False.
+    The face direction is (0,0,0,0,-1,..,-1): a polynomial's face keeps
+    its terms of top degree in the free coordinates. The witness point
+    holds the pinned coordinates, read off the four pinning equations,
+    and (1, i) for every free vertex, so a term's value there is a
+    rational, its coefficient times powers of the pinned coordinates,
+    times i^k for k its degree in the free y's. A face vanishes exactly
+    when its rationals for k = 0 and k = 2 (mod 4) have equal sums, and
+    so do those for k = 1 and k = 3. Returns True iff every face
+    vanishes at a point with no zero coordinate, which makes the mixed
+    volume a strict upper bound on the embedding count (Bernstein,
+    Funct. Anal. Appl. 9, 1975). A two-vertex framework has no free
+    vertex and gives False.
     """
     if soe.form != FORM_SOE:
         raise InputError("the degeneracy witness needs a distance system")
-    n = soe.nvars // 2
-    if n == 2:
+    if soe.nvars // 2 == 2:
         return False  # no free vertex, so no face direction to test
-    point = degeneracy_witness_point(soe)
-    if any(x.is_zero() for x in point):
+    pinned = [-p.coefficient(()) for p in soe.polys[:4]]
+    if 0 in pinned:
         return False
-    faces = face_system(soe, degeneracy_direction(n))
-    return all(v.is_zero() for v in evaluate(faces, point))
+    for p in soe.polys:
+        top, sums = 0, [0, 0, 0, 0]  # the face's rationals, summed by k mod 4
+        for monomial, value in p.terms:
+            free = k = 0
+            for v, e in monomial:
+                if v < 4:
+                    value *= pinned[v] ** e
+                else:
+                    free += e
+                    k += e * (v % 2)  # the y coordinates sit at odd indices
+            if free > top:
+                top, sums = free, [0, 0, 0, 0]
+            if free == top:
+                sums[k % 4] += value
+        if sums[0] != sums[2] or sums[1] != sums[3]:
+            return False
+    return True

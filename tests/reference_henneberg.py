@@ -1,5 +1,8 @@
-"""Exhaustive references for the Henneberg machinery in `lamanmv.graphs`.
+"""Exhaustive references for the Laman and Henneberg machinery in `lamanmv.graphs`.
 
+`laman_oracle` checks the Laman counts on every vertex subset;
+`graphs.check_laman` plays a pebble game instead and must give the same
+verdict.
 `peel_search` is the backtracking reverse construction with a memo of
 failed edge sets; it tests each join with a fresh pebble game on the
 relabelled remainder. `graphs._peel_search` peels greedily on one carried
@@ -19,6 +22,7 @@ updates one edge list and must draw the same sequences.
 import itertools
 import random
 
+from lamanmv.errors import CapabilityError
 from lamanmv.graphs import (
     Graph,
     HennebergSequence,
@@ -29,6 +33,25 @@ from lamanmv.graphs import (
     henneberg_apply,
     triangle,
 )
+
+
+ORACLE_VERTEX_CAP = 12
+
+
+def laman_oracle(g):
+    """Exhaustive subset check of the Laman counts (n <= 12)."""
+    if g.n > ORACLE_VERTEX_CAP:
+        raise CapabilityError(f"subset oracle capped at {ORACLE_VERTEX_CAP} vertices")
+    if g.n < 2 or len(g.edges) != 2 * g.n - 3:
+        return False
+    vertices = range(1, g.n + 1)
+    for k in range(2, g.n + 1):
+        for subset in itertools.combinations(vertices, k):
+            sub = set(subset)
+            spanned = sum(1 for a, b in g.edges if a in sub and b in sub)
+            if spanned > 2 * k - 3:
+                return False
+    return True
 
 
 def _degree_map(edges, vertices):

@@ -10,6 +10,8 @@ import time
 from fractions import Fraction as F
 
 from conftest import framework_for, random_fullmixed_instance
+from reference_henneberg import laman_oracle
+from reference_subdivision import full_subdivision_2d
 from lamanmv.embeddings import enumerate_h1, tight_lengths
 from lamanmv.graphs import (
     Graph,
@@ -18,14 +20,12 @@ from lamanmv.graphs import (
     desargues_graph,
     henneberg_apply,
     k33_graph,
-    laman_oracle,
     random_henneberg_sequence,
     triangle,
 )
 from lamanmv.mixedvol import (
     METHOD_CERTIFICATE,
     certify_general_bound,
-    full_subdivision_2d,
     mixed_volume,
     mv_for_graph,
     mv_inclusion_exclusion,

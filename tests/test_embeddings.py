@@ -13,7 +13,6 @@ from lamanmv.embeddings import (
     count_h1,
     enumerate_h1,
     tight_lengths,
-    verify_embedding,
 )
 from lamanmv.errors import CapabilityError, DegenerateInputError, InputError, LamanMVError
 from lamanmv.graphs import (
@@ -36,6 +35,18 @@ def reflect(embedding):
         choices=tuple(-c for c in embedding.choices),
         tangent=embedding.tangent,
     )
+
+
+def verify_embedding(framework, embedding, tol):
+    """True iff every edge length is met within relative tolerance."""
+    for (i, j), l in framework.lengths.items():
+        if i not in embedding.points or j not in embedding.points:
+            return False
+        dx = embedding.points[i][0] - embedding.points[j][0]
+        dy = embedding.points[i][1] - embedding.points[j][1]
+        if abs(math.hypot(dx, dy) - float(l)) / float(l) > float(tol):
+            return False
+    return True
 
 
 def test_tight_lengths_base_triangle():

@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 import reference_henneberg
+from reference_henneberg import laman_oracle
 
 from lamanmv import graphs, polysys
 from lamanmv.errors import CapabilityError, InputError, SequenceError
@@ -27,7 +28,6 @@ from lamanmv.graphs import (
     henneberg_apply,
     henneberg_decompose,
     k33_graph,
-    laman_oracle,
     orient_two_in,
     random_henneberg_sequence,
     triangle,

@@ -17,6 +17,7 @@ from conftest import framework_for, random_fullmixed_instance
 from reference_enumerator import lifting_value, reference_enumerate_mixed_cells
 from reference_linalg import mat_det, mat_solve
 from reference_polysys import dense, perfect_matching as reference_perfect_matching, sparse
+from reference_subdivision import full_subdivision_2d
 from lamanmv import linprog, mixedvol, polysys, reporting
 from lamanmv.errors import CapabilityError, InputError, InternalError, NonGenericLiftingError
 from lamanmv.graphs import (
@@ -41,7 +42,6 @@ from lamanmv.mixedvol import (
     _touching,
     certify_general_bound,
     enumerate_mixed_cells,
-    full_subdivision_2d,
     is_mixed_cell,
     mixed_volume,
     mv_for_graph,

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_polysys
 from conftest import framework_for
-from reference_polysys import dense, sparse
+from reference_polysys import GR_I, GR_ONE, dense, sparse, witness_by_evaluation
 from lamanmv import cli, polysys
 from lamanmv.errors import CapabilityError, InputError
 from lamanmv.graphs import (
@@ -27,18 +27,12 @@ from lamanmv.graphs import (
 from lamanmv.polysys import (
     FORM_SOE,
     FORM_SUBSOE,
-    GaussianRational,
-    GR_I,
-    GR_ONE,
     Polynomial,
+    PolySystem,
     bezout,
     block_bezout,
     build_soe,
     build_subsoe,
-    degeneracy_direction,
-    degeneracy_witness_point,
-    evaluate,
-    face_system,
     multihomogeneous_bezout,
     newton_polytopes,
     supports,
@@ -168,17 +162,18 @@ def test_newton_polytopes_vertex_reduction():
 
 
 def test_face_system_minimality():
+    # The reference face, read off dense exponents, keeps exactly the
+    # sparse monomials of least weight.
     soe = build_soe(triangle_framework())
     rng = random.Random(5)
     for _ in range(10):
         w = tuple(F(rng.randint(-3, 3)) for _ in range(6))
         if all(x == 0 for x in w):
             continue
-        faces = face_system(soe, w)
-        for orig, f in zip(soe.polys, faces.polys):
+        for orig in soe.polys:
             vals = {m: sum(w[v] * e for v, e in m) for m in orig.support()}
             lo = min(vals.values())
-            kept = set(f.support())
+            kept = {sparse(e) for e, _ in reference_polysys.face(orig, w)}
             for e, v in vals.items():
                 assert (v == lo) == (e in kept)
 
@@ -186,12 +181,10 @@ def test_face_system_minimality():
 def test_face_system_pinned_examples():
     soe = build_soe(triangle_framework())
     # All-positive direction: the constant term is the unique minimizer.
-    all_pos = face_system(soe, (1, 1, 1, 1, 1, 1))
-    for p in all_pos.polys:
-        assert p.support() == [()]
+    for p in soe.polys:
+        assert [e for e, _ in reference_polysys.face(p, (1, 1, 1, 1, 1, 1))] == [(0,) * 6]
     # Direction e1 on h1 = x1 - c1 keeps the constant alone.
-    e1 = face_system(soe, (1, 0, 0, 0, 0, 0))
-    assert e1.polys[0].terms == (((), F(-1)),)
+    assert reference_polysys.face(soe.polys[0], (1, 0, 0, 0, 0, 0)) == [((0,) * 6, -1)]
 
 
 def test_circle_newton_polytope_is_triangle():
@@ -201,28 +194,31 @@ def test_circle_newton_polytope_is_triangle():
         assert circle_np.nvertices == 3
 
 
-def test_face_system_rejects_zero_direction():
-    soe = build_soe(triangle_framework())
-    with pytest.raises(InputError):
-        face_system(soe, (0,) * 6)
-
-
 def test_degeneracy_face_system_shape():
-    soe = build_soe(triangle_framework())
-    faces = face_system(soe, degeneracy_direction(3))
-    # pinning equations survive whole, edge equations lose the constant
-    for i in range(4):
-        assert faces.polys[i].terms == soe.polys[i].terms
-    for p in faces.polys[4:]:
-        assert () not in p.support()
+    # Along the witness direction, pinning equations survive whole and
+    # edge equations lose the constant: each face is its polynomial's
+    # terms of top degree in the free coordinates, which is what
+    # `witness_check` reads.
+    for fw in (triangle_framework(), framework_for(k33_graph())):
+        soe = build_soe(fw)
+        w = reference_polysys.witness_direction(fw.graph.n)
+        faces = [reference_polysys.face(p, w) for p in soe.polys]
+        for i in range(4):
+            assert faces[i] == reference_polysys.dense_terms(soe.polys[i])
+        for p, face in zip(soe.polys, faces):
+            top = max(sum(e for v, e in m if v >= 4) for m in p.support())
+            assert face == sorted((dense(soe.nvars, m), c) for m, c in p.terms
+                                  if sum(e for v, e in m if v >= 4) == top)
+            if p not in soe.polys[:4]:
+                assert (0,) * soe.nvars not in [e for e, _ in face]
 
 
 def test_evaluate_exact():
     p = Polynomial.make(2, {((0, 2),): 1, ((1, 2),): 1})
-    val = p.evaluate((GR_ONE, GR_I))
-    assert val.is_zero()
+    assert reference_polysys.evaluate(p, (GR_ONE, GR_I)).is_zero()
+    assert not reference_polysys.evaluate(p, (GR_ONE, GR_ONE)).is_zero()
     diff = Polynomial.make(2, {((0, 2),): 0})
-    assert diff.evaluate((GR_ONE, GR_I)).is_zero()
+    assert reference_polysys.evaluate(diff, (GR_ONE, GR_I)).is_zero()
 
 
 def test_make_rejects_non_integer_exponents():
@@ -267,31 +263,6 @@ def test_make_rejects_malformed_monomials():
             Polynomial.make(3, {monomial: 0})
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(_dense_polynomials(), st.data())
-def test_evaluate_and_face_agree_with_the_dense_reference(case, data):
-    nvars, coeffs = case
-    p = Polynomial.make(nvars, {sparse(e): c for e, c in coeffs.items()})
-    part = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-    point = tuple(GaussianRational.of(data.draw(part), data.draw(part)) for _ in range(nvars))
-    assert p.evaluate(point) == reference_polysys.evaluate(p, point)
-    w = data.draw(st.tuples(*[st.integers(-3, 3)] * nvars).filter(any))
-    assert reference_polysys.dense_terms(p.face(w)) == reference_polysys.face(p, w)
-
-
-def test_evaluate_and_face_agree_with_the_dense_reference_on_built_systems():
-    rng = random.Random(3)
-    for g in (k33_graph(), desargues_graph(), triangle()):
-        for system in (build_soe(framework_for(g)), build_subsoe(framework_for(g))):
-            point = tuple(GaussianRational.of(F(rng.randint(-5, 5), rng.randint(1, 4)),
-                                              F(rng.randint(-5, 5), rng.randint(1, 4)))
-                          for _ in range(system.nvars))
-            w = tuple(rng.randint(-2, 2) for _ in range(system.nvars))
-            for p in system.polys:
-                assert p.evaluate(point) == reference_polysys.evaluate(p, point)
-                assert reference_polysys.dense_terms(p.face(w)) == reference_polysys.face(p, w)
-
-
 def test_every_built_term_holds_at_most_two_variables():
     graphs = [g for n in range(2, 7) for g in all_laman_graphs(n)]
     graphs.append(henneberg_apply(random_henneberg_sequence(200, seed=5, step2_probability=0.3)))
@@ -313,30 +284,80 @@ def test_make_keeps_integral_coefficients_as_ints():
     assert any(type(c) is F for p in build_soe(half).polys for _, c in p.terms)
 
 
-def test_evaluate_poly_minus_itself():
-    rng = random.Random(7)
-    soe = build_soe(triangle_framework())
-    pt = tuple(
-        GaussianRational.of(F(rng.randint(-5, 5), rng.randint(1, 4)),
-                            F(rng.randint(-5, 5), rng.randint(1, 4)))
-        for _ in range(6)
-    )
-    for p in soe.polys:
-        v = p.evaluate(pt)
-        assert (v - v).is_zero()
-
-
 def test_witness_check_triangle_and_k33():
     assert witness_check(build_soe(triangle_framework()))
     assert witness_check(build_soe(framework_for(k33_graph())))
 
 
 def test_witness_original_system_nonzero():
-    fw = triangle_framework()
-    soe = build_soe(fw)
-    pt = degeneracy_witness_point(soe)
-    vals = evaluate(soe, pt)
-    assert any(not v.is_zero() for v in vals)
+    # The faces vanish at the witness point, the whole system does not.
+    soe = build_soe(triangle_framework())
+    pt = reference_polysys.witness_point(soe)
+    assert any(not reference_polysys.evaluate(p, pt).is_zero() for p in soe.polys)
+
+
+def test_witness_closed_form_agrees_with_evaluation_on_the_catalog():
+    # Every Laman graph with n <= 8 up to isomorphism, at sorted-index
+    # lengths: the closed form against the face system evaluated over
+    # Gaussian rationals.
+    for n in range(2, 9):
+        for g in all_laman_graphs(n):
+            soe = build_soe(framework_for(g))
+            assert witness_check(soe) == witness_by_evaluation(soe) == (n >= 3), sorted(g.edges)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 8), st.data())
+def test_witness_closed_form_agrees_with_evaluation_at_drawn_lengths(n, data):
+    g = data.draw(st.sampled_from(all_laman_graphs(n)))
+    length = st.fractions(min_value=F(1, 8), max_value=40, max_denominator=8)
+    soe = build_soe(Framework.make(g, {e: data.draw(length) for e in sorted(g.edges)}))
+    assert witness_check(soe) == witness_by_evaluation(soe)
+
+
+def _with_poly(soe, j, coeffs):
+    """`soe` with its polynomial j replaced, still read as a distance system."""
+    polys = list(soe.polys)
+    polys[j] = Polynomial.make(soe.nvars, coeffs)
+    return PolySystem(soe.variables, tuple(polys), form=FORM_SOE)
+
+
+def test_witness_fails_once_a_top_free_degree_coefficient_changes():
+    soe = build_soe(framework_for(k33_graph()))
+    for j in range(4, soe.nvars):
+        terms = dict(soe.polys[j].terms)
+        top = max(sum(e for v, e in m if v >= 4) for m in terms)
+        for m in terms:
+            changed = dict(terms)
+            changed[m] += 1
+            mutant = _with_poly(soe, j, changed)
+            in_face = sum(e for v, e in m if v >= 4) == top
+            # Only the face's coefficients matter: the constant is free.
+            assert witness_check(mutant) == witness_by_evaluation(mutant) == (not in_face), (j, m)
+
+
+def test_witness_on_hand_built_faces():
+    # The built systems' faces hold even powers of the free y's and no
+    # pinned coordinate above the first power. A cubic face puts i and
+    # i^3 = -i against each other; a squared y1 = 2 weighs 4.
+    soe = build_soe(triangle_framework())  # x3, y3 at 4, 5
+    for c, vanishes in ((4, True), (2, False)):
+        mutant = _with_poly(soe, 4, {((1, 2), (4, 2)): 1, ((5, 2),): c, (): 2})  # y1^2 x3^2 + c y3^2
+        assert witness_check(mutant) == witness_by_evaluation(mutant) == vanishes
+    cubic = {((5, 3),): 1, ((4, 2), (5, 1)): 1, ((5, 1),): 7, (): 2}  # face y3^3 + x3^2 y3
+    for sign, vanishes in ((1, True), (-1, False)):
+        mutant = _with_poly(soe, 4, {**cubic, ((4, 2), (5, 1)): sign})
+        assert witness_check(mutant) == witness_by_evaluation(mutant) == vanishes
+    mutant = _with_poly(soe, 4, {((4, 1), (5, 1)): 1, (): 2})  # face x3 y3, i at the point
+    assert not witness_check(mutant) and not witness_by_evaluation(mutant)
+
+
+def test_witness_fails_at_a_zero_pinned_coordinate():
+    soe = build_soe(framework_for(k33_graph()))
+    for j in range(4):
+        mutant = _with_poly(soe, j, {((j, 1),): 1})
+        assert not witness_check(mutant)
+        assert not witness_by_evaluation(mutant)
 
 
 def test_bezout_values():

@@ -14,6 +14,7 @@ from conftest import (
     scale,
     translate,
 )
+from reference_henneberg import laman_oracle
 from lamanmv.graphs import (
     Graph,
     all_laman_graphs,
@@ -21,7 +22,6 @@ from lamanmv.graphs import (
     check_laman,
     henneberg_apply,
     henneberg_decompose,
-    laman_oracle,
     random_henneberg_sequence,
 )
 from lamanmv.mixedvol import (

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -31,6 +33,23 @@ e 2 3 3
 K33 = "n 6\n" + "\n".join(f"e {a} {b}" for a in (1, 3, 5) for b in (2, 4, 6))
 
 K4 = "n 4\n" + "\n".join(f"e {a} {b}" for a in range(1, 5) for b in range(a + 1, 5))
+
+
+def test_every_name_the_benchmark_tracer_patches_resolves():
+    # perfbench/tracing.py looks up each (module, attribute) of TARGETS in
+    # the library by name, so a renamed or removed one fails the traced
+    # benchmark runs; the file is read here, not changed.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for owner_name, attr, _, _ in tracing.TARGETS:
+        module, *cls = owner_name.split(".")
+        owner = importlib.import_module(f"lamanmv.{module}")
+        for part in cls:
+            owner = getattr(owner, part)
+        assert attr in vars(owner) if cls else hasattr(owner, attr), (owner_name, attr)
 
 
 def test_parse_triangle():
@@ -524,12 +543,30 @@ def test_cli_system_refuses_a_listing_just_above_the_cap(tmp_path, capsys, form,
         return system.nvars * sum(len(p.terms) for p in system.polys)
 
     text = graph_text(n)
-    assert entries(graph_text(n - 1)) <= cli.SYSTEM_LISTING_CAP < entries(text)
+    assert entries(graph_text(n - 1)) <= cli.LISTING_CAP < entries(text)
     start = time.process_time()
     for fmt in ("json", "text"):
         assert run_cli(tmp_path, text, "system", "--form", form, "--format", fmt) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: the listing holds ")
+    assert time.process_time() - start < 2
+
+
+def test_cli_certify_refuses_a_cell_listing_above_the_cap(tmp_path, capsys, monkeypatch):
+    # The cell lists 2 nvars points of nvars = 2n entries each, 8 n^2 in
+    # all, which passes the cap from n = 791 on (without the cap, n = 2,000
+    # printed 544 MB of JSON). The refusal comes before the certificate.
+    assert 8 * 790**2 <= cli.LISTING_CAP < 8 * 791**2
+    calls = []
+    monkeypatch.setattr(mixedvol, "certify_general_bound", lambda *args, **kw: calls.append(args))
+    text = _graph_file_text(henneberg_apply(random_henneberg_sequence(800, seed=5, step2_probability=0.3)))
+    start = time.process_time()
+    for fmt in ("json", "text"):
+        assert run_cli(tmp_path, text, "certify", "--format", fmt) == cli.EXIT_CAPABILITY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the listing holds {8 * 800**2} exponents, above the cap of {cli.LISTING_CAP}\n"
+    assert calls == []
     assert time.process_time() - start < 2
 
 
