@@ -52,7 +52,6 @@ from .mixedvol import (
     mv_for_graph,
     mv_inclusion_exclusion,
     random_lifting,
-    separation_split,
 )
 from .polysys import (
     FORM_SOE,
@@ -73,5 +72,6 @@ from .polytopes import (
     volume_exact,
 )
 from .reporting import borcea_streinu_bound, build_report, parse_graph_file
+from .separation import separation_split
 
 __version__ = "0.1.0"

@@ -5,14 +5,14 @@
 lemma exactly one of A x >= b and the Farkas system A^T y = 0,
 b^T y = 1, y >= 0 has a solution, and the test runs phase 1 of the dense
 simplex method on the latter: nvars + 1 equality rows with right-hand
-sides 0 and 1, one nonnegative column per input row and an identity
-block for the artificials. Int rows, the only rows the mixed-cell search
-passes, enter the tableau as they are; when some entry is a Fraction,
-each row is scaled to integers by the lcm of its denominators. Bland's
-pivoting rule makes every run terminate and pivot identically on
-identical inputs; every pivot is the integer-preserving update of
-Bareiss (Math. Comp. 22, 1968). A positive phase-1 optimum
-means A x >= b is feasible. A zero one means it is not, and the basic
+sides 0 and 1, one nonnegative column per input row and one artificial
+per equality row, whose identity block stays implicit (`solve`). Int
+rows, the only rows the mixed-cell search passes, enter the tableau as
+they are; when some entry is a Fraction, each row is scaled to integers
+by the lcm of its denominators. Bland's pivoting rule makes every run
+terminate and pivot identically on identical inputs; every pivot is the
+integer-preserving update of Bareiss (Math. Comp. 22, 1968). A positive
+phase-1 optimum means A x >= b is feasible. A zero one means it is not, and the basic
 columns give an int Farkas vector y >= 0 with y^T A = 0 and y^T b > 0
 (the rows add up to 0 >= a positive number), verified exactly before
 it is returned. There are no tolerances anywhere.
@@ -44,7 +44,11 @@ def solve(rows, nvars):
     """Phase 1 on the Farkas system of rows of nvars coefficients and a rhs.
 
     Column j is row j times the lcm s_j of its denominators; int rows
-    are used as given (s_j = 1). Entries are ints over one common
+    are used as given (s_j = 1). A tableau row holds the m column
+    entries and the rhs; the artificials' identity block stays implicit,
+    basis index m + i naming artificial i, so one that leaves never
+    re-enters. No verdict changes: every solution of the Farkas system
+    has all artificials zero. Entries are ints over one common
     denominator d > 0, each a minor of the initial matrix up to sign, so
     the Bareiss update divides exactly. z is d times the cost row of
     minus the sum of the artificials (z_j > 0: column j lowers the sum),
@@ -56,11 +60,8 @@ def solve(rows, nvars):
     else:
         scales = [math.lcm(*[x.denominator for x in row]) for row in rows]
         cols = [[(x * s).numerator for x in row] for row, s in zip(rows, scales)]
-    tab = [
-        [col[i] for col in cols] + [int(t == i) for t in range(nvars + 1)] + [int(i == nvars)]
-        for i in range(nvars + 1)
-    ]
-    z = [sum(col) for col in cols] + [0] * (nvars + 1) + [1]
+    tab = [[col[i] for col in cols] + [int(i == nvars)] for i in range(nvars + 1)]
+    z = [sum(col) for col in cols] + [1]
     basis = list(range(m, m + nvars + 1))
     d = 1
     for _ in range(_MAX_PIVOTS):

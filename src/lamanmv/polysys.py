@@ -267,7 +267,7 @@ def supports(system):
 def newton_polytopes(system, deadline=None):
     """Vertex-form Newton polytope of every polynomial, in system order.
 
-    Not on the `mv`/`report` path: `mixedvol.separation_split` splits
+    Not on the `mv`/`report` path: `separation.separation_split` splits
     the raw supports and hulls each distinct block projection once.
     Raises CapabilityError once `deadline` (a time.monotonic() value)
     has passed, checked before each hull and passed to `from_points`.

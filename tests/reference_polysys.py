@@ -8,7 +8,7 @@ convert one monomial. `evaluate` is exact over Gaussian rationals, and
 the face system along (0,0,0,0,-1,..,-1) evaluated at the witness
 point, which `polysys.witness_check` reads off in closed form.
 `perfect_matching` is Kuhn's algorithm recursing once per step of an
-augmenting path, which `mixedvol._perfect_matching` replaces by an
+augmenting path, which `separation._perfect_matching` replaces by an
 explicit stack. The tests compare the library against these.
 """
 

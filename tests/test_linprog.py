@@ -32,6 +32,25 @@ def test_infeasible_with_farkas():
     assert verify_farkas(rows, 1, out.certificate)
 
 
+def test_implicit_artificials_on_a_zero_column():
+    # The second variable's coefficient is zero in every row, so its
+    # equality row of the Farkas system is all zero and its artificial
+    # stays basic at zero. x >= 1 and x <= 0 is infeasible, x >= 1 and
+    # x <= 2 is not; each verdict is the reference's, and the Farkas
+    # vector is one nonnegative int per row.
+    for rows, status in (([[1, 0, 1], [-1, 0, 0]], INFEASIBLE), ([[1, 0, 1], [-1, 0, -2]], FEASIBLE)):
+        out = feasible(rows, 2)
+        ref = reference_solve(LinearProgram.make([0, 0], [(r[:-1], GE, r[-1]) for r in rows]))
+        assert out.status == status
+        assert (ref.status == REF_INFEASIBLE) == (status == INFEASIBLE)
+        if status == INFEASIBLE:
+            y = out.certificate
+            assert len(y) == len(rows) and all(type(v) is int for v in y)
+            assert verify_farkas(rows, 2, y)
+        else:
+            assert out.certificate is None
+
+
 def test_feasible_wrapper_empty():
     assert feasible([], 2) == linprog.LPOutcome(status=FEASIBLE)
 

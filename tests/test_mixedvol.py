@@ -18,7 +18,7 @@ from reference_enumerator import lifting_value, reference_enumerate_mixed_cells
 from reference_linalg import mat_det, mat_solve
 from reference_polysys import dense, perfect_matching as reference_perfect_matching, sparse
 from reference_subdivision import full_subdivision_2d
-from lamanmv import linprog, mixedvol, polysys, reporting
+from lamanmv import linprog, mixedvol, polysys, reporting, separation
 from lamanmv.errors import CapabilityError, InputError, InternalError, NonGenericLiftingError
 from lamanmv.graphs import (
     Framework,
@@ -308,10 +308,10 @@ def test_block_order_matches_condensation_rule():
         supports = [{perm[i]} | {c for c in range(k) if rng.random() < density} for i in range(k)]
         zero = (F(0),) * k
         polys = [RationalPolytope(k, (zero, tuple(F(c in s) for c in range(k)))) for s in supports]
-        match = mixedvol._perfect_matching([sorted(s) for s in supports], k)
+        match = separation._perfect_matching([sorted(s) for s in supports], k)
         owner = {c: i for i, c in enumerate(match)}
         adj = {i: {owner[c] for c in supports[i]} - {i} for i in range(k)}
-        comps = mixedvol._sccs(adj, k)
+        comps = separation._sccs(adj, k)
         blocks = [b.polytope_indices for b in separation_split(polys)]
         assert blocks == _condensation_sinks_first(comps, adj)
         shapes["many blocks" if len(blocks) >= 4 else "few blocks"] += 1
@@ -325,9 +325,9 @@ def test_matching_follows_an_augmenting_path_past_the_recursion_limit():
     # polytope one coordinate up, k steps deep.
     k = 3 * sys.getrecursionlimit()
     uses = [[i, i + 1] for i in range(k - 1)] + [[0]]
-    assert mixedvol._perfect_matching(uses, k) == [*range(1, k), 0]
+    assert separation._perfect_matching(uses, k) == [*range(1, k), 0]
     with pytest.raises(CapabilityError, match="coordinate blocks"):
-        mixedvol._perfect_matching(uses, k, deadline=time.monotonic() - 1)
+        separation._perfect_matching(uses, k, deadline=time.monotonic() - 1)
 
 
 @st.composite
@@ -342,7 +342,7 @@ def _relations(draw):
 @given(_relations())
 def test_matching_agrees_with_the_recursive_one(relation):
     uses, k = relation
-    match = mixedvol._perfect_matching(uses, k)
+    match = separation._perfect_matching(uses, k)
     event("matched" if match else "no perfect matching")
     assert match == reference_perfect_matching(uses, k)
 
@@ -853,29 +853,33 @@ def _direction(row):
 
 
 def test_shared_tables_match_a_fresh_reduction(monkeypatch):
-    # The child for edge (a, b) reads row a of its node's table, point a
-    # minus each other point u, its node's parent's reduced by the node's
-    # one pivot. Each such row must match, up to a positive factor, the
-    # lifted point difference reduced over Fractions against each compact
-    # pivot of the node's path, that pivot's column then deleted: on
-    # random draws, repeats and ties included, and on the deep
-    # substituted blocks of K33 and the prism, at every depth.
+    # The child for edge (a, b) reads row a of its node's table: for each
+    # other point u in increasing order, (u, s, row) with s * row point a
+    # minus point u, its node's parent's reduced by the node's one pivot,
+    # each pair stored once and shared with row u under the opposite
+    # sign. Each s * row must match, up to a positive factor, the lifted
+    # point difference reduced over Fractions against each compact pivot
+    # of the node's path, that pivot's column then deleted: on random
+    # draws, repeats and ties included, and on the deep substituted
+    # blocks of K33 and the prism, at every depth.
     checked = Counter()
     real_descend = mixedvol._Enumerator._descend
 
     def descend(self, chosen, a, b, table, path, *rest):
         poly = chosen[-1][0]
         pts = mixedvol._lifted(self.polys[poly].vertices, self.lifting[poly])[0]
-        for u, pt in enumerate(pts):
-            if u == a:
-                continue
-            r = [F(x - y) for x, y in zip(pts[a], pt)]
+        assert [u for u, _, _ in table[a]] == [u for u in range(len(pts)) if u != a]
+        for u, s, row in table[a]:
+            assert s == (1 if a < u else -1)
+            assert next((t, r) for w, t, r in table[u] if w == a) == (-s, row)
+            assert next(r for w, _, r in table[u] if w == a) is row
+            r = [F(x - y) for x, y in zip(pts[a], pts[u])]
             for c, p, _ in path:
                 f = r[c] / p[c]
                 r = [x - f * y for x, y in zip(r, p)]
                 del r[c]
-            assert len(table[a][u]) == len(r) == self.k - len(path) + 1
-            assert _direction(table[a][u]) == _direction(r), (chosen, a, u)
+            assert len(row) == len(r) == self.k - len(path) + 1
+            assert _direction([s * x for x in row]) == _direction(r), (chosen, a, u)
         checked[len(path)] += 1
         return real_descend(self, chosen, a, b, table, path, *rest)
 
@@ -888,6 +892,57 @@ def test_shared_tables_match_a_fresh_reduction(monkeypatch):
         checked.clear()
         mixed_volume(_subsoe_block(graph(), dim).projected, seed=0)
         assert set(checked) == set(range(dim)), checked
+
+
+@st.composite
+def _child_of_a_node(draw):
+    """A node's carried rows as the search holds them and a child's pivot row.
+
+    The pivot row v (coeffs..., rhs) is zero before its pivot column col
+    and positive there. The carried rows, direction -> (g, row), are
+    random or parallel to v's coefficients, so that many of them are
+    fully determined once v eliminates them.
+    """
+    k = draw(st.integers(1, 4))
+    col = draw(st.integers(0, k - 1))
+    ints = st.integers(-4, 4)
+    v = [0] * col + [draw(st.integers(1, 4))] + draw(st.lists(ints, min_size=k - col, max_size=k - col))
+    active = {}
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            c = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+            coeffs = [c * x for x in v[:k]]
+        else:
+            coeffs = draw(st.lists(ints, min_size=k, max_size=k))
+        if g := math.gcd(*coeffs):
+            active[tuple(x // g for x in coeffs)] = g, [*coeffs, draw(ints)]
+    return v, col, active
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_child_of_a_node())
+def test_child_dies_exactly_on_a_violated_determined_row(child):
+    # A child with no fresh rows: it must end without a descendant and
+    # without a cell exactly when eliminating some carried row by its
+    # pivot row leaves zero coefficients and a positive rhs. Otherwise
+    # its tie flag is set exactly when such a row has a zero rhs.
+    v, col, active = child
+    k = len(v) - 1
+    determined = []
+    for _, r in active.values():
+        e = [v[col] * x - r[col] * y for x, y in zip(r, v)]
+        if not any(e[:k]):
+            determined.append(e[k])
+    enum = object.__new__(mixedvol._Enumerator)
+    enum.deadline = None
+    reached = []
+    enum._finish = lambda chosen, tie, cells, ties: reached.append(tie)
+    enum._branch = lambda chosen, path, rows, tie, cells, ties: reached.append(tie)
+    enum._prunable = lambda rows, n: False
+    enum._descend((), 0, 1, [[(1, 1, v)], [(0, -1, v)]], (), active, False, [], [])
+    dies = any(b > 0 for b in determined)
+    event(f"dies: {dies}, tie: {not dies and 0 in determined}")
+    assert reached == ([] if dies else [0 in determined])
 
 
 def _subsoe_block(graph, dim):

@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent ../parent --change . --label search \
         --workload subsoe-swap --seeds 41 42 43 --seconds 25 \
-        --change-note "what the change does" --deep 8 9
+        --change-note "what the change does" --deep 8 9 --tier1
 
 `--parent` and `--change` are two source checkouts, for example a copy of
 the parent commit made with `git archive` or `git worktree add`. For each
@@ -20,15 +20,25 @@ default lengths, once per side and size, in alternating order, with the
 search's node count (`_Enumerator._descend` calls) and its pruning LPs
 (`linprog.feasible` calls). Times are process CPU seconds on this
 machine, not scaled to a reference speed.
+
+Each side also records the line count of each `src/lamanmv/*.py` and
+the peak RSS of a fresh `PYTHONDONTWRITEBYTECODE=1` interpreter that
+only imports `lamanmv.cli` (median of five, sides alternating). Without
+bytecode files that peak is set by compiling the largest module, so it
+tells a `peak_rss_mb` move that comes from a longer module apart from
+the program's own memory. `--tier1` runs the Tier-1 suite once per side
+and records its wall time, its summary line and its ten slowest tests.
 """
 
 import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -54,6 +64,17 @@ res = mixedvol.mv_for_graph(reporting.parse_graph_file(text), "subsoe", seed=0)
 print(json.dumps({"cpu_s": round(time.process_time() - start, 2), "value": int(res.value),
                   "cells": len(res.cells), **counts}))
 """
+
+
+IMPORT_PEAK = """
+import json, resource, sys
+sys.path.insert(0, "src")
+import lamanmv.cli
+print(json.dumps({"mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider", "--durations=10"]
 
 
 def run_json(cmd, cwd):
@@ -110,6 +131,42 @@ def deep_graphs(dirs, sizes):
     return out
 
 
+def source_sides(dirs, repeats=5):
+    """Per side: the line count of each src/lamanmv/*.py and the import-only peak RSS in MB."""
+    peaks = {side: [] for side in SIDES}
+    for i in range(repeats):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            peaks[side].append(run_json([sys.executable, "-c", IMPORT_PEAK], dirs[side])["mb"])
+    out = {}
+    for side in SIDES:
+        lines = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+                 for path in sorted((dirs[side] / "src" / "lamanmv").glob("*.py"))}
+        out[side] = {
+            "import_peak_rss_mb": {"median": round(statistics.median(peaks[side]), 2),
+                                   "runs": [round(x, 2) for x in peaks[side]]},
+            "src_lines": {**lines, "total": sum(lines.values())},
+        }
+    return out
+
+
+def tier1(dirs):
+    """Per side, one Tier-1 run: wall seconds, pytest's summary line and its ten slowest tests."""
+    out = {}
+    for side in SIDES:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH="src")
+        start = time.monotonic()
+        run = subprocess.run(TIER1, cwd=dirs[side], env=env, capture_output=True, text=True)
+        lines = run.stdout.strip().splitlines()
+        out[side] = {
+            "wall_s": round(time.monotonic() - start, 1),
+            "summary": lines[-1].strip("= ") if lines else "",
+            "slowest": [line.split(None, 2) for line in lines
+                        if re.match(r"\d+\.\d+s (call|setup|teardown) ", line)],
+        }
+        print("tier1", side, out[side]["wall_s"], out[side]["summary"], file=sys.stderr, flush=True)
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
@@ -121,6 +178,7 @@ def main(argv=None):
     ap.add_argument("--parent-commit", default="", help="recorded as parent_commit")
     ap.add_argument("--change-note", default="", help="recorded as change")
     ap.add_argument("--deep", nargs="*", type=int, default=[], metavar="N")
+    ap.add_argument("--tier1", action="store_true", help="also time the Tier-1 suite once per side")
     args = ap.parse_args(argv)
     dirs = {side: getattr(args, side).resolve() for side in SIDES}
     runs, end_to_end = bench_pairs(dirs, args.workloads, args.seeds, args.seconds)
@@ -136,9 +194,12 @@ def main(argv=None):
                     "alternating which side runs first",
         "runs": runs,
         "end_to_end": end_to_end,
+        "source": source_sides(dirs),
     }
     if args.deep:
         result["deep_graphs"] = deep_graphs(dirs, args.deep)
+    if args.tier1:
+        result["tier1"] = tier1(dirs)
     path = Path(f"BENCH_{args.label}.json")
     path.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     print(path)
