@@ -65,10 +65,7 @@ def _parser():
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--timeout", type=seconds, default=None, help="seconds")
         if form:
-            sp.add_argument(
-                "--form", choices=(polysys.FORM_SOE, polysys.FORM_SUBSOE),
-                default=polysys.FORM_SUBSOE,
-            )
+            sp.add_argument("--form", choices=tuple(polysys.BUILDERS), default=polysys.FORM_SUBSOE)
 
     common(sub.add_parser("check", help="Laman property with witness"))
     common(sub.add_parser("henneberg", help="construction sequence and class"))
@@ -196,8 +193,7 @@ def _orient(args, fw):
 
 
 def _system(args, fw):
-    build = polysys.build_soe if args.form == polysys.FORM_SOE else polysys.build_subsoe
-    system = build(fw)
+    system = polysys.BUILDERS[args.form](fw)
     _refuse_listing(system.nvars * sum(len(p.terms) for p in system.polys))
     dense = functools.partial(polysys.dense_exponents, system.nvars)
     try:

@@ -83,7 +83,7 @@ from .errors import (
     NonGenericLiftingError,
     check_deadline,
 )
-from .polysys import FORM_SOE, FORM_SUBSOE, bezout, build_soe, build_subsoe, supports
+from .polysys import BUILDERS, FORM_SOE, FORM_SUBSOE, bezout, supports
 from .separation import separation_split
 
 # The search runs no float LP. The benchmark tracer (perfbench/tracing.py)
@@ -573,13 +573,9 @@ def mv_for_graph(framework, form=FORM_SUBSOE, seed=0, oracle=False, deadline=Non
     vertices are solved once per call: the same vertices and seed give
     the same lifting and cells.
     """
-    if form == FORM_SOE:
-        system = build_soe(framework)
-    elif form == FORM_SUBSOE:
-        system = build_subsoe(framework)
-    else:
+    if not isinstance(form, str) or form not in BUILDERS:
         raise InputError(f"unknown system form {form!r}")
-    return _mv_for_system(system, seed, oracle, deadline)
+    return _mv_for_system(BUILDERS[form](framework), seed, oracle, deadline)
 
 
 def _mv_for_system(system, seed=0, oracle=False, deadline=None):

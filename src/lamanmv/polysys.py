@@ -142,21 +142,6 @@ class PolySystem:
         return len(self.variables)
 
 
-def _soe_variables(n):
-    names = []
-    for i in range(1, n + 1):
-        names.extend((f"x{i}", f"y{i}"))
-    return tuple(names)
-
-
-def _pinning_polys(nvars, x1, y1, x2, y2, l12):
-    c1 = 2 if l12 == 1 else 1
-    return [
-        Polynomial.make(nvars, {((v, 1),): 1, (): -c})
-        for v, c in ((x1, c1), (y1, 2), (x2, l12 - c1), (y2, 3))
-    ]
-
-
 def _pinned(framework):
     """The framework relabelled so its default base edge is (1,2), and its length.
 
@@ -171,6 +156,28 @@ def _pinned(framework):
     return framework, framework.lengths[(1, 2)]
 
 
+def _build(framework, form, equations):
+    """The builder core: the system `form` of the pinned framework.
+
+    x_i and y_i sit at xs[i] = 2i - 2 and ys[i] = 2i - 1 and, in the
+    substituted system, s_i at ss[i] = 2n + i - 1 (`variable_parts` reads
+    this layout). The pinning equations x1 = c1, y1 = 2, x2 = l12 - c1 and
+    y2 = 3 come first, then one polynomial per coefficient mapping that
+    `equations(framework, xs, ys, ss)` yields.
+    """
+    framework, l12 = _pinned(framework)
+    n = framework.graph.n
+    xs, ys, ss = range(-2, 2 * n, 2), range(-1, 2 * n, 2), range(2 * n - 1, 3 * n)
+    names = [f"{c}{i}" for i in range(1, n + 1) for c in "xy"]
+    if form == FORM_SUBSOE:
+        names += [f"s{i}" for i in range(1, n + 1)]
+    nvars = len(names)
+    c1 = 2 if l12 == 1 else 1
+    polys = [Polynomial.make(nvars, {((v, 1),): 1, (): -c}) for v, c in enumerate((c1, 2, l12 - c1, 3))]
+    polys += [Polynomial.make(nvars, coeffs) for coeffs in equations(framework, xs, ys, ss)]
+    return PolySystem(tuple(names), tuple(polys), form=form)
+
+
 def build_soe(framework):
     """Distance system: four pinning equations, one quadratic per edge.
 
@@ -181,40 +188,30 @@ def build_soe(framework):
     i for every i >= 3. That ordering is what the volume certificate
     consumes.
     """
-    framework, l12 = _pinned(framework)
+    return _build(framework, FORM_SOE, _distance_equations)
+
+
+def _distance_equations(framework, xs, ys, _):
     g = framework.graph
-    n = g.n
-    nvars = 2 * n
-    xs = {i: 2 * (i - 1) for i in range(1, n + 1)}
-    ys = {i: 2 * (i - 1) + 1 for i in range(1, n + 1)}
-    polys = _pinning_polys(nvars, xs[1], ys[1], xs[2], ys[2], l12)
-    orientation = orient_two_in(g, (1, 2))
-    in_edges = {v: [] for v in range(3, n + 1)}
-    for e, head in orientation.heads.items():
+    in_edges = {v: [] for v in range(3, g.n + 1)}
+    for e, head in orient_two_in(g, (1, 2)).heads.items():
         in_edges[head].append(e)
-    mk = Polynomial.make
-    for v in range(3, n + 1):
+    for v in range(3, g.n + 1):
         pair = sorted(in_edges[v])
         if len(pair) != 2:
             raise InputError("orientation must give exactly two in-edges")
         for i, j in pair:
             l = framework.lengths[edge_key(i, j)]
             xi, xj, yi, yj = xs[i], xs[j], ys[i], ys[j]
-            polys.append(
-                mk(
-                    nvars,
-                    {
-                        ((xi, 2),): 1,
-                        ((xj, 2),): 1,
-                        ((xi, 1), (xj, 1)): -2,
-                        ((yi, 2),): 1,
-                        ((yj, 2),): 1,
-                        ((yi, 1), (yj, 1)): -2,
-                        (): -(l * l),
-                    },
-                )
-            )
-    return PolySystem(_soe_variables(n), tuple(polys), form=FORM_SOE)
+            yield {
+                ((xi, 2),): 1,
+                ((xj, 2),): 1,
+                ((xi, 1), (xj, 1)): -2,
+                ((yi, 2),): 1,
+                ((yj, 2),): 1,
+                ((yi, 1), (yj, 1)): -2,
+                (): -(l * l),
+            }
 
 
 def build_subsoe(framework):
@@ -223,33 +220,26 @@ def build_subsoe(framework):
     The pinned edge is chosen and relabelled to (1,2) as in `build_soe`.
     Raises InputError when the graph is not Laman, as `build_soe` does.
     """
-    framework, l12 = _pinned(framework)
+    return _build(framework, FORM_SUBSOE, _substituted_equations)
+
+
+def _substituted_equations(framework, xs, ys, ss):
     g = framework.graph
-    n = g.n
-    nvars = 3 * n
-    xs = {i: 2 * (i - 1) for i in range(1, n + 1)}
-    ys = {i: 2 * (i - 1) + 1 for i in range(1, n + 1)}
-    ss = {i: 2 * n + (i - 1) for i in range(1, n + 1)}
-    polys = _pinning_polys(nvars, xs[1], ys[1], xs[2], ys[2], l12)
-    mk = Polynomial.make
     for i, j in sorted(g.edges - {edge_key(1, 2)}):
         l = framework.lengths[edge_key(i, j)]
-        polys.append(
-            mk(
-                nvars,
-                {
-                    ((ss[i], 1),): 1,
-                    ((ss[j], 1),): 1,
-                    ((xs[i], 1), (xs[j], 1)): -2,
-                    ((ys[i], 1), (ys[j], 1)): -2,
-                    (): -(l * l),
-                },
-            )
-        )
-    for i in range(1, n + 1):
-        polys.append(mk(nvars, {((ss[i], 1),): 1, ((xs[i], 2),): -1, ((ys[i], 2),): -1}))
-    variables = _soe_variables(n) + tuple(f"s{i}" for i in range(1, n + 1))
-    return PolySystem(variables, tuple(polys), form=FORM_SUBSOE)
+        yield {
+            ((ss[i], 1),): 1,
+            ((ss[j], 1),): 1,
+            ((xs[i], 1), (xs[j], 1)): -2,
+            ((ys[i], 1), (ys[j], 1)): -2,
+            (): -(l * l),
+        }
+    for i in range(1, g.n + 1):
+        yield {((ss[i], 1),): 1, ((xs[i], 2),): -1, ((ys[i], 2),): -1}
+
+
+# The system forms and their builders: the `--form` choices, in order.
+BUILDERS = {FORM_SOE: build_soe, FORM_SUBSOE: build_subsoe}
 
 
 def supports(system):
@@ -297,7 +287,7 @@ def variable_parts(system, coords):
     n = system.nvars // 3
     parts = {}
     for pos, c in enumerate(coords):
-        # `build_subsoe` puts x_i, y_i at 2i - 2, 2i - 1 and s_i at 2n + i - 1.
+        # `_build` puts x_i, y_i at 2i - 2, 2i - 1 and s_i at 2n + i - 1.
         parts.setdefault(c - 2 * n if c >= 2 * n else c // 2, []).append(pos)
     return [parts[v] for v in sorted(parts)]
 

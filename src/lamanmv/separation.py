@@ -22,12 +22,8 @@ class Block:
 def separation_split(polys, deadline=None):
     """Finest factorization into coordinate-supported blocks.
 
-    `polys` holds one point set per polytope and per coordinate: a raw
-    support as sparse monomials (`polysys.Polynomial`), or a
-    `RationalPolytope`, read as its vertices' nonzero (coordinate,
-    value) pairs. Both give the same blocks, since a point set's nonzero
-    coordinates are those of its hull and the hull of a projected point
-    set is the projection of its hull.
+    `polys` holds one point set per polytope and per coordinate, each a
+    raw support as sparse monomials (`polysys.Polynomial`).
     Finds a perfect matching between polytopes and coordinates through
     the support relation, then splits along the strongly connected
     components of the dependency digraph: a component's polytopes use no
@@ -41,16 +37,9 @@ def separation_split(polys, deadline=None):
     before each polytope.
     """
     k = len(polys)
-    sets = []
-    for p in polys:
-        if isinstance(p, polytopes.RationalPolytope):
-            if p.ambient_dim != k:
-                raise InputError("need exactly one polytope per dimension")
-            p = [tuple((c, x) for c, x in enumerate(v) if x) for v in p.vertices]
-        sets.append(p)
-    if not all(sets):
+    if not all(polys):
         raise InputError("empty point set")
-    uses = [sorted({c for point in s for c, _ in point}) for s in sets]
+    uses = [sorted({c for point in s for c, _ in point}) for s in polys]
     if any(u and not 0 <= u[0] <= u[-1] < k for u in uses):
         raise InputError("need exactly one polytope per dimension")
     hulls = {}  # projected point set -> its hull
@@ -58,7 +47,7 @@ def separation_split(polys, deadline=None):
     def projected(i, position):
         check_deadline(deadline, "coordinate blocks")
         pts = set()
-        for point in sets[i]:
+        for point in polys[i]:
             dense = [0] * len(position)
             for c, x in point:
                 if c in position:

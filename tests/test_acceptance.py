@@ -31,7 +31,7 @@ from lamanmv.mixedvol import (
     mv_inclusion_exclusion,
     random_lifting,
 )
-from lamanmv.polysys import FORM_SOE, FORM_SUBSOE, bezout, build_soe, build_subsoe, witness_check
+from lamanmv.polysys import BUILDERS, FORM_SOE, FORM_SUBSOE, bezout, build_soe, build_subsoe, witness_check
 from lamanmv.polytopes import RationalPolytope, minkowski_sum, volume_exact
 
 RP = RationalPolytope.from_points
@@ -44,7 +44,7 @@ def _note(criterion, text):
 
 
 def _record_graph_system(fw, form, value):
-    system = build_soe(fw) if form == FORM_SOE else build_subsoe(fw)
+    system = BUILDERS[form](fw)
     DEGREE_PRODUCT_CHECKS.append((value, bezout(system)))
 
 

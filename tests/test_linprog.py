@@ -13,7 +13,7 @@ from lamanmv.errors import InputError, InternalError
 from lamanmv.graphs import desargues_graph, k33_graph
 from lamanmv.linprog import FEASIBLE, INFEASIBLE, feasible, verify_farkas
 from lamanmv.mixedvol import mixed_volume, separation_split
-from lamanmv.polysys import build_subsoe, newton_polytopes
+from lamanmv.polysys import build_subsoe, supports
 
 
 def _satisfies(rows, x):
@@ -212,7 +212,7 @@ def test_matches_reference_on_search_lps(monkeypatch):
     monkeypatch.setattr(linprog, "feasible", record)
     for graph, dim in ((desargues_graph, 9), (k33_graph, 12)):
         fw = framework_for(graph())
-        block = next(b for b in separation_split(newton_polytopes(build_subsoe(fw)))
+        block = next(b for b in separation_split(supports(build_subsoe(fw)))
                      if len(b.coordinates) == dim)
         mixed_volume(block.projected, seed=0)
     monkeypatch.undo()

@@ -249,8 +249,7 @@ def test_mixed_volume_reseeds_past_bad_lifting():
 
 def test_separation_splits_pinning_segments():
     fw = framework_for(triangle(), start=3)
-    polys = newton_polytopes(build_subsoe(fw))
-    blocks = separation_split(polys)
+    blocks = separation_split(supports(build_subsoe(fw)))
     dims = sorted(len(b.coordinates) for b in blocks)
     assert dims == [1, 1, 1, 1, 1, 1, 3]
     # The one 3-dim block carries the doubling factor.
@@ -261,16 +260,14 @@ def test_separation_splits_pinning_segments():
 def test_separation_henneberg1_structure(henneberg1_graphs):
     for n in (4, 5, 6):
         seq, g = henneberg1_graphs[n][0]
-        polys = newton_polytopes(build_subsoe(framework_for(g)))
-        blocks = separation_split(polys)
+        blocks = separation_split(supports(build_subsoe(framework_for(g))))
         three_blocks = [b for b in blocks if len(b.coordinates) == 3]
         assert len(three_blocks) == n - 2
         assert all(len(b.coordinates) == 1 for b in blocks if len(b.coordinates) != 3)
 
 
 def test_separation_k33_has_single_large_block():
-    polys = newton_polytopes(build_subsoe(framework_for(k33_graph())))
-    blocks = separation_split(polys)
+    blocks = separation_split(supports(build_subsoe(framework_for(k33_graph()))))
     large = [b for b in blocks if len(b.coordinates) > 1]
     assert len(large) == 1
     assert len(large[0].coordinates) == 12
@@ -306,8 +303,7 @@ def test_block_order_matches_condensation_rule():
         density = rng.random() * 0.35
         perm = rng.sample(range(k), k)
         supports = [{perm[i]} | {c for c in range(k) if rng.random() < density} for i in range(k)]
-        zero = (F(0),) * k
-        polys = [RationalPolytope(k, (zero, tuple(F(c in s) for c in range(k)))) for s in supports]
+        polys = [[(), tuple((c, 1) for c in sorted(s))] for s in supports]
         match = separation._perfect_matching([sorted(s) for s in supports], k)
         owner = {c: i for i, c in enumerate(match)}
         adj = {i: {owner[c] for c in supports[i]} - {i} for i in range(k)}
@@ -534,6 +530,13 @@ def test_mv_for_graph_oracle_capability():
         mv_for_graph(framework_for(k33_graph()), FORM_SUBSOE, oracle=True)
 
 
+def test_mv_for_graph_refuses_an_unknown_form():
+    with pytest.raises(InputError, match=r"^unknown system form 'x'$"):
+        mv_for_graph(framework_for(triangle()), "x")
+    with pytest.raises(InputError, match=r"^unknown system form \['soe'\]$"):
+        mv_for_graph(framework_for(triangle()), ["soe"])
+
+
 def _degree2_graph(n, seed=0):
     return henneberg_apply(random_henneberg_sequence(n, seed=seed))
 
@@ -550,7 +553,7 @@ def _graphs_with_repeated_blocks():
             if not any(isinstance(step, StepII) for step in seq.steps):
                 continue
             g = henneberg_apply(seq)
-            blocks = separation_split(newton_polytopes(build_subsoe(framework_for(g))))
+            blocks = separation_split(supports(build_subsoe(framework_for(g))))
             if max(len(b.coordinates) for b in blocks) <= 9:
                 out.append(g)
                 break
@@ -563,7 +566,7 @@ def test_each_block_result_matches_a_fresh_solve():
     repeated = 0
     for g in _graphs_with_repeated_blocks():
         fw = framework_for(g)
-        blocks = separation_split(newton_polytopes(build_subsoe(fw)))
+        blocks = separation_split(supports(build_subsoe(fw)))
         res = mv_for_graph(fw, FORM_SUBSOE, seed=0)
         assert [b.coordinates for b in res.blocks] == [b.coordinates for b in blocks]
         for got, blk in zip(res.blocks, blocks):
@@ -677,7 +680,7 @@ def _count_hulls(monkeypatch):
 
 
 def test_separation_checks_deadline_before_each_projection(monkeypatch):
-    polys = newton_polytopes(build_subsoe(framework_for(k33_graph())))
+    polys = supports(build_subsoe(framework_for(k33_graph())))
     built = _count_hulls(monkeypatch)
     with pytest.raises(CapabilityError):
         separation_split(polys, deadline=time.monotonic() - 1)
@@ -700,16 +703,10 @@ def test_report_hulls_each_distinct_block_once(monkeypatch):
     assert hulls[8] == hulls[12] == 3, hulls
 
 
-def test_split_on_raw_supports_matches_split_on_newton_polytopes():
-    def shape(blocks):
-        return [(b.polytope_indices, b.coordinates, [p.vertices for p in b.projected])
-                for b in blocks]
-
+def test_split_hulls_raw_supports_and_refuses_malformed_ones():
     for g in (g for n in range(3, 7) for g in all_laman_graphs(n)):
         for build in (build_soe, build_subsoe):
-            system = build(framework_for(g))
-            raw = separation_split(supports(system))
-            assert shape(raw) == shape(separation_split(newton_polytopes(system)))
+            raw = separation_split(supports(build(framework_for(g))))
             assert all(p._cache.get("hull") for b in raw for p in b.projected)
     # Both polynomials live on x0 alone: no perfect matching, one block,
     # and the non-vertex point (1, 0) of the first support is reduced away.
@@ -720,13 +717,11 @@ def test_split_on_raw_supports_matches_split_on_newton_polytopes():
     (block,) = separation_split(supports(system))
     assert (block.polytope_indices, block.coordinates) == ((0, 1), (0, 1))
     assert [p.vertices for p in block.projected] == [((0, 0), (2, 0)), ((0, 0), (1, 0))]
-    assert shape([block]) == shape(separation_split(newton_polytopes(system)))
     with pytest.raises(InputError):
         separation_split(supports(system)[:1] + [[]])
     # Sparse supports name no dimension: a coordinate off the polytope
-    # count, a polytope of another dimension and a system with more
-    # variables than polynomials are refused as before.
-    for polys in ([[((1, 1),)]], [[((-1, 1),)]], [RP([(0, 0), (1, 0)])]):
+    # count and a system with more variables than polynomials are refused.
+    for polys in ([[((1, 1),)]], [[((-1, 1),)]]):
         with pytest.raises(InputError, match="one polytope per dimension"):
             separation_split(polys)
     with pytest.raises(InputError, match="one polytope per dimension"):
@@ -948,7 +943,7 @@ def test_child_dies_exactly_on_a_violated_determined_row(child):
 def _subsoe_block(graph, dim):
     """The block of that dimension of the graph's substituted system."""
     system = build_subsoe(framework_for(graph))
-    return next(b for b in separation_split(newton_polytopes(system)) if len(b.coordinates) == dim)
+    return next(b for b in separation_split(supports(system)) if len(b.coordinates) == dim)
 
 
 def _n7_graph():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -102,6 +103,25 @@ def test_builders_pin_the_default_base_edge(fw):
     pinned = fw.relabel(mapping)
     assert build_soe(fw) == build_soe(pinned)
     assert build_subsoe(fw) == build_subsoe(pinned)
+
+
+BUILDER_DIGEST = "87331218a6a480ada409101d91ad211eedd06a75881d2eb247100665973d8cc9"
+
+
+def test_builders_match_the_recorded_digest():
+    # Every catalog graph with n <= 7, a graph without the edge (1,2) and
+    # one with l12 = 1, which pins vertex 1 at x = 2: both systems' variables,
+    # forms and terms must hash to what the builders gave when recorded.
+    fws = [framework_for(g) for n in range(2, 8) for g in all_laman_graphs(n)]
+    off_base = Graph.make(4, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    assert default_base(off_base) != (1, 2)
+    fws += [framework_for(off_base), framework_for(k33_graph(), start=1)]
+    digest = hashlib.sha256()
+    for fw in fws:
+        for build in (build_soe, build_subsoe):
+            s = build(fw)
+            digest.update(repr((s.variables, s.form, [p.terms for p in s.polys])).encode())
+    assert digest.hexdigest() == BUILDER_DIGEST
 
 
 def test_subsoe_shape():

@@ -533,7 +533,7 @@ def _graph_file_text(g):
 def test_cli_system_refuses_a_listing_just_above_the_cap(tmp_path, capsys, form, n):
     # A distance system holds 2n (14n - 20) dense entries, a substituted
     # one 3n (13n - 12): n is the first size above the cap for its form.
-    build = polysys.build_soe if form == "soe" else polysys.build_subsoe
+    build = polysys.BUILDERS[form]
 
     def graph_text(n):
         return _graph_file_text(henneberg_apply(random_henneberg_sequence(n, seed=5, step2_probability=0.3)))

@@ -16,10 +16,12 @@ of pairs where the change read lower.
 
 `--deep N...` also times `mv --form subsoe` on the minimum-degree-3 graph
 `random_henneberg_sequence(N, seed=4, step2_probability=0.9)` with its
-default lengths, once per side and size, in alternating order, with the
-search's node count (`_Enumerator._descend` calls) and its pruning LPs
-(`linprog.feasible` calls). Times are process CPU seconds on this
-machine, not scaled to a reference speed.
+default lengths, `DEEP_RUNS` times per side and size, the side that runs
+first alternating from run to run. Each run records the search's node
+count (`_Enumerator._descend` calls) and its pruning LPs
+(`linprog.feasible` calls); each side records every run and the median
+time. Times are process CPU seconds on this machine, not scaled to a
+reference speed.
 
 Each side also records the line count of each `src/lamanmv/*.py` and
 the peak RSS of a fresh `PYTHONDONTWRITEBYTECODE=1` interpreter that
@@ -42,6 +44,9 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+# Runs per side of each deep graph: one run shows no spread.
+DEEP_RUNS = 3
 
 DEEP = """
 import json, sys, time
@@ -121,13 +126,19 @@ def bench_pairs(dirs, workloads, seeds, seconds):
 
 
 def deep_graphs(dirs, sizes):
-    """Per graph size, each side's deep-graph run, sides alternating from size to size."""
+    """Per graph size and side, `DEEP_RUNS` deep-graph runs and their median CPU seconds."""
     out = {}
-    for i, n in enumerate(sizes):
-        out[f"n={n}"] = {}
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            out[f"n={n}"][side] = run_json([sys.executable, "-c", DEEP, str(n)], dirs[side])
-            print(f"n={n}", side, out[f"n={n}"][side], file=sys.stderr, flush=True)
+    for n in sizes:
+        runs = {side: [] for side in SIDES}
+        for i in range(DEEP_RUNS):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                runs[side].append(run_json([sys.executable, "-c", DEEP, str(n)], dirs[side]))
+                print(f"n={n}", side, runs[side][-1], file=sys.stderr, flush=True)
+        out[f"n={n}"] = {
+            side: {"cpu_s_median": statistics.median(r["cpu_s"] for r in runs[side]),
+                   "runs": runs[side]}
+            for side in SIDES
+        }
     return out
 
 
