@@ -31,7 +31,7 @@ class Embedding:
     points: dict  # vertex -> (x, y) floats
     residual: float
     choices: tuple  # +1/-1 per circle intersection, 0 at a tangency
-    tangent: bool = False
+    tangent: bool = False  # 0 in choices
 
 
 def tight_lengths(seq):
@@ -59,10 +59,10 @@ def tight_lengths(seq):
 
 
 def _circle_intersections(c1, r1, c2, r2):
-    """Intersection points of two circles with a tangency flag.
+    """Intersection points of two circles, as (point, sign) pairs.
 
-    Returns (points, tangent). Coincident centers with equal radii are
-    degenerate input; empty intersections give no points.
+    The sign is -1 or +1, and 0 exactly at a tangency. Coincident centers
+    with equal radii are degenerate input; empty intersections give none.
     """
     x1, y1 = float(c1[0]), float(c1[1])
     dx, dy = float(c2[0]) - x1, float(c2[1]) - y1
@@ -70,20 +70,20 @@ def _circle_intersections(c1, r1, c2, r2):
     if d2 == 0.0:
         if abs(r1 - r2) <= TANGENCY_TOLERANCE:
             raise DegenerateInputError("coincident circles: infinitely many points")
-        return [], False
+        return []
     d = math.sqrt(d2)
     along = (r1 * r1 - r2 * r2 + d2) / (2 * d)
     h2 = r1 * r1 - along * along
     scale = max(r1 * r1, r2 * r2, d2)
     if h2 < -TANGENCY_TOLERANCE * scale:
-        return [], False
+        return []
     t = along / d
     bx, by = x1 + t * dx, y1 + t * dy
     if h2 <= TANGENCY_TOLERANCE * scale:
-        return [((bx, by), 0)], True
+        return [((bx, by), 0)]
     h = math.sqrt(h2)
     nx, ny = -dy / d, dx / d
-    return [((bx - h * nx, by - h * ny), -1), ((bx + h * nx, by + h * ny), +1)], False
+    return [((bx - h * nx, by - h * ny), -1), ((bx + h * nx, by + h * ny), +1)]
 
 
 def _placements(framework, seq):
@@ -132,21 +132,20 @@ def enumerate_h1(framework, seq, deadline=None):
         # Each entry places vertex v at pt, then visits placement idx; the
         # root re-places vertex 1 at the origin. Children are pushed in
         # reverse, so the -1 intersection comes off the stack first.
-        stack = [(0, 1, pos[1], (), False, 0.0)]
+        stack = [(0, 1, pos[1], (), 0.0)]
         while stack:
-            idx, v, pt, choices, tangent_seen, residual = stack.pop()
+            idx, v, pt, choices, residual = stack.pop()
             check_deadline(deadline, "embedding enumeration")
             pos[v] = pt
             if idx == len(placements):
                 yield Embedding(
-                    points=dict(pos), residual=residual, choices=choices, tangent=tangent_seen
+                    points=dict(pos), residual=residual, choices=choices, tangent=0 in choices
                 )
                 continue
             a, b, w, ra, rb = placements[idx]
-            pts, tangent = _circle_intersections(pos[a], ra, pos[b], rb)
-            for pt, sign in reversed(pts):
+            for pt, sign in reversed(_circle_intersections(pos[a], ra, pos[b], rb)):
                 worst = max(residual, error(a, pt, ra), error(b, pt, rb))
-                stack.append((idx + 1, w, pt, choices + (sign,), tangent_seen or tangent, worst))
+                stack.append((idx + 1, w, pt, choices + (sign,), worst))
 
     return walk()
 
@@ -174,7 +173,7 @@ def count_h1(framework, seq, deadline=None):
             total += 1
             continue
         a, b, w, ra, rb = placements[idx]
-        pts = _circle_intersections(pos[a], ra, pos[b], rb)[0]
+        pts = _circle_intersections(pos[a], ra, pos[b], rb)
         if idx == 0 and len(pts) == 2:
             pts, weight = pts[:1], 2
         for pt, _ in reversed(pts):

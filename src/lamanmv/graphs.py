@@ -275,24 +275,21 @@ def henneberg_apply(seq):
     for idx, step in enumerate(seq.steps):
         new = n + 1
         if isinstance(step, StepI):
-            for v in (step.a, step.b):
-                if not (1 <= v <= n):
-                    raise SequenceError(f"step {idx + 1} references missing vertex {v}")
-            edges.add(edge_key(step.a, new))
-            edges.add(edge_key(step.b, new))
+            anchors = (step.a, step.b)
         elif isinstance(step, StepII):
-            for v in (step.a, step.b, step.c):
-                if not (1 <= v <= n):
-                    raise SequenceError(f"step {idx + 1} references missing vertex {v}")
+            anchors = (step.a, step.b, step.c)
+        else:
+            raise SequenceError(f"unknown step type {type(step).__name__}")
+        for v in anchors:
+            if not (1 <= v <= n):
+                raise SequenceError(f"step {idx + 1} references missing vertex {v}")
+        if isinstance(step, StepII):
             if step.removed not in edges:
                 raise SequenceError(
                     f"step {idx + 1} removes non-existent edge {step.removed}"
                 )
             edges.remove(step.removed)
-            for v in (step.a, step.b, step.c):
-                edges.add(edge_key(v, new))
-        else:
-            raise SequenceError(f"unknown step type {type(step).__name__}")
+        edges.update(edge_key(v, new) for v in anchors)
         n = new
     return Graph.make(n, edges)
 

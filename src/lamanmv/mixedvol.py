@@ -31,13 +31,11 @@ on their Farkas system, with one tableau row per free column plus one
 and the artificial columns left implicit) is the only one in the
 engine: the edges come from the certified face lattices of
 `polytopes`, and the cell checks here solve by `_linalg.solve`.
-Complete cells are accepted only when every non-edge vertex clears the
-functional with a strictly positive margin; a zero margin, found at the
-leaf or carried down from the node that fixed it, means the lifting is
-non-generic and the caller re-seeds. Each accepted cell is checked again
-by `is_mixed_cell`, whose touching test (`_touching`, one face per
-polytope) lifts the points afresh, solves its edge equalities on their
-own and shares no elimination with the search. The search
+Each complete cell gets its one verdict from `is_mixed_cell`, whose
+touching test (`_touching`, one face per polytope) lifts the points
+afresh, solves its edge equalities on their own and shares no
+elimination with the search: a zero margin at a non-edge vertex means
+the lifting is non-generic and the caller re-seeds. The search
 runs in one thread: its exact Python arithmetic holds the GIL,
 so threads cannot speed it up.
 
@@ -249,8 +247,8 @@ class _Enumerator:
     eliminates its column and then deletes it, so a row at depth d holds
     k - d coefficients. A node's state is passed down the recursion: the
     path, one level (col, pivot, cache) per chosen edge with its pivot in
-    the coordinates of its depth; the off-edge rows of the chosen edges;
-    and a tie flag. The rows are a dict from direction (coeffs divided by
+    the coordinates of its depth; and the off-edge rows of the chosen
+    edges. The rows are a dict from direction (coeffs divided by
     their gcd g) to (g, row), one row per direction: the tightest, with
     the largest rhs/g, which implies the others there and at every
     descendant. A row the new pivot leaves alone keeps its g. The child
@@ -267,8 +265,9 @@ class _Enumerator:
         self.k = _dimension(self.polys, lifting)
         self.deadline = deadline
         self.left = bound  # what more strict cells may add to the |det| sum
-        self.order = self._search_order()
+        self.cells, self.ties = [], []
         self.edge_lists = [p.edges() for p in self.polys]
+        self.order = self._search_order()
         # Per polytope, its lifted point differences i - j for i < j
         # (`_reduced` at the root), and each edge (a, b) as the indices of
         # its two vertices.
@@ -292,30 +291,27 @@ class _Enumerator:
         """
         remaining = set(range(self.k))
         supports = {i: self.polys[i].support() for i in remaining}
-        edge_counts = {i: len(self.polys[i].edges()) for i in remaining}
         order = []
         covered = set()
         while remaining:
             touching = [i for i in remaining if supports[i] & covered]
             pool = touching if touching else sorted(remaining)
-            pick = min(pool, key=lambda i: (edge_counts[i], i))
+            pick = min(pool, key=lambda i: (len(self.edge_lists[i]), i))
             order.append(pick)
             covered |= supports[pick]
             remaining.discard(pick)
         return order
 
     def run(self):
-        cells, ties = [], []
         try:
-            self._branch((), (), {}, False, cells, ties)
+            self._branch((), (), {})
         except _Complete:
             pass
-        if ties:
+        if self.ties:
             raise NonGenericLiftingError(
-                "lifting produced tie cells; re-seed", cells=tuple(ties)
+                "lifting produced tie cells; re-seed", cells=tuple(self.ties)
             )
-        cells.sort(key=lambda r: r.cell)
-        return tuple(cells)
+        return tuple(sorted(self.cells, key=lambda r: r.cell))
 
     def _reduced(self, path, poly):
         """Lifted point i minus lifted point j of `poly`, for each pair i < j, reduced down the path.
@@ -334,7 +330,7 @@ class _Enumerator:
                 del r[col]
         return pairs
 
-    def _branch(self, chosen, path, active, tie, cells, ties):
+    def _branch(self, chosen, path, active):
         """One child per edge of the next polytope in the search order.
 
         They share one table: table[a] lists (u, s, row) for each other
@@ -348,9 +344,9 @@ class _Enumerator:
             table[i].append((j, 1, r))
             table[j].append((i, -1, r))
         for idx, (a, b) in enumerate(self.edge_ids[nxt]):
-            self._descend(chosen + ((nxt, idx),), a, b, table, path, active, tie, cells, ties)
+            self._descend(chosen + ((nxt, idx),), a, b, table, path, active)
 
-    def _descend(self, chosen, a, b, table, path, active, tie, cells, ties):
+    def _descend(self, chosen, a, b, table, path, active):
         check_deadline(self.deadline, "mixed-cell enumeration")
         v = table[a][b - (b > a)][2]
         free = len(v) - 2  # the free columns left once the pivot's is deleted
@@ -380,8 +376,7 @@ class _Enumerator:
                 if not g:
                     if r[-1] > 0:
                         return  # fully determined and violated
-                    tie = tie or r[-1] == 0  # fully determined with zero margin
-                    continue
+                    continue  # a zero margin: the leaf check reports the tie
                 key = tuple(r[:-1]) if g == 1 else tuple([x // g for x in r[:-1]])
             else:
                 r = r.copy()
@@ -412,7 +407,6 @@ class _Enumerator:
             if not g:
                 if r[-1] > 0:
                     return
-                tie = tie or r[-1] == 0
                 continue
             key = tuple(r[:-1]) if g == 1 else tuple([x // g for x in r[:-1]])
             kept = rows.get(key)
@@ -421,11 +415,11 @@ class _Enumerator:
                 violated = violated or r[-1] > 0
         if not free:
             # Every row is now fully determined; none is violated.
-            self._finish(chosen, tie, cells, ties)
+            self._finish(chosen)
             return
         if violated and self._prunable(rows, free):
             return
-        self._branch(chosen, path + ((col, v, {}),), rows, tie, cells, ties)
+        self._branch(chosen, path + ((col, v, {}),), rows)
 
     def _prunable(self, rows, n):
         """True when no touching functional satisfies the chosen edges.
@@ -458,18 +452,17 @@ class _Enumerator:
             return False
         return linprog.feasible([r for _, r in rows.values()], n).status == linprog.INFEASIBLE
 
-    def _finish(self, chosen, tie, cells, ties):
-        # Reassemble the cell in original polytope order.
+    def _finish(self, chosen):
+        # Reassemble the cell in original polytope order; a singular one is NO.
         cell = tuple(self.edge_lists[i][j] for i, j in sorted(chosen))
-        det = polytopes.edge_matrix_det(cell)
-        if det == 0:
-            raise InternalError("leaf cell has singular edge matrix")
-        if tie:
-            ties.append(MixedCellRecord(cell=cell, det=det, strict=False))
-            return
-        if is_mixed_cell(cell, self.polys, self.lifting) != YES_STRICT:
+        verdict = is_mixed_cell(cell, self.polys, self.lifting)
+        if verdict == NO:
             raise InternalError("enumerated cell failed the direct criterion")
-        cells.append(MixedCellRecord(cell=cell, det=det, strict=True))
+        det = polytopes.edge_matrix_det(cell)
+        if verdict == YES_TIE:
+            self.ties.append(MixedCellRecord(cell=cell, det=det, strict=False))
+            return
+        self.cells.append(MixedCellRecord(cell=cell, det=det, strict=True))
         if self.left is not None:
             self.left -= abs(det)
             if self.left < 0:
@@ -612,7 +605,7 @@ def _mv_for_system(system, seed=0, oracle=False, deadline=None):
     )
 
 
-def certify_general_bound(system, deadline=None, degree_product=None):
+def certify_general_bound(system, deadline=None):
     """Exact mixed volume of a distance system from one verified cell.
 
     The degree product bounds the mixed volume from above; the diagonal
@@ -629,8 +622,8 @@ def certify_general_bound(system, deadline=None, degree_product=None):
     its Newton polytope (`is_mixed_cell` gives the same verdict). `system`
     is a `build_soe` output with any edge lengths: they and the pinning
     constants are nonzero, so every support holds the constant term and
-    the cell and value do not depend on them. `degree_product` is the
-    system's `polysys.bezout`, counted here unless the caller passes it.
+    the cell and value do not depend on them. The value is checked
+    against the system's degree product, `polysys.bezout`, counted here.
     Raises InputError for any other form of system and CapabilityError
     once `deadline` (a time.monotonic() value) has passed, checked before
     each support.
@@ -654,7 +647,7 @@ def certify_general_bound(system, deadline=None, degree_product=None):
         edges.append((zero[:j] + (scale,) + zero[j + 1:], zero))
         det *= scale
     expected = Fraction(4) ** (k // 2 - 2)
-    degree_product = bezout(system) if degree_product is None else degree_product
+    degree_product = bezout(system)
     if det > degree_product:
         raise InternalError("mv exceeds degree product for the distance system")
     if det != expected or degree_product != expected:

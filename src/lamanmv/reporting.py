@@ -196,12 +196,12 @@ def build_report(framework, seed=0, tight=False, deadline=None):
 
     soe = polysys.build_soe(framework)
     subsoe = polysys.build_subsoe(framework)
-    report["bezout_soe"] = polysys.bezout(soe)
     report["bezout_subsoe"] = polysys.bezout(subsoe)
 
     t0 = time.monotonic()
     # The certificate's value equals the degree product exactly, or it raises.
-    cert = mixedvol.certify_general_bound(soe, deadline, report["bezout_soe"])
+    cert = mixedvol.certify_general_bound(soe, deadline)
+    report["bezout_soe"] = int(cert.value)
     report["mv_soe"] = mv_result_dict(cert)
     timings["mv_soe_certificate"] = time.monotonic() - t0
 

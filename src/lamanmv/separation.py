@@ -142,46 +142,36 @@ def _sccs(adj, n):
     """Tarjan's strongly connected components, iterative."""
     index = {}
     low = {}
-    on_stack = set()
     stack = []
     comps = []
-    counter = [0]
 
     for root in range(n):
         if root in index:
             continue
         work = [(root, iter(sorted(adj[root])))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                    index[w] = low[w] = len(index)
                     stack.append(w)
-                    on_stack.add(w)
                     work.append((w, iter(sorted(adj[w]))))
-                    advanced = True
                     break
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
+                low[v] = min(low[v], low[w])
+            else:
+                work.pop()
+                if work:
+                    pv = work[-1][0]
+                    low[pv] = min(low[pv], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        low[w] = n  # off the stack: an edge to w lowers no link
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(sorted(comp))
     return comps

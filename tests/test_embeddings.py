@@ -222,12 +222,12 @@ def eager_reference(framework, seq):
             leaves.append((dict(pos), tuple(choices), tangent_seen))
             return
         a, b, v = anchors[idx]
-        pts, tangent = _circle_intersections(
+        pts = _circle_intersections(
             pos[a], lengths[edge_key(a, v)], pos[b], lengths[edge_key(b, v)]
         )
         for pt, sign in reversed(pts):
             pos[v] = (float(pt[0]), float(pt[1]))
-            place(pos, idx + 1, choices + [sign], tangent_seen or tangent)
+            place(pos, idx + 1, choices + [sign], tangent_seen or len(pts) == 1)
             del pos[v]
 
     place({1: (0.0, 0.0), 2: (lengths[(1, 2)], 0.0)}, 0, [], False)

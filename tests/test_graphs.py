@@ -138,13 +138,26 @@ def test_apply_step1_then_step2_reaches_six_vertices():
 
 
 def test_apply_rejects_missing_vertex():
-    with pytest.raises(SequenceError):
+    with pytest.raises(SequenceError, match=r"^step 1 references missing vertex 9$"):
         henneberg_apply(HennebergSequence((StepI(1, 9),)))
 
 
 def test_apply_rejects_missing_removed_edge():
-    with pytest.raises(SequenceError):
+    with pytest.raises(SequenceError, match=r"^step 2 removes non-existent edge \(1, 2\)$"):
         henneberg_apply(HennebergSequence((StepII(1, 2, 3, removed=(1, 2)), StepII(1, 2, 4, removed=(1, 2)))))
+
+
+def test_apply_reports_a_missing_anchor_before_a_missing_edge():
+    # Step 2's anchor 9 does not exist and neither does its removed edge
+    # (1, 2), which step 1 took away: the anchor is reported.
+    steps = (StepII(1, 2, 3, removed=(1, 2)), StepII(1, 2, 9, removed=(1, 2)))
+    with pytest.raises(SequenceError, match=r"^step 2 references missing vertex 9$"):
+        henneberg_apply(HennebergSequence(steps))
+
+
+def test_apply_rejects_an_unknown_step_type():
+    with pytest.raises(SequenceError, match=r"^unknown step type tuple$"):
+        henneberg_apply(HennebergSequence((StepI(1, 2), (1, 2))))
 
 
 def test_every_prefix_is_laman():

@@ -39,6 +39,7 @@ from lamanmv.mixedvol import (
     NO,
     YES_STRICT,
     YES_TIE,
+    MixedCellRecord,
     _touching,
     certify_general_bound,
     enumerate_mixed_cells,
@@ -212,15 +213,17 @@ def test_certificate_rejects_an_on_axis_point_and_a_missing_constant():
         certify_general_bound(mutant(5, lambda t: t.pop(())))
 
 
-def test_certificate_compares_a_passed_degree_product_exactly():
-    # A passed degree product replaces the count; one off is rejected.
+def test_certificate_compares_its_degree_product_exactly(monkeypatch):
+    # The certificate counts the degree product itself; a count one off is rejected.
     soe = build_soe(framework_for(henneberg_apply(random_henneberg_sequence(5, seed=3))))
     count = polysys.bezout(soe)
-    assert certify_general_bound(soe, degree_product=count) == certify_general_bound(soe)
+    assert certify_general_bound(soe).value == count
+    monkeypatch.setattr(mixedvol, "bezout", lambda system: count - 1)
     with pytest.raises(InternalError, match="exceeds degree product"):
-        certify_general_bound(soe, degree_product=count - 1)
+        certify_general_bound(soe)
+    monkeypatch.setattr(mixedvol, "bezout", lambda system: count + 1)
     with pytest.raises(InternalError, match="mismatch"):
-        certify_general_bound(soe, degree_product=count + 1)
+        certify_general_bound(soe)
 
 
 def test_certificate_scales_to_four_hundred_vertices():
@@ -821,10 +824,10 @@ def test_search_matches_reference_enumerator(monkeypatch):
     counts = Counter()
     real_branch = mixedvol._Enumerator._branch
 
-    def branch(self, chosen, path, active, *rest):
+    def branch(self, chosen, path, active):
         if chosen:
             counts["dedupe"] += _check_one_row_per_direction(self, chosen, path, active)
-        return real_branch(self, chosen, path, active, *rest)
+        return real_branch(self, chosen, path, active)
 
     monkeypatch.setattr(mixedvol._Enumerator, "_branch", branch)
     _count_pair_prunes(monkeypatch, counts)
@@ -834,6 +837,8 @@ def test_search_matches_reference_enumerator(monkeypatch):
         polys, lifting = _random_search_instance(rng)
         got = _search_outcome(enumerate_mixed_cells, polys, lifting)
         assert got == _search_outcome(reference_enumerate_mixed_cells, polys, lifting)
+        verdict = YES_STRICT if got[0] == "cells" else YES_TIE
+        assert all(is_mixed_cell(rec.cell, polys, lifting) == verdict for rec in got[1])
         kinds[got[0]] += bool(got[1])
     assert kinds["cells"] >= 100 and kinds["ties"] >= 30
     pair_prunes = counts["verified"] - counts["infeasible"]
@@ -860,7 +865,7 @@ def test_shared_tables_match_a_fresh_reduction(monkeypatch):
     checked = Counter()
     real_descend = mixedvol._Enumerator._descend
 
-    def descend(self, chosen, a, b, table, path, *rest):
+    def descend(self, chosen, a, b, table, path, active):
         poly = chosen[-1][0]
         pts = mixedvol._lifted(self.polys[poly].vertices, self.lifting[poly])[0]
         assert [u for u, _, _ in table[a]] == [u for u in range(len(pts)) if u != a]
@@ -876,7 +881,7 @@ def test_shared_tables_match_a_fresh_reduction(monkeypatch):
             assert len(row) == len(r) == self.k - len(path) + 1
             assert _direction([s * x for x in row]) == _direction(r), (chosen, a, u)
         checked[len(path)] += 1
-        return real_descend(self, chosen, a, b, table, path, *rest)
+        return real_descend(self, chosen, a, b, table, path, active)
 
     monkeypatch.setattr(mixedvol._Enumerator, "_descend", descend)
     rng = random.Random(29)
@@ -919,8 +924,8 @@ def _child_of_a_node(draw):
 def test_child_dies_exactly_on_a_violated_determined_row(child):
     # A child with no fresh rows: it must end without a descendant and
     # without a cell exactly when eliminating some carried row by its
-    # pivot row leaves zero coefficients and a positive rhs. Otherwise
-    # its tie flag is set exactly when such a row has a zero rhs.
+    # pivot row leaves zero coefficients and a positive rhs. A zero rhs
+    # does not end it: the leaf check reports that margin.
     v, col, active = child
     k = len(v) - 1
     determined = []
@@ -931,13 +936,13 @@ def test_child_dies_exactly_on_a_violated_determined_row(child):
     enum = object.__new__(mixedvol._Enumerator)
     enum.deadline = None
     reached = []
-    enum._finish = lambda chosen, tie, cells, ties: reached.append(tie)
-    enum._branch = lambda chosen, path, rows, tie, cells, ties: reached.append(tie)
+    enum._finish = lambda chosen: reached.append(chosen)
+    enum._branch = lambda chosen, path, rows: reached.append(chosen)
     enum._prunable = lambda rows, n: False
-    enum._descend((), 0, 1, [[(1, 1, v)], [(0, -1, v)]], (), active, False, [], [])
+    enum._descend((), 0, 1, [[(1, 1, v)], [(0, -1, v)]], (), active)
     dies = any(b > 0 for b in determined)
-    event(f"dies: {dies}, tie: {not dies and 0 in determined}")
-    assert reached == ([] if dies else [0 in determined])
+    event(f"dies: {dies}, zero margin: {not dies and 0 in determined}")
+    assert reached == ([] if dies else [()])
 
 
 def _subsoe_block(graph, dim):
@@ -1291,7 +1296,7 @@ def test_tie_fixed_above_the_leaf_rejects_the_cell():
     # alpha_x = alpha_y = 0 at depth 1 of 3 with the third triangle vertex
     # at zero margin. That row is then fully determined and leaves the
     # search; the segment to (0, 0, 1) fixes alpha_z at the leaf, where
-    # only the carried tie flag still knows the cell is not generic.
+    # the leaf check, which recomputes every margin, finds the tie.
     tri = RP([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
     simplex = RP([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     zero = (F(0), F(0), F(0))
@@ -1301,6 +1306,28 @@ def test_tie_fixed_above_the_leaf_rejects_the_cell():
     assert kind == "ties" and ties
     assert all(rec.cell[2] == ((0, 0, 0), (0, 0, 1)) for rec in ties)
     assert (kind, ties) == _search_outcome(reference_enumerate_mixed_cells, polys, lifting)
+
+
+def test_leaf_takes_its_one_verdict_from_the_cell_criterion():
+    # Every pair of edges of two unit triangles, as a leaf: a singular
+    # edge matrix or a vertex below the functional (NO) raises, a tie is
+    # recorded as one and a strict cell is kept, as `is_mixed_cell` says.
+    tri = RP([(0, 0), (1, 0), (0, 1)])
+    seen = Counter()
+    for lifting in (((F(0), F(0)), (F(0), F(0))), random_lifting([tri, tri], 0)):
+        enum = mixedvol._Enumerator([tri, tri], lifting)
+        for i, j in itertools.product(range(3), repeat=2):
+            cell = (tri.edges()[i], tri.edges()[j])
+            verdict = is_mixed_cell(cell, [tri, tri], lifting)
+            seen[verdict] += 1
+            if verdict == NO:
+                with pytest.raises(InternalError, match="direct criterion"):
+                    enum._finish(((0, i), (1, j)))
+                continue
+            enum._finish(((0, i), (1, j)))
+            kept = enum.cells if verdict == YES_STRICT else enum.ties
+            assert kept[-1] == MixedCellRecord(cell, edge_matrix_det(cell), verdict == YES_STRICT)
+    assert min(seen[v] for v in (NO, YES_TIE, YES_STRICT)) > 0, seen
 
 
 def _fraction_leaf_check(cell, polys, lifting):

@@ -175,10 +175,16 @@ def test_report_counts_embeddings_without_holding_them():
 
 
 def test_report_counts_each_degree_product_once(monkeypatch):
-    # One count per system, the distance system's passed on to its certificate.
+    # One count per system, the distance system's inside its certificate.
     calls = []
     count = polysys.bezout
-    monkeypatch.setattr(polysys, "bezout", lambda system: calls.append(system.form) or count(system))
+
+    def counting(system):
+        calls.append(system.form)
+        return count(system)
+
+    monkeypatch.setattr(polysys, "bezout", counting)
+    monkeypatch.setattr(mixedvol, "bezout", counting)
     rep = build_report(parse_graph_file(TRIANGLE), seed=0)
     assert sorted(calls) == sorted([polysys.FORM_SOE, polysys.FORM_SUBSOE])
     assert rep["bezout_soe"] == rep["mv_soe"]["value"] == 4
