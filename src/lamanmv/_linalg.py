@@ -5,7 +5,8 @@ is not (`rational`). Int points pass `scaled` as they are; other points
 become integers there, in one place, and no Fraction is built inside an
 elimination. All elimination is fraction-free (Bareiss, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination", Math.
-Comp. 1968); `int_det` and `solve` share one forward elimination. The
+Comp. 1968): `solve` and `int_det` share one forward elimination, except
+that `int_det` expands orders 2 and 3 in closed form. The
 dimensions in this package stay below ~40, so an elimination takes no
 deadline: the certificate of order 2n is read off in closed form
 (`mixedvol.certify_general_bound`).
@@ -93,7 +94,14 @@ def _forward(a):
 
 
 def int_det(rows):
-    """Determinant of a square integer matrix by Bareiss elimination."""
+    """Determinant of a square integer matrix: closed form at orders 2 and 3, else Bareiss elimination."""
+    n = len(rows)
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
     a = [list(r) for r in rows]
     return _forward(a) * a[-1][-1] if a else 1
 

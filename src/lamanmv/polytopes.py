@@ -13,10 +13,13 @@ endpoints. A face of dimension >= 3 is gift-wrapped (Chand & Kapur, JACM
 1970): a facet of a projection gives the first facet, and one turn of the
 hyperplane about a ridge that lies in only one facet found so far gives a
 new one, until every ridge lies in two; the facet graph is connected, so
-the list is complete by construction. A polygon is a leaf: its monotone
-chain (Andrew, IPL 1979) is one cycle of corners, and its edges are the
-ridges turned about. Every facet and polygon edge is certified on
-integers (no point above it); a failed certificate is an InternalError.
+the list is complete by construction. A ridge's plane is read off the
+facet it lies in: a triangle's edge in closed form, a polygon's edge from
+its chain, a larger simplex's facet from one fraction-free solve. A
+polygon is a leaf: its monotone chain (Andrew, IPL 1979) is one cycle of
+corners, and its edges are the ridges turned about. Every facet and
+polygon edge is certified on integers (no point above it), and every turn
+must keep its ridge; a failed certificate is an InternalError.
 So the vertices (the polygons' corners), the edges (the polygons' edges
 and every vertex pair of a simplex face) and the volume (pyramids over
 the facets down to each polygon's fan, with integer determinants divided
@@ -70,15 +73,18 @@ class RationalPolytope:
         if not pts:
             raise InputError("empty point list")
         dim = len(pts[0])
-        if any(len(p) != dim for p in pts):
+        if {*map(len, pts)} != {dim}:
             raise InputError("inconsistent point dimensions")
-        if not all_int(pts):
-            pts = [tuple(map(rational, p)) for p in pts]
         # Duplicates go and the order is fixed on the scaled integers
         # (a positive scale keeps the order); int points are their own keys.
-        point_of = dict(zip(scaled(pts)[0], pts))
-        keys = sorted(point_of)
-        points = tuple(point_of[k] for k in keys)
+        if all_int(pts):
+            keys = sorted(set(pts))
+            points = tuple(keys)
+        else:
+            pts = [tuple(map(rational, p)) for p in pts]
+            point_of = dict(zip(scaled(pts)[0], pts))
+            keys = sorted(point_of)
+            points = tuple(point_of[k] for k in keys)
         root = _Face(tuple(range(len(keys))), _affine(keys), {}, deadline)
         poly = RationalPolytope(dim, tuple(points[i] for i in sorted(root.vertices())))
         poly._cache["hull"] = (points, root)
@@ -115,7 +121,7 @@ class RationalPolytope:
             cached = tuple(
                 (a, b)
                 for (i, a), (j, b) in itertools.combinations(zip(key, self.vertices), 2)
-                if (min(i, j), max(i, j)) in ids
+                if (i, j) in ids or (j, i) in ids
             )
             self._cache["edges"] = cached
         return cached
@@ -187,7 +193,7 @@ def volume_exact(p, deadline=None):
     total = 0
     for simplex in root.simplices():
         a = pts[simplex[0]]
-        total += abs(int_det([[x - y for x, y in zip(pts[i], a)] for i in simplex[1:]]))
+        total += abs(int_det([tuple(map(sub, pts[i], a)) for i in simplex[1:]]))
     return Fraction(total, den ** k * factorial(k))
 
 
@@ -196,10 +202,13 @@ def _affine(pts):
 
     Keeping the pivot columns of the difference rows' echelon form maps
     the affine hull bijectively and linearly onto Z^d, d its dimension,
-    so vertices and facets carry over by index.
+    so vertices and facets carry over by index. Points spanning their
+    whole space come back as they are.
     """
     p0 = pts[0]
-    cols = sorted(c for c, _ in echelon([[a - b for a, b in zip(p, p0)] for p in pts[1:]]))
+    cols = sorted(c for c, _ in echelon([a - b for a, b in zip(p, p0)] for p in pts[1:]))
+    if len(cols) == len(p0):
+        return pts
     return [tuple(p[c] for c in cols) for p in pts]
 
 
@@ -289,12 +298,21 @@ class _Face:
     def plane(self, j):
         """(outer normal, offset) of the facet listed j-th by `ridges`.
 
-        For a simplex, with p_1 - p_0, ..., p_d - p_0 as the rows of R,
-        the normal of the facet opposite p_j solves R x = -e_j (j >= 1),
-        and that of the facet opposite p_0 solves R x = 1.
+        For a triangle, the facet opposite corner j is the line through
+        the other two corners, its primitive normal turned away from
+        corner j. For a larger simplex, with p_1 - p_0, ..., p_d - p_0 as
+        the rows of R, the normal of the facet opposite p_j solves
+        R x = -e_j (j >= 1), and that of the facet opposite p_0 solves
+        R x = 1.
         """
         if not self.simplex:
             return self._planes[j]
+        if self.d == 2:
+            (rx, ry), (px, py), (qx, qy) = self.pts[j], *self.pts[:j], *self.pts[j + 1:]
+            nx, ny = qy - py, px - qx
+            off = nx * px + ny * py
+            g = gcd(nx, ny) if nx * rx + ny * ry < off else -gcd(nx, ny)
+            return (nx // g, ny // g), off // g
         p0 = self.pts[0]
         rhs = [-(i == j - 1) for i in range(self.d)] if j else [1] * self.d
         _, x = solve([[a - b for a, b in zip(p, p0)] + [c] for p, c in zip(self.pts[1:], rhs)])
@@ -353,9 +371,11 @@ def _facets(face):
     then one turn about each ridge that lies in only one facet found so
     far, with the ridge's normal read off that facet (`_Face.plane`) and
     lifted. The facet graph is connected, so no facet is missed. Heights
-    are normal.p - offset, one per point; `_facet` certifies each plane.
+    are normal.p - offset, one per point; `_facet` certifies each plane,
+    and each turn must keep its ridge.
     """
     pts = face.pts
+    cols = list(zip(*pts))
     normal, heights = _first_plane(pts)
     found = [(normal, heights, _facet(face, normal, heights))]
     known = {found[0][2]}
@@ -364,15 +384,20 @@ def _facets(face):
     unmatched = set(found[0][2].ridges())
     for normal, heights, facet in found:
         drop = _drop(normal)
+        fcols = cols[:drop] + cols[drop + 1:]
         for j, ridge in enumerate(facet.ridges()):
             if ridge not in unmatched:
                 continue
             rnormal, roff = facet.plane(j)
-            lift = rnormal[:drop] + (0,) + rnormal[drop:]
-            turned = _turn(
-                normal, heights, [-x for x in lift], [roff - sum(map(mul, lift, p)) for p in pts]
-            )
+            # b = roff - lift.p, built one point column at a time.
+            b = [roff] * len(pts)
+            for x, col in zip(rnormal, fcols):
+                if x:
+                    b = [y - x * c for y, c in zip(b, col)]
+            turned = _turn(normal, heights, [-x for x in rnormal[:drop] + (0,) + rnormal[drop:]], b)
             new = _facet(face, *turned)
+            if not set(ridge).issubset(new.ids):
+                raise InternalError("a turn about a ridge reached a plane off the ridge")
             if new in known:
                 raise InternalError("a turn about an unmatched ridge reached a known facet")
             known.add(new)
@@ -397,7 +422,10 @@ def _facet(face, normal, heights):
 
 def _drop(normal):
     """The last coordinate on which a normal is nonzero."""
-    return max(c for c, x in enumerate(normal) if x)
+    c = len(normal) - 1
+    while not normal[c]:
+        c -= 1
+    return c
 
 
 def _chain(pts):
@@ -456,13 +484,15 @@ def _turn(normal, heights, m, b):
     `heights` (normal.p - offset, all <= 0) and `b` (m.p + const) both
     vanish on the ridge, and `b` is >= 0 on the plane. The point c below
     the plane that maximises the angle is kept (p replaces c when
-    a_c*b_p - a_p*b_c > 0, with a the heights); the new normal is
-    a_c*m - b_c*normal and its heights a_c*b - b_c*a, both divided by
-    the normal's gcd.
+    a_c*b_p - a_p*b_c > 0, with a the heights; a point on the plane,
+    a_p = 0 and b_p >= 0, never does, so every point takes one
+    comparison); the new normal is a_c*m - b_c*normal and its heights
+    a_c*b - b_c*a, both divided by the normal's gcd.
     """
-    ac = None
+    ac = min(heights)
+    bc = b[heights.index(ac)]
     for ap, bp in zip(heights, b):
-        if ap < 0 and (ac is None or ac * bp - ap * bc > 0):
+        if ac * bp - ap * bc > 0:
             ac, bc = ap, bp
     new = [ac * y - bc * x for x, y in zip(normal, m)]
     g = gcd(*new)

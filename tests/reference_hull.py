@@ -7,7 +7,9 @@ its line, and a volume comes from a
 pyramid triangulation over facets enumerated in `Fraction` arithmetic
 (a float hull proposes candidate facets, each is re-derived rationally,
 and a gift-wrapping pass closes any ridge left with one facet; small
-inputs use an exhaustive search). The LPs are solved by
+inputs use an exhaustive search). `simplex_plane` is the linear-solve
+route to a simplex's facet planes, which the library's closed-form
+triangle planes are compared against. The LPs are solved by
 `reference_simplex`. `lamanmv.polytopes` must return the same sorted
 vertex tuple, the same edges and exactly the same volume, so the
 differential tests in test_polytopes.py compare the two.
@@ -15,10 +17,11 @@ differential tests in test_polytopes.py compare the two.
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import reference_simplex as simplex
 from reference_linalg import mat_det, mat_solve
+from lamanmv._linalg import solve
 from lamanmv.errors import CapabilityError, InputError
 from lamanmv.polytopes import VOLUME_DIM_CAP
 
@@ -366,6 +369,22 @@ def _facets_exhaustive(verts, k):
             found[key] = onset
             facet_index_sets.append(key)
     return sorted(found.values())
+
+
+def simplex_plane(pts, j):
+    """(outer primitive normal, offset) of the facet opposite pts[j] of an integer simplex.
+
+    The linear-solve route: with p_1 - p_0, ..., p_d - p_0 as the rows
+    of R, the normal of the facet opposite p_j solves R x = -e_j
+    (j >= 1), and that of the facet opposite p_0 solves R x = 1.
+    """
+    d, p0 = len(pts[0]), pts[0]
+    rhs = [-(i == j - 1) for i in range(d)] if j else [1] * d
+    _, x = solve([[a - b for a, b in zip(p, p0)] + [c] for p, c in zip(pts[1:], rhs)])
+    g = gcd(*x)
+    normal = tuple(y // g for y in x)
+    # p_0 lies on every facet but the one opposite it, which holds p_1.
+    return normal, sum(a * b for a, b in zip(normal, pts[0 if j else 1]))
 
 
 def _hyperplane(pts, k):

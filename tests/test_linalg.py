@@ -1,13 +1,13 @@
-"""`_linalg.solve` against the Fraction reference.
+"""`_linalg.solve` and `_linalg.int_det` against the Fraction reference.
 
-`int_det` shares its forward elimination and is compared with the
-reference determinant through `edge_matrix_det` in test_mixedvol.py.
+`int_det` is also compared with the reference determinant through
+`edge_matrix_det` in test_mixedvol.py.
 """
 
 import random
 from fractions import Fraction as F
 
-from reference_linalg import mat_solve
+from reference_linalg import mat_det, mat_solve
 from lamanmv._linalg import int_det, scaled, solve
 
 
@@ -48,6 +48,26 @@ def test_solve_matches_fraction_reference():
         assert [F(v, den) for v in x] == expected
         solved += 1
     assert singular >= 50 and solved >= 90
+
+
+def test_int_det_matches_fraction_reference():
+    # Orders 0-8: the closed forms at orders 2 and 3 and Bareiss elsewhere, on
+    # sparse rows (zero leading pivots that need a row swap) and on
+    # singular matrices (one row a combination of the others).
+    rng = random.Random(35)
+    zero_pivot = singular = 0
+    for trial in range(450):
+        n = trial % 9
+        rows = [[rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(n)]
+        if n and trial % 4 == 0:
+            weights = [rng.randint(-3, 3) for _ in range(n - 1)]
+            rows[-1] = [sum(w * r[c] for w, r in zip(weights, rows)) for c in range(n)]
+            rng.shuffle(rows)
+        det = int_det(rows)
+        assert isinstance(det, int) and det == mat_det(rows), rows
+        zero_pivot += n > 1 and not rows[0][0]
+        singular += n > 0 and not det
+    assert zero_pivot >= 100 and singular >= 100
 
 
 def test_solve_small_cases():

@@ -7,7 +7,7 @@ from operator import add, mul
 import pytest
 from conftest import framework_for, random_fullmixed_instance, random_lattice_polytope, scale, translate
 from hypothesis import assume, given, settings, strategies as st
-from reference_hull import _facet_enumeration, reference_edges, reference_vertices, reference_volume
+from reference_hull import _facet_enumeration, reference_edges, reference_vertices, reference_volume, simplex_plane
 from reference_polysys import sparse
 
 from lamanmv import polytopes
@@ -334,6 +334,42 @@ def test_forged_turn_raises_internal_error(monkeypatch):
     )
     with pytest.raises(InternalError):
         RP(itertools.product(range(2), repeat=3))
+
+
+def test_triangle_planes_match_the_solve_route():
+    # Every triangle face of random 3- and 4-dim lattice hulls: the
+    # closed-form plane of each edge is the linear-solve route's.
+    rng = random.Random(35)
+    triangles = 0
+    for trial in range(60):
+        k = 3 + trial % 2
+        pts = sorted({tuple(rng.randint(0, 3) for _ in range(k)) for _ in range(rng.randint(k + 1, 14))})
+        root = polytopes._Face(tuple(range(len(pts))), polytopes._affine(pts), {}, None)
+        root.vertices()
+        for face in root.faces.values():
+            if face.simplex and face.d == 2:
+                triangles += 1
+                assert [face.plane(j) for j in range(3)] == [simplex_plane(face.pts, j) for j in range(3)], pts
+    assert triangles >= 300
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [lambda normal, off: (tuple(-x for x in normal), -off), lambda normal, off: (normal, off + 1)],
+    ids=["flips-the-normal", "moves-the-offset"],
+)
+def test_forged_triangle_plane_raises_internal_error(monkeypatch, forge):
+    # A triangle's edge plane is what the hull turns about: pointed inward,
+    # the turn leaves points above its plane or comes back to a known facet;
+    # moved off the edge, the turn leaves the edge.
+    plane = polytopes._Face.plane
+    monkeypatch.setattr(
+        polytopes._Face,
+        "plane",
+        lambda self, j: forge(*plane(self, j)) if self.simplex and self.d == 2 else plane(self, j),
+    )
+    with pytest.raises(InternalError):
+        RP([unit(i, 3, s) for i in range(3) for s in (1, -1)])
 
 
 def _midpoint_corner(pts, chain):

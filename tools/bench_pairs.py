@@ -30,9 +30,27 @@ bytecode files that peak is set by compiling the largest module, so it
 tells a `peak_rss_mb` move that comes from a longer module apart from
 the program's own memory. `--tier1` runs the Tier-1 suite once per side
 and records its wall time, its summary line and its ten slowest tests.
+
+    python3 tools/bench_pairs.py --in-process --parent ../parent --change . \
+        --label kernel-pairs --workload oracle-lattice --seeds 1 --passes 10
+
+`--in-process` instead imports both checkouts' `lamanmv` into this one
+interpreter, as the packages `lamanmv_parent` and `lamanmv_change`, so
+both sides run at the same core speed. Per workload and seed it writes
+the inputs once (`perfbench/workloads.py` of this checkout, with the
+parent's package), loads them into each side, runs one untimed warm-up
+pass per side and then `--passes` timed whole passes per side, the side
+that runs first alternating from pass to pass. Every result of every
+pass is checked; each side's CPU seconds per pass and the ratio
+change/parent of each pair of passes are recorded, with the source
+counts and, on request, `--deep` and `--tier1` as above. The exit status
+is 1 when any result is wrong or any call raised.
 """
 
 import argparse
+import gc
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -40,10 +58,12 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Runs per side of each deep graph: one run shows no spread.
 DEEP_RUNS = 3
@@ -178,6 +198,78 @@ def tier1(dirs):
     return out
 
 
+def load_package(name, checkout):
+    """`checkout`'s src/lamanmv imported as the package `name`, with every module in it."""
+    src = checkout / "src" / "lamanmv"
+    spec = importlib.util.spec_from_file_location(
+        name, src / "__init__.py", submodule_search_locations=[str(src)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for path in sorted(src.glob("*.py")):
+        if path.stem != "__init__":
+            importlib.import_module(f"{name}.{path.stem}")
+    return package
+
+
+def timed_pass(workload, instances, failures, label):
+    """CPU seconds of one whole pass; each wrong result or raised error is appended to `failures`."""
+    gc.collect()
+    results = []
+    start = time.process_time()
+    for inst in instances:
+        try:
+            results.append(inst.call(workload.timeout))
+        except Exception as exc:  # any program error is a counted failure
+            results.append(exc)
+    cpu = time.process_time() - start
+    for inst, result in zip(instances, results):
+        wrong = (f"{type(result).__name__}: {result}" if isinstance(result, Exception)
+                 else inst.check(result))
+        if wrong is not None:
+            failures.append(f"{label} {inst.id}: {wrong}")
+    return cpu
+
+
+def in_process(dirs, names, seeds, passes):
+    """Per workload and seed, alternating timed passes of both sides in this interpreter."""
+    sys.path.insert(0, str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    packages = {side: load_package(f"lamanmv_{side}", dirs[side]) for side in SIDES}
+    out, failures = {}, []
+    for name in names:
+        workload = workloads.WORKLOADS[name]
+        per_seed, ratios = [], []
+        for seed in seeds:
+            with tempfile.TemporaryDirectory() as directory:
+                workload.write_inputs(packages["parent"], seed, directory)
+                instances = {side: workload.load(packages[side], directory) for side in SIDES}
+                for side in SIDES:
+                    timed_pass(workload, instances[side], failures, f"{name} {seed} {side} warm-up")
+                cpu = {side: [] for side in SIDES}
+                for i in range(passes):
+                    for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                        label = f"{name} {seed} {side} pass {i}"
+                        cpu[side].append(timed_pass(workload, instances[side], failures, label))
+            pairs = [c / p for p, c in zip(cpu["parent"], cpu["change"])]
+            ratios += pairs
+            print(name, seed, "median change/parent", round(statistics.median(pairs), 4),
+                  file=sys.stderr, flush=True)
+            per_seed.append({
+                "seed": seed,
+                "instances": len(instances["parent"]),
+                "cpu_s": {side: [round(x, 4) for x in cpu[side]] for side in SIDES},
+                "ratios": [round(x, 4) for x in pairs],
+            })
+        out[name] = {
+            "pairs": len(ratios),
+            "median_ratio": round(statistics.median(ratios), 4),
+            "change_lower_in_pairs": sum(r < 1 for r in ratios),
+            "seeds": per_seed,
+        }
+    return out, failures
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
@@ -190,23 +282,40 @@ def main(argv=None):
     ap.add_argument("--change-note", default="", help="recorded as change")
     ap.add_argument("--deep", nargs="*", type=int, default=[], metavar="N")
     ap.add_argument("--tier1", action="store_true", help="also time the Tier-1 suite once per side")
+    ap.add_argument("--in-process", action="store_true",
+                    help="alternate whole passes of both sides in this interpreter")
+    ap.add_argument("--passes", type=int, default=10, help="timed passes per side and seed (--in-process)")
     args = ap.parse_args(argv)
     dirs = {side: getattr(args, side).resolve() for side in SIDES}
-    runs, end_to_end = bench_pairs(dirs, args.workloads, args.seeds, args.seconds)
     result = {
         "label": args.label,
         "parent_commit": args.parent_commit,
         "change": args.change_note,
         "machine": f"{os.cpu_count()}-core {platform.machine()} {platform.system()}, "
                    f"Python {platform.python_version()}, single process",
-        "command": "PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload W --seed N "
-                   f"--seconds {args.seconds:g} --trace 0",
-        "protocol": "parent and change each run from its own checkout; one pair per seed, "
-                    "alternating which side runs first",
-        "runs": runs,
-        "end_to_end": end_to_end,
-        "source": source_sides(dirs),
     }
+    if args.in_process:
+        pairs, failures = in_process(dirs, args.workloads, args.seeds, args.passes)
+        result.update({
+            "protocol": "both sides imported into one interpreter; per workload and seed one "
+                        "untimed warm-up pass per side, then whole passes alternating which side "
+                        "runs first; CPU seconds per pass, not scaled to a reference speed",
+            "correct_and_no_failures": not failures,
+            "failures": failures,
+            "in_process": pairs,
+        })
+    else:
+        runs, end_to_end = bench_pairs(dirs, args.workloads, args.seeds, args.seconds)
+        failures = []
+        result.update({
+            "command": "PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload W --seed N "
+                       f"--seconds {args.seconds:g} --trace 0",
+            "protocol": "parent and change each run from its own checkout; one pair per seed, "
+                        "alternating which side runs first",
+            "runs": runs,
+            "end_to_end": end_to_end,
+        })
+    result["source"] = source_sides(dirs)
     if args.deep:
         result["deep_graphs"] = deep_graphs(dirs, args.deep)
     if args.tier1:
@@ -214,8 +323,9 @@ def main(argv=None):
     path = Path(f"BENCH_{args.label}.json")
     path.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     print(path)
-    return 0
-
+    for line in failures:
+        print("FAILED", line, file=sys.stderr)
+    return 1 if failures else 0
 
 if __name__ == "__main__":
     sys.exit(main())
