@@ -197,10 +197,7 @@ def _distance_equations(framework, xs, ys, _):
     for e, head in orient_two_in(g, (1, 2)).heads.items():
         in_edges[head].append(e)
     for v in range(3, g.n + 1):
-        pair = sorted(in_edges[v])
-        if len(pair) != 2:
-            raise InputError("orientation must give exactly two in-edges")
-        for i, j in pair:
+        for i, j in sorted(in_edges[v]):
             l = framework.lengths[edge_key(i, j)]
             xi, xj, yi, yj = xs[i], xs[j], ys[i], ys[j]
             yield {

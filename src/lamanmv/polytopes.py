@@ -24,9 +24,9 @@ So the vertices (the polygons' corners), the edges (the polygons' edges
 and every vertex pair of a simplex face) and the volume (pyramids over
 the facets down to each polygon's fan, with integer determinants divided
 by D^k * k! at the end) are exact, with no LP and no floating point. Each
-face is certified once per hull, however many facets it lies in;
-`from_points` keeps the lattice, and a polytope built otherwise builds
-it on first use. Volumes are capped at dimension 6.
+face is built and certified once per hull, on construction, however many
+facets it lies in; `from_points` keeps the lattice, and a polytope built
+otherwise builds it on first use. Volumes are capped at dimension 6.
 """
 
 import itertools
@@ -51,8 +51,9 @@ class RationalPolytope:
     ambient_dim: int
     vertices: tuple
 
-    # "hull": (sorted distinct points, certified face lattice on them),
-    # set by from_points or built on first use; "edges": the edge list.
+    # "hull": (sorted distinct points, certified face lattice on them, the
+    # lcm D of their denominators), set by from_points or built on first
+    # use; "edges": the edge list.
     _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def __post_init__(self):
@@ -79,19 +80,20 @@ class RationalPolytope:
         # (a positive scale keeps the order); int points are their own keys.
         if all_int(pts):
             keys = sorted(set(pts))
-            points = tuple(keys)
+            points, den = tuple(keys), 1
         else:
             pts = [tuple(map(rational, p)) for p in pts]
-            point_of = dict(zip(scaled(pts)[0], pts))
+            rows, den = scaled(pts)
+            point_of = dict(zip(rows, pts))
             keys = sorted(point_of)
             points = tuple(point_of[k] for k in keys)
         root = _Face(tuple(range(len(keys))), _affine(keys), {}, deadline)
-        poly = RationalPolytope(dim, tuple(points[i] for i in sorted(root.vertices())))
-        poly._cache["hull"] = (points, root)
+        poly = RationalPolytope(dim, tuple(points[i] for i in sorted(root.vertices)))
+        poly._cache["hull"] = (points, root, den)
         return poly
 
     def _lattice(self, deadline=None):
-        """(distinct points, certified face lattice on them); the lattice's ids index the points."""
+        """(distinct points, certified face lattice on them, D); the lattice's ids index the points."""
         hull = self._cache.get("hull")
         if hull is None:
             hull = RationalPolytope.from_points(self.vertices, deadline)._cache["hull"]
@@ -114,7 +116,7 @@ class RationalPolytope:
         """
         cached = self._cache.get("edges")
         if cached is None:
-            points, root = self._lattice()
+            points, root, _ = self._lattice()
             ids = root.edge_ids()
             pos = dict(zip(points, itertools.count()))
             key = [pos[v] for v in self.vertices]
@@ -186,10 +188,11 @@ def volume_exact(p, deadline=None):
     if k == 0:
         return Fraction(0)
     check_deadline(deadline, "hull computation")
-    points, root = p._lattice(deadline)
+    _, root, den = p._lattice(deadline)
     if root.d < k:
         return Fraction(0)
-    pts, den = scaled(points)
+    # A full-dimensional root holds the points scaled by D, as they are.
+    pts = root.pts
     total = 0
     for simplex in root.simplices():
         a = pts[simplex[0]]
@@ -213,20 +216,23 @@ def _affine(pts):
 
 
 class _Face:
-    """Distinct integer points spanning Z^d, with their facets certified on demand.
+    """Distinct integer points spanning Z^d, with their facets certified on construction.
 
     `ids` names each point for the caller, in increasing order. `faces`
     maps the ids of every face of the hull built so far to its `_Face`, so
     a face lying in several facets is built and certified once, and
     `deadline` is checked before each facet computation and each polygon.
-    A face of dimension <= 2 is a leaf, with corners in place of facets.
-    A facet is a `_Face` of the points on it, in the coordinates left
-    after dropping the last coordinate on which its normal is nonzero, a
-    bijection of its hyperplane. The coordinates kept are then the
-    lexicographically first ones that parametrize the facet, so they do
-    not depend on which parent builds a shared face, and a normal in a
-    facet's coordinates lifts to the parent's with a zero at the dropped
-    position.
+    A face of dimension <= 2 is a leaf, with `corners` in place of
+    `facets`. `ridges` names each facet by its ids (the edge leaving a
+    polygon's j-th corner by its corners), `planes` holds their (outer
+    normal, offset) unless the face is a simplex or a segment, and
+    `vertices` the ids of the extreme points. A facet is a `_Face` of the
+    points on it, in the coordinates left after dropping the last
+    coordinate on which its normal is nonzero, a bijection of its
+    hyperplane. The coordinates kept are then the lexicographically first
+    ones that parametrize the facet, so they do not depend on which parent
+    builds a shared face, and a normal in a facet's coordinates lifts to
+    the parent's with a zero at the dropped position.
     """
 
     def __init__(self, ids, pts, faces, deadline):
@@ -236,64 +242,22 @@ class _Face:
         self.deadline = deadline
         self.d = len(pts[0])
         self.simplex = len(ids) == self.d + 1
-        self._facets = None
-        self._corners = None
-        self._ridges = None
-        self._planes = None  # (outer normal, offset) of each facet, in these coordinates
-        self._vertices = None
-
-    def facets(self):
-        """The facets of a face of dimension >= 3, gift-wrapped."""
-        if self._facets is None:
-            check_deadline(self.deadline, "hull computation")
+        if self.simplex:
+            self.ridges = [ids[:v] + ids[v + 1:] for v in range(len(ids))]
+            self.vertices = frozenset(ids)
+            return
+        check_deadline(deadline, "hull computation")
+        if self.d <= 2:
+            self.corners, self.planes = _corners(self)
+            c = self.corners
+            self.ridges = [(min(u, v), max(u, v)) for u, v in zip(c, c[1:] + c[:1])]
+            self.vertices = frozenset(c)
+        else:
             found = _facets(self)
-            p = self.pts[0]
-            self._planes = [(n, sum(map(mul, n, p)) - h[0]) for n, h, _ in found]
-            self._facets = [f for _, _, f in found]
-        return self._facets
-
-    def corners(self):
-        """Corner ids of a face of dimension <= 2 in cycle order: a segment's ends, or a polygon's chain.
-
-        Certificate: each edge's line has both its corners on it and no
-        point above it, and the lines at a corner are not parallel, so the
-        corners are vertices joined by edges, and a cycle of distinct ones
-        is all of them.
-        """
-        if self._corners is None:
-            check_deadline(self.deadline, "hull computation")
-            pts = self.pts
-            if self.d == 1:
-                cycle = [pts.index(min(pts)), pts.index(max(pts))]
-            else:
-                chain = _chain(pts)
-                cycle = [u for u, _, _ in chain]
-                if len(set(cycle)) < len(cycle):
-                    raise InternalError("a polygon's chain repeats a corner")
-                px, py = chain[-1][1]
-                for (u, (nx, ny), off), v in zip(chain, cycle[1:] + cycle[:1]):
-                    heights = [nx * x + ny * y - off for x, y in pts]
-                    if max(heights) > 0 or heights[u] or heights[v] or px * ny == py * nx:
-                        raise InternalError("a polygon edge is not certified")
-                    px, py = nx, ny
-                self._planes = [(n, off) for _, n, off in chain]
-            self._corners = [self.ids[i] for i in cycle]
-        return self._corners
-
-    def ridges(self):
-        """The ids of each facet, for a face of dimension >= 2, listed once; a simplex builds no facets.
-
-        A polygon's j-th ridge is the edge leaving its j-th corner, named by its corners.
-        """
-        if self._ridges is None:
-            if self.simplex:
-                self._ridges = [self.ids[:v] + self.ids[v + 1:] for v in range(len(self.ids))]
-            elif self.d <= 2:
-                c = self.corners()
-                self._ridges = [(min(u, v), max(u, v)) for u, v in zip(c, c[1:] + c[:1])]
-            else:
-                self._ridges = [f.ids for f in self.facets()]
-        return self._ridges
+            self.planes = [(n, sum(map(mul, n, pts[0])) - h[0]) for n, h, _ in found]
+            self.facets = [f for _, _, f in found]
+            self.ridges = [f.ids for f in self.facets]
+            self.vertices = frozenset().union(*(f.vertices for f in self.facets))
 
     def plane(self, j):
         """(outer normal, offset) of the facet listed j-th by `ridges`.
@@ -306,7 +270,7 @@ class _Face:
         R x = 1.
         """
         if not self.simplex:
-            return self._planes[j]
+            return self.planes[j]
         if self.d == 2:
             (rx, ry), (px, py), (qx, qy) = self.pts[j], *self.pts[:j], *self.pts[j + 1:]
             nx, ny = qy - py, px - qx
@@ -321,47 +285,54 @@ class _Face:
         # p_0 lies on every facet but the one opposite it, which holds p_1.
         return normal, sum(map(mul, normal, self.pts[0 if j else 1]))
 
-    def vertices(self):
-        """Ids of the extreme points: the corners, or the vertices of the facets."""
-        if self._vertices is None:
-            if self.simplex:
-                self._vertices = frozenset(self.ids)
-            elif self.d <= 2:
-                self._vertices = frozenset(self.corners())
-            else:
-                self._vertices = frozenset().union(*(f.vertices() for f in self.facets()))
-        return self._vertices
-
     def simplices(self):
         """Pyramids from the first point over the facets avoiding it, down to fans from first corners."""
         if self.simplex:
             return [self.ids]
         if self.d <= 2:
-            c = self.corners()
+            c = self.corners
             return [(c[0], *c[j:j + self.d]) for j in range(1, len(c) - self.d + 1)]
         apex = self.ids[0]
         return [
             (apex,) + s
-            for f in self.facets()
+            for f in self.facets
             if apex not in f.ids
             for s in f.simplices()
         ]
 
     def edge_ids(self):
-        """Id pairs of the 1-faces: every pair of each simplex face, and the polygons' edges."""
-        pairs, seen, stack = set(), set(), [self]
-        while stack:
-            face = stack.pop()
-            if face.ids in seen:
-                continue
-            seen.add(face.ids)
+        """Id pairs of the hull's 1-faces: every pair of each simplex face, and the polygons' edges."""
+        pairs = set()
+        for face in (self, *self.faces.values()):
             if face.simplex:
                 pairs.update(itertools.combinations(face.ids, 2))
             elif face.d <= 2:
-                pairs.update(face.ridges())
-            else:
-                stack.extend(face.facets())
+                pairs.update(face.ridges)
         return pairs
+
+
+def _corners(face):
+    """(corner ids in cycle order, edge planes) of a segment (its ends, no planes) or a polygon (its chain).
+
+    Certificate: each edge's line has both its corners on it and no
+    point above it, and the lines at a corner are not parallel, so the
+    corners are vertices joined by edges, and a cycle of distinct ones
+    is all of them.
+    """
+    pts = face.pts
+    if face.d == 1:
+        return [face.ids[pts.index(min(pts))], face.ids[pts.index(max(pts))]], None
+    chain = _chain(pts)
+    cycle = [u for u, _, _ in chain]
+    if len(set(cycle)) < len(cycle):
+        raise InternalError("a polygon's chain repeats a corner")
+    px, py = chain[-1][1]
+    for (u, (nx, ny), off), v in zip(chain, cycle[1:] + cycle[:1]):
+        heights = [nx * x + ny * y - off for x, y in pts]
+        if max(heights) > 0 or heights[u] or heights[v] or px * ny == py * nx:
+            raise InternalError("a polygon edge is not certified")
+        px, py = nx, ny
+    return [face.ids[i] for i in cycle], [(n, off) for _, n, off in chain]
 
 
 def _facets(face):
@@ -371,8 +342,8 @@ def _facets(face):
     then one turn about each ridge that lies in only one facet found so
     far, with the ridge's normal read off that facet (`_Face.plane`) and
     lifted. The facet graph is connected, so no facet is missed. Heights
-    are normal.p - offset, one per point; `_facet` certifies each plane,
-    and each turn must keep its ridge.
+    are normal.p - offset, one per point; `_facet` certifies each plane
+    and that each turn keeps its ridge.
     """
     pts = face.pts
     cols = list(zip(*pts))
@@ -381,11 +352,11 @@ def _facets(face):
     known = {found[0][2]}
     # Ridges seen in exactly one facet found so far: only these are turned
     # about, so every turn must reach a new facet.
-    unmatched = set(found[0][2].ridges())
+    unmatched = set(found[0][2].ridges)
     for normal, heights, facet in found:
         drop = _drop(normal)
         fcols = cols[:drop] + cols[drop + 1:]
-        for j, ridge in enumerate(facet.ridges()):
+        for j, ridge in enumerate(facet.ridges):
             if ridge not in unmatched:
                 continue
             rnormal, roff = facet.plane(j)
@@ -395,23 +366,23 @@ def _facets(face):
                 if x:
                     b = [y - x * c for y, c in zip(b, col)]
             turned = _turn(normal, heights, [-x for x in rnormal[:drop] + (0,) + rnormal[drop:]], b)
-            new = _facet(face, *turned)
-            if not set(ridge).issubset(new.ids):
-                raise InternalError("a turn about a ridge reached a plane off the ridge")
+            new = _facet(face, *turned, ridge)
             if new in known:
                 raise InternalError("a turn about an unmatched ridge reached a known facet")
             known.add(new)
             found.append(turned + (new,))
-            unmatched.symmetric_difference_update(new.ridges())
+            unmatched.symmetric_difference_update(new.ridges)
     return found
 
 
-def _facet(face, normal, heights):
-    """The facet of `face` on a plane, certified: no height above 0, and every point at 0 on it."""
+def _facet(face, normal, heights, ridge=()):
+    """The facet of `face` on a plane, certified before it is built: no point above it, the ridge on it."""
     if max(heights) > 0:
         raise InternalError("a facet plane leaves points on both sides")
     onset = [i for i, h in enumerate(heights) if not h]
     ids = tuple(face.ids[i] for i in onset)
+    if not set(ridge).issubset(ids):
+        raise InternalError("a turn about a ridge reached a plane off the ridge")
     found = face.faces.get(ids)
     if found is None:
         drop = _drop(normal)

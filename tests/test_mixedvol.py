@@ -244,10 +244,20 @@ def test_non_generic_lifting_raises():
         enumerate_mixed_cells([sq, sq], zero_lift)
 
 
-def test_mixed_volume_reseeds_past_bad_lifting():
+def test_mixed_volume_reseeds_past_bad_lifting(monkeypatch):
+    # The all-zero lifting ties every cell of the unit square's
+    # subdivision. Given to seed 0, the value comes from seed 1; given to
+    # every seed, the error carries the last attempt's tie cells.
     sq = RP([(0, 0), (1, 0), (0, 1), (1, 1)])
+    lifting = mixedvol.random_lifting
+    zero = ((0, 0), (0, 0))
+    monkeypatch.setattr(mixedvol, "random_lifting", lambda polys, seed: lifting(polys, seed) if seed else zero)
     res = mixed_volume([sq, sq], seed=0)
-    assert res.value == 2  # 2! * area
+    assert (res.value, res.lifting_seed) == (2, 1)  # 2! * area
+    monkeypatch.setattr(mixedvol, "random_lifting", lambda polys, seed: zero)
+    with pytest.raises(NonGenericLiftingError, match="no generic lifting found in 32 attempts") as err:
+        mixed_volume([sq, sq], seed=0)
+    assert len(err.value.cells) == 8
 
 
 def test_separation_splits_pinning_segments():

@@ -308,7 +308,7 @@ def test_facets_match_reference_in_dimensions_2_to_6():
         if face.d >= 2:
             want = [sorted(o) for o in _facet_enumeration([tuple(map(F, q)) for q in face.pts], face.d)]
             if face.d == 2:
-                ridges = face.ridges()
+                ridges = face.ridges
                 got = {
                     frozenset(i for i, q in enumerate(face.pts) if sum(map(mul, n, q)) == off)
                     for n, off in map(face.plane, range(len(ridges)))
@@ -336,6 +336,20 @@ def test_forged_turn_raises_internal_error(monkeypatch):
         RP(itertools.product(range(2), repeat=3))
 
 
+def test_forged_first_plane_raises_internal_error(monkeypatch):
+    # A first plane pointed inward has every point above it, which `_facet`
+    # refuses before it builds a face on the plane.
+    first = polytopes._first_plane
+
+    def flipped(pts):
+        normal, heights = first(pts)
+        return tuple(-x for x in normal), [-h for h in heights]
+
+    monkeypatch.setattr(polytopes, "_first_plane", flipped)
+    with pytest.raises(InternalError, match="a facet plane leaves points on both sides"):
+        RP(itertools.product(range(2), repeat=3))
+
+
 def test_triangle_planes_match_the_solve_route():
     # Every triangle face of random 3- and 4-dim lattice hulls: the
     # closed-form plane of each edge is the linear-solve route's.
@@ -345,7 +359,6 @@ def test_triangle_planes_match_the_solve_route():
         k = 3 + trial % 2
         pts = sorted({tuple(rng.randint(0, 3) for _ in range(k)) for _ in range(rng.randint(k + 1, 14))})
         root = polytopes._Face(tuple(range(len(pts))), polytopes._affine(pts), {}, None)
-        root.vertices()
         for face in root.faces.values():
             if face.simplex and face.d == 2:
                 triangles += 1
@@ -513,7 +526,8 @@ def test_each_face_is_certified_once(monkeypatch):
     # 473 of them of dimension >= 2: 233 of dimension >= 3, which need one
     # facet computation each, and 240 squares, which need one certified
     # chain each. A face reached through several facets is certified
-    # once, and the volume reads the lattice that from_points kept.
+    # once, and the volume and the edges read the lattice that
+    # from_points kept.
     facets, chain = polytopes._facets, polytopes._chain
     calls = []
     monkeypatch.setattr(polytopes, "_facets", lambda face: calls.append(face.d) or facets(face))
@@ -522,6 +536,7 @@ def test_each_face_is_certified_once(monkeypatch):
     assert p.vertices == tuple(itertools.product((F(0), F(2)), repeat=6))
     assert len(calls) == 473 and calls.count(2) == 240
     assert volume_exact(p) == 64
+    assert len(p.edges()) == 6 * 2 ** 5
     assert len(calls) == 473
 
 

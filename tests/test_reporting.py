@@ -277,6 +277,14 @@ def test_cli_input_error_exit(tmp_path, capsys):
     assert code == 1
 
 
+def test_cli_unreadable_path_exit(tmp_path, capsys):
+    # A missing file and a directory: exit 1 with the reason, no traceback.
+    for path in (tmp_path / "missing.graph", tmp_path):
+        assert cli.run(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "cannot read" in err and "Traceback" not in err
+
+
 def test_cli_unknown_flag_exit(tmp_path):
     path = tmp_path / "g.graph"
     path.write_text(TRIANGLE)

@@ -11,8 +11,8 @@ workload and seed the two sides run `perfbench/run.py --seconds S
 runs first alternates from pair to pair. The JSON object that run.py
 prints last gives the gated metrics, `correct` and `failed`. The output
 keeps the layout of BENCH_hull.json: per workload and metric the median
-and quartiles of each side, the median change in percent and the number
-of pairs where the change read lower.
+and quartiles of each side (the median alone from one seed), the median
+change in percent and the number of pairs where the change read lower.
 
 `--deep N...` also times `mv --form subsoe` on the minimum-degree-3 graph
 `random_henneberg_sequence(N, seed=4, step2_probability=0.9)` with its
@@ -110,6 +110,9 @@ def run_json(cmd, cwd):
 
 
 def summary(values):
+    """Median and quartiles of the values; a single value is reported as the median alone."""
+    if len(values) == 1:
+        return {"median": round(values[0], 4)}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
